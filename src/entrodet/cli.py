@@ -11,16 +11,13 @@ quad-test            Nystrom determinant convergence table (CSV)
 Experiments write CSV to ``--out`` (stdout otherwise); with ``--out``
 the JSON report goes to stdout. Exit codes are a stable contract:
 0 success, 2 I/O or parse failure, 3 state validation failure,
-4 parameter domain error. The ``ENTRODET_THREADS`` environment variable
-overrides the sample-level thread count; output bytes do not depend on
-it.
+4 parameter domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import experiments, matrixio
@@ -129,16 +126,6 @@ def _cmd_entropy(args) -> int:
     return EXIT_OK
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("ENTRODET_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -147,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "xstate-experiment":
             report = experiments.run_xstate_experiment(
                 args.d, args.samples, r=args.r, s=args.s, seed=args.seed,
-                threads=_threads(),
             )
             _emit_report(report, args.out)
             return EXIT_OK if report.summary["passed"] == report.summary["total"] else EXIT_VALIDATION

@@ -37,6 +37,8 @@ import numpy as np
 
 from .errors import DomainError, FractionalPowerOfNegative, NotNormalized
 from .linalg import (
+    EIG_CLAMP,
+    TRACE_TOL,
     DensityMatrix,
     MatrixLike,
     Spectrum,
@@ -78,8 +80,8 @@ def _require_normalized(spec: Spectrum) -> Spectrum:
 
 def trace_power(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """Trace power sum I_r = sum_i lam_i^r of a spectrum (0 log-safe)."""
-    if r <= 0:
-        raise DomainError(f"trace power order must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"trace power order must be positive and finite, got {r}")
     lam = _spectrum_of(x).values
     pos = lam[lam > 0]
     return float((pos**r).sum())
@@ -123,25 +125,34 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
 
 def tsallis(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """Tsallis entropy (I_r - 1) / (1 - r); the s = 1 unified member."""
-    if r <= 0 or r == 1:
-        raise DomainError(f"Tsallis order must be positive and != 1, got {r}")
+    if not 0.0 < r < math.inf or r == 1:
+        raise DomainError(f"Tsallis order must be positive, finite and != 1, got {r}")
     spec = _require_normalized(_spectrum_of(x))
     return (trace_power(spec, r) - 1.0) / (1.0 - r)
 
 
 def renyi(x: Union[SpectrumLike, MatrixLike], r: float, log_base: str = "e") -> float:
     """Renyi entropy log(I_r) / (1 - r); the s -> 0 unified member."""
-    if r <= 0 or r == 1:
-        raise DomainError(f"Renyi order must be positive and != 1, got {r}")
+    if not 0.0 < r < math.inf or r == 1:
+        raise DomainError(f"Renyi order must be positive, finite and != 1, got {r}")
     spec = _require_normalized(_spectrum_of(x))
     return math.log(trace_power(spec, r)) / (1.0 - r) * _base_scale(log_base)
 
 
+def _check_s(s: float) -> None:
+    if not math.isfinite(s) or s == 0:
+        raise DomainError(f"deformation order s must be finite and nonzero, got {s}")
+
+
 def _check_unified_params(r: float, s: float) -> None:
-    if r <= 0 or r == 1:
-        raise DomainError(f"deformation order r must be positive and != 1, got {r}")
-    if s == 0:
-        raise DomainError("deformation order s must be nonzero")
+    if not 0.0 < r < math.inf or r == 1:
+        raise DomainError(f"deformation order r must be positive, finite and != 1, got {r}")
+    _check_s(s)
+
+
+def _unified(p, r: float, s: float):
+    # the unified entropy as a map of the power sum I_r (or of log det = I_r)
+    return (p**s - 1.0) / ((1.0 - r) * s) + 0.0  # +0.0 folds away -0.0
 
 
 def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
@@ -153,8 +164,31 @@ def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
     """
     _check_unified_params(r, s)
     spec = _require_normalized(_spectrum_of(x))
-    p = trace_power(spec, r)
-    return (p**s - 1.0) / ((1.0 - r) * s) + 0.0  # +0.0 folds away -0.0
+    return _unified(trace_power(spec, r), r, s)
+
+
+def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
+    """:func:`hu_ye` of each row of a stack of Hermitian eigenvalues.
+
+    ``lam`` has shape (S, n); rows need not be sorted. As for a matrix
+    passed to :func:`hu_ye`, values in ``[-EIG_CLAMP, 0)`` count as zero
+    and every row must sum to 1.
+
+    Raises
+    ------
+    NotNormalized
+        Naming the first row whose sum is off by more than ``TRACE_TOL``.
+    """
+    _check_unified_params(r, s)
+    lam = np.where((lam < 0) & (lam >= -EIG_CLAMP), 0.0, lam)
+    total = lam.sum(axis=1)
+    bad = np.flatnonzero(np.abs(total - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise NotNormalized(
+            f"row {bad[0]}: entropy requires a normalized spectrum, "
+            f"sum is {total[bad[0]]:.12g}"
+        )
+    return _unified((np.where(lam > 0, lam, 0.0) ** r).sum(axis=1), r, s)
 
 
 def hy_bound(d: int, r: float, s: float) -> float:
@@ -172,8 +206,8 @@ def hy_bound(d: int, r: float, s: float) -> float:
 
 def f_r(q: MatrixLike, r: float) -> np.ndarray:
     """The positive operator exp(Q^r) - 1 via the functional calculus."""
-    if r <= 0:
-        raise DomainError(f"order r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"order r must be positive and finite, got {r}")
     return matrix_function(q, lambda lam: math.expm1(lam**r))
 
 
@@ -184,8 +218,8 @@ def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     eigenvalue, which reproduces the identity log det = I_r to roundoff;
     a matrix input goes through the dense log-determinant.
     """
-    if r <= 0:
-        raise DomainError(f"order r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"order r must be positive and finite, got {r}")
     if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
         m = f_r(x, r)
         sign, logdet = np.linalg.slogdet(np.eye(m.shape[0]) + m)
@@ -269,13 +303,11 @@ def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float
     Valid for r > 1, where the determinant is finite on any state; equal
     to :func:`hu_ye` by the identity log det = I_r.
     """
-    if r <= 1:
-        raise DomainError(f"determinant form requires r > 1, got {r}")
-    if s == 0:
-        raise DomainError("deformation order s must be nonzero")
+    if not 1.0 < r < math.inf:
+        raise DomainError(f"determinant form requires finite r > 1, got {r}")
+    _check_s(s)
     spec = _require_normalized(_spectrum_of(x))
-    ld = log_det_r(spec, r)
-    return (ld**s - 1.0) / ((1.0 - r) * s) + 0.0
+    return _unified(log_det_r(spec, r), r, s)
 
 
 def hy_renormalized(
@@ -291,8 +323,7 @@ def hy_renormalized(
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"renormalized form requires r in (0, 1), got {r}")
-    if s == 0:
-        raise DomainError("deformation order s must be nonzero")
+    _check_s(s)
     ld = log_det_ren(x, r, alpha)
     if ld < 0 and float(s) != round(s):
         raise FractionalPowerOfNegative(
@@ -330,8 +361,10 @@ def divergence_probe(
     spectra whose power sum diverges the crossing arrives at finite K;
     for convergent sums the probe reports ``reached=False`` at ``k_max``.
     """
-    if r <= 0:
-        raise DomainError(f"probe order must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"probe order must be positive and finite, got {r}")
+    if chunk < 1:
+        raise DomainError(f"chunk size must be >= 1, got {chunk}")
     total = 0.0
     start = 1
     while start <= k_max:

@@ -15,7 +15,7 @@ class NotHermitian(ValidationError):
 
 
 class NotPositive(ValidationError):
-    """Matrix or spectrum has an eigenvalue below the PSD tolerance."""
+    """Matrix or spectrum has an eigenvalue below the PSD tolerance, or a non-finite one."""
 
 
 class TraceNotOne(ValidationError):

@@ -132,6 +132,8 @@ def nystrom_matrix(
     m = rule.m
     if m > MAX_NODES:
         raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
+    if not math.isfinite(z):
+        raise DomainError(f"coupling z must be finite, got {z}")
     xi, xj = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     kmat = np.asarray(_evaluator(kernel)(xi, xj), dtype=float)
     if not np.all(np.isfinite(kmat)):

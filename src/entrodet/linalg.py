@@ -87,7 +87,8 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
     """Coerce a value sequence into a :class:`Spectrum`.
 
     Values are sorted non-increasing; entries in ``[-PSD_TOL, 0)`` are
-    clamped to zero, anything more negative raises :class:`NotPositive`.
+    clamped to zero, anything more negative, NaN or infinite raises
+    :class:`NotPositive`.
     With ``normalized=None`` the flag is detected from the sum; passing
     ``True`` demands normalization and raises :class:`NotNormalized`
     otherwise.
@@ -105,6 +106,8 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
     arr[arr < 0] = 0.0
     arr = np.sort(arr)[::-1].copy()
     total = arr.sum()
+    if not np.isfinite(total):
+        raise NotPositive(f"spectrum has non-finite values (sum {total})")
     is_norm = bool(abs(total - 1.0) <= TRACE_TOL)
     if normalized and not is_norm:
         raise NotNormalized(f"spectrum sums to {total:.12g}, expected 1")
@@ -117,6 +120,14 @@ def _as_matrix(q: MatrixLike) -> np.ndarray:
     if isinstance(q, DensityMatrix):
         return q.mat
     return np.asarray(q, dtype=complex)
+
+
+def _check_hermitian(m: np.ndarray, herm_tol: float) -> None:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    defect = np.abs(m - m.conj().T).max() if m.size else 0.0
+    if not defect <= herm_tol:  # a NaN defect fails too
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {herm_tol:.0e}")
 
 
 def validate_density(
@@ -141,11 +152,7 @@ def validate_density(
         Naming the violated invariant and the measured defect.
     """
     m = _as_matrix(mat)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    defect = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if defect > herm_tol:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {herm_tol:.0e}")
+    _check_hermitian(m, herm_tol)
     tr = m.trace().real
     if abs(tr - 1.0) > tol:
         raise TraceNotOne(f"trace {tr:.12g} differs from 1 by {abs(tr - 1.0):.3e}")
@@ -161,9 +168,18 @@ def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, UnitaryMatrix]:
 
     Eigenvalues come back sorted non-increasing, with values in
     ``[-EIG_CLAMP, 0)`` clamped to zero; equal eigenvalues keep the
-    eigenvector order produced by the solver.
+    eigenvector order produced by the solver. A bare array gets the
+    Hermiticity check of :func:`validate_density` first, since the
+    solver reads only one triangle.
+
+    Raises
+    ------
+    DimensionMismatch, NotHermitian
+        If a bare array is not square, or not Hermitian within ``HERM_TOL``.
     """
     m = _as_matrix(q)
+    if not isinstance(q, DensityMatrix):
+        _check_hermitian(m, HERM_TOL)
     try:
         lam, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

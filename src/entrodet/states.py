@@ -1,8 +1,9 @@
 """Generators for the state families used throughout the package.
 
 Finite-dimensional: X-shaped bipartite density matrices (diagonal plus
-anti-diagonal couplings) with a positivity-guaranteeing sampler, and
-embeddings of spectra as diagonal states.
+anti-diagonal couplings) with a positivity-guaranteeing sampler, the
+closed-form spectra and reductions of stacked X states, and embeddings
+of spectra as diagonal states.
 
 Truncated infinite-dimensional spectra: power laws ``k^-(1+eps)``
 (divergent power sums for small orders), log-power laws
@@ -20,9 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, DomainError, NotNormalized, TruncationInsufficient
+from .errors import (
+    ConstraintViolation,
+    DomainError,
+    NotNormalized,
+    NotPositive,
+    TraceNotOne,
+    TruncationInsufficient,
+)
 from .fredholm import KernelSpec, first_k_primes, zeta_series
-from .linalg import DensityMatrix, Spectrum, SpectrumLike, as_spectrum, validate_density
+from .linalg import (
+    PSD_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    Spectrum,
+    SpectrumLike,
+    as_spectrum,
+    validate_density,
+)
 
 
 @dataclass(frozen=True)
@@ -52,12 +68,40 @@ class XStateParams:
         return (self.d * self.d) // 4
 
 
-def _x_pairs(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    # 0-based anti-diagonal pair indices: outer block then inner block
+# Stacked X states are held as diagonals ``a`` of shape (S, n) and
+# couplings ``c`` of shape (S, n // 2): c[:, p] sits at (p, n-1-p), so the
+# l outer couplings come first and the l inner ones after them.
+
+
+def _check_x(a: np.ndarray, c: np.ndarray) -> None:
+    """x_state's bounds on stacked states; names the first offender."""
+    if not a.size:
+        return
+    n = a.shape[1]
     l = n // 4
-    outer = [(i, n - 1 - i) for i in range(l)]
-    inner = [(l + i, n - l - 1 - i) for i in range(l)]
-    return outer, inner
+
+    def where(s: int) -> str:
+        return f"sample {s}: " if len(a) > 1 else ""
+
+    neg = np.argwhere(a < 0)
+    if neg.size:
+        s, p = neg[0]
+        raise ConstraintViolation(f"{where(s)}diagonal entry a[{p}] = {a[s, p]:.3e} < 0")
+    sums = a.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+    if bad.size:
+        s = bad[0]
+        raise ConstraintViolation(f"{where(s)}diagonal sums to {sums[s]:.12g}, expected 1")
+    bound = a[:, : n // 2] * a[:, ::-1][:, : n // 2]
+    mag2 = np.abs(c) ** 2
+    over = np.argwhere(mag2 > bound + 1e-12)
+    if over.size:
+        s, p = over[0]
+        name, i = ("w", p + 1) if p < l else ("z", p - l + 1)
+        raise ConstraintViolation(
+            f"{where(s)}|{name}_{i}|^2 = {mag2[s, p]:.6g} exceeds "
+            f"Schur bound a_{p + 1} a_{n - p} = {bound[s, p]:.6g}"
+        )
 
 
 def x_state(params: XStateParams) -> DensityMatrix:
@@ -73,30 +117,34 @@ def x_state(params: XStateParams) -> DensityMatrix:
     a = np.asarray(params.diag, dtype=float)
     if a.shape != (n,):
         raise ConstraintViolation(f"diagonal must have length {n}, got {a.shape}")
-    if a.min() < 0:
-        raise ConstraintViolation(f"diagonal entry a[{a.argmin()}] = {a.min():.3e} < 0")
-    if abs(a.sum() - 1.0) > 1e-10:
-        raise ConstraintViolation(f"diagonal sums to {a.sum():.12g}, expected 1")
-    outer_idx, inner_idx = _x_pairs(n)
     w = np.asarray(params.outer, dtype=complex)
     z = np.asarray(params.inner, dtype=complex)
-    if w.shape != (len(outer_idx),) or z.shape != (len(inner_idx),):
+    if w.shape != (params.l,) or z.shape != (params.l,):
         raise ConstraintViolation(
-            f"expected {len(outer_idx)} outer and {len(inner_idx)} inner couplings, "
+            f"expected {params.l} outer and {params.l} inner couplings, "
             f"got {w.shape} and {z.shape}"
         )
+    c = np.concatenate([w, z])
+    _check_x(a[np.newaxis], c[np.newaxis])
+    p = np.arange(len(c))
     mat = np.diag(a).astype(complex)
-    for name, couplings, pairs in (("w", w, outer_idx), ("z", z, inner_idx)):
-        for i, (p, q) in enumerate(pairs):
-            bound = a[p] * a[q]
-            if abs(couplings[i]) ** 2 > bound + 1e-12:
-                raise ConstraintViolation(
-                    f"|{name}_{i + 1}|^2 = {abs(couplings[i]) ** 2:.6g} exceeds "
-                    f"Schur bound a_{p + 1} a_{q + 1} = {bound:.6g}"
-                )
-            mat[p, q] = couplings[i]
-            mat[q, p] = np.conj(couplings[i])
+    mat[p, n - 1 - p] = c
+    mat[n - 1 - p, p] = c.conj()
     return validate_density(mat)
+
+
+def _x_draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # one (magnitude, phase) pair per coupling, outer block then inner
+    a = rng.exponential(size=n)
+    a = a / a.sum()
+    u = rng.random(2 * (n // 2)).reshape(-1, 2)
+    mag = u[:, 0] * np.sqrt(a[: n // 2] * a[::-1][: n // 2])
+    return a, mag * np.exp(2j * np.pi * u[:, 1])
+
+
+def _check_dim(d: int) -> None:
+    if not 2 <= d <= 8:
+        raise DomainError(f"subsystem dimension must be in 2..8, got {d}")
 
 
 def x_state_random(d: int, seed: int, index: int = 0) -> DensityMatrix:
@@ -108,23 +156,77 @@ def x_state_random(d: int, seed: int, index: int = 0) -> DensityMatrix:
     construction. Distinct (seed, index) keys give independent streams
     regardless of how samples are scheduled.
     """
-    if not 2 <= d <= 8:
-        raise DomainError(f"subsystem dimension must be in 2..8, got {d}")
-    rng = np.random.default_rng([seed, index, d])
+    _check_dim(d)
+    a, c = _x_draw(np.random.default_rng([seed, index, d]), d * d)
+    l = (d * d) // 4
+    return x_state(XStateParams(d, a, c[:l], c[l:], seed=seed))
+
+
+def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states ``x_state_random(d, seed, i)``, i < samples, stacked.
+
+    Returns ``a`` of shape (samples, d^2) and ``c`` of shape
+    (samples, d^2 // 2), with ``c[:, p]`` the entry at (p, d^2-1-p).
+    Draws the same numbers as :func:`x_state_random` and applies the same
+    checks, with positivity and trace read off the closed-form spectrum
+    of :func:`x_eigvalsh` instead of an eigensolver.
+    """
+    _check_dim(d)
     n = d * d
-    a = rng.exponential(size=n)
-    a = a / a.sum()
-    outer_idx, inner_idx = _x_pairs(n)
+    a = np.empty((samples, n))
+    c = np.empty((samples, n // 2), dtype=complex)
+    for i in range(samples):
+        a[i], c[i] = _x_draw(np.random.default_rng([seed, i, d]), n)
+    _check_x(a, c)
+    lam = x_eigvalsh(a, c)
+    tr = lam.sum(axis=1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        s = bad[0]
+        raise TraceNotOne(f"sample {s}: trace {tr[s]:.12g} differs from 1")
+    low = np.flatnonzero(lam.min(axis=1) < -PSD_TOL)
+    if low.size:
+        s = low[0]
+        raise NotPositive(
+            f"sample {s}: minimum eigenvalue {lam[s].min():.3e} below -{PSD_TOL:.0e}"
+        )
+    return a, c
 
-    def draw(pairs):
-        out = np.empty(len(pairs), dtype=complex)
-        for i, (p, q) in enumerate(pairs):
-            mag = rng.random() * math.sqrt(a[p] * a[q])
-            out[i] = mag * np.exp(2j * np.pi * rng.random())
-        return out
 
-    params = XStateParams(d, a, draw(outer_idx), draw(inner_idx), seed=seed)
-    return x_state(params)
+def x_eigvalsh(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of stacked X-shaped Hermitian matrices, in closed form.
+
+    ``a`` (..., n) is the real diagonal and ``c`` (..., n // 2) the
+    couplings at (p, n-1-p). Each pair is a 2x2 block with eigenvalues
+    ``m +- hypot((a_p - a_q) / 2, |c_p|)`` around its mean m; for odd n the
+    centre entry is its own eigenvalue. Returns (..., n), unsorted.
+    """
+    n = a.shape[-1]
+    h = n // 2
+    ap, aq = a[..., :h], a[..., ::-1][..., :h]
+    mean = 0.5 * (ap + aq)
+    rad = np.hypot(0.5 * (ap - aq), np.abs(c))
+    return np.concatenate([mean + rad, mean - rad, a[..., h : n - h]], axis=-1)
+
+
+def x_partial_traces(
+    a: np.ndarray, c: np.ndarray, d: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Both reductions of stacked d x d X states, themselves X-shaped.
+
+    Returns ``((a_A, c_A), (a_B, c_B))`` for Tr_B and Tr_A in the layout
+    of :func:`x_eigvalsh`. Row i*d + j of the full state couples only to
+    row (d-1-i)*d + (d-1-j), so a reduction keeps a coupling only from
+    the middle row k = (d-1)/2 of the traced factor: none for even d.
+    """
+    a4 = a.reshape(-1, d, d)
+    half = np.arange(d // 2)
+    if d % 2:
+        k = (d - 1) // 2
+        c_a, c_b = c[:, half * d + k], c[:, k * d + half]
+    else:
+        c_a = c_b = np.zeros((len(a), d // 2), dtype=complex)
+    return (a4.sum(axis=2), c_a), (a4.sum(axis=1), c_b)
 
 
 def diag_state(spec: SpectrumLike) -> DensityMatrix:

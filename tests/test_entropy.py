@@ -118,10 +118,11 @@ class TestTsallisRenyi:
         assert renyi([0.7, 0.3], 2) == pytest.approx(0.54472717544167203, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            tsallis([0.5, 0.5], 1.0)
-        with pytest.raises(DomainError):
-            renyi([0.5, 0.5], 1.0)
+        for r in (1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                tsallis([0.5, 0.5], r)
+            with pytest.raises(DomainError):
+                renyi([0.5, 0.5], r)
 
 
 class TestHuYe:
@@ -136,9 +137,15 @@ class TestHuYe:
         assert hu_ye([0.7, 0.3], 2, 0.5) == pytest.approx(0.47684537882721834, abs=1e-15)
 
     def test_domain(self):
-        for r, s in ((1.0, 0.5), (0.0, 0.5), (-2, 1), (2, 0.0)):
+        for r, s in ((1.0, 0.5), (0.0, 0.5), (-2, 1), (2, 0.0),
+                     (math.nan, 0.5), (math.inf, 0.5), (2, math.nan), (2, math.inf)):
             with pytest.raises(DomainError):
                 hu_ye([0.5, 0.5], r, s)
+
+    def test_trace_power_domain(self):
+        for r in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                trace_power([0.5, 0.5], r)
 
     def test_limits_spot(self, rng):
         lam = random_spectrum_values(rng, 6)
@@ -354,8 +361,11 @@ class TestDivergenceProbe:
         assert probe.partial_sum < 2.0
 
     def test_domain(self):
+        for r in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                divergence_probe(power_law_generator(1.0), r, 1.0)
         with pytest.raises(DomainError):
-            divergence_probe(power_law_generator(1.0), 0.0, 1.0)
+            divergence_probe(power_law_generator(1.0), 0.5, 1.0, chunk=0)
 
 
 class TestSandwichBounds:

@@ -1,15 +1,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from entrodet import (
+    hu_ye,
+    partial_trace,
     run_gaussian_experiment,
     run_quad_test,
     run_xstate_experiment,
     run_zeta_check,
+    states,
+    x_state_random,
 )
-from entrodet.errors import DomainError
+from entrodet.errors import ConstraintViolation, DomainError
+from entrodet.experiments import TRIANGLE_SLACK
 
 
 class TestXStateExperiment:
@@ -29,10 +35,30 @@ class TestXStateExperiment:
         b = run_xstate_experiment([2, 3], samples=10, seed=7).to_csv()
         assert a == b
 
-    def test_thread_count_does_not_change_records(self):
-        serial = run_xstate_experiment([2, 4], samples=12, seed=9, threads=1)
-        pooled = run_xstate_experiment([2, 4], samples=12, seed=9, threads=4)
-        assert serial.records == pooled.records
+    def test_matches_per_sample_public_path(self):
+        r, s, seed = 2.0, 0.5, 31
+        report = run_xstate_experiment(list(range(2, 9)), samples=8, r=r, s=s, seed=seed)
+        for rec in report.records:
+            d = rec["d"]
+            q = x_state_random(d, seed, index=rec["sample"])
+            full = hu_ye(q, r, s)
+            diff = abs(hu_ye(partial_trace(q, d, d, "A"), r, s)
+                       - hu_ye(partial_trace(q, d, d, "B"), r, s))
+            assert abs(rec["hy_full"] - full) <= 1e-14
+            assert abs(rec["hy_diff"] - diff) <= 1e-14
+            assert type(rec["pass"]) is bool  # np.bool_ would print True in the CSV
+            assert rec["pass"] == (diff <= full + TRIANGLE_SLACK)
+
+    def test_schur_violation_raises(self, monkeypatch):
+        draw = states._x_draw
+
+        def too_strong(rng, n):
+            a, c = draw(rng, n)
+            return a, np.ones_like(c)  # |c|^2 = 1 > a_p a_q
+
+        monkeypatch.setattr(states, "_x_draw", too_strong)
+        with pytest.raises(ConstraintViolation, match="Schur bound"):
+            run_xstate_experiment([3], samples=4, seed=1)
 
     def test_record_columns(self):
         report = run_xstate_experiment([2], samples=2, seed=3)

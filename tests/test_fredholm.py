@@ -137,6 +137,13 @@ class TestFredholmDet:
         with pytest.raises(DomainError):
             fredholm_det(CONST, 1.0, 0, 1, 10_001)
 
+    def test_non_finite_coupling(self):
+        for z in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fredholm_det(CONST, z, 0, 1, 4)
+            with pytest.raises(DomainError):
+                log_fredholm_det(CONST, z, 0, 1, 4)
+
     def test_plain_callable_accepted(self):
         assert fredholm_det(lambda x, y: np.ones_like(x), -0.5, 0, 1, 4) == pytest.approx(0.5)
 

@@ -10,7 +10,9 @@ from entrodet import (
     power_sum,
     schatten_norm,
     trace_distance,
+    trace_power,
     validate_density,
+    von_neumann,
 )
 from entrodet.errors import (
     DimensionMismatch,
@@ -45,6 +47,8 @@ class TestValidateDensity:
         m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(NotHermitian):
             validate_density(m)
+        with pytest.raises(NotHermitian):
+            validate_density(np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
     def test_trace_not_one(self):
         with pytest.raises(TraceNotOne):
@@ -61,6 +65,14 @@ class TestValidateDensity:
 
 
 class TestEigHermitian:
+    def test_bare_non_hermitian_rejected(self):
+        # the solver reads one triangle; this would come out as [1, 0] or ln 2
+        m = np.array([[0.5, 1.0], [0.0, 0.5]])
+        with pytest.raises(NotHermitian):
+            eig_hermitian(m)
+        with pytest.raises(NotHermitian):
+            von_neumann(m)
+
     def test_diagonal_sorted(self):
         spec, u = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))
         assert np.allclose(spec.values, [0.7, 0.3])
@@ -211,6 +223,13 @@ class TestSpectrum:
     def test_negative_rejected(self):
         with pytest.raises(NotPositive):
             as_spectrum([1.1, -0.1])
+
+    def test_non_finite_rejected(self):
+        for bad in ([0.5, np.nan], [0.5, np.inf]):
+            with pytest.raises(NotPositive):
+                as_spectrum(bad)
+            with pytest.raises(NotPositive):
+                trace_power(bad, 2)
 
     def test_normalization_demand(self):
         with pytest.raises(NotNormalized):

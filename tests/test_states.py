@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entrodet import (
     XStateParams,
@@ -32,6 +34,7 @@ from entrodet.errors import (
     NotNormalized,
     TruncationInsufficient,
 )
+from entrodet.states import x_eigvalsh, x_partial_traces, x_states_random
 
 
 class TestXState:
@@ -110,10 +113,64 @@ class TestXStateRandom:
                 assert np.prod(np.abs(z)) <= math.sqrt(np.prod(a[l:n - l])) + 1e-12
 
     def test_dimension_range(self):
-        with pytest.raises(DomainError):
-            x_state_random(1, 0)
-        with pytest.raises(DomainError):
-            x_state_random(9, 0)
+        for d in (1, 9):
+            with pytest.raises(DomainError):
+                x_state_random(d, 0)
+            with pytest.raises(DomainError):
+                x_states_random(d, 0, 1)
+
+
+def _x_matrix(a, c):
+    n = len(a)
+    p = np.arange(len(c))
+    m = np.diag(a).astype(complex)
+    m[p, n - 1 - p] = c
+    m[n - 1 - p, p] = np.conj(c)
+    return m
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _x_hermitian(draw):
+    n = draw(st.integers(1, 64))
+    a = draw(arrays(float, n, elements=_unit))
+    re = draw(arrays(float, n // 2, elements=_unit))
+    im = draw(arrays(float, n // 2, elements=_unit))
+    return a, re + 1j * im
+
+
+class TestXStatesBatched:
+    @settings(max_examples=200, deadline=None)
+    @given(_x_hermitian())
+    def test_closed_form_spectrum_matches_eigvalsh(self, x):
+        a, c = x
+        closed = np.sort(x_eigvalsh(a, c))
+        assert np.abs(closed - np.linalg.eigvalsh(_x_matrix(a, c))).max() <= 1e-13
+
+    def test_stacked_draws_equal_single_draws(self):
+        for d in range(2, 9):
+            a, c = x_states_random(d, 17, 6)
+            for i in range(6):
+                q = x_state_random(d, 17, index=i).mat
+                assert np.array_equal(_x_matrix(a[i], c[i]), q)
+
+    def test_partial_traces_match_dense(self):
+        # odd d keeps one coupling per reduction, even d none
+        for d in range(2, 9):
+            a, c = x_states_random(d, 5, 3)
+            (a_a, c_a), (a_b, c_b) = x_partial_traces(a, c, d)
+            for i in range(3):
+                q = x_state_random(d, 5, index=i)
+                for keep, (ai, ci) in (("A", (a_a, c_a)), ("B", (a_b, c_b))):
+                    dense = partial_trace(q, d, d, keep).mat
+                    assert np.abs(_x_matrix(ai[i], ci[i]) - dense).max() < 1e-15
+                assert np.any(c_a[i]) == bool(d % 2)
+
+    def test_empty_batch(self):
+        a, c = x_states_random(3, 1, 0)
+        assert a.shape == (0, 9) and c.shape == (0, 4)
 
 
 class TestPowerLawSpectrum:
