@@ -10,10 +10,10 @@ them on a few states and shows the limits converging.
 import numpy as np
 
 from entrodet import (
-    eig_hermitian,
     hu_ye,
     hy_bound,
     renyi,
+    spectrum_of,
     tsallis,
     validate_density,
     von_neumann,
@@ -45,11 +45,11 @@ for s in (0.5, 0.1, 0.01, 1e-4, 1e-6):
 for r in (1.5, 1.1, 1.01, 1 + 1e-4, 1 + 1e-6):
     print(f"  r = {r:<9}: HY(r, 1) = {hu_ye(lam, r, 1):.9f} -> vN = {von_neumann(lam):.9f}")
 
-# matrices work everywhere a spectrum does: they are diagonalized once
+# matrices work everywhere a spectrum does: spectrum_of diagonalizes them once
 rng = np.random.default_rng(7)
 g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 q = validate_density((g @ g.conj().T) / (g @ g.conj().T).trace().real)
-spec, _ = eig_hermitian(q)
+spec = spectrum_of(q)
 print("\nrandom 4x4 state, spectrum:", np.round(spec.values, 6))
 print("  HY(2, 0.5) from matrix:  ", hu_ye(q, 2, 0.5))
 print("  HY(2, 0.5) from spectrum:", hu_ye(spec, 2, 0.5))

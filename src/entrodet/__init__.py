@@ -12,8 +12,6 @@ from .entropy import (
     EntropyResult,
     ProbeResult,
     alpha_star,
-    det_r,
-    det_ren,
     divergence_probe,
     evaluate,
     f_r,
@@ -45,13 +43,12 @@ from .fredholm import (
 from .linalg import (
     DensityMatrix,
     Spectrum,
-    UnitaryMatrix,
     as_spectrum,
     eig_hermitian,
     matrix_function,
     partial_trace,
-    power_sum,
     schatten_norm,
+    spectrum_of,
     trace_distance,
     validate_density,
 )

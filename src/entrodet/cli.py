@@ -21,9 +21,9 @@ import json
 import sys
 
 from . import experiments, matrixio
-from .entropy import EntropyParams, evaluate
+from .entropy import KINDS, EntropyParams, evaluate
 from .errors import DomainError, ValidationError
-from .linalg import eig_hermitian, validate_density
+from .linalg import spectrum_of
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="evaluate an entropy on a matrix file")
     p.add_argument("input", help="matrix file ({'dim': n, 're': [[..]], 'im': [[..]]})")
-    p.add_argument("--kind", required=True,
-                   choices=["vn", "vn-ren", "tsallis", "renyi", "hy", "hy-fredholm", "hy-ren"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--alpha", type=int, default=None,
@@ -111,9 +110,7 @@ def _emit_report(report: experiments.ExperimentReport, out: str | None) -> None:
 
 
 def _cmd_entropy(args) -> int:
-    mat = matrixio.load_matrix(args.input)
-    q = validate_density(mat)
-    spec, _ = eig_hermitian(q)
+    spec = spectrum_of(matrixio.load_matrix(args.input), normalized=True)
     params = EntropyParams(r=args.r, s=args.s, alpha=args.alpha, log_base=args.base)
     result = evaluate(args.kind, spec, params)
     payload = {

@@ -21,16 +21,23 @@ subtracts exactly the divergent part. ``vn_renormalized`` is
 to the unified entropy for deformation orders r in (0, 1), where the
 plain power sum may diverge.
 
-All functions accept a :class:`~entrodet.linalg.Spectrum` (or a bare
-value sequence) directly, so truncated infinite-dimensional spectra skip
-the matrix algebra; density-matrix inputs are reduced through the
-Hermitian eigensolver first.
+Each entropy is a scalar map of one spectral statistic: the power sum
+``trace_power``, ``von_neumann``'s ``-sum lam log lam``, ``vn_renormalized``,
+or one of the log-determinants ``log_det_r`` and ``log_det_ren``.
+:func:`evaluate` computes that statistic once, reports it as the
+diagnostic and maps it to the entropy.
+
+Every input reduces to its spectrum through
+:func:`~entrodet.linalg.spectrum_of`: a :class:`~entrodet.linalg.Spectrum`
+or a bare value sequence passes straight on, so truncated
+infinite-dimensional spectra skip the matrix algebra, and a density
+matrix costs one ``eigvalsh``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -41,15 +48,10 @@ from .linalg import (
     TRACE_TOL,
     DensityMatrix,
     MatrixLike,
-    Spectrum,
     SpectrumLike,
-    as_spectrum,
-    eig_hermitian,
     matrix_function,
+    spectrum_of,
 )
-
-# exp argument beyond which a determinant is reported in log form only
-_EXP_CAP = 700.0
 
 _LN2 = math.log(2.0)
 
@@ -62,35 +64,46 @@ def _base_scale(log_base: str) -> float:
     raise DomainError(f"log base must be 'e' or '2', got {log_base!r}")
 
 
-def _spectrum_of(x: Union[SpectrumLike, MatrixLike], normalized: bool | None = None) -> Spectrum:
-    if isinstance(x, DensityMatrix):
-        return eig_hermitian(x)[0]
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return eig_hermitian(x)[0]
-    return as_spectrum(x, normalized=normalized)
+def _check_order(r: float, what: str) -> None:
+    if not 0.0 < r < math.inf:  # NaN fails too
+        raise DomainError(f"{what} must be positive and finite, got {r}")
 
 
-def _require_normalized(spec: Spectrum) -> Spectrum:
-    if not spec.is_normalized:
-        raise NotNormalized(
-            f"entropy requires a normalized spectrum, sum is {spec.values.sum():.12g}"
-        )
-    return spec
+def _check_deformation(r: float, what: str) -> None:
+    if not 0.0 < r < math.inf or r == 1:
+        raise DomainError(f"{what} must be positive, finite and != 1, got {r}")
 
 
-def trace_power(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
-    """Trace power sum I_r = sum_i lam_i^r of a spectrum (0 log-safe)."""
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"trace power order must be positive and finite, got {r}")
-    lam = _spectrum_of(x).values
+def _check_s(s: float) -> None:
+    if not math.isfinite(s) or s == 0:
+        raise DomainError(f"deformation order s must be finite and nonzero, got {s}")
+
+
+def _check_unified_params(r: float, s: float) -> None:
+    _check_deformation(r, "deformation order r")
+    _check_s(s)
+
+
+def _power_sum(lam: np.ndarray, r: float) -> float:
     pos = lam[lam > 0]
     return float((pos**r).sum())
 
 
+# ---------------------------------------------------------------------------
+# the statistics
+# ---------------------------------------------------------------------------
+
+
+def trace_power(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
+    """Trace power sum I_r = sum_i lam_i^r of a spectrum (0 log-safe)."""
+    _check_order(r, "trace power order")
+    return _power_sum(spectrum_of(x).values, r)
+
+
 def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> float:
     """Entropy -sum lam log lam with the 0 log 0 = 0 convention."""
-    spec = _require_normalized(_spectrum_of(x))
-    lam = spec.values[spec.values > 0]
+    lam = spectrum_of(x, normalized=True).values
+    lam = lam[lam > 0]
     value = float(-(lam * np.log(lam)).sum())
     # clip spectral-noise negatives: the exact value is >= 0
     return max(value, 0.0) * _base_scale(log_base)
@@ -117,42 +130,130 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
     of second order in ``-lam log lam``, which keeps the sum finite on
     truncated spectra whose plain entropy grows without bound.
     """
-    lam = _spectrum_of(x).values
+    lam = spectrum_of(x).values
     lam = lam[lam > 0]
     ent = -lam * np.log(lam)           # eigenvalues of -Q log Q
     return float((ent - np.expm1(ent)).sum())
 
 
-def tsallis(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
-    """Tsallis entropy (I_r - 1) / (1 - r); the s = 1 unified member."""
-    if not 0.0 < r < math.inf or r == 1:
-        raise DomainError(f"Tsallis order must be positive, finite and != 1, got {r}")
-    spec = _require_normalized(_spectrum_of(x))
-    return (trace_power(spec, r) - 1.0) / (1.0 - r)
+def f_r(q: MatrixLike, r: float) -> np.ndarray:
+    """The positive operator exp(Q^r) - 1 via the functional calculus."""
+    _check_order(r, "order r")
+    return matrix_function(q, lambda lam: math.expm1(lam**r))
 
 
-def renyi(x: Union[SpectrumLike, MatrixLike], r: float, log_base: str = "e") -> float:
-    """Renyi entropy log(I_r) / (1 - r); the s -> 0 unified member."""
-    if not 0.0 < r < math.inf or r == 1:
-        raise DomainError(f"Renyi order must be positive, finite and != 1, got {r}")
-    spec = _require_normalized(_spectrum_of(x))
-    return math.log(trace_power(spec, r)) / (1.0 - r) * _base_scale(log_base)
+def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
+    """log det(1 + f_r(Q)) for f_r(Q) = exp(Q^r) - 1.
+
+    A matrix input goes through the dense log-determinant. On a spectrum
+    the determinant is the product of ``exp(lam^r)``, so its log is the
+    power sum ``I_r`` itself, returned directly: finite wherever ``I_r``
+    is, with no ``log1p(expm1(.))`` round trip to overflow past ~709.
+    """
+    _check_order(r, "order r")
+    if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
+        m = f_r(x, r)
+        sign, logdet = np.linalg.slogdet(np.eye(m.shape[0]) + m)
+        if sign <= 0:
+            raise DomainError("det(1 + f_r(Q)) is not positive")
+        return float(logdet)
+    return _power_sum(spectrum_of(x).values, r)
 
 
-def _check_s(s: float) -> None:
-    if not math.isfinite(s) or s == 0:
-        raise DomainError(f"deformation order s must be finite and nonzero, got {s}")
+def alpha_star(r: float) -> int:
+    """Smallest integer alpha with alpha * r >= 1, for r in (0, 1)."""
+    if not 0.0 < r < 1.0:
+        raise DomainError(
+            f"regularization order is defined for r in (0, 1), got {r}"
+        )
+    a = int(math.floor(1.0 / r))
+    if a * r < 1.0:
+        a += 1
+    return a
 
 
-def _check_unified_params(r: float, s: float) -> None:
-    if not 0.0 < r < math.inf or r == 1:
-        raise DomainError(f"deformation order r must be positive, finite and != 1, got {r}")
-    _check_s(s)
+def _resolve_alpha(r: float, alpha: int | None) -> int:
+    a_min = alpha_star(r)
+    if alpha is None:
+        return a_min
+    if alpha < a_min:
+        raise DomainError(
+            f"alpha = {alpha} is below the minimal admissible order {a_min}"
+        )
+    return alpha
+
+
+def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
+    """Log of the order-alpha regularized determinant det_alpha(1 + f_r(Q)).
+
+    Per eigenvalue, with g = exp(lam^r) - 1:
+
+        log(1 + g) + sum_{j=1}^{alpha-1} (-1)^j g^j / j
+
+    where ``log(1 + g)`` is ``lam^r`` exactly. For alpha = 2 every
+    summand is <= 0 (it is log(1+g) - g), so the result is non-positive.
+    ``alpha=None`` resolves to the smallest admissible order
+    :func:`alpha_star`. The spectrum need not be normalized, only
+    non-negative.
+    """
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"renormalization applies to r in (0, 1), got {r}")
+    alpha = _resolve_alpha(r, alpha)
+    lam = spectrum_of(x).values
+    acc = lam[lam > 0] ** r
+    g = np.expm1(acc)
+    gj = np.ones_like(g)
+    for j in range(1, alpha):
+        gj = gj * g
+        acc = acc + ((-1) ** j / j) * gj
+    return float(acc.sum())
+
+
+# ---------------------------------------------------------------------------
+# the entropies: scalar maps of one statistic
+# ---------------------------------------------------------------------------
+
+
+def _tsallis(i_r: float, r: float) -> float:
+    _check_deformation(r, "Tsallis order")
+    return (i_r - 1.0) / (1.0 - r)
+
+
+def _renyi(i_r: float, r: float, log_base: str) -> float:
+    _check_deformation(r, "Renyi order")
+    return math.log(i_r) / (1.0 - r) * _base_scale(log_base)
 
 
 def _unified(p, r: float, s: float):
     # the unified entropy as a map of the power sum I_r (or of log det = I_r)
+    _check_unified_params(r, s)
     return (p**s - 1.0) / ((1.0 - r) * s) + 0.0  # +0.0 folds away -0.0
+
+
+def _unified_fredholm(log_det: float, r: float, s: float) -> float:
+    if not 1.0 < r < math.inf:
+        raise DomainError(f"determinant form requires finite r > 1, got {r}")
+    return _unified(log_det, r, s)
+
+
+def _unified_renormalized(log_det: float, r: float, s: float) -> float:
+    _check_s(s)
+    if log_det < 0 and float(s) != round(s):
+        raise FractionalPowerOfNegative(
+            f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
+        )
+    powered = log_det ** int(round(s)) if float(s) == round(s) else log_det**s
+    return (powered - 1.0) / ((1.0 - r) * s)
+
+
+def tsallis(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
+    """Tsallis entropy (I_r - 1) / (1 - r); the s = 1 unified member."""
+    return _tsallis(trace_power(spectrum_of(x, normalized=True), r), r)
+
+
+def renyi(x: Union[SpectrumLike, MatrixLike], r: float, log_base: str = "e") -> float:
+    """Renyi entropy log(I_r) / (1 - r); the s -> 0 unified member."""
+    return _renyi(trace_power(spectrum_of(x, normalized=True), r), r, log_base)
 
 
 def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
@@ -162,9 +263,7 @@ def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
     r -> 1 (at s = 1) the von Neumann entropy. Non-negative on states,
     bounded by :func:`hy_bound` of the dimension.
     """
-    _check_unified_params(r, s)
-    spec = _require_normalized(_spectrum_of(x))
-    return _unified(trace_power(spec, r), r, s)
+    return _unified(trace_power(spectrum_of(x, normalized=True), r), r, s)
 
 
 def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
@@ -179,7 +278,6 @@ def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     NotNormalized
         Naming the first row whose sum is off by more than ``TRACE_TOL``.
     """
-    _check_unified_params(r, s)
     lam = np.where((lam < 0) & (lam >= -EIG_CLAMP), 0.0, lam)
     total = lam.sum(axis=1)
     bad = np.flatnonzero(np.abs(total - 1.0) > TRACE_TOL)
@@ -204,110 +302,13 @@ def hy_bound(d: int, r: float, s: float) -> float:
     return (float(d) ** e - 1.0) / e
 
 
-def f_r(q: MatrixLike, r: float) -> np.ndarray:
-    """The positive operator exp(Q^r) - 1 via the functional calculus."""
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"order r must be positive and finite, got {r}")
-    return matrix_function(q, lambda lam: math.expm1(lam**r))
-
-
-def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
-    """log det(1 + f_r(Q)) for f_r(Q) = exp(Q^r) - 1.
-
-    On a spectrum this accumulates ``log1p(expm1(lam^r))`` per
-    eigenvalue, which reproduces the identity log det = I_r to roundoff;
-    a matrix input goes through the dense log-determinant.
-    """
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"order r must be positive and finite, got {r}")
-    if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
-        m = f_r(x, r)
-        sign, logdet = np.linalg.slogdet(np.eye(m.shape[0]) + m)
-        if sign <= 0:
-            raise DomainError("det(1 + f_r(Q)) is not positive")
-        return float(logdet)
-    lam = _spectrum_of(x).values
-    lam = lam[lam > 0]
-    return float(np.log1p(np.expm1(lam**r)).sum())
-
-
-def det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
-    """det(1 + f_r(Q)) = exp(I_r); returns inf past the exp range.
-
-    Use :func:`log_det_r` when the power sum may exceed log-space
-    capacity (the log form is always finite for finite spectra).
-    """
-    ld = log_det_r(x, r)
-    if ld > _EXP_CAP:
-        return math.inf
-    return math.exp(ld)
-
-
-def alpha_star(r: float) -> int:
-    """Smallest integer alpha with alpha * r >= 1, for r in (0, 1)."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(
-            f"regularization order is defined for r in (0, 1), got {r}"
-        )
-    a = int(math.floor(1.0 / r))
-    if a * r < 1.0:
-        a += 1
-    return a
-
-
-def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
-    """Log of the order-alpha regularized determinant det_alpha(1 + f_r(Q)).
-
-    Per eigenvalue, with g = exp(lam^r) - 1:
-
-        log(1 + g) + sum_{j=1}^{alpha-1} (-1)^j g^j / j
-
-    For alpha = 2 every summand is <= 0 (it is log(1+g) - g), so the
-    result is non-positive. ``alpha=None`` resolves to the smallest
-    admissible order :func:`alpha_star`. The spectrum need not be
-    normalized, only non-negative.
-    """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"renormalization applies to r in (0, 1), got {r}")
-    a_min = alpha_star(r)
-    if alpha is None:
-        alpha = a_min
-    if alpha < a_min:
-        raise DomainError(
-            f"alpha = {alpha} is below the minimal admissible order {a_min}"
-        )
-    lam = _spectrum_of(x).values
-    lam = lam[lam > 0]
-    if lam.size == 0:
-        return 0.0
-    g = np.expm1(lam**r)
-    acc = np.log1p(g)
-    gj = np.ones_like(g)
-    for j in range(1, alpha):
-        gj = gj * g
-        acc = acc + ((-1) ** j / j) * gj
-    return float(acc.sum())
-
-
-def det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
-    """exp of :func:`log_det_ren` (inf past the exp range)."""
-    ld = log_det_ren(x, r, alpha)
-    if ld > _EXP_CAP:
-        return math.inf
-    return math.exp(ld)
-
-
 def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
     """Unified entropy through the determinant: uses log det(1 + f_r(Q)).
 
     Valid for r > 1, where the determinant is finite on any state; equal
     to :func:`hu_ye` by the identity log det = I_r.
     """
-    if not 1.0 < r < math.inf:
-        raise DomainError(f"determinant form requires finite r > 1, got {r}")
-    _check_s(s)
-    spec = _require_normalized(_spectrum_of(x))
-    return _unified(log_det_r(spec, r), r, s)
+    return _unified_fredholm(log_det_r(spectrum_of(x, normalized=True), r), r, s)
 
 
 def hy_renormalized(
@@ -321,16 +322,7 @@ def hy_renormalized(
     convention; the value itself may be negative (renormalization
     forfeits the lower bound of the plain entropy).
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"renormalized form requires r in (0, 1), got {r}")
-    _check_s(s)
-    ld = log_det_ren(x, r, alpha)
-    if ld < 0 and float(s) != round(s):
-        raise FractionalPowerOfNegative(
-            f"(log det_ren)^s with log det_ren = {ld:.6g} < 0 and fractional s = {s}"
-        )
-    powered = ld ** int(round(s)) if float(s) == round(s) else ld**s
-    return (powered - 1.0) / ((1.0 - r) * s)
+    return _unified_renormalized(log_det_ren(x, r, alpha), r, s)
 
 
 @dataclass(frozen=True)
@@ -361,8 +353,7 @@ def divergence_probe(
     spectra whose power sum diverges the crossing arrives at finite K;
     for convergent sums the probe reports ``reached=False`` at ``k_max``.
     """
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"probe order must be positive and finite, got {r}")
+    _check_order(r, "probe order")
     if chunk < 1:
         raise DomainError(f"chunk size must be >= 1, got {chunk}")
     total = 0.0
@@ -384,8 +375,6 @@ def divergence_probe(
 # ---------------------------------------------------------------------------
 # parameter bundle / dispatch used by the command-line front end
 # ---------------------------------------------------------------------------
-
-KINDS = ("vn", "vn-ren", "tsallis", "renyi", "hy", "hy-fredholm", "hy-ren")
 
 
 @dataclass(frozen=True)
@@ -412,6 +401,29 @@ class EntropyResult:
     divergent: bool = False
 
 
+# kind -> (method, statistic of (spectrum, params), scalar map of
+# (statistic, params), diagnostic key the statistic is reported under).
+# The entries call the kernels through their module-global names, so a
+# wrapper installed on the module sees every call.
+_ROUTES = {
+    "vn": ("direct-spectral", lambda spec, p: von_neumann(spec),
+           lambda h, p: h * _base_scale(p.log_base), None),
+    "vn-ren": ("renormalized", lambda spec, p: vn_renormalized(spec),
+               lambda h, p: h, None),
+    "tsallis": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
+                lambda i_r, p: _tsallis(i_r, p.r), "trace_power"),
+    "renyi": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
+              lambda i_r, p: _renyi(i_r, p.r, p.log_base), "trace_power"),
+    "hy": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
+           lambda i_r, p: _unified(i_r, p.r, p.s), "trace_power"),
+    "hy-fredholm": ("fredholm", lambda spec, p: log_det_r(spec, p.r),
+                    lambda ld, p: _unified_fredholm(ld, p.r, p.s), "log_det"),
+    "hy-ren": ("renormalized", lambda spec, p: log_det_ren(spec, p.r, p.alpha),
+               lambda ld, p: _unified_renormalized(ld, p.r, p.s), "log_det"),
+}
+KINDS = tuple(_ROUTES)
+
+
 def evaluate(
     kind: str,
     x: Union[SpectrumLike, MatrixLike],
@@ -420,48 +432,23 @@ def evaluate(
     """Evaluate one entropy kind with shared diagnostics.
 
     ``kind`` is one of ``vn, vn-ren, tsallis, renyi, hy, hy-fredholm,
-    hy-ren``. Density-matrix input is reduced to its spectrum once; the
-    diagnostics carry the trace power sum, the relevant log-determinant
-    and the regularization order actually used.
+    hy-ren``. The input is reduced to its spectrum once and the kind's
+    statistic is computed once; the diagnostics carry the dimension,
+    that statistic (the trace power sum or the log-determinant) and, on
+    the renormalized routes, the regularization order used.
     """
-    if kind not in KINDS:
+    if kind not in _ROUTES:
         raise DomainError(f"unknown entropy kind {kind!r}; choose from {KINDS}")
-    spec = _spectrum_of(x)
-    r, s = params.r, params.s
+    method, statistic, scalar_map, key = _ROUTES[kind]
+    if kind == "hy-ren":
+        params = replace(params, alpha=_resolve_alpha(params.r, params.alpha))
+    # the renormalized routes take any positive spectrum, the others a state
+    spec = spectrum_of(x, normalized=None if method == "renormalized" else True)
+    stat = statistic(spec, params)
+    value = scalar_map(stat, params)
     diagnostics: dict = {"dim": len(spec)}
-    divergent = False
-
-    if kind == "vn":
-        value = von_neumann(spec, params.log_base)
-        method = "direct-spectral"
-        diagnostics["log_det"] = value if params.log_base in ("e", "natural") else value * _LN2
-    elif kind == "vn-ren":
-        value = vn_renormalized(spec)
-        method = "renormalized"
-        diagnostics["alpha"] = 2
-    elif kind == "tsallis":
-        value = tsallis(spec, r)
-        method = "direct-spectral"
-        diagnostics["trace_power"] = trace_power(spec, r)
-    elif kind == "renyi":
-        value = renyi(spec, r, params.log_base)
-        method = "direct-spectral"
-        diagnostics["trace_power"] = trace_power(spec, r)
-    elif kind == "hy":
-        value = hu_ye(spec, r, s)
-        method = "direct-spectral"
-        diagnostics["trace_power"] = trace_power(spec, r)
-    elif kind == "hy-fredholm":
-        value = hy_fredholm(spec, r, s)
-        method = "fredholm"
-        diagnostics["log_det"] = log_det_r(spec, r)
-    else:  # hy-ren
-        alpha = params.alpha if params.alpha is not None else alpha_star(r)
-        value = hy_renormalized(spec, r, s, alpha)
-        method = "renormalized"
-        diagnostics["alpha"] = alpha
-        diagnostics["log_det"] = log_det_ren(spec, r, alpha)
-
-    if not math.isfinite(value):
-        divergent = True
-    return EntropyResult(value, method, diagnostics, divergent)
+    if method == "renormalized":
+        diagnostics["alpha"] = params.alpha if kind == "hy-ren" else 2
+    if key is not None:
+        diagnostics[key] = stat
+    return EntropyResult(value, method, diagnostics, not math.isfinite(value))

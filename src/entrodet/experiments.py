@@ -174,6 +174,8 @@ def run_gaussian_experiment(
     """
     if not r_grid:
         raise DomainError("r grid must be non-empty")
+    if not math.isfinite(z):
+        raise DomainError(f"kernel coupling z must be finite, got {z}")
     t0 = time.perf_counter()
     kernel = states.squeezed_kernel()
     records = []

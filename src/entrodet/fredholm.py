@@ -220,8 +220,8 @@ def zeta_ratio_product(q: float, k: int) -> float:
     Increases monotonically in k and converges to zeta(q) / zeta(2q)
     for q > 1.
     """
-    if q <= 1:
-        raise DomainError(f"product converges for q > 1, got {q}")
+    if not 1.0 < q < math.inf:  # NaN fails too
+        raise DomainError(f"product converges for finite q > 1, got {q}")
     p = first_k_primes(k).astype(float)
     return float(np.exp(np.log1p(p**-q).sum()))
 
@@ -232,9 +232,9 @@ def zeta_series(q: float, tol: float = 1e-12) -> float:
     The cutoff N is grown until the first omitted correction term is
     below tol/2, so the absolute error is <= tol (down to roundoff).
     """
-    if q <= 1:
-        raise DomainError(f"zeta series converges for q > 1, got {q}")
-    if tol <= 0:
+    if not 1.0 < q < math.inf:  # NaN fails too
+        raise DomainError(f"zeta series converges for finite q > 1, got {q}")
+    if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     n_cut = 16
     while q * (q + 1) * (q + 2) * n_cut ** (-q - 3) / 720.0 > 0.5 * tol:
@@ -253,6 +253,6 @@ def prime_tail_bound(q: float, p_last: int) -> float:
     log(1+x) <= x and primes thin out inside the integers, so the tail
     is below the integral bound p_last^(1-q) / (q - 1).
     """
-    if q <= 1:
-        raise DomainError(f"tail bound requires q > 1, got {q}")
+    if not 1.0 < q < math.inf:  # NaN fails too
+        raise DomainError(f"tail bound requires finite q > 1, got {q}")
     return float(p_last) ** (1.0 - q) / (q - 1.0)

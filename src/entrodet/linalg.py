@@ -1,7 +1,8 @@
 """Dense Hermitian linear algebra for quantum states.
 
-Containers for density matrices, spectra and unitaries, plus the spectral
-operations every entropy formula in this package is built on: validation,
+Containers for density matrices and spectra, plus the spectral operations
+every entropy formula in this package is built on: validation, the one
+reduction of any input to its spectrum (:func:`spectrum_of`),
 eigendecomposition, matrix functions of Hermitian operators, partial
 traces and Schatten norms.
 
@@ -11,6 +12,7 @@ be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -68,17 +70,6 @@ class Spectrum:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """A complex matrix with U^dag U = 1 within tolerance."""
-
-    mat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
 SpectrumLike = Union[Spectrum, np.ndarray, list, tuple]
 MatrixLike = Union[DensityMatrix, np.ndarray]
 
@@ -100,11 +91,13 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
                 f"spectrum sums to {spec.values.sum():.12g}, expected 1"
             )
         return spec
-    arr = np.asarray(values, dtype=float).ravel().copy()
+    # one copy, sorted in place: negate, sort ascending, negate back
+    arr = np.negative(np.asarray(values, dtype=float).ravel())
+    arr.sort()
+    np.negative(arr, out=arr)
     if arr.size and arr.min() < -PSD_TOL:
         raise NotPositive(f"negative spectrum value {arr.min():.3e}")
     arr[arr < 0] = 0.0
-    arr = np.sort(arr)[::-1].copy()
     total = arr.sum()
     if not np.isfinite(total):
         raise NotPositive(f"spectrum has non-finite values (sum {total})")
@@ -122,74 +115,93 @@ def _as_matrix(q: MatrixLike) -> np.ndarray:
     return np.asarray(q, dtype=complex)
 
 
-def _check_hermitian(m: np.ndarray, herm_tol: float) -> None:
+def _check_hermitian(m: np.ndarray) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     defect = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if not defect <= herm_tol:  # a NaN defect fails too
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {herm_tol:.0e}")
+    if not defect <= HERM_TOL:  # a NaN defect fails too
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERM_TOL:.0e}")
 
 
-def validate_density(
-    mat: MatrixLike,
-    tol: float = TRACE_TOL,
-    herm_tol: float = HERM_TOL,
-) -> DensityMatrix:
-    """Check the three density-matrix invariants and wrap the result.
+def _hermitian(q: MatrixLike) -> np.ndarray:
+    # the eigensolvers read one triangle, so a bare array is checked first
+    m = _as_matrix(q)
+    if not isinstance(q, DensityMatrix):
+        _check_hermitian(m)
+    return m
 
-    Parameters
-    ----------
-    mat : array_like
-        Square complex matrix.
-    tol : float
-        Tolerance for the trace and positivity checks.
-    herm_tol : float
-        Per-entry tolerance for the Hermiticity check.
+
+def _eigensolve(solver, m: np.ndarray):
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+
+
+def spectrum_of(
+    x: Union[SpectrumLike, MatrixLike], normalized: bool | None = None
+) -> Spectrum:
+    """Reduce any input to its :class:`Spectrum`; the one path every entropy takes.
+
+    A :class:`Spectrum` or a 1-D value sequence goes to :func:`as_spectrum`.
+    A :class:`DensityMatrix` or a 2-D array is diagonalized by one
+    ``eigvalsh`` (no eigenvectors), after the Hermiticity check for bare
+    arrays, and its eigenvalues then get the same clamping, positivity,
+    finiteness, sorting and ``normalized`` handling as any value sequence.
 
     Raises
     ------
-    NotHermitian, NotPositive, TraceNotOne
+    DimensionMismatch, NotHermitian
+        If a bare 2-D array is not square, or not Hermitian within ``HERM_TOL``.
+    NotPositive, NotNormalized
+        As :func:`as_spectrum`.
+    """
+    if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
+        x = _eigensolve(np.linalg.eigvalsh, _hermitian(x))
+    return as_spectrum(x, normalized)
+
+
+def validate_density(mat: MatrixLike) -> DensityMatrix:
+    """Check the three density-matrix invariants and wrap the result.
+
+    Hermiticity (``HERM_TOL`` per entry) and positivity (``PSD_TOL``) are
+    checked by :func:`spectrum_of`, the trace by ``TRACE_TOL``.
+
+    Raises
+    ------
+    DimensionMismatch, NotHermitian, NotPositive, TraceNotOne
         Naming the violated invariant and the measured defect.
     """
     m = _as_matrix(mat)
-    _check_hermitian(m, herm_tol)
+    spectrum_of(m)
     tr = m.trace().real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr:.12g} differs from 1 by {abs(tr - 1.0):.3e}")
-    min_eig = float(np.linalg.eigvalsh(m).min()) if m.size else 0.0
-    if min_eig < -tol:
-        raise NotPositive(f"minimum eigenvalue {min_eig:.3e} below -{tol:.0e}")
     out = m.astype(complex, copy=True)
     return DensityMatrix(_freeze(out))
 
 
-def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, UnitaryMatrix]:
+def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, np.ndarray]:
     """Eigendecomposition Q = U diag(sigma) U^dag for Hermitian Q.
 
-    Eigenvalues come back sorted non-increasing, with values in
-    ``[-EIG_CLAMP, 0)`` clamped to zero; equal eigenvalues keep the
-    eigenvector order produced by the solver. A bare array gets the
-    Hermiticity check of :func:`validate_density` first, since the
-    solver reads only one triangle.
+    Returns the spectrum and the read-only unitary ``U`` whose columns are
+    the eigenvectors. Eigenvalues come back sorted non-increasing, with
+    values in ``[-EIG_CLAMP, 0)`` clamped to zero; equal eigenvalues keep
+    the eigenvector order produced by the solver. Use :func:`spectrum_of`
+    when the eigenvectors are not needed.
 
     Raises
     ------
     DimensionMismatch, NotHermitian
         If a bare array is not square, or not Hermitian within ``HERM_TOL``.
     """
-    m = _as_matrix(q)
-    if not isinstance(q, DensityMatrix):
-        _check_hermitian(m, HERM_TOL)
-    try:
-        lam, u = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    lam, u = _eigensolve(np.linalg.eigh, _hermitian(q))
     lam = lam[::-1].copy()
     u = u[:, ::-1].copy()
     lam[(lam < 0) & (lam >= -EIG_CLAMP)] = 0.0
     total = lam.sum()
     spec = Spectrum(_freeze(lam), bool(abs(total - 1.0) <= TRACE_TOL))
-    return spec, UnitaryMatrix(_freeze(u))
+    return spec, _freeze(u)
 
 
 def matrix_function(q: MatrixLike, f: Callable[[float], float]) -> np.ndarray:
@@ -209,8 +221,7 @@ def matrix_function(q: MatrixLike, f: Callable[[float], float]) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         bad = spec.values[~np.isfinite(vals)][0]
         raise DomainError(f"scalar map is not finite at eigenvalue {bad!r}")
-    um = u.mat
-    return (um * vals) @ um.conj().T
+    return (u * vals) @ u.conj().T
 
 
 def partial_trace(q: MatrixLike, d_a: int, d_b: int, keep: str = "A") -> DensityMatrix:
@@ -245,32 +256,10 @@ def schatten_norm(a: MatrixLike, p: float) -> float:
     For ``p >= 1`` this is a norm; for ``p`` in (0, 1) a quasi-norm. On a
     Hermitian PSD input the singular values are the eigenvalues.
     """
-    if p <= 0:
-        raise DomainError(f"Schatten order must be positive, got {p}")
+    if not 0.0 < p < math.inf:  # NaN fails too
+        raise DomainError(f"Schatten order must be positive and finite, got {p}")
     s = singular_values(a)
     return float((s**p).sum() ** (1.0 / p))
-
-
-def power_sum(a: Union[MatrixLike, SpectrumLike], p: float) -> float:
-    """Raw singular-value power sum sum_i s_i^p.
-
-    For a spectrum of a PSD operator this is the trace power sum
-    ``I_p = sum_i lam_i^p``, the quantity driving every deformed entropy
-    here; exposed directly because the entropies need the sum, not the
-    p-th root.
-    """
-    if p <= 0:
-        raise DomainError(f"power sum order must be positive, got {p}")
-    if isinstance(a, Spectrum):
-        s = a.values
-    elif isinstance(a, (list, tuple)) or (
-        isinstance(a, np.ndarray) and a.ndim == 1
-    ):
-        s = as_spectrum(a).values
-    else:
-        s = singular_values(a)
-    pos = s[s > 0]
-    return float((pos**p).sum())
 
 
 def trace_distance(a: MatrixLike, b: MatrixLike) -> float:

@@ -364,10 +364,10 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
     determinant log is then exactly sum_i log(1 + p_i^-q), which
     converges to log(zeta(q) / zeta(2q)) as k grows.
     """
-    if q <= 1:
-        raise DomainError(f"prime exponent must exceed 1, got {q}")
-    if r <= 1:
-        raise DomainError(f"deformation order must exceed 1, got {r}")
+    if not 1.0 < q < math.inf:  # NaN fails too
+        raise DomainError(f"prime exponent must be finite and exceed 1, got {q}")
+    if not 1.0 < r < math.inf:
+        raise DomainError(f"deformation order must be finite and exceed 1, got {r}")
     if k < 1:
         raise DomainError(f"prime count must be >= 1, got {k}")
     p = first_k_primes(k).astype(float)
@@ -406,7 +406,7 @@ def squeezed_schmidt_spectrum(r: float, n_max: int) -> Spectrum:
     the particle number; truncation at N <= n_max is renormalized so the
     result is an exact state.
     """
-    if r < 0:
+    if not r >= 0:  # NaN fails too
         raise DomainError(f"squeezing parameter must be >= 0, got {r}")
     if n_max < 1:
         raise DomainError(f"truncation order must be >= 1, got {n_max}")
@@ -434,7 +434,7 @@ def gaussian_entropy_analytic(r: float, mode: str = "stable") -> float:
     exact large-r asymptote once sinh^2 overflows; it is finite and
     accurate for any non-negative r.
     """
-    if r < 0:
+    if not r >= 0:  # NaN fails too
         raise DomainError(f"squeezing parameter must be >= 0, got {r}")
     if mode == "naive":
         t = np.tanh(r) ** 2

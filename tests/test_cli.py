@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrodet import save_matrix
+from entrodet import cli, save_matrix
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[np.ix_([0, 3], [0, 3])] = 0.5
@@ -96,6 +96,26 @@ class TestEntropyCommand:
             assert proc.returncode == 4
             assert "DomainError" in proc.stderr
 
+    def test_unnormalized_state_exit_3(self, tmp_path):
+        path = tmp_path / "twice.json"
+        save_matrix(path, np.diag([1.4, 0.6]).astype(complex))
+        proc = run_cli("entropy", str(path), "--kind", "hy-ren", "--r", "0.5")
+        assert proc.returncode == 3
+        assert "NotNormalized" in proc.stderr
+
+    def test_one_eigensolve_per_file(self, mixed_file, monkeypatch, capsys):
+        calls = []
+        for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, name=name, solver=solver, **k: calls.append(name) or solver(*a, **k))
+        for kind in ("vn", "vn-ren", "tsallis", "renyi", "hy", "hy-fredholm", "hy-ren"):
+            calls.clear()
+            order = ["--r", "0.5"] if kind == "hy-ren" else []
+            assert cli.main(["entropy", mixed_file, "--kind", kind, *order]) == 0
+            assert calls == ["eigvalsh"], kind
+        capsys.readouterr()
+
     def test_fractional_power_exit_4(self, mixed_file):
         proc = run_cli("entropy", mixed_file, "--kind", "hy-ren", "--r", "0.5", "--s", "0.5")
         assert proc.returncode == 4
@@ -158,3 +178,15 @@ class TestExperimentCommands:
     def test_zeta_domain_exit_4(self):
         proc = run_cli("zeta-check", "--q", "0.5")
         assert proc.returncode == 4
+
+    @pytest.mark.parametrize("args", [
+        ("gaussian-experiment", "--r", "nan"),
+        ("gaussian-experiment", "--z", "nan"),
+        ("zeta-check", "--q", "nan"),
+        ("zeta-check", "--r", "nan"),
+    ])
+    def test_nan_parameter_exit_4(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 4
+        assert "DomainError" in proc.stderr
+        assert proc.stdout == ""

@@ -1,12 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from entrodet import (
     alpha_star,
-    det_r,
-    det_ren,
     diag_state,
     divergence_probe,
     evaluate,
@@ -27,7 +26,7 @@ from entrodet import (
     vn_via_fredholm,
     von_neumann,
 )
-from entrodet.errors import DomainError, FractionalPowerOfNegative, NotNormalized
+from entrodet.errors import DomainError, FractionalPowerOfNegative, NotNormalized, NotPositive
 
 from conftest import ginibre_density, random_spectrum_values
 
@@ -198,15 +197,15 @@ class TestFr:
 
 class TestDetR:
     def test_pure(self):
-        assert det_r([1.0, 0.0], 2) == pytest.approx(np.e, rel=1e-14)
+        assert math.exp(log_det_r([1.0, 0.0], 2)) == pytest.approx(np.e, rel=1e-14)
 
     def test_scalar_oracle(self):
-        assert det_r([0.7, 0.3], 2) == pytest.approx(1.7860384307500734, rel=1e-14)
+        assert math.exp(log_det_r([0.7, 0.3], 2)) == pytest.approx(1.7860384307500734, rel=1e-14)
 
     def test_any_normalized_at_r1(self, rng):
         for _ in range(10):
             lam = random_spectrum_values(rng, int(rng.integers(2, 12)))
-            assert det_r(lam, 1) == pytest.approx(np.e, rel=1e-13)
+            assert math.exp(log_det_r(lam, 1)) == pytest.approx(np.e, rel=1e-13)
 
     def test_log_identity_trace_power(self, rng):
         # log det(1 + f_r) accumulates to the trace power sum exactly
@@ -222,22 +221,22 @@ class TestDetR:
 
     def test_direct_product_identity(self, rng):
         lam = random_spectrum_values(rng, 10)
-        assert det_r(lam, 2) == pytest.approx(float(np.prod(np.exp(lam**2))), rel=1e-13)
+        assert math.exp(log_det_r(lam, 2)) == pytest.approx(float(np.prod(np.exp(lam**2))), rel=1e-13)
 
     def test_bounds_r_above_one(self, rng):
         for _ in range(100):
             lam = random_spectrum_values(rng, int(rng.integers(2, 9)))
             for r in (1.5, 2, 4):
-                v = det_r(lam, r)
+                v = math.exp(log_det_r(lam, r))
                 assert 1.0 <= v < np.e**np.e
 
     def test_exponential_relation_to_unified_entropy(self, rng):
-        # I_r = 1 + (1 - r) HY_r^1, so det_r = exp(1 + (1 - r) HY_r^1)
+        # I_r = 1 + (1 - r) HY_r^1, so det(1 + f_r) = exp(1 + (1 - r) HY_r^1)
         from entrodet import zeta_spectrum
 
         for lam in (random_spectrum_values(rng, 12), zeta_spectrum(2, 2, 50).values):
             for r in (1.5, 2.0, 3.0):
-                lhs = det_r(lam, r)
+                lhs = math.exp(log_det_r(lam, r))
                 rhs = math.exp(1.0 + (1.0 - r) * hu_ye(lam, r, 1.0))
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -257,7 +256,7 @@ class TestDetRen:
     def test_single_eigenvalue(self):
         # g(1) = e - 1, log(1+g) = 1, term = 2 - e
         assert log_det_ren([1.0], 0.5, 2) == pytest.approx(2 - np.e, abs=1e-15)
-        assert det_ren([1.0], 0.5, 2) == pytest.approx(np.exp(2 - np.e), rel=1e-14)
+        assert math.exp(log_det_ren([1.0], 0.5, 2)) == pytest.approx(np.exp(2 - np.e), rel=1e-14)
 
     def test_scalar_oracle(self):
         assert log_det_ren([0.7, 0.3], 0.5, 2) == pytest.approx(
@@ -413,3 +412,65 @@ class TestEvaluate:
         q = ginibre_density(rng, 4)
         res = evaluate("hy", q, EntropyParams(r=2, s=0.5))
         assert res.value == pytest.approx(hu_ye(q, 2, 0.5), abs=1e-14)
+
+
+NON_PSD = np.diag([1.1, -0.1])  # Hermitian, unit trace, one negative eigenvalue
+
+
+@pytest.mark.parametrize("fn", [
+    von_neumann,
+    lambda x: tsallis(x, 2),
+    lambda x: renyi(x, 2),
+    lambda x: hu_ye(x, 2, 0.5),
+    vn_renormalized,
+    lambda x: log_det_ren(x, 0.5),
+    lambda x: evaluate("vn", x),
+], ids=["von_neumann", "tsallis", "renyi", "hu_ye", "vn_renormalized", "log_det_ren", "evaluate"])
+def test_bare_non_psd_matrix_rejected(fn):
+    with pytest.raises(NotPositive):
+        fn(NON_PSD)
+
+
+class TestDiagnostics:
+    LAM = np.array([0.5, 0.3, 0.15, 0.05])
+
+    @pytest.mark.parametrize("kind,params,expected", [
+        ("vn", EntropyParams(), {}),
+        ("vn-ren", EntropyParams(), {"alpha": 2}),
+        ("tsallis", EntropyParams(r=2.5), {"trace_power": lambda lam: trace_power(lam, 2.5)}),
+        ("renyi", EntropyParams(r=0.5), {"trace_power": lambda lam: trace_power(lam, 0.5)}),
+        ("hy", EntropyParams(r=3, s=0.5), {"trace_power": lambda lam: trace_power(lam, 3)}),
+        ("hy-fredholm", EntropyParams(r=2, s=0.5),
+         {"log_det": lambda lam: float((lam**2).sum())}),  # I_r
+        ("hy-ren", EntropyParams(r=0.4, s=2),
+         {"alpha": 3, "log_det": lambda lam: log_det_ren(lam, 0.4, 3)}),
+        ("hy-ren", EntropyParams(r=0.4, s=2, alpha=4),
+         {"alpha": 4, "log_det": lambda lam: log_det_ren(lam, 0.4, 4)}),
+    ])
+    def test_each_diagnostic_is_its_statistic(self, kind, params, expected):
+        res = evaluate(kind, self.LAM, params)
+        assert set(res.diagnostics) == {"dim", *expected}
+        assert res.diagnostics["dim"] == 4
+        for key, want in expected.items():
+            want = want(self.LAM) if callable(want) else want
+            assert res.diagnostics[key] == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    def test_values_match_public_functions(self):
+        lam = self.LAM
+        cases = [
+            ("vn", EntropyParams(log_base="2"), von_neumann(lam, "2")),
+            ("vn-ren", EntropyParams(), vn_renormalized(lam)),
+            ("tsallis", EntropyParams(r=2.5), tsallis(lam, 2.5)),
+            ("renyi", EntropyParams(r=0.5, log_base="2"), renyi(lam, 0.5, "2")),
+            ("hy", EntropyParams(r=3, s=0.5), hu_ye(lam, 3, 0.5)),
+            ("hy-fredholm", EntropyParams(r=2, s=0.5), hy_fredholm(lam, 2, 0.5)),
+            ("hy-ren", EntropyParams(r=0.4, s=2), hy_renormalized(lam, 0.4, 2)),
+        ]
+        for kind, params, want in cases:
+            assert evaluate(kind, lam, params).value == want, kind
+
+    def test_log_det_r_is_the_power_sum_past_the_exp_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_det_r([1000.0], 1) == 1000.0
+            assert log_det_r([30.0, 20.0], 2) == 1300.0

@@ -99,6 +99,11 @@ class TestGaussianExperiment:
         assert all(not row["logdet_ok"] for row in report.records)
         assert all(row["logdet"] is None for row in report.records)
 
+    def test_non_finite_z_rejected(self):
+        for z in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                run_gaussian_experiment([0.5, 1.0], n_max=50, z=z)
+
     def test_default_interval_follows_r(self):
         report = run_gaussian_experiment([0.5, 2.0], n_max=50)
         assert [row["b"] for row in report.records] == [0.5, 2.0]

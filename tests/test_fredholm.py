@@ -223,7 +223,10 @@ class TestZeta:
 
     def test_domain(self):
         for fn in (lambda: zeta_series(1.0), lambda: zeta_ratio_product(0.5, 3),
-                   lambda: prime_tail_bound(1.0, 10), lambda: zeta_series(2, tol=0.0)):
+                   lambda: prime_tail_bound(1.0, 10), lambda: zeta_series(2, tol=0.0),
+                   lambda: zeta_series(math.nan), lambda: zeta_series(math.inf),
+                   lambda: zeta_ratio_product(math.nan, 3), lambda: prime_tail_bound(math.nan, 10),
+                   lambda: zeta_series(2, tol=math.nan)):
             with pytest.raises(DomainError):
                 fn()
 

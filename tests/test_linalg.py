@@ -7,8 +7,8 @@ from entrodet import (
     eig_hermitian,
     matrix_function,
     partial_trace,
-    power_sum,
     schatten_norm,
+    spectrum_of,
     trace_distance,
     trace_power,
     validate_density,
@@ -77,7 +77,7 @@ class TestEigHermitian:
         spec, u = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))
         assert np.allclose(spec.values, [0.7, 0.3])
         # permutation eigenvectors
-        assert np.allclose(np.abs(u.mat), [[0, 1], [1, 0]])
+        assert np.allclose(np.abs(u), [[0, 1], [1, 0]])
 
     def test_bell_pure(self):
         spec, _ = eig_hermitian(BELL)
@@ -88,13 +88,13 @@ class TestEigHermitian:
         for _ in range(20):
             q = ginibre_density(rng, 8)
             spec, u = eig_hermitian(q)
-            rec = (u.mat * spec.values) @ u.mat.conj().T
+            rec = (u * spec.values) @ u.conj().T
             assert np.linalg.norm(rec - q.mat) < 1e-10
 
     def test_unitary_factor(self, rng):
         q = ginibre_density(rng, 6)
         _, u = eig_hermitian(q)
-        assert np.abs(u.mat.conj().T @ u.mat - np.eye(6)).max() < 1e-10
+        assert np.abs(u.conj().T @ u - np.eye(6)).max() < 1e-10
 
 
 class TestMatrixFunction:
@@ -172,8 +172,9 @@ class TestSchattenNorms:
         assert schatten_norm(np.eye(2) / 2, 1) == pytest.approx(1.0, abs=1e-14)
 
     def test_power_sum_oracle(self):
-        assert power_sum(np.diag([0.7, 0.3]), 2) == pytest.approx(0.58, abs=1e-15)
-        assert power_sum([0.7, 0.3], 2) == pytest.approx(0.58, abs=1e-15)
+        assert trace_power(np.diag([0.7, 0.3]), 2) == pytest.approx(0.58, abs=1e-15)
+        assert trace_power([0.7, 0.3], 2) == pytest.approx(0.58, abs=1e-15)
+        assert schatten_norm(np.diag([0.7, 0.3]), 2) ** 2 == pytest.approx(0.58, abs=1e-15)
 
     def test_trace_norm_of_difference(self):
         d = np.diag([0.7, 0.3]) - np.diag([0.3, 0.7])
@@ -191,8 +192,11 @@ class TestSchattenNorms:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             schatten_norm(np.eye(2), 0.0)
+        for p in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                schatten_norm(np.eye(2) / 2, p)
         with pytest.raises(DomainError):
-            power_sum(np.eye(2), -1.0)
+            trace_power(np.eye(2) / 2, -1.0)
 
 
 class TestTraceDistance:
@@ -246,3 +250,44 @@ class TestSpectrum:
             sb = eig_hermitian(partial_trace(q, d_a, d_b, "B"))[0].values
             k = min(d_a, d_b)
             assert np.abs(sa[:k] - sb[:k]).max() < 1e-10
+
+
+class TestSpectrumOf:
+    def test_spectrum_passes_through(self):
+        s = as_spectrum([0.7, 0.3])
+        assert spectrum_of(s) is s
+        assert spectrum_of(s, normalized=True) is s
+
+    def test_sequence_goes_to_as_spectrum(self):
+        s = spectrum_of([0.3, 0.7, -1e-12])
+        assert s.values.tolist() == [0.7, 0.3, 0.0]
+        assert s.is_normalized
+        with pytest.raises(NotNormalized):
+            spectrum_of([0.5, 0.4], normalized=True)
+
+    def test_matrix_eigenvalues_sorted(self, rng):
+        q = ginibre_density(rng, 7)
+        for x in (q, np.array(q.mat)):
+            s = spectrum_of(x)
+            assert np.all(np.diff(s.values) <= 0)
+            assert s.is_normalized
+            assert np.abs(s.values - np.sort(np.linalg.eigvalsh(q.mat))[::-1]).max() < 1e-14
+
+    def test_one_eigvalsh_no_eigenvectors(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append("eigvalsh") or eigvalsh(m))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh"))
+        spectrum_of(np.diag([0.7, 0.3]))
+        assert calls == ["eigvalsh"]
+
+    def test_matrix_checks(self):
+        with pytest.raises(NotHermitian):
+            spectrum_of(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        with pytest.raises(DimensionMismatch):
+            spectrum_of(np.ones((2, 3)))
+        with pytest.raises(NotPositive):
+            spectrum_of(np.diag([1.1, -0.1]))
+        with pytest.raises(NotNormalized):
+            spectrum_of(np.eye(2), normalized=True)
+        assert not spectrum_of(np.eye(2)).is_normalized

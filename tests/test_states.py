@@ -265,7 +265,8 @@ class TestZetaSpectrum:
         assert not zeta_spectrum(2, 2, 10, normalized=False).is_normalized
 
     def test_domain(self):
-        for args in ((1.0, 2, 5), (2, 1.0, 5), (2, 2, 0)):
+        for args in ((1.0, 2, 5), (2, 1.0, 5), (2, 2, 0), (math.nan, 2, 5), (2, math.nan, 5),
+                     (math.inf, 2, 5), (2, math.inf, 5)):
             with pytest.raises(DomainError):
                 zeta_spectrum(*args)
 
@@ -295,6 +296,8 @@ class TestSqueezedSchmidt:
     def test_domain(self):
         with pytest.raises(DomainError):
             squeezed_schmidt_spectrum(-0.1, 10)
+        with pytest.raises(DomainError):
+            squeezed_schmidt_spectrum(math.nan, 10)
         with pytest.raises(DomainError):
             squeezed_schmidt_spectrum(1.0, 0)
 
@@ -341,6 +344,9 @@ class TestGaussianEntropy:
             gaussian_entropy_analytic(1.0, "fast")
         with pytest.raises(DomainError):
             gaussian_entropy_analytic(-1.0)
+        for mode in ("naive", "stable"):
+            with pytest.raises(DomainError):
+                gaussian_entropy_analytic(math.nan, mode)
 
 
 class TestSqueezedKernel:
