@@ -34,6 +34,7 @@ from .fredholm import (
     first_k_primes,
     fredholm_det,
     gauss_legendre,
+    log_euler_factors,
     log_fredholm_det,
     nystrom_matrix,
     prime_tail_bound,

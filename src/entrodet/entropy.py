@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, FractionalPowerOfNegative, NotNormalized
 from .linalg import (
-    EIG_CLAMP,
+    PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
     MatrixLike,
@@ -270,7 +270,7 @@ def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     """:func:`hu_ye` of each row of a stack of Hermitian eigenvalues.
 
     ``lam`` has shape (S, n); rows need not be sorted. As for a matrix
-    passed to :func:`hu_ye`, values in ``[-EIG_CLAMP, 0)`` count as zero
+    passed to :func:`hu_ye`, values in ``[-PSD_TOL, 0)`` count as zero
     and every row must sum to 1.
 
     Raises
@@ -278,7 +278,7 @@ def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     NotNormalized
         Naming the first row whose sum is off by more than ``TRACE_TOL``.
     """
-    lam = np.where((lam < 0) & (lam >= -EIG_CLAMP), 0.0, lam)
+    lam = np.where((lam < 0) & (lam >= -PSD_TOL), 0.0, lam)
     total = lam.sum(axis=1)
     bad = np.flatnonzero(np.abs(total - 1.0) > TRACE_TOL)
     if bad.size:
@@ -356,6 +356,8 @@ def divergence_probe(
     _check_order(r, "probe order")
     if chunk < 1:
         raise DomainError(f"chunk size must be >= 1, got {chunk}")
+    if math.isnan(threshold):
+        raise DomainError("threshold must not be NaN")
     total = 0.0
     start = 1
     while start <= k_max:

@@ -46,11 +46,11 @@ class ConvergenceFailure(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class NonFiniteKernel(ValueError):
+class NonFiniteKernel(DomainError):
     """Kernel evaluation produced non-finite values at quadrature nodes."""
 
 
-class NonPositiveDeterminant(ValueError):
+class NonPositiveDeterminant(DomainError):
     """Log-determinant requested for a matrix with determinant <= 0."""
 
 

@@ -11,8 +11,8 @@ log-determinant variant accumulates LU pivots in log space and never
 forms the product, so it stays usable where the determinant itself
 overflows.
 
-The prime and zeta helpers support spectra whose determinants have
-closed forms in terms of zeta-function ratios.
+The prime and zeta helpers, built on the Euler factors of
+``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     """
     if m < 1:
         raise DomainError(f"node count must be >= 1, got {m}")
-    if not a < b:
-        raise DomainError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
+    if not -math.inf < a < b < math.inf:  # NaN fails too
+        raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
     if m == 1:
         x = np.array([0.0])
         w = np.array([2.0])
@@ -214,16 +214,20 @@ def first_k_primes(k: int) -> np.ndarray:
         limit *= 2
 
 
+def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
+    """The log Euler factors log(1 + p^-q) of zeta(q)/zeta(2q), one per prime."""
+    if not 1.0 < q < math.inf:  # NaN fails too
+        raise DomainError(f"product converges for finite q > 1, got {q}")
+    return np.log1p(primes.astype(float) ** -q)
+
+
 def zeta_ratio_product(q: float, k: int) -> float:
     """Truncated Euler-type product prod_{i<=k} (1 + p_i^-q).
 
     Increases monotonically in k and converges to zeta(q) / zeta(2q)
     for q > 1.
     """
-    if not 1.0 < q < math.inf:  # NaN fails too
-        raise DomainError(f"product converges for finite q > 1, got {q}")
-    p = first_k_primes(k).astype(float)
-    return float(np.exp(np.log1p(p**-q).sum()))
+    return float(np.exp(log_euler_factors(q, first_k_primes(k)).sum()))
 
 
 def zeta_series(q: float, tol: float = 1e-12) -> float:

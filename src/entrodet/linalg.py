@@ -30,9 +30,8 @@ from .errors import (
 
 # Default tolerances; double precision leaves ample headroom at dim <= 2048.
 HERM_TOL = 1e-12    # per-entry Hermiticity defect
-PSD_TOL = 1e-10     # most negative admissible eigenvalue
+PSD_TOL = 1e-10     # most negative admissible eigenvalue; [-PSD_TOL, 0) clamps to 0
 TRACE_TOL = 1e-10   # |trace - 1|
-EIG_CLAMP = 1e-10   # eigenvalues in [-EIG_CLAMP, 0) are treated as exact zeros
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -186,7 +185,7 @@ def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, np.ndarray]:
 
     Returns the spectrum and the read-only unitary ``U`` whose columns are
     the eigenvectors. Eigenvalues come back sorted non-increasing, with
-    values in ``[-EIG_CLAMP, 0)`` clamped to zero; equal eigenvalues keep
+    values in ``[-PSD_TOL, 0)`` clamped to zero; equal eigenvalues keep
     the eigenvector order produced by the solver. Use :func:`spectrum_of`
     when the eigenvectors are not needed.
 
@@ -198,7 +197,7 @@ def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, np.ndarray]:
     lam, u = _eigensolve(np.linalg.eigh, _hermitian(q))
     lam = lam[::-1].copy()
     u = u[:, ::-1].copy()
-    lam[(lam < 0) & (lam >= -EIG_CLAMP)] = 0.0
+    lam[(lam < 0) & (lam >= -PSD_TOL)] = 0.0
     total = lam.sum()
     spec = Spectrum(_freeze(lam), bool(abs(total - 1.0) <= TRACE_TOL))
     return spec, _freeze(u)

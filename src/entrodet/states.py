@@ -29,7 +29,7 @@ from .errors import (
     TraceNotOne,
     TruncationInsufficient,
 )
-from .fredholm import KernelSpec, first_k_primes, zeta_series
+from .fredholm import KernelSpec, first_k_primes, log_euler_factors, zeta_series
 from .linalg import (
     PSD_TOL,
     TRACE_TOL,
@@ -257,7 +257,7 @@ def power_law_spectrum(eps: float, k: int) -> Spectrum:
     when s <= 1/(1+eps), which makes this the canonical witness family
     for divergent deformed entropies.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise DomainError(f"power-law exponent must be positive, got {eps}")
     if k < 1:
         raise DomainError(f"truncation length must be >= 1, got {k}")
@@ -272,7 +272,7 @@ def power_law_generator(eps: float):
     Normalized against the full infinite sum (not a truncation window),
     so it can feed :func:`entrodet.entropy.divergence_probe` on demand.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise DomainError(f"power-law exponent must be positive, got {eps}")
     z = zeta_series(1.0 + eps)
 
@@ -290,7 +290,7 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     (1, 2): the canonical example separating the plain and renormalized
     von Neumann entropies.
     """
-    if beta <= 1:
+    if not beta > 1:  # NaN fails too
         raise DomainError(f"log-power exponent must exceed 1, got {beta}")
     if k < 1:
         raise DomainError(f"truncation length must be >= 1, got {k}")
@@ -323,12 +323,14 @@ def splice_spectrum(
         If no tail length within ``k_max`` entries reaches the threshold.
     """
     base = as_spectrum(spec, normalized=True)
-    if eps <= 0 or delta <= 0:
+    if not (eps > 0 and delta > 0):  # NaN fails too
         raise DomainError(f"eps and delta must be positive, got {eps}, {delta}")
-    if threshold < 0:
+    if not threshold >= 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
     if probe_r is None:
         probe_r = 1.0 / (1.0 + eps)
+    elif math.isnan(probe_r):
+        raise DomainError("probe order must not be NaN")
     head_len = len(base)
     t = min(delta / 3.0, 0.9)
     head = (1.0 - t) * base.values
@@ -364,14 +366,9 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
     determinant log is then exactly sum_i log(1 + p_i^-q), which
     converges to log(zeta(q) / zeta(2q)) as k grows.
     """
-    if not 1.0 < q < math.inf:  # NaN fails too
-        raise DomainError(f"prime exponent must be finite and exceed 1, got {q}")
-    if not 1.0 < r < math.inf:
+    if not 1.0 < r < math.inf:  # NaN fails too
         raise DomainError(f"deformation order must be finite and exceed 1, got {r}")
-    if k < 1:
-        raise DomainError(f"prime count must be >= 1, got {k}")
-    p = first_k_primes(k).astype(float)
-    lam = np.log1p(p**-q) ** (1.0 / r)
+    lam = log_euler_factors(q, first_k_primes(k)) ** (1.0 / r)
     if normalized:
         return as_spectrum(lam / lam.sum())
     return as_spectrum(lam, normalized=False)

@@ -175,6 +175,17 @@ class TestExperimentCommands:
         assert proc.returncode == 4
         assert "constant" in proc.stderr  # registry listed
 
+    @pytest.mark.parametrize("args", [
+        ("--kernel", "exp-rank-one", "--interval", "0", "400"),
+        ("--interval", "0", "inf"),
+        ("--kernel", "exp-rank-one", "--interval", "0", "inf"),
+    ])
+    def test_quad_failure_exit_4(self, args):
+        proc = run_cli("quad-test", *args)
+        assert proc.returncode == 4
+        assert "DomainError" in proc.stderr
+        assert proc.stdout == ""
+
     def test_zeta_domain_exit_4(self):
         proc = run_cli("zeta-check", "--q", "0.5")
         assert proc.returncode == 4
@@ -184,6 +195,8 @@ class TestExperimentCommands:
         ("gaussian-experiment", "--z", "nan"),
         ("zeta-check", "--q", "nan"),
         ("zeta-check", "--r", "nan"),
+        ("gaussian-experiment", "--r", "inf"),
+        ("gaussian-experiment", "--interval", "nan", "1"),
     ])
     def test_nan_parameter_exit_4(self, args):
         proc = run_cli(*args)

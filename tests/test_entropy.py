@@ -365,6 +365,8 @@ class TestDivergenceProbe:
                 divergence_probe(power_law_generator(1.0), r, 1.0)
         with pytest.raises(DomainError):
             divergence_probe(power_law_generator(1.0), 0.5, 1.0, chunk=0)
+        with pytest.raises(DomainError):
+            divergence_probe(power_law_generator(1.0), 0.5, math.nan)
 
 
 class TestSandwichBounds:

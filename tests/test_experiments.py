@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from entrodet import (
+    fredholm,
     hu_ye,
+    log_det_r,
     partial_trace,
     run_gaussian_experiment,
     run_quad_test,
@@ -13,6 +15,8 @@ from entrodet import (
     run_zeta_check,
     states,
     x_state_random,
+    zeta_ratio_product,
+    zeta_spectrum,
 )
 from entrodet.errors import ConstraintViolation, DomainError
 from entrodet.experiments import TRIANGLE_SLACK
@@ -104,6 +108,17 @@ class TestGaussianExperiment:
             with pytest.raises(DomainError):
                 run_gaussian_experiment([0.5, 1.0], n_max=50, z=z)
 
+    def test_non_finite_grid_rejected(self):
+        for r in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                run_gaussian_experiment([0.5, r], n_max=50)
+
+    def test_bad_interval_rejected(self):
+        for interval in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0),
+                         (2.0, 1.0)):
+            with pytest.raises(DomainError):
+                run_gaussian_experiment([0.5], n_max=50, interval=interval)
+
     def test_default_interval_follows_r(self):
         report = run_gaussian_experiment([0.5, 2.0], n_max=50)
         assert [row["b"] for row in report.records] == [0.5, 2.0]
@@ -146,8 +161,35 @@ class TestZetaCheck:
         assert gaps[-1] < gaps[0]
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            run_zeta_check(0.9, 2.0, 10)
+        for q, r, k in ((0.9, 2.0, 10), (2.0, 1.0, 10), (2.0, math.nan, 10),
+                        (2.0, math.inf, 10), (2.0, 2.0, 0)):
+            with pytest.raises(DomainError):
+                run_zeta_check(q, r, k)
+
+    def test_one_sieve_per_run(self, monkeypatch):
+        calls = []
+        sieve = fredholm.first_k_primes
+
+        def counting(k):
+            calls.append(k)
+            return sieve(k)
+
+        monkeypatch.setattr(fredholm, "first_k_primes", counting)
+        monkeypatch.setattr(states, "first_k_primes", counting)
+        run_zeta_check(2.0, 2.0, 1000)
+        assert calls == [1000]
+
+    @pytest.mark.parametrize("q, r, k", [(2.0, 2.0, 1), (2.0, 2.0, 1000), (3.0, 1.5, 54321),
+                                         (4.0, 2.0, 10_000), (2.5, 3.0, 777)])
+    def test_records_equal_per_checkpoint_path(self, q, r, k):
+        # the old runner rebuilt the spectrum and the product per checkpoint
+        report = run_zeta_check(q, r, k)
+        assert report.records[-1]["k"] == k
+        for row in report.records:
+            kk = row["k"]
+            assert row["log_det"] == log_det_r(zeta_spectrum(q, r, kk, normalized=False), r)
+            assert row["product"] == zeta_ratio_product(q, kk)
+            assert row["p_k"] == int(fredholm.first_k_primes(kk)[-1])
 
 
 class TestQuadTest:
@@ -170,6 +212,15 @@ class TestQuadTest:
     def test_unknown_kernel_lists_registry(self):
         with pytest.raises(DomainError, match="constant"):
             run_quad_test("gaussian-rbf", 1.0, 0.0, 1.0, [5])
+
+    def test_analytic_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            run_quad_test("exp-rank-one", 1.0, 0.0, 400.0, [5])
+
+    def test_infinite_interval_rejected(self):
+        for kernel in ("constant", "exp-rank-one", "squeezed"):
+            with pytest.raises(DomainError):
+                run_quad_test(kernel, 1.0, 0.0, math.inf, [5])
 
 
 class TestReportSerialization:

@@ -9,6 +9,7 @@ from entrodet import (
     first_k_primes,
     fredholm_det,
     gauss_legendre,
+    log_euler_factors,
     log_fredholm_det,
     nystrom_matrix,
     prime_tail_bound,
@@ -80,6 +81,9 @@ class TestGaussLegendre:
             gauss_legendre(0, 0, 1)
         with pytest.raises(DomainError):
             gauss_legendre(3, 1, 1)
+        for a, b in ((0, math.inf), (-math.inf, 0), (math.nan, 1), (0, math.nan)):
+            with pytest.raises(DomainError):
+                gauss_legendre(3, a, b)
 
 
 CONST = KernelSpec(lambda x, y: np.ones_like(x + y), "constant")
@@ -163,6 +167,11 @@ class TestLogFredholmDet:
         with pytest.raises(NonPositiveDeterminant):
             log_fredholm_det(CONST, -2.0, 0, 1, 5)  # det = 1 - 2 = -1
 
+    def test_kernel_failures_are_domain_errors(self):
+        # the CLI maps DomainError to exit 4
+        assert issubclass(NonPositiveDeterminant, DomainError)
+        assert issubclass(NonFiniteKernel, DomainError)
+
 
 class TestPrimes:
     def test_first_few(self):
@@ -200,6 +209,13 @@ class TestZeta:
         got = zeta_ratio_product(2, 100_000)
         assert got == pytest.approx(15 / math.pi**2, abs=1e-5)
 
+    def test_log_euler_factors(self):
+        primes = first_k_primes(3)
+        got = log_euler_factors(2.0, primes)
+        assert got == pytest.approx([math.log1p(0.25), math.log1p(1 / 9), math.log1p(1 / 25)],
+                                    rel=1e-15)
+        assert zeta_ratio_product(2.0, 3) == float(np.exp(got.sum()))
+
     def test_ratio_product_monotone(self):
         vals = [zeta_ratio_product(2, k) for k in (1, 2, 5, 10, 100, 1000)]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
@@ -226,7 +242,10 @@ class TestZeta:
                    lambda: prime_tail_bound(1.0, 10), lambda: zeta_series(2, tol=0.0),
                    lambda: zeta_series(math.nan), lambda: zeta_series(math.inf),
                    lambda: zeta_ratio_product(math.nan, 3), lambda: prime_tail_bound(math.nan, 10),
-                   lambda: zeta_series(2, tol=math.nan)):
+                   lambda: zeta_series(2, tol=math.nan),
+                   lambda: log_euler_factors(1.0, first_k_primes(3)),
+                   lambda: log_euler_factors(math.nan, first_k_primes(3)),
+                   lambda: log_euler_factors(math.inf, first_k_primes(3))):
             with pytest.raises(DomainError):
                 fn()
 

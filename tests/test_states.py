@@ -194,6 +194,10 @@ class TestPowerLawSpectrum:
             power_law_spectrum(0.0, 5)
         with pytest.raises(DomainError):
             power_law_spectrum(1.0, 0)
+        with pytest.raises(DomainError):
+            power_law_spectrum(math.nan, 10)
+        with pytest.raises(DomainError):
+            power_law_generator(math.nan)
 
 
 class TestSpliceSpectrum:
@@ -225,6 +229,13 @@ class TestSpliceSpectrum:
         spliced = splice_spectrum([1.0], eps=1.0, delta=2.0, threshold=1.0)
         assert spliced.values.sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_domain(self):
+        for kw in ({"eps": 0.0}, {"delta": -1.0}, {"threshold": -1.0}, {"eps": math.nan},
+                   {"delta": math.nan}, {"threshold": math.nan}, {"probe_r": math.nan}):
+            args = {"eps": 1.0, "delta": 0.1, "threshold": 3.0, **kw}
+            with pytest.raises(DomainError):
+                splice_spectrum([1.0], k_max=4096, **args)
+
 
 class TestLogPowerSpectrum:
     def test_two_entries_oracle(self):
@@ -240,6 +251,8 @@ class TestLogPowerSpectrum:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_power_spectrum(1.0, 10)
+        with pytest.raises(DomainError):
+            log_power_spectrum(math.nan, 10)
 
 
 class TestZetaSpectrum:
