@@ -17,6 +17,7 @@ The prime and zeta helpers, built on the Euler factors of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -53,14 +54,15 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A two-point kernel ``K(x, y)`` with a name and a symmetry flag.
+    """A two-point kernel ``K(x, y)`` with a name.
 
-    ``evaluator`` must accept numpy arrays elementwise (meshgrid inputs).
+    ``evaluator`` must work elementwise under numpy broadcasting: it is
+    called once with a column ``x[:, None]`` and a row ``x[None, :]`` of
+    the nodes, and its result must broadcast to the m x m kernel matrix.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str
-    symmetric: bool = True
 
 
 KernelLike = Union[KernelSpec, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -75,18 +77,13 @@ def _legendre_and_derivative(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
     return p1, dp
 
 
-def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule: Newton iteration from Chebyshev initial guesses.
+@functools.lru_cache(maxsize=64)
+def _reference_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the m-point rule on [-1, 1].
 
-    Nodes are the degree-m Legendre roots mapped affinely to (a, b);
-    weights are ``(b-a) / ((1-x^2) P_m'(x)^2)``. The computed rule is
-    mirror-symmetrized so nodes are exactly symmetric about the interval
-    midpoint.
+    Cached by m: every interval reuses the O(m^2) Newton refinement.
+    At ``MAX_NODES`` the 64 entries hold at most about 10 MB.
     """
-    if m < 1:
-        raise DomainError(f"node count must be >= 1, got {m}")
-    if not -math.inf < a < b < math.inf:  # NaN fails too
-        raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
     if m == 1:
         x = np.array([0.0])
         w = np.array([2.0])
@@ -110,6 +107,24 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
         w = w[::-1].copy()
         x = 0.5 * (x - x[::-1])
         w = 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
+    """Gauss-Legendre rule: Newton iteration from Chebyshev initial guesses.
+
+    Nodes are the degree-m Legendre roots mapped affinely to (a, b);
+    weights are ``(b-a) / ((1-x^2) P_m'(x)^2)``. The computed rule is
+    mirror-symmetrized so nodes are exactly symmetric about the interval
+    midpoint. The rule on [-1, 1] is built once per m and cached.
+    """
+    if m < 1:
+        raise DomainError(f"node count must be >= 1, got {m}")
+    if not -math.inf < a < b < math.inf:  # NaN fails too
+        raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
+    x, w = _reference_rule(m)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
     weights = 0.5 * (b - a) * w
     nodes.setflags(write=False)
@@ -121,6 +136,11 @@ def _evaluator(kernel: KernelLike) -> Callable:
     return kernel.evaluator if isinstance(kernel, KernelSpec) else kernel
 
 
+def _check_node_cap(m: int) -> None:
+    if m > MAX_NODES:
+        raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
+
+
 def nystrom_matrix(
     kernel: KernelLike, z: float, rule: QuadratureRule, symmetrize: bool = True
 ) -> np.ndarray:
@@ -130,20 +150,34 @@ def nystrom_matrix(
     ``sqrt(w_i) K sqrt(w_j)``; both forms have identical determinants.
     """
     m = rule.m
-    if m > MAX_NODES:
-        raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
+    _check_node_cap(m)
     if not math.isfinite(z):
         raise DomainError(f"coupling z must be finite, got {z}")
-    xi, xj = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    kmat = np.asarray(_evaluator(kernel)(xi, xj), dtype=float)
+    x = rule.nodes
+    kmat = np.asarray(_evaluator(kernel)(x[:, None], x[None, :]), dtype=float)
     if not np.all(np.isfinite(kmat)):
         raise NonFiniteKernel(
             f"kernel produced non-finite values on ({rule.a}, {rule.b}) nodes"
         )
+    # A fresh array, never kmat (the evaluator's own, maybe read-only); the
+    # products round as in np.eye(m) + z * np.outer(sw, sw) * kmat.
     if symmetrize:
         sw = np.sqrt(rule.weights)
-        return np.eye(m) + z * np.outer(sw, sw) * kmat
-    return np.eye(m) + z * rule.weights[np.newaxis, :] * kmat
+        out = np.outer(sw, sw)
+        out *= z
+        out *= kmat
+    else:
+        out = np.empty((m, m))
+        np.multiply(kmat, (z * rule.weights)[None, :], out=out)
+    out.flat[:: m + 1] += 1.0
+    return out
+
+
+def _nystrom_det_matrix(
+    kernel: KernelLike, z: float, a: float, b: float, m: int, symmetrize: bool = True
+) -> np.ndarray:
+    _check_node_cap(m)
+    return nystrom_matrix(kernel, z, gauss_legendre(m, a, b), symmetrize)
 
 
 def fredholm_det(
@@ -160,10 +194,7 @@ def fredholm_det(
     factor is integrated exactly by the rule; spectrally convergent for
     analytic kernels.
     """
-    if m > MAX_NODES:
-        raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
-    rule = gauss_legendre(m, a, b)
-    return float(np.linalg.det(nystrom_matrix(kernel, z, rule, symmetrize)))
+    return float(np.linalg.det(_nystrom_det_matrix(kernel, z, a, b, m, symmetrize)))
 
 
 def log_fredholm_det(kernel: KernelLike, z: float, a: float, b: float, m: int) -> float:
@@ -177,10 +208,7 @@ def log_fredholm_det(kernel: KernelLike, z: float, a: float, b: float, m: int) -
     NonPositiveDeterminant
         If the determinant sign is zero or negative.
     """
-    if m > MAX_NODES:
-        raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
-    rule = gauss_legendre(m, a, b)
-    sign, logdet = np.linalg.slogdet(nystrom_matrix(kernel, z, rule))
+    sign, logdet = np.linalg.slogdet(_nystrom_det_matrix(kernel, z, a, b, m))
     if sign <= 0:
         raise NonPositiveDeterminant(
             f"determinant sign {sign:+.0f} at z = {z}, interval ({a}, {b}), m = {m}"
@@ -214,11 +242,21 @@ def first_k_primes(k: int) -> np.ndarray:
         limit *= 2
 
 
-def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
-    """The log Euler factors log(1 + p^-q) of zeta(q)/zeta(2q), one per prime."""
+def _check_product_order(q: float) -> None:
     if not 1.0 < q < math.inf:  # NaN fails too
         raise DomainError(f"product converges for finite q > 1, got {q}")
+
+
+def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
+    """The log Euler factors log(1 + p^-q) of zeta(q)/zeta(2q), one per prime."""
+    _check_product_order(q)
     return np.log1p(primes.astype(float) ** -q)
+
+
+def _first_log_euler_factors(q: float, k: int) -> np.ndarray:
+    """``log_euler_factors`` over the first k primes; q is checked before the sieve."""
+    _check_product_order(q)
+    return log_euler_factors(q, first_k_primes(k))
 
 
 def zeta_ratio_product(q: float, k: int) -> float:
@@ -227,7 +265,7 @@ def zeta_ratio_product(q: float, k: int) -> float:
     Increases monotonically in k and converges to zeta(q) / zeta(2q)
     for q > 1.
     """
-    return float(np.exp(log_euler_factors(q, first_k_primes(k)).sum()))
+    return float(np.exp(_first_log_euler_factors(q, k).sum()))
 
 
 def zeta_series(q: float, tol: float = 1e-12) -> float:

@@ -29,7 +29,7 @@ from .errors import (
     TraceNotOne,
     TruncationInsufficient,
 )
-from .fredholm import KernelSpec, first_k_primes, log_euler_factors, zeta_series
+from .fredholm import KernelSpec, _first_log_euler_factors, zeta_series
 from .linalg import (
     PSD_TOL,
     TRACE_TOL,
@@ -368,7 +368,7 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
     """
     if not 1.0 < r < math.inf:  # NaN fails too
         raise DomainError(f"deformation order must be finite and exceed 1, got {r}")
-    lam = log_euler_factors(q, first_k_primes(k)) ** (1.0 / r)
+    lam = _first_log_euler_factors(q, k) ** (1.0 / r)
     if normalized:
         return as_spectrum(lam / lam.sum())
     return as_spectrum(lam, normalized=False)
@@ -456,4 +456,4 @@ def _squeezed_kernel_eval(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def squeezed_kernel() -> KernelSpec:
     """The symmetric kernel tanh(x + y) / cosh(x - y)."""
-    return KernelSpec(_squeezed_kernel_eval, "squeezed", symmetric=True)
+    return KernelSpec(_squeezed_kernel_eval, "squeezed")

@@ -6,13 +6,21 @@ Exit codes are a stable contract: 0 success, 2 I/O or parse failure,
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrodet
 from entrodet import cli, save_matrix
+
+# The subprocess imports the same entrodet as these tests, however pytest found it.
+_PYTHONPATH = os.pathsep.join(
+    filter(None, [str(Path(entrodet.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[np.ix_([0, 3], [0, 3])] = 0.5
@@ -21,7 +29,7 @@ BELL[np.ix_([0, 3], [0, 3])] = 0.5
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "entrodet", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _PYTHONPATH},
     )
 
 

@@ -175,7 +175,6 @@ class TestZetaCheck:
             return sieve(k)
 
         monkeypatch.setattr(fredholm, "first_k_primes", counting)
-        monkeypatch.setattr(states, "first_k_primes", counting)
         run_zeta_check(2.0, 2.0, 1000)
         assert calls == [1000]
 

@@ -16,7 +16,9 @@ from entrodet import (
     zeta_ratio_product,
     zeta_series,
 )
+from entrodet import fredholm, states
 from entrodet.errors import DomainError, NonFiniteKernel, NonPositiveDeterminant
+from entrodet.experiments import KERNELS
 
 EXP_RANK_ONE_DET = 4.1945280494653251  # 1 + (e^2 - 1)/2
 
@@ -76,6 +78,39 @@ class TestGaussLegendre:
         assert np.abs(rule.nodes - ref_x).max() < 1e-14
         assert np.abs(rule.weights - ref_w).max() < 1e-13
 
+    def test_reference_rule_built_once_per_m(self, monkeypatch):
+        calls = []
+        newton = fredholm._legendre_and_derivative
+
+        def counting(x, n):
+            calls.append(n)
+            return newton(x, n)
+
+        monkeypatch.setattr(fredholm, "_legendre_and_derivative", counting)
+        fredholm._reference_rule.cache_clear()
+        m = 37
+        first = gauss_legendre(m, -2.0, 5.0)
+        assert calls
+        calls.clear()
+        a, b = 0.25, 3.0
+        rule = gauss_legendre(m, a, b)
+        assert calls == []
+        # both are the affine map of one [-1, 1] rule, bit for bit
+        x, w = fredholm._reference_rule(m)
+        assert np.array_equal(first.nodes, 1.5 + 3.5 * x)
+        assert np.array_equal(first.weights, 3.5 * w)
+        assert np.array_equal(rule.nodes, 0.5 * (a + b) + 0.5 * (b - a) * x)
+        assert np.array_equal(rule.weights, 0.5 * (b - a) * w)
+
+    def test_cached_rule_is_read_only(self):
+        x, w = fredholm._reference_rule(6)
+        before = x.copy(), w.copy()
+        rule = gauss_legendre(6, 0, 1)
+        for arr in (x, w, rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert all(map(np.array_equal, fredholm._reference_rule(6), before))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gauss_legendre(0, 0, 1)
@@ -120,7 +155,7 @@ class TestFredholmDet:
         ],
     )
     def test_separable_kernel_identity(self, phi, psi, integral):
-        kernel = KernelSpec(lambda x, y: phi(x) * psi(y), "separable", symmetric=False)
+        kernel = KernelSpec(lambda x, y: phi(x) * psi(y), "separable")
         got = fredholm_det(kernel, 0.7, 0, 1, 20)
         assert got == pytest.approx(1.0 + 0.7 * integral, abs=1e-10)
 
@@ -237,6 +272,16 @@ class TestZeta:
         tail = float(np.log1p(primes[100:] ** -2.0).sum())
         assert tail < prime_tail_bound(2.0, int(primes[99]))
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, math.nan, math.inf])
+    def test_bad_order_rejected_before_sieve(self, monkeypatch, q):
+        calls = []
+        monkeypatch.setattr(fredholm, "first_k_primes", lambda k: calls.append(k))
+        with pytest.raises(DomainError, match="product converges for finite q > 1"):
+            zeta_ratio_product(q, 10**6)
+        with pytest.raises(DomainError, match="product converges for finite q > 1"):
+            states.zeta_spectrum(q, 2.0, 10**6)
+        assert calls == []
+
     def test_domain(self):
         for fn in (lambda: zeta_series(1.0), lambda: zeta_ratio_product(0.5, 3),
                    lambda: prime_tail_bound(1.0, 10), lambda: zeta_series(2, tol=0.0),
@@ -255,3 +300,47 @@ class TestNystromMatrix:
         rule = gauss_legendre(6, 0, 1)
         m = nystrom_matrix(CONST, 0.0, rule)
         assert np.array_equal(m, np.eye(6))
+
+    @staticmethod
+    def old_formula(kernel, z, rule, symmetrize):
+        # reference: the kernel on two full m x m meshgrid arrays, then eye + z W K
+        m = rule.m
+        xi, xj = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+        kmat = np.asarray(kernel.evaluator(xi, xj), dtype=float)
+        if symmetrize:
+            sw = np.sqrt(rule.weights)
+            return np.eye(m) + z * np.outer(sw, sw) * kmat
+        return np.eye(m) + z * rule.weights[np.newaxis, :] * kmat
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_equals_meshgrid_formula(self, name, symmetrize):
+        kernel = KERNELS[name][0]
+        for m, z, a, b in ((1, 0.7, 0.0, 1.0), (7, -0.3, -1.5, 2.0), (64, 1.3, 0.0, 2.5)):
+            rule = gauss_legendre(m, a, b)
+            got = nystrom_matrix(kernel, z, rule, symmetrize)
+            assert got.shape == (m, m)
+            assert np.array_equal(got, self.old_formula(kernel, z, rule, symmetrize))
+
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_broadcastable_and_read_only_kernel_results(self, symmetrize):
+        # constant kernel: det(1 + zK) = 1 + z (b - a) at every m
+        m, z, a, b = 9, -0.5, 0.0, 1.0
+        col = np.ones((m, 1))
+        frozen = np.ones((m, m))
+        frozen.setflags(write=False)
+        for evaluator in (lambda x, y: 1.0, lambda x, y: col, lambda x, y: frozen):
+            det = fredholm_det(evaluator, z, a, b, m, symmetrize=symmetrize)
+            assert det == pytest.approx(0.5, abs=1e-14)
+        assert np.array_equal(col, np.ones((m, 1)))
+        assert np.array_equal(frozen, np.ones((m, m)))
+
+    def test_evaluator_gets_a_column_and_a_row(self):
+        seen = []
+
+        def evaluator(x, y):
+            seen.append((x.shape, y.shape))
+            return np.exp(x + y)
+
+        nystrom_matrix(evaluator, 1.0, gauss_legendre(5, 0, 1))
+        assert seen == [((5, 1), (1, 5))]
