@@ -6,10 +6,16 @@ symmetrized Nystrom matrix
 
     1 + z * sqrt(w_i) sqrt(w_j) K(x_i, x_j)
 
-converges (spectrally fast for analytic kernels) to det(1 + z K). The
-log-determinant variant accumulates LU pivots in log space and never
-forms the product, so it stays usable where the determinant itself
-overflows.
+converges (spectrally fast for analytic kernels) to det(1 + z K)
+(Bornemann, Math. Comp. 2010). ``fredholm_det`` and ``log_fredholm_det``
+share one route. Adaptive cross approximation (Bebendorf, Numer. Math.
+2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T`` from a few kernel rows and
+columns; one pass over the kernel grid, in row blocks, checks every
+kernel value for finiteness and every entry of ``A - U V^T``; then
+``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
+no low rank fall back to the LU of the dense matrix. Both accumulate the
+determinant in log space and never form the product, so the
+log-determinant stays usable where the determinant itself overflows.
 
 The prime and zeta helpers, built on the Euler factors of
 ``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
@@ -20,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -31,8 +37,18 @@ from .errors import (
     NonPositiveDeterminant,
 )
 
-# full m x m kernel matrix is materialized; keep the quadratic cost visible
+# the dense fallback (and nystrom_matrix) materializes the full m x m
+# matrix, and the low-rank route still reads all m^2 kernel values; keep
+# the quadratic cost visible
 MAX_NODES = 10_000
+
+# low-rank route: ACA stops at crosses below _ACA_TOL of the Frobenius
+# estimate, a decade above the rounding floor of about 1e-15; the grid check
+# allows entries of A - U V^T up to _GRID_TOL of max|A|; kernel values per
+# block of the grid pass
+_ACA_TOL = 1e-14
+_GRID_TOL = 1e-12
+_BLOCK_VALUES = 1 << 16
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-15
@@ -57,8 +73,11 @@ class KernelSpec:
     """A two-point kernel ``K(x, y)`` with a name.
 
     ``evaluator`` must work elementwise under numpy broadcasting: it is
-    called once with a column ``x[:, None]`` and a row ``x[None, :]`` of
-    the nodes, and its result must broadcast to the m x m kernel matrix.
+    called on blocks of the grid of nodes, each time with a column of row
+    nodes (``x[i:j, None]``) and a row of column nodes (``x[None, :]``,
+    or ``x[None, j:j + 1]`` for one column), and its result must
+    broadcast to the block. ``nystrom_matrix``, and a determinant whose
+    grid is one block, call it once on ``x[:, None]`` and ``x[None, :]``.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -141,6 +160,40 @@ def _check_node_cap(m: int) -> None:
         raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
 
 
+def _check_coupling(z: float) -> None:
+    if not math.isfinite(z):
+        raise DomainError(f"coupling z must be finite, got {z}")
+
+
+def _kernel_values(f: Callable, rule: QuadratureRule, rows: slice, cols: slice) -> np.ndarray:
+    """The kernel on the grid block ``rows x cols``, checked finite.
+
+    The evaluator gets a column of the row nodes and a row of the column
+    nodes; its result need only broadcast to the block.
+    """
+    x = rule.nodes
+    kvals = np.asarray(f(x[rows, None], x[None, cols]), dtype=float)
+    if not np.all(np.isfinite(kvals)):
+        raise NonFiniteKernel(
+            f"kernel produced non-finite values on ({rule.a}, {rule.b}) nodes"
+        )
+    return kvals
+
+
+def _weighted(
+    kvals: np.ndarray, z: float, sw_rows: np.ndarray, sw_cols: np.ndarray
+) -> np.ndarray:
+    """The block ``z sqrt(w_i) K(x_i, x_j) sqrt(w_j)`` of A, in a fresh array.
+
+    Never ``kvals`` itself (the evaluator's own, maybe read-only); every
+    entry rounds as in ``z * np.outer(sw, sw) * kmat``, whatever the block.
+    """
+    out = np.outer(sw_rows, sw_cols)
+    out *= z
+    out *= kvals
+    return out
+
+
 def nystrom_matrix(
     kernel: KernelLike, z: float, rule: QuadratureRule, symmetrize: bool = True
 ) -> np.ndarray:
@@ -151,21 +204,11 @@ def nystrom_matrix(
     """
     m = rule.m
     _check_node_cap(m)
-    if not math.isfinite(z):
-        raise DomainError(f"coupling z must be finite, got {z}")
-    x = rule.nodes
-    kmat = np.asarray(_evaluator(kernel)(x[:, None], x[None, :]), dtype=float)
-    if not np.all(np.isfinite(kmat)):
-        raise NonFiniteKernel(
-            f"kernel produced non-finite values on ({rule.a}, {rule.b}) nodes"
-        )
-    # A fresh array, never kmat (the evaluator's own, maybe read-only); the
-    # products round as in np.eye(m) + z * np.outer(sw, sw) * kmat.
+    _check_coupling(z)
+    kmat = _kernel_values(_evaluator(kernel), rule, slice(None), slice(None))
     if symmetrize:
         sw = np.sqrt(rule.weights)
-        out = np.outer(sw, sw)
-        out *= z
-        out *= kmat
+        out = _weighted(kmat, z, sw, sw)
     else:
         out = np.empty((m, m))
         np.multiply(kmat, (z * rule.weights)[None, :], out=out)
@@ -173,11 +216,142 @@ def nystrom_matrix(
     return out
 
 
-def _nystrom_det_matrix(
+def _rank_cap(m: int) -> int:
+    # Cost model, fitted on one core of a shared Xeon host: a failed ACA of k
+    # crosses takes about k * 25 us + m k^2 * 1.75 ns, the m-node LU it falls
+    # back to about m^3 * 0.04 ns. The cap keeps a failure to a tenth or so
+    # of the LU (a fifth at m = 500, where both terms meet); two crosses
+    # always run, enough for a rank-one kernel.
+    return max(2, min(m // 20, m**3 // 5_000_000))
+
+
+def _aca(
+    row: Callable[[int], np.ndarray], col: Callable[[int], np.ndarray], m: int, cap: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Adaptive cross approximation with partial pivoting (Bebendorf 2000).
+
+    Returns ``(u, vt)`` with ``A ~ u @ vt`` from the rows and columns of A
+    that ``row(i)`` and ``col(j)`` give, or None when ``cap`` crosses
+    are not enough. It stops before a cross whose Frobenius norm is below
+    ``_ACA_TOL`` times the running estimate of ``||u @ vt||_F``, so a
+    rounding-noise cross of a huge exact-rank matrix is never added.
+
+    Cross l is ``peaks[l]`` times the outer product of ``ut[l]``, the
+    residual column over its largest entry, and ``vt[l]``, the residual
+    row over its pivot. Norms and inner products are taken of those
+    unit-peak vectors, and the estimate is updated relative to the larger
+    of two norms, so no square overflows.
+    """
+    ut = np.empty((cap, m))
+    vt = np.empty((cap, m))
+    peaks = np.empty(cap)
+    used: list[int] = []
+    frob = 0.0
+    k = i = 0
+    while True:
+        used.append(i)
+        r = row(i)
+        if k:
+            r = r - (ut[:k, i] * peaks[:k]) @ vt[:k]
+        j = int(np.abs(r).argmax())
+        pivot = float(r[j])
+        c = col(j)
+        if k:
+            c = c - (peaks[:k] * vt[:k, j]) @ ut[:k]
+        a = np.abs(c)
+        peak = float(a.max())
+        if pivot == 0.0 or peak == 0.0:  # the row is reproduced; the grid check decides
+            break
+        r = r / pivot
+        c = c / peak
+        size = peak * math.sqrt((c @ c) * (r @ r))
+        if k:
+            # ||S + t||^2 = ||S||^2 + 2 <S, t> + ||t||^2, all over scale^2
+            scale = max(frob, size)
+            cross = (ut[:k] @ c) * (peaks[:k] / scale) @ (vt[:k] @ r) * (peak / scale)
+            frob2 = (frob / scale) ** 2 + 2.0 * cross + (size / scale) ** 2
+            frob = scale * math.sqrt(max(0.0, frob2))
+            if size <= _ACA_TOL * frob:
+                break
+        else:
+            frob = size
+        if k + 1 == cap:
+            return None
+        ut[k] = c
+        vt[k] = r
+        peaks[k] = peak
+        k += 1
+        if k == m:
+            break
+        a[used] = -1.0
+        i = int(a.argmax())
+    return (ut[:k] * peaks[:k, None]).T, vt[:k]
+
+
+def _within_tolerance(
+    blocks: Iterable[tuple[int, np.ndarray]], u: np.ndarray, vt: np.ndarray
+) -> bool:
+    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over the row blocks of A."""
+    worst = peak = 0.0
+    for start, block in blocks:
+        peak = max(peak, float(np.abs(block).max()))
+        residual = u[start : start + len(block)] @ vt
+        residual -= block
+        worst = max(worst, float(np.abs(residual).max()))
+    return worst <= _GRID_TOL * peak
+
+
+def _nystrom_logdet(
     kernel: KernelLike, z: float, a: float, b: float, m: int, symmetrize: bool = True
-) -> np.ndarray:
+) -> tuple[float, float, int]:
+    """``(sign, log|det|, rank)`` of the m-node Nystrom matrix of ``det(1 + z K)``.
+
+    ACA factors ``A = z W^1/2 K W^1/2 ~ U V^T`` from a few kernel rows and
+    columns. One pass over the kernel grid, in row blocks of about
+    ``_BLOCK_VALUES`` values, then checks every kernel value for
+    finiteness and every entry of ``A - U V^T`` against the tolerance;
+    when it holds, ``det(I_m + U V^T) = det(I_k + V^T U)`` and the rank is
+    k. When ACA reaches the rank cap or the check fails, the rank is m and
+    the determinant is the dense ``slogdet`` of ``nystrom_matrix``. A grid
+    that fits one block is evaluated once, before ACA, which reads its
+    rows and columns from it.
+    """
     _check_node_cap(m)
-    return nystrom_matrix(kernel, z, gauss_legendre(m, a, b), symmetrize)
+    rule = gauss_legendre(m, a, b)
+    _check_coupling(z)
+    f = _evaluator(kernel)
+    sw = np.sqrt(rule.weights)
+    step = max(1, _BLOCK_VALUES // m)
+    every = slice(None)
+    if m <= step:
+        # one block holds the grid: evaluate it once and read ACA rows from it
+        amat = _weighted(_kernel_values(f, rule, every, every), z, sw, sw)
+        factors = _aca(amat.__getitem__, lambda j: amat[:, j], m, _rank_cap(m))
+        blocks = [(0, amat)]
+    else:
+        amat = None
+
+        def block(rows: slice, cols: slice) -> np.ndarray:
+            return _weighted(_kernel_values(f, rule, rows, cols), z, sw[rows], sw[cols])
+
+        factors = _aca(
+            lambda i: block(slice(i, i + 1), every)[0],
+            lambda j: block(every, slice(j, j + 1))[:, 0],
+            m,
+            _rank_cap(m),
+        )
+        blocks = ((s, block(slice(s, s + step), every)) for s in range(0, m, step))
+    if factors is not None and _within_tolerance(blocks, *factors):
+        u, vt = factors
+        sign, logdet = np.linalg.slogdet(np.eye(len(vt)) + vt @ u)
+        return float(sign), float(logdet), len(vt)
+    if amat is not None and symmetrize:  # nystrom_matrix's array but for the identity
+        dense = amat
+        dense.flat[:: m + 1] += 1.0
+    else:
+        dense = nystrom_matrix(kernel, z, rule, symmetrize)
+    sign, logdet = np.linalg.slogdet(dense)
+    return float(sign), float(logdet), m
 
 
 def fredholm_det(
@@ -190,30 +364,39 @@ def fredholm_det(
 ) -> float:
     """Nystrom approximation of the Fredholm determinant det(1 + z K).
 
-    Exact already at m = 1 for z = 0 and for rank-one kernels whose
-    factor is integrated exactly by the rule; spectrally convergent for
-    analytic kernels.
+    ``sign * exp(log|det|)`` of ``log_fredholm_det``'s low-rank or dense
+    route; ``symmetrize`` picks the dense matrix's weighting (the
+    determinant is the same). It is ``+-inf`` beyond the float range.
+    Exact already at m = 1 for z = 0 and for rank-one kernels whose factor
+    is integrated exactly by the rule; spectrally convergent for analytic
+    kernels.
     """
-    return float(np.linalg.det(_nystrom_det_matrix(kernel, z, a, b, m, symmetrize)))
+    sign, logdet, _ = _nystrom_logdet(kernel, z, a, b, m, symmetrize)
+    try:
+        return sign * math.exp(logdet)
+    except OverflowError:
+        return sign * math.inf
 
 
 def log_fredholm_det(kernel: KernelLike, z: float, a: float, b: float, m: int) -> float:
-    """log of the Nystrom determinant, accumulated in log space.
+    """log of the Nystrom determinant, computed in log space.
 
-    Uses the LU-based sign/log-magnitude split, never forming the
-    product, so large determinants do not overflow.
+    For a kernel of numerical rank k the determinant is that of a k x k
+    matrix from adaptive cross approximation, checked over the whole
+    kernel grid; otherwise it is the dense LU's sign/log-magnitude split.
+    Neither forms the product, so large determinants do not overflow.
 
     Raises
     ------
     NonPositiveDeterminant
         If the determinant sign is zero or negative.
     """
-    sign, logdet = np.linalg.slogdet(_nystrom_det_matrix(kernel, z, a, b, m))
+    sign, logdet, _ = _nystrom_logdet(kernel, z, a, b, m)
     if sign <= 0:
         raise NonPositiveDeterminant(
             f"determinant sign {sign:+.0f} at z = {z}, interval ({a}, {b}), m = {m}"
         )
-    return float(logdet)
+    return logdet
 
 
 def first_k_primes(k: int) -> np.ndarray:

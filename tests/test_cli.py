@@ -178,6 +178,18 @@ class TestExperimentCommands:
         assert proc.returncode == 0
         assert "0.5" in proc.stdout
 
+    def test_quad_steep_kernel_rows_finite(self):
+        # the dense determinant overflowed to inf (and diff_prev to nan) here
+        proc = run_cli("quad-test", "--kernel", "exp-rank-one", "--interval", "0", "354")
+        assert proc.returncode == 0
+        lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        assert lines[0].startswith("m,det,diff_prev,")
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [int(row[0]) for row in rows] == [2, 5, 10, 20]
+        assert all(math.isfinite(float(row[1])) and float(row[1]) > 0 for row in rows)
+        assert all(math.isfinite(float(row[2])) for row in rows[1:])
+        assert math.log(float(rows[0][1])) == pytest.approx(563.558, abs=1e-3)
+
     def test_quad_unknown_kernel_exit_4(self):
         proc = run_cli("quad-test", "--kernel", "nope")
         assert proc.returncode == 4

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from entrodet import (
     KernelSpec,
@@ -344,3 +345,145 @@ class TestNystromMatrix:
 
         nystrom_matrix(evaluator, 1.0, gauss_legendre(5, 0, 1))
         assert seen == [((5, 1), (1, 5))]
+
+
+def nystrom_log_rank_one(phi, z, a, b, m):
+    """log of the exact m-node Nystrom determinant 1 + z sum_i w_i phi(x_i)^2."""
+    rule = gauss_legendre(m, a, b)
+    return math.log(1.0 + z * math.fsum(rule.weights * phi(rule.nodes) ** 2))
+
+
+def dense_slogdet(kernel, z, a, b, m):
+    return np.linalg.slogdet(nystrom_matrix(kernel, z, gauss_legendre(m, a, b)))
+
+
+class TestLowRankDeterminant:
+    def test_steep_rank_one_kernel_is_exact(self):
+        # the dense LU's pivots after the first are rounding noise of about
+        # e^270 here; it gave 2775.9
+        got = log_fredholm_det(KERNELS["exp-rank-one"][0], 1.0, 0, 300, 10)
+        assert got == pytest.approx(594.4746138103145, abs=1e-12)
+        assert got == pytest.approx(nystrom_log_rank_one(np.exp, 1.0, 0, 300, 10), abs=1e-12)
+
+    def test_steep_rank_one_kernel_positive_at_two_nodes(self):
+        # the dense LU gave sign -1 (NonPositiveDeterminant) for this positive determinant
+        got = log_fredholm_det(KERNELS["exp-rank-one"][0], 1.0, 0, 354, 2)
+        assert got == pytest.approx(563.558, abs=1e-3)
+        assert got == pytest.approx(nystrom_log_rank_one(np.exp, 1.0, 0, 354, 2), abs=1e-12)
+        assert fredholm_det(KERNELS["exp-rank-one"][0], 1.0, 0, 354, 20) == pytest.approx(
+            math.exp(nystrom_log_rank_one(np.exp, 1.0, 0, 354, 20)), rel=1e-12
+        )
+
+    def test_no_low_rank_falls_back_to_dense(self):
+        # exp(-|x - y|) has singular values decaying like n^-2: ACA reaches the cap
+        kink = KernelSpec(lambda x, y: np.exp(-np.abs(x - y)), "kink")
+        m = 500
+        sign, logdet, rank = fredholm._nystrom_logdet(kink, 1.0, 0.0, 5.0, m)
+        assert rank == m
+        want_sign, want = dense_slogdet(kink, 1.0, 0.0, 5.0, m)
+        assert sign == want_sign
+        assert logdet == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [40, 700])
+    def test_fallback_keeps_the_weighting(self, m):
+        kink = KernelSpec(lambda x, y: np.exp(-np.abs(x - y)), "kink")
+        rule = gauss_legendre(m, 0.0, 5.0)
+        for symmetrize in (True, False):
+            sign, logdet = np.linalg.slogdet(nystrom_matrix(kink, 0.5, rule, symmetrize))
+            assert fredholm_det(kink, 0.5, 0.0, 5.0, m, symmetrize) == sign * math.exp(logdet)
+
+    @pytest.mark.parametrize("m", [60, 257, 2000])
+    def test_smooth_kernel_is_low_rank(self, m):
+        from entrodet.states import squeezed_kernel
+
+        sign, logdet, rank = fredholm._nystrom_logdet(squeezed_kernel(), 1.0, 0.0, 2.0, m)
+        if fredholm._rank_cap(m) > 30:
+            assert rank < 30
+        if m <= 257:
+            assert logdet == pytest.approx(dense_slogdet(squeezed_kernel(), 1.0, 0.0, 2.0, m)[1],
+                                           abs=1e-13)
+        assert logdet == pytest.approx(log_fredholm_det(squeezed_kernel(), 1.0, 0.0, 2.0, 80),
+                                       abs=1e-13)
+
+    def test_non_finite_entry_off_the_crosses_is_found(self):
+        # a rank-one kernel, NaN at one grid entry that no ACA row or column reads
+        m, bad_row, bad_col = 600, 400, 200
+        rule = gauss_legendre(m, 0.0, 1.0)
+        bad_x, bad_y = rule.nodes[bad_row], rule.nodes[bad_col]
+        crosses = []
+
+        def evaluator(x, y):
+            if x.shape[0] == 1 or y.shape[1] == 1:
+                crosses.append((x.ravel().copy(), y.ravel().copy()))
+            return np.where((x == bad_x) & (y == bad_y), np.nan, np.exp(x + y))
+
+        with pytest.raises(NonFiniteKernel):
+            log_fredholm_det(evaluator, 1.0, 0.0, 1.0, m)
+        assert crosses
+        assert not any(bad_x in xs and bad_y in ys for xs, ys in crosses)
+
+    def test_evaluator_called_on_grid_blocks(self):
+        seen = []
+
+        def evaluator(x, y):
+            seen.append((x.shape, y.shape))
+            return np.exp(x + y)
+
+        m = 1000
+        log_fredholm_det(evaluator, 1.0, 0, 1, m)
+        rows, cols = ((1, 1), (1, m)), ((m, 1), (1, 1))
+        assert rows in seen and cols in seen
+        blocks = [s for s in seen if s not in (rows, cols)]
+        assert all(y == (1, m) and x[1] == 1 and x[0] < m for x, y in blocks)
+        assert sum(x[0] for x, _ in blocks) == m  # every grid row once
+        seen.clear()
+        log_fredholm_det(evaluator, 1.0, 0, 1, 200)  # the grid is one block
+        assert seen == [((200, 1), (1, 200))]
+
+    def test_no_dense_det(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        kink = KernelSpec(lambda x, y: np.exp(-np.abs(x - y)), "kink")
+        for kernel, m in ((EXP1, 20), (EXP1, 600), (kink, 20), (kink, 600)):
+            assert math.isfinite(fredholm_det(kernel, 0.5, 0.0, 1.0, m))
+
+    def test_det_beyond_float_range_is_inf(self, monkeypatch):
+        for sign in (1.0, -1.0):
+            monkeypatch.setattr(fredholm, "_nystrom_logdet", lambda *args: (sign, 800.0, 1))
+            assert fredholm_det(CONST, 1.0, 0.0, 1.0, 4) == sign * math.inf
+
+
+def _separable(terms):
+    """K(x, y) = sum_j c_j sin(p_j x + q_j) cos(s_j y + t_j), |K| <= sum |c_j|."""
+    def evaluator(x, y):
+        return sum(c * np.sin(p * x + q) * np.cos(s * y + t) for c, p, q, s, t in terms)
+    return evaluator
+
+
+def _signed(hi):
+    """0, or a magnitude in [1e-3, hi] of either sign: no subnormal kernel value."""
+    return st.one_of(st.just(0.0), st.floats(1e-3, hi), st.floats(-hi, -1e-3))
+
+
+_freq = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+_terms = st.lists(
+    st.tuples(_signed(1.0), _freq, _signed(1.0), _freq, _signed(1.0)), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_terms, t=_signed(0.9), a=st.floats(-3.0, 3.0),
+       length=st.floats(0.1, 4.0), m=st.integers(1, 300))
+def test_low_rank_agrees_with_dense(terms, t, a, length, m):
+    # |z| (b - a) sup|K| <= 0.9: every eigenvalue of 1 + zK stays above 0.1
+    b = a + length
+    kernel = _separable(terms)
+    z = t / (length * sum(abs(term[0]) for term in terms) + 1e-300)
+    sign, logdet, rank = fredholm._nystrom_logdet(kernel, z, a, b, m)
+    want_sign, want = dense_slogdet(kernel, z, a, b, m)
+    assert sign == want_sign
+    assert abs(logdet - want) <= 1e-12 * max(1.0, abs(want))
+    if fredholm._rank_cap(m) > len(terms):
+        assert rank <= len(terms)
