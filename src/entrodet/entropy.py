@@ -364,10 +364,11 @@ def divergence_probe(
         stop = min(start + chunk - 1, k_max)
         ks = np.arange(start, stop + 1, dtype=float)
         vals = np.asarray(lam_of_k(ks), dtype=float)
-        partial = total + np.cumsum(vals**r)
-        hits = np.nonzero(partial > threshold)[0]
-        if hits.size:
-            i = int(hits[0])
+        partial = vals**r
+        np.cumsum(partial, out=partial)
+        partial += total
+        i = int((partial > threshold).argmax())  # 0 when nothing crosses
+        if partial[i] > threshold:
             return ProbeResult(True, start + i, float(partial[i]))
         total = float(partial[-1])
         start = stop + 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -49,6 +50,9 @@ MAX_NODES = 10_000
 _ACA_TOL = 1e-14
 _GRID_TOL = 1e-12
 _BLOCK_VALUES = 1 << 16
+
+# odd sieve candidates struck per block: 256 KiB of bool, well inside L2
+_SIEVE_BLOCK = 1 << 18
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-15
@@ -399,29 +403,76 @@ def log_fredholm_det(kernel: KernelLike, z: float, a: float, b: float, m: int) -
     return logdet
 
 
-def first_k_primes(k: int) -> np.ndarray:
-    """The first k primes, by Eratosthenes sieve.
+def _prime_bound(k: int) -> int:
+    """First sieve bound for the k-th prime: p_k < k (ln k + ln ln k) for k >= 6."""
+    if k < 6:
+        return 15
+    lk = math.log(k)
+    return int(k * (lk + math.log(lk))) + 3
 
-    The sieve bound uses p_k < k (ln k + ln ln k) for k >= 6 and a fixed
-    cap below that; the bound is enlarged (never hit in practice) if the
-    sieve comes up short.
+
+def _primes_up_to(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as a C-contiguous int64 array.
+
+    Slot i of the sieve stands for the odd number 2 i + 1. The odd base
+    primes up to isqrt(limit) (found by the same routine) strike one
+    block of ``_SIEVE_BLOCK`` slots at a time, so the strikes of every
+    base prime stay in cache; each prime carries its next strike offset
+    from block to block. Slot 0 (the number 1) becomes the prime 2.
     """
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    n_slots = (limit + 1) // 2
+    is_prime = np.ones(n_slots, dtype=bool)
+    base = _primes_up_to(math.isqrt(limit))[1:].tolist()
+    nxt = [(p * p) // 2 for p in base]  # slot of p^2, the first multiple to strike
+    active = 0
+    for lo in range(0, n_slots, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, n_slots)
+        block = is_prime[lo:hi]
+        while active < len(base) and nxt[active] < hi:
+            active += 1
+        for j in range(active):
+            s, p = nxt[j], base[j]
+            if s < hi:
+                # odd multiples of p are 2 p apart: p slots
+                block[s - lo :: p] = False
+                nxt[j] = s + (hi - s + p - 1) // p * p
+    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
+
+
+def first_k_primes(k: int) -> np.ndarray:
+    """The first k primes, as a C-contiguous int64 array.
+
+    A segmented sieve of Eratosthenes over odd numbers only: one bool
+    per odd candidate, about ``limit / 2`` bytes where a sieve over all
+    integers takes ``limit``, struck one cache-sized block at a time
+    (see ``_primes_up_to``). The sieve bound uses
+    p_k < k (ln k + ln ln k) for k >= 6 and a fixed cap below that; the
+    bound is doubled (never needed in practice) if the sieve comes up
+    short.
+
+    Raises
+    ------
+    DomainError
+        If k is not an integer (``operator.index`` refuses it) or k < 1;
+        both are checked before any sieving.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DomainError(f"prime count must be an integer, got {k!r}") from None
     if k < 1:
         raise DomainError(f"prime count must be >= 1, got {k}")
-    if k < 6:
-        limit = 15
-    else:
-        lk = math.log(k)
-        limit = int(k * (lk + math.log(lk))) + 3
+    limit = _prime_bound(k)
     while True:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.nonzero(sieve)[0]
+        primes = _primes_up_to(limit)
         if len(primes) >= k:
-            return primes[:k].astype(np.int64)
+            return primes[:k]
         limit *= 2
 
 

@@ -90,10 +90,15 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
                 f"spectrum sums to {spec.values.sum():.12g}, expected 1"
             )
         return spec
-    # one copy, sorted in place: negate, sort ascending, negate back
-    arr = np.negative(np.asarray(values, dtype=float).ravel())
-    arr.sort()
-    np.negative(arr, out=arr)
+    arr = np.array(values, dtype=float, order="C").ravel()  # the one copy
+    # A positive, non-increasing copy is already sorted. Anything else
+    # (NaN fails both tests) is sorted in place: negate, sort ascending,
+    # negate back. Zeros always take the sort: its SIMD kernels may rewrite
+    # the sign bit of a zero, and the output bits must not depend on the path.
+    if not (arr.size and arr[-1] > 0 and (arr[:-1] >= arr[1:]).all()):
+        np.negative(arr, out=arr)
+        arr.sort()
+        np.negative(arr, out=arr)
     if arr.size and arr.min() < -PSD_TOL:
         raise NotPositive(f"negative spectrum value {arr.min():.3e}")
     arr[arr < 0] = 0.0

@@ -26,6 +26,7 @@ from entrodet import (
     vn_via_fredholm,
     von_neumann,
 )
+from entrodet.entropy import ProbeResult
 from entrodet.errors import DomainError, FractionalPowerOfNegative, NotNormalized, NotPositive
 
 from conftest import ginibre_density, random_spectrum_values
@@ -358,6 +359,34 @@ class TestDivergenceProbe:
         assert probe.index == 10**7
         # p-series bound: the full sum is zeta(1.8)/zeta(2)^0.9 < 2
         assert probe.partial_sum < 2.0
+
+    @pytest.mark.parametrize("threshold", [1.0, 7.0, 1e9])
+    @pytest.mark.parametrize("chunk", [1000, 1_000_000])
+    def test_equal_to_reference_loop(self, threshold, chunk):
+        # with chunk = 1000 the thresholds cross in the first chunk, in a
+        # later one, and never; the reference is the loop this one replaced
+        def reference(lam_of_k, r, threshold, k_max, chunk):
+            total = 0.0
+            start = 1
+            while start <= k_max:
+                stop = min(start + chunk - 1, k_max)
+                vals = np.asarray(lam_of_k(np.arange(start, stop + 1, dtype=float)), dtype=float)
+                partial = total + np.cumsum(vals**r)
+                hits = np.nonzero(partial > threshold)[0]
+                if hits.size:
+                    i = int(hits[0])
+                    return ProbeResult(True, start + i, float(partial[i]))
+                total = float(partial[-1])
+                start = stop + 1
+            return ProbeResult(False, k_max, total)
+
+        lam = power_law_generator(1.0)
+        want = reference(lam, 0.5, threshold, 50_000, chunk)
+        got = divergence_probe(lam, 0.5, threshold, k_max=50_000, chunk=chunk)
+        assert got == want
+        if chunk == 1000:
+            assert (got.reached, got.index > chunk) == {1.0: (True, False), 7.0: (True, True),
+                                                        1e9: (False, True)}[threshold]
 
     def test_domain(self):
         for r in (0.0, math.nan):

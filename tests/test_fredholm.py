@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -19,7 +20,7 @@ from entrodet import (
 )
 from entrodet import fredholm, states
 from entrodet.errors import DomainError, NonFiniteKernel, NonPositiveDeterminant
-from entrodet.experiments import KERNELS
+from entrodet.experiments import KERNELS, run_zeta_check
 
 EXP_RANK_ONE_DET = 4.1945280494653251  # 1 + (e^2 - 1)/2
 
@@ -209,31 +210,73 @@ class TestLogFredholmDet:
         assert issubclass(NonFiniteKernel, DomainError)
 
 
+def trial_division_primes(k):
+    """The first k primes by trial division: the sieve's oracle."""
+    primes = []
+    n = 2
+    while len(primes) < k:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
 class TestPrimes:
     def test_first_few(self):
         assert first_k_primes(1).tolist() == [2]
         assert first_k_primes(5).tolist() == [2, 3, 5, 7, 11]
 
     def test_against_trial_division(self):
-        def is_prime(n):
-            if n < 2:
-                return False
-            f = 2
-            while f * f <= n:
-                if n % f == 0:
-                    return False
-                f += 1
-            return True
+        assert first_k_primes(100).tolist() == trial_division_primes(100)
 
-        ref = [n for n in range(2, 550) if is_prime(n)][:100]
-        assert first_k_primes(100).tolist() == ref
+    @pytest.mark.parametrize("block", [5, 24, 37])
+    def test_small_blocks_against_trial_division(self, monkeypatch, block):
+        # many block boundaries, and base primes up to 131 > block that skip
+        # whole blocks, so every carried strike offset is exercised
+        monkeypatch.setattr(fredholm, "_SIEVE_BLOCK", block)
+        want = trial_division_primes(2000)
+        for k in (1, 2, 5, 6, 7, 100, 2000):
+            assert first_k_primes(k).tolist() == want[:k]
 
     def test_hundred_thousandth(self):
         assert int(first_k_primes(100_000)[-1]) == 1_299_709
 
+    def test_millionth_and_prime_count(self):
+        assert int(first_k_primes(10**6)[-1]) == 15_485_863
+        assert len(fredholm._primes_up_to(10**7)) == 664_579
+
+    def test_short_bound_is_doubled(self, monkeypatch):
+        # p_100 = 541: a first bound of 10 needs six doublings
+        monkeypatch.setattr(fredholm, "_prime_bound", lambda k: 10)
+        assert first_k_primes(100).tolist() == trial_division_primes(100)
+
+    @pytest.mark.parametrize("k", [1, 5, 6, 1000])
+    def test_dtype_and_layout(self, k):
+        primes = first_k_primes(k)
+        assert primes.dtype == np.int64
+        assert primes.flags.c_contiguous
+
     def test_domain(self):
         with pytest.raises(DomainError):
             first_k_primes(0)
+
+    @pytest.mark.parametrize("k", [2.5, 10.0, math.nan, math.inf, np.float64(7.0), "7", None])
+    def test_non_integral_count_rejected_before_sieving(self, monkeypatch, k):
+        def no_sieve(limit):
+            raise AssertionError("sieved before the count was checked")
+
+        monkeypatch.setattr(fredholm, "_primes_up_to", no_sieve)
+        for call in (lambda: first_k_primes(k),
+                     lambda: zeta_ratio_product(2.0, k),
+                     lambda: states.zeta_spectrum(2.0, 2.0, k),
+                     lambda: run_zeta_check(2.0, 2.0, k)):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_numpy_integer_count(self):
+        assert first_k_primes(np.int64(7)).tolist() == [2, 3, 5, 7, 11, 13, 17]
+        assert zeta_ratio_product(2.0, np.int64(7)) == zeta_ratio_product(2.0, 7)
+        assert run_zeta_check(2.0, 2.0, np.int64(7)).records == run_zeta_check(2.0, 2.0, 7).records
 
 
 class TestZeta:
@@ -373,6 +416,27 @@ class TestLowRankDeterminant:
         assert fredholm_det(KERNELS["exp-rank-one"][0], 1.0, 0, 354, 20) == pytest.approx(
             math.exp(nystrom_log_rank_one(np.exp, 1.0, 0, 354, 20)), rel=1e-12
         )
+
+    @pytest.mark.xfail(
+        reason="ACA stops at rank 1, the exp(x + y) part alone: the grid check is "
+        "relative to max|A| ~ e^600, so the exp(-|x - y|) part passes as residual, "
+        "and 594.4746 comes back with no error or warning",
+    )
+    def test_steep_kernel_with_full_rank_part(self):
+        # the dense LU gives 2778.31, the exact log det of the rounded float
+        # matrix, so no float64 route on this matrix is right
+        m, a, b = 10, 0.0, 300.0
+        kernel = KernelSpec(lambda x, y: np.exp(x + y) + np.exp(-np.abs(x - y)), "steep-kink")
+        rule = gauss_legendre(m, a, b)
+        with mpmath.workdps(400):
+            x = [mpmath.mpf(float(v)) for v in rule.nodes]
+            sw = [mpmath.sqrt(mpmath.mpf(float(v))) for v in rule.weights]
+            want = float(mpmath.log(mpmath.det(mpmath.matrix(
+                [[(i == j) + sw[i] * sw[j] * (mpmath.exp(x[i] + x[j]) + mpmath.exp(-abs(x[i] - x[j])))
+                  for j in range(m)] for i in range(m)]
+            ))))
+        assert want == pytest.approx(625.2982, abs=1e-4)
+        assert log_fredholm_det(kernel, 1.0, a, b, m) == pytest.approx(want, rel=1e-12)
 
     def test_no_low_rank_falls_back_to_dense(self):
         # exp(-|x - y|) has singular values decaying like n^-2: ACA reaches the cap

@@ -252,6 +252,78 @@ class TestSpectrum:
             assert np.abs(sa[:k] - sb[:k]).max() < 1e-10
 
 
+def sorted_coercion_reference(values):
+    """The coercion that always sorts: negate, sort ascending, negate, clamp."""
+    arr = np.negative(np.asarray(values, dtype=float).ravel())
+    arr.sort()
+    np.negative(arr, out=arr)
+    arr[arr < 0] = 0.0
+    return arr
+
+
+def _zeros(n, seed):
+    # +0.0 and -0.0 in a seeded order
+    return np.where(np.random.default_rng(seed).random(n) < 0.5, 0.0, -0.0)
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+_N = np.arange(2, 10_002, dtype=float)
+_LOG_POWER = 1.0 / (_N * np.log(_N) ** 1.5)
+_EIGVALSH = np.linalg.eigvalsh(ginibre_density(np.random.default_rng(5), 40).mat)
+
+COERCION_CASES = {
+    "non-increasing": _LOG_POWER / _LOG_POWER.sum(),
+    "non-increasing list": [0.5, 0.25, 0.125, 0.125],
+    "ascending eigvalsh": _EIGVALSH,
+    "ascending with tiny negatives": [-1e-12, -1e-14, 0.25, 0.75],
+    "unordered": np.random.default_rng(6).random(1000),
+    "positive ties": [0.25, 0.25, 0.25, 0.125, 0.125],
+    "signed zeros": _zeros(64, 7),
+    "ties and signed zeros": np.concatenate([[0.5, 0.25, 0.25], _zeros(40, 8)]),
+    "signed zeros after tiny negatives": [0.5, 0.5, 0.0, -0.0, -1e-13, -0.0, 0.0],
+    "length 0": [],
+    "length 1": [0.7],
+    "length 1 zero": [-0.0],
+    "read-only non-increasing": _read_only([0.6, 0.3, 0.1]),
+    "read-only unordered": _read_only([0.1, 0.6, 0.3]),
+    "strided": (_LOG_POWER / _LOG_POWER.sum())[::3],
+    "two-dimensional": np.asfortranarray([[0.4, 0.2], [0.3, 0.1]]),
+}
+
+
+class TestCoercionOrder:
+    """``as_spectrum`` skips the sort of an already-ordered copy, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(COERCION_CASES))
+    def test_bits_equal_the_sorting_path(self, case):
+        values = COERCION_CASES[case]
+        before = np.array(values, dtype=float)
+        spec = as_spectrum(values)
+        want = sorted_coercion_reference(before)
+        assert spec.values.dtype == np.float64
+        assert np.array_equal(spec.values.view(np.int64), want.view(np.int64))
+        assert not spec.values.flags.writeable
+        # the input is neither modified nor aliased
+        assert np.array_equal(np.array(values, dtype=float).view(np.int64),
+                              before.view(np.int64))
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(spec.values, values)
+
+    @pytest.mark.parametrize("bad", [[0.5, np.nan, 0.2], [np.nan, 0.5, 0.2], [0.9, 0.1, np.nan],
+                                     [np.nan], [np.inf, 1.0, 0.5], [1.0, 0.5, np.inf],
+                                     [np.inf], [np.nan, np.inf, 0.0]])
+    def test_non_finite_still_rejected(self, bad):
+        values = np.array(bad)
+        with pytest.raises(NotPositive):
+            as_spectrum(values)
+        assert np.array_equal(values, bad, equal_nan=True)
+
+
 class TestSpectrumOf:
     def test_spectrum_passes_through(self):
         s = as_spectrum([0.7, 0.3])
