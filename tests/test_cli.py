@@ -80,6 +80,22 @@ class TestEntropyCommand:
         proc = run_cli("entropy", str(path), "--kind", "vn")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"dim": 1, "re": ' + "[" * 1_000_000 + "]" * 1_000_000 + ', "im": [[0]]}',
+        '{"dim": 1, "re": [[1e400]], "im": [[0]]}',
+        '{"dim": 2, "re": [[NaN, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+        '{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, Infinity], [-Infinity, 0]]}',
+    ], ids=["deep-array", "deep-entry", "overflow", "nan-token", "infinity-token"])
+    def test_malformed_numbers_exit_2(self, tmp_path, text):
+        # NaN and Infinity are not JSON (RFC 8259), so these are parse failures.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli("entropy", str(path), "--kind", "vn")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
     def test_shape_mismatch_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}))

@@ -1,0 +1,30 @@
+"""Every third-party package that entrodet imports is a declared runtime dependency."""
+
+import ast
+import re
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_packages() -> set[str]:
+    """Top-level names of every absolute import in ``src/entrodet/*.py``."""
+    names = set()
+    for path in (ROOT / "src" / "entrodet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_third_party_imports_are_declared():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    third_party = imported_packages() - set(sys.stdlib_module_names) - {"entrodet"}
+    assert "numpy" in third_party  # the scan sees imports at all
+    assert third_party <= declared, f"undeclared runtime dependencies: {sorted(third_party - declared)}"
