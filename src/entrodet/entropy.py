@@ -42,13 +42,15 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError, FractionalPowerOfNegative, NotNormalized
+from .errors import DomainError, FractionalPowerOfNegative, _check_count
 from .linalg import (
-    PSD_TOL,
-    TRACE_TOL,
     DensityMatrix,
     MatrixLike,
     SpectrumLike,
+    _admit,
+    _matrix_map,
+    as_spectrum,
+    eig_hermitian,
     matrix_function,
     spectrum_of,
 )
@@ -57,9 +59,9 @@ _LN2 = math.log(2.0)
 
 
 def _base_scale(log_base: str) -> float:
-    if log_base in ("e", "natural"):
+    if log_base == "e":
         return 1.0
-    if log_base in ("2", "two"):
+    if log_base == "2":
         return 1.0 / _LN2
     raise DomainError(f"log base must be 'e' or '2', got {log_base!r}")
 
@@ -109,17 +111,26 @@ def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> floa
     return max(value, 0.0) * _base_scale(log_base)
 
 
+def _log_det_one_plus(
+    q: MatrixLike, g: Callable[[float], float], name: str, normalized: bool | None = None
+) -> float:
+    """log det(1 + g(Q)) by the dense ``slogdet``, after one eigensolve of Q."""
+    spec, u = eig_hermitian(q)
+    gq = _matrix_map(as_spectrum(spec, normalized), u, g)
+    sign, logdet = np.linalg.slogdet(np.eye(len(gq)) + gq)
+    if sign <= 0:
+        raise DomainError(f"det(1 + {name}) is not positive")
+    return float(logdet)
+
+
 def vn_via_fredholm(q: MatrixLike) -> float:
     """von Neumann entropy as log det(1 + f(Q)) with f(Q) = Q^-Q - 1.
 
     Goes through the actual matrix determinant rather than the spectral
-    sum, so it cross-checks the direct formula on finite states.
+    sum, so it cross-checks the direct formula on finite states. Like
+    :func:`von_neumann` it requires a normalized state.
     """
-    fq = matrix_function(q, lambda lam: lam ** (-lam) - 1.0)
-    sign, logdet = np.linalg.slogdet(np.eye(fq.shape[0]) + fq)
-    if sign <= 0:
-        raise DomainError("det(1 + f(Q)) is not positive")
-    return float(logdet)
+    return _log_det_one_plus(q, lambda lam: lam ** (-lam) - 1.0, "f(Q)", normalized=True)
 
 
 def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
@@ -152,11 +163,7 @@ def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """
     _check_order(r, "order r")
     if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
-        m = f_r(x, r)
-        sign, logdet = np.linalg.slogdet(np.eye(m.shape[0]) + m)
-        if sign <= 0:
-            raise DomainError("det(1 + f_r(Q)) is not positive")
-        return float(logdet)
+        return _log_det_one_plus(x, lambda lam: math.expm1(lam**r), "f_r(Q)")
     return _power_sum(spectrum_of(x).values, r)
 
 
@@ -176,11 +183,7 @@ def _resolve_alpha(r: float, alpha: int | None) -> int:
     a_min = alpha_star(r)
     if alpha is None:
         return a_min
-    if alpha < a_min:
-        raise DomainError(
-            f"alpha = {alpha} is below the minimal admissible order {a_min}"
-        )
-    return alpha
+    return _check_count(alpha, "regularization order alpha", a_min)
 
 
 def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
@@ -269,24 +272,20 @@ def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
 def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     """:func:`hu_ye` of each row of a stack of Hermitian eigenvalues.
 
-    ``lam`` has shape (S, n); rows need not be sorted. As for a matrix
-    passed to :func:`hu_ye`, values in ``[-PSD_TOL, 0)`` count as zero
-    and every row must sum to 1.
+    ``lam`` has shape (S, n); rows need not be sorted. Each row is admitted
+    as a state by the same policy as a spectrum passed to :func:`hu_ye`.
 
     Raises
     ------
+    NotPositive
+        Naming the first row with a value below ``-PSD_TOL`` or a
+        non-finite value.
     NotNormalized
-        Naming the first row whose sum is off by more than ``TRACE_TOL``.
+        Naming the first row whose sum is off 1 by more than ``TRACE_TOL``.
     """
-    lam = np.where((lam < 0) & (lam >= -PSD_TOL), 0.0, lam)
-    total = lam.sum(axis=1)
-    bad = np.flatnonzero(np.abs(total - 1.0) > TRACE_TOL)
-    if bad.size:
-        raise NotNormalized(
-            f"row {bad[0]}: entropy requires a normalized spectrum, "
-            f"sum is {total[bad[0]]:.12g}"
-        )
-    return _unified((np.where(lam > 0, lam, 0.0) ** r).sum(axis=1), r, s)
+    lam = np.array(lam, dtype=float)
+    _admit(lam, normalized=True)
+    return _unified((lam**r).sum(axis=1), r, s)
 
 
 def hy_bound(d: int, r: float, s: float) -> float:
@@ -296,8 +295,7 @@ def hy_bound(d: int, r: float, s: float) -> float:
     mixed state of rank d.
     """
     _check_unified_params(r, s)
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    d = _check_count(d, "dimension")
     e = (1.0 - r) * s
     return (float(d) ** e - 1.0) / e
 

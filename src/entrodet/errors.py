@@ -2,8 +2,10 @@
 
 Validation failures name the violated invariant and carry the measured
 defect in the message; domain errors signal parameter values outside the
-mathematical domain of an operation.
+mathematical domain of an operation, such as a count that is no integer.
 """
+
+import operator
 
 
 class ValidationError(ValueError):
@@ -56,3 +58,18 @@ class NonPositiveDeterminant(DomainError):
 
 class TruncationInsufficient(RuntimeError):
     """No truncation within the allowed budget satisfies the requested bounds."""
+
+
+def _check_count(value, what: str, low: int = 1) -> int:
+    """``value`` as an int; :class:`DomainError` unless it is an integer >= ``low``.
+
+    An integer is whatever ``operator.index`` accepts, so ``np.int64(3)``
+    passes and ``3.0``, ``np.float64(3.0)`` and NaN do not.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if n < low:
+        raise DomainError(f"{what} must be >= {low}, got {n}")
+    return n

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy, fredholm, states
-from .errors import DomainError
+from .errors import DomainError, NonFiniteKernel, NonPositiveDeterminant, _check_count
 
 SCHEMA_VERSION = 1
 
@@ -38,12 +38,11 @@ class ExperimentReport:
     params: dict
     records: list[dict]
     summary: dict
-    schema_version: int = SCHEMA_VERSION
     wall_time_s: float | None = None
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
             "params": self.params,
             "summary": self.summary,
@@ -54,7 +53,7 @@ class ExperimentReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write(f"# schema_version={self.schema_version}\n")
+        out.write(f"# schema_version={SCHEMA_VERSION}\n")
         out.write(f"# experiment={self.experiment}\n")
         out.write(f"# params={json.dumps(self.params, default=_json_default)}\n")
         if self.records:
@@ -103,8 +102,7 @@ def run_xstate_experiment(
     entropy gap of the reductions. All samples of one d are handled as
     stacked arrays, with closed-form spectra.
     """
-    if samples < 0:
-        raise DomainError(f"sample count must be >= 0, got {samples}")
+    samples = _check_count(samples, "sample count", 0)
     t0 = time.perf_counter()
     records = []
     for d in d_list:
@@ -170,7 +168,7 @@ def run_gaussian_experiment(
     overflow flag for the naive one), the truncated Schmidt-series
     entropy with its tail diagnostic, and the kernel log-determinant at
     the given quadrature parameters. Determinant failures are recorded
-    as flags; the sweep never aborts.
+    as flags; parameter errors raise :class:`DomainError` before any row.
     """
     if not r_grid:
         raise DomainError("r grid must be non-empty")
@@ -180,6 +178,8 @@ def run_gaussian_experiment(
         raise DomainError(f"kernel coupling z must be finite, got {z}")
     if interval is not None and not -math.inf < interval[0] < interval[1] < math.inf:
         raise DomainError(f"interval must be finite with a < b, got {tuple(interval)}")
+    fredholm._check_node_cap(m)
+    _check_count(n_max, "truncation order")
     t0 = time.perf_counter()
     kernel = states.squeezed_kernel()
     records = []
@@ -192,7 +192,7 @@ def run_gaussian_experiment(
         logdet_ok = True
         try:
             logdet = fredholm.log_fredholm_det(kernel, z, a, b, m)
-        except DomainError:
+        except (NonFiniteKernel, NonPositiveDeterminant):
             logdet_ok = False
         records.append(
             {

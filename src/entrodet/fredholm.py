@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -36,6 +35,7 @@ from .errors import (
     DomainError,
     NonFiniteKernel,
     NonPositiveDeterminant,
+    _check_count,
 )
 
 # the dense fallback (and nystrom_matrix) materializes the full m x m
@@ -143,8 +143,7 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     mirror-symmetrized so nodes are exactly symmetric about the interval
     midpoint. The rule on [-1, 1] is built once per m and cached.
     """
-    if m < 1:
-        raise DomainError(f"node count must be >= 1, got {m}")
+    m = _check_count(m, "node count")
     if not -math.inf < a < b < math.inf:  # NaN fails too
         raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
     x, w = _reference_rule(m)
@@ -160,7 +159,7 @@ def _evaluator(kernel: KernelLike) -> Callable:
 
 
 def _check_node_cap(m: int) -> None:
-    if m > MAX_NODES:
+    if _check_count(m, "node count") > MAX_NODES:
         raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
 
 
@@ -462,12 +461,7 @@ def first_k_primes(k: int) -> np.ndarray:
         If k is not an integer (``operator.index`` refuses it) or k < 1;
         both are checked before any sieving.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"prime count must be an integer, got {k!r}") from None
-    if k < 1:
-        raise DomainError(f"prime count must be >= 1, got {k}")
+    k = _check_count(k, "prime count")
     limit = _prime_bound(k)
     while True:
         primes = _primes_up_to(limit)

@@ -73,6 +73,35 @@ SpectrumLike = Union[Spectrum, np.ndarray, list, tuple]
 MatrixLike = Union[DensityMatrix, np.ndarray]
 
 
+def _admit(lam: np.ndarray, normalized: bool) -> np.ndarray:
+    """Admit one spectrum, or each row of a stack, in place; return the unit-sum flags.
+
+    Values in ``[-PSD_TOL, 0)`` become 0. A value below ``-PSD_TOL`` or a
+    non-finite sum raises :class:`NotPositive`, and with ``normalized`` a sum
+    off 1 by more than ``TRACE_TOL`` raises :class:`NotNormalized`, naming
+    the first bad row of a stack.
+    """
+    rows = lam if lam.ndim > 1 else lam[np.newaxis]
+    where = "row {}: " if lam.ndim > 1 else ""
+    low = rows.min(axis=1, initial=0.0)
+    bad = np.flatnonzero(low < -PSD_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NotPositive(f"{where.format(i)}negative spectrum value {low[i]:.3e}")
+    if (low < 0).any():  # the mask pass runs only when some value is negative
+        lam[lam < 0] = 0.0
+    total = rows.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        i = bad[0]
+        raise NotPositive(f"{where.format(i)}spectrum has non-finite values (sum {total[i]})")
+    is_norm = np.abs(total - 1.0) <= TRACE_TOL
+    if normalized and not is_norm.all():
+        i = np.flatnonzero(~is_norm)[0]
+        raise NotNormalized(f"{where.format(i)}spectrum sums to {total[i]:.12g}, expected 1")
+    return is_norm
+
+
 def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectrum:
     """Coerce a value sequence into a :class:`Spectrum`.
 
@@ -99,17 +128,7 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
         np.negative(arr, out=arr)
         arr.sort()
         np.negative(arr, out=arr)
-    if arr.size and arr.min() < -PSD_TOL:
-        raise NotPositive(f"negative spectrum value {arr.min():.3e}")
-    arr[arr < 0] = 0.0
-    total = arr.sum()
-    if not np.isfinite(total):
-        raise NotPositive(f"spectrum has non-finite values (sum {total})")
-    is_norm = bool(abs(total - 1.0) <= TRACE_TOL)
-    if normalized and not is_norm:
-        raise NotNormalized(f"spectrum sums to {total:.12g}, expected 1")
-    if normalized is False:
-        is_norm = False
+    is_norm = bool(_admit(arr, bool(normalized))[0]) and normalized is not False
     return Spectrum(_freeze(arr), is_norm)
 
 
@@ -189,23 +208,19 @@ def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, np.ndarray]:
     """Eigendecomposition Q = U diag(sigma) U^dag for Hermitian Q.
 
     Returns the spectrum and the read-only unitary ``U`` whose columns are
-    the eigenvectors. Eigenvalues come back sorted non-increasing, with
-    values in ``[-PSD_TOL, 0)`` clamped to zero; equal eigenvalues keep
-    the eigenvector order produced by the solver. Use :func:`spectrum_of`
-    when the eigenvectors are not needed.
+    the eigenvectors. The solver's values, reversed to non-increasing
+    order, are admitted by :func:`as_spectrum`; being in order already,
+    none is moved away from its column. Use :func:`spectrum_of` when the
+    eigenvectors are not needed.
 
     Raises
     ------
-    DimensionMismatch, NotHermitian
-        If a bare array is not square, or not Hermitian within ``HERM_TOL``.
+    DimensionMismatch, NotHermitian, NotPositive
+        If a bare array is not square or not Hermitian within ``HERM_TOL``,
+        or an eigenvalue is below ``-PSD_TOL`` or not finite.
     """
     lam, u = _eigensolve(np.linalg.eigh, _hermitian(q))
-    lam = lam[::-1].copy()
-    u = u[:, ::-1].copy()
-    lam[(lam < 0) & (lam >= -PSD_TOL)] = 0.0
-    total = lam.sum()
-    spec = Spectrum(_freeze(lam), bool(abs(total - 1.0) <= TRACE_TOL))
-    return spec, _freeze(u)
+    return as_spectrum(lam[::-1]), _freeze(u[:, ::-1].copy())
 
 
 def matrix_function(q: MatrixLike, f: Callable[[float], float]) -> np.ndarray:
@@ -217,10 +232,14 @@ def matrix_function(q: MatrixLike, f: Callable[[float], float]) -> np.ndarray:
 
     Raises
     ------
-    DomainError
-        If ``f`` returns a non-finite value at some eigenvalue.
+    NotHermitian, NotPositive, DomainError
+        As :func:`eig_hermitian`, or if ``f`` is not finite at some eigenvalue.
     """
-    spec, u = eig_hermitian(q)
+    return _matrix_map(*eig_hermitian(q), f)
+
+
+def _matrix_map(spec: Spectrum, u: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
+    """``U diag(f(lam_i)) U^dag`` from the output of :func:`eig_hermitian`."""
     vals = np.array([float(f(x)) for x in spec.values])
     if not np.all(np.isfinite(vals)):
         bad = spec.values[~np.isfinite(vals)][0]
@@ -232,9 +251,11 @@ def partial_trace(q: MatrixLike, d_a: int, d_b: int, keep: str = "A") -> Density
     """Trace out one factor of a bipartite state on C^dA (x) C^dB.
 
     ``keep="A"`` returns Tr_B Q (a dA x dA state), ``keep="B"`` returns
-    Tr_A Q. Subsystem A is the first (slow, row-major) tensor factor.
+    Tr_A Q. Subsystem A is the first (slow, row-major) tensor factor. A
+    bare array must pass :func:`validate_density` and raises its errors
+    otherwise; a :class:`DensityMatrix` is taken as it is.
     """
-    m = _as_matrix(q)
+    m = q.mat if isinstance(q, DensityMatrix) else validate_density(q).mat
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatch(
             f"matrix dim {m.shape[0]} != {d_a} * {d_b}"
@@ -250,8 +271,7 @@ def partial_trace(q: MatrixLike, d_a: int, d_b: int, keep: str = "A") -> Density
 
 
 def singular_values(a: MatrixLike) -> np.ndarray:
-    m = _as_matrix(a)
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(_as_matrix(a), compute_uv=False)
 
 
 def schatten_norm(a: MatrixLike, p: float) -> float:
@@ -267,8 +287,8 @@ def schatten_norm(a: MatrixLike, p: float) -> float:
 
 
 def trace_distance(a: MatrixLike, b: MatrixLike) -> float:
-    """Trace norm ||A - B||_1 of the difference of two Hermitian matrices."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    """Trace norm ||A - B||_1 of two Hermitian matrices; bare arrays are checked first."""
+    ma, mb = _hermitian(a), _hermitian(b)
     if ma.shape != mb.shape:
         raise DimensionMismatch(f"shape mismatch {ma.shape} vs {mb.shape}")
     eig = np.linalg.eigvalsh(ma - mb)

@@ -21,21 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolation,
-    DomainError,
-    NotNormalized,
-    NotPositive,
-    TraceNotOne,
-    TruncationInsufficient,
-)
+from .errors import ConstraintViolation, DomainError, TruncationInsufficient, _check_count
 from .fredholm import KernelSpec, _first_log_euler_factors, zeta_series
 from .linalg import (
-    PSD_TOL,
-    TRACE_TOL,
     DensityMatrix,
     Spectrum,
     SpectrumLike,
+    _admit,
     as_spectrum,
     validate_density,
 )
@@ -57,7 +49,6 @@ class XStateParams:
     diag: np.ndarray
     outer: np.ndarray
     inner: np.ndarray
-    seed: int | None = None
 
     @property
     def n(self) -> int:
@@ -159,7 +150,7 @@ def x_state_random(d: int, seed: int, index: int = 0) -> DensityMatrix:
     _check_dim(d)
     a, c = _x_draw(np.random.default_rng([seed, index, d]), d * d)
     l = (d * d) // 4
-    return x_state(XStateParams(d, a, c[:l], c[l:], seed=seed))
+    return x_state(XStateParams(d, a, c[:l], c[l:]))
 
 
 def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +159,13 @@ def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.nda
     Returns ``a`` of shape (samples, d^2) and ``c`` of shape
     (samples, d^2 // 2), with ``c[:, p]`` the entry at (p, d^2-1-p).
     Draws the same numbers as :func:`x_state_random` and applies the same
-    checks, with positivity and trace read off the closed-form spectrum
-    of :func:`x_eigvalsh` instead of an eigensolver.
+    checks, with the closed-form spectra of :func:`x_eigvalsh` admitted
+    as states in place of an eigensolver.
+
+    Raises
+    ------
+    ConstraintViolation, NotPositive, NotNormalized
+        Naming the first sample that breaks a bound or has no state's spectrum.
     """
     _check_dim(d)
     n = d * d
@@ -178,18 +174,7 @@ def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.nda
     for i in range(samples):
         a[i], c[i] = _x_draw(np.random.default_rng([seed, i, d]), n)
     _check_x(a, c)
-    lam = x_eigvalsh(a, c)
-    tr = lam.sum(axis=1)
-    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
-    if bad.size:
-        s = bad[0]
-        raise TraceNotOne(f"sample {s}: trace {tr[s]:.12g} differs from 1")
-    low = np.flatnonzero(lam.min(axis=1) < -PSD_TOL)
-    if low.size:
-        s = low[0]
-        raise NotPositive(
-            f"sample {s}: minimum eigenvalue {lam[s].min():.3e} below -{PSD_TOL:.0e}"
-        )
+    _admit(x_eigvalsh(a, c), normalized=True)
     return a, c
 
 
@@ -231,9 +216,7 @@ def x_partial_traces(
 
 def diag_state(spec: SpectrumLike) -> DensityMatrix:
     """Embed a normalized spectrum as a diagonal density matrix."""
-    s = as_spectrum(spec)
-    if not s.is_normalized:
-        raise NotNormalized(f"spectrum sums to {s.values.sum():.12g}, expected 1")
+    s = as_spectrum(spec, normalized=True)
     return validate_density(np.diag(s.values.astype(complex)))
 
 
@@ -259,8 +242,7 @@ def power_law_spectrum(eps: float, k: int) -> Spectrum:
     """
     if not eps > 0:  # NaN fails too
         raise DomainError(f"power-law exponent must be positive, got {eps}")
-    if k < 1:
-        raise DomainError(f"truncation length must be >= 1, got {k}")
+    k = _check_count(k, "truncation length")
     j = np.arange(1, k + 1, dtype=float)
     w = j ** -(1.0 + eps)
     return as_spectrum(w / w.sum())
@@ -292,8 +274,7 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     """
     if not beta > 1:  # NaN fails too
         raise DomainError(f"log-power exponent must exceed 1, got {beta}")
-    if k < 1:
-        raise DomainError(f"truncation length must be >= 1, got {k}")
+    k = _check_count(k, "truncation length")
     n = np.arange(2, k + 2, dtype=float)
     w = 1.0 / (n * np.log(n) ** beta)
     return as_spectrum(w / w.sum())
@@ -405,8 +386,7 @@ def squeezed_schmidt_spectrum(r: float, n_max: int) -> Spectrum:
     """
     if not r >= 0:  # NaN fails too
         raise DomainError(f"squeezing parameter must be >= 0, got {r}")
-    if n_max < 1:
-        raise DomainError(f"truncation order must be >= 1, got {n_max}")
+    n_max = _check_count(n_max, "truncation order")
     t = math.tanh(r) ** 2
     if t == 0.0:
         return as_spectrum(np.array([1.0]))

@@ -233,6 +233,8 @@ class TestExperimentCommands:
         ("zeta-check", "--r", "nan"),
         ("gaussian-experiment", "--r", "inf"),
         ("gaussian-experiment", "--interval", "nan", "1"),
+        ("gaussian-experiment", "--m", "0"),
+        ("gaussian-experiment", "--m", "20000"),  # above MAX_NODES
     ])
     def test_nan_parameter_exit_4(self, args):
         proc = run_cli(*args)

@@ -26,7 +26,7 @@ from entrodet import (
     vn_via_fredholm,
     von_neumann,
 )
-from entrodet.entropy import ProbeResult
+from entrodet.entropy import ProbeResult, hu_ye_rows
 from entrodet.errors import DomainError, FractionalPowerOfNegative, NotNormalized, NotPositive
 
 from conftest import ginibre_density, random_spectrum_values
@@ -47,6 +47,11 @@ class TestVonNeumann:
     def test_base_two(self):
         assert von_neumann([0.5, 0.5], log_base="2") == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("base", ["natural", "two"])
+    def test_only_bases_e_and_2(self, base):
+        with pytest.raises(DomainError):
+            von_neumann([0.5, 0.5], log_base=base)
+
     def test_requires_normalization(self):
         with pytest.raises(NotNormalized):
             von_neumann([0.5, 0.4])
@@ -66,6 +71,12 @@ class TestVnViaFredholm:
         for _ in range(20):
             q = ginibre_density(rng, 6)
             assert abs(vn_via_fredholm(q) - von_neumann(q)) < 1e-10
+
+    def test_requires_normalization(self):
+        # det(1 + f(Q)) exists here, but it is no state's entropy
+        for fn in (vn_via_fredholm, von_neumann):
+            with pytest.raises(NotNormalized):
+                fn(np.diag([0.3, 0.3]))
 
 
 class TestVnRenormalized:
@@ -456,10 +467,32 @@ NON_PSD = np.diag([1.1, -0.1])  # Hermitian, unit trace, one negative eigenvalue
     vn_renormalized,
     lambda x: log_det_ren(x, 0.5),
     lambda x: evaluate("vn", x),
-], ids=["von_neumann", "tsallis", "renyi", "hu_ye", "vn_renormalized", "log_det_ren", "evaluate"])
+    lambda x: log_det_r(x, 2),
+    lambda x: f_r(x, 2),
+    vn_via_fredholm,
+], ids=["von_neumann", "tsallis", "renyi", "hu_ye", "vn_renormalized", "log_det_ren", "evaluate",
+        "log_det_r", "f_r", "vn_via_fredholm"])
 def test_bare_non_psd_matrix_rejected(fn):
     with pytest.raises(NotPositive):
         fn(NON_PSD)
+
+
+@pytest.mark.parametrize("bad_row,error,message", [
+    ([np.nan, 1.0], NotPositive, "row 1: spectrum has non-finite values"),
+    ([1.5, -0.5], NotPositive, "row 1: negative spectrum value -5.000e-01"),
+    ([0.5, 0.4], NotNormalized, "row 1: spectrum sums to 0.9, expected 1"),
+])
+def test_hu_ye_rows_rejects_what_hu_ye_rejects(bad_row, error, message):
+    with pytest.raises(error):
+        hu_ye(bad_row, 2, 0.5)
+    rows = np.array([[1.0, 0.0], bad_row, [0.5, 0.5]])
+    with pytest.raises(error, match=message):
+        hu_ye_rows(rows, 2, 0.5)
+
+
+def test_hu_ye_rows_clamps_as_hu_ye():
+    good = np.array([[1.0 + 5e-11, -5e-11], [0.5, 0.5]])
+    assert hu_ye_rows(good, 2, 0.5).tolist() == [hu_ye(row, 2, 0.5) for row in good]
 
 
 class TestDiagnostics:

@@ -133,6 +133,14 @@ class TestGaussianExperiment:
         with pytest.raises(DomainError):
             run_gaussian_experiment([])
 
+    @pytest.mark.parametrize("kwargs", [{"m": 0}, {"m": 20_000}, {"n_max": 0}],
+                             ids=["m=0", "m>MAX_NODES", "n_max=0"])
+    def test_bad_counts_raise_not_flag(self, kwargs):
+        # a bad node count made every row report logdet_ok=false; at r = 0
+        # no Schmidt spectrum is built, so n_max went unchecked
+        with pytest.raises(DomainError):
+            run_gaussian_experiment([0.0], **{"n_max": 50, **kwargs})
+
 
 class TestZetaCheck:
     def test_single_prime(self):

@@ -18,9 +18,9 @@ from entrodet import (
     zeta_ratio_product,
     zeta_series,
 )
-from entrodet import fredholm, states
+from entrodet import entropy, fredholm, states
 from entrodet.errors import DomainError, NonFiniteKernel, NonPositiveDeterminant
-from entrodet.experiments import KERNELS, run_zeta_check
+from entrodet.experiments import KERNELS, run_gaussian_experiment, run_xstate_experiment, run_zeta_check
 
 EXP_RANK_ONE_DET = 4.1945280494653251  # 1 + (e^2 - 1)/2
 
@@ -277,6 +277,29 @@ class TestPrimes:
         assert first_k_primes(np.int64(7)).tolist() == [2, 3, 5, 7, 11, 13, 17]
         assert zeta_ratio_product(2.0, np.int64(7)) == zeta_ratio_product(2.0, 7)
         assert run_zeta_check(2.0, 2.0, np.int64(7)).records == run_zeta_check(2.0, 2.0, 7).records
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: states.power_law_spectrum(0.5, n),
+    lambda n: states.log_power_spectrum(1.5, n),
+    lambda n: states.squeezed_schmidt_spectrum(1.0, n),
+    lambda n: gauss_legendre(n, 0.0, 1.0),
+    lambda n: fredholm_det(KERNELS["constant"][0], 0.5, 0.0, 1.0, m=n),
+    lambda n: entropy.log_det_ren([0.5, 0.5], 0.5, alpha=n),
+    lambda n: entropy.hy_bound(n, 2, 1),
+    lambda n: first_k_primes(n),
+    lambda n: run_xstate_experiment([2], n),
+    lambda n: run_gaussian_experiment([0.5], n_max=50, m=n),
+    lambda n: run_gaussian_experiment([0.5], n_max=n),
+], ids=["power_law_spectrum", "log_power_spectrum", "squeezed_schmidt_spectrum", "gauss_legendre",
+        "fredholm_det", "log_det_ren", "hy_bound", "first_k_primes", "run_xstate_experiment",
+        "run_gaussian_experiment-m", "run_gaussian_experiment-n_max"])
+def test_counts_are_integers(call):
+    # rounded, refused with a bare TypeError/ValueError, or nan before
+    for bad in (2.5, math.nan, np.float64(3.0)):
+        with pytest.raises(DomainError):
+            call(bad)
+    call(np.int64(3))
 
 
 class TestZeta:

@@ -72,6 +72,27 @@ class TestEigHermitian:
             eig_hermitian(m)
         with pytest.raises(NotHermitian):
             von_neumann(m)
+        # a reduction is wrapped as a DensityMatrix, so its input is checked;
+        # eigvalsh of the lower triangle gave ln 2 here
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 1] += 0.05
+        with pytest.raises(NotHermitian):
+            von_neumann(partial_trace(bad, 2, 2, "B"))
+        # the reduction [[0.5, 0.05], [0, 0.5]] was at distance 0.0 from I/2
+        with pytest.raises(NotHermitian):
+            trace_distance(np.array([[0.5, 0.05], [0.0, 0.5]]), np.eye(2) / 2)
+        with pytest.raises(NotHermitian):
+            trace_distance(np.eye(2) / 2, m)
+
+    def test_values_are_the_admitted_solver_values(self, rng):
+        # reversed eigh values are in order, so none is moved off its column
+        for _ in range(20):
+            q = ginibre_density(rng, int(rng.integers(2, 17)))
+            spec, _ = eig_hermitian(q)
+            assert spec.values.tobytes() == np.linalg.eigh(q.mat)[0][::-1].tobytes()
+            assert spec.is_normalized
+            # eigvalsh runs another LAPACK driver: equal up to the last bits
+            assert np.abs(spec.values - as_spectrum(np.linalg.eigvalsh(q.mat)).values).max() < 1e-15
 
     def test_diagonal_sorted(self):
         spec, u = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))
@@ -84,12 +105,14 @@ class TestEigHermitian:
         assert np.allclose(spec.values, [1, 0, 0, 0], atol=1e-12)
 
     def test_reconstruction_random(self, rng):
-        # oracle: U diag(sigma) U^dag must reproduce the input
-        for _ in range(20):
-            q = ginibre_density(rng, 8)
+        # oracle: U diag(sigma) U^dag must reproduce the input; pure states
+        # add rounding-level eigenvalues of both signs, which are clamped
+        for q in [ginibre_density(rng, 8).mat for _ in range(20)] + [
+                random_pure_bipartite(rng, 3, 4) for _ in range(10)]:
             spec, u = eig_hermitian(q)
+            assert (spec.values >= 0).all()
             rec = (u * spec.values) @ u.conj().T
-            assert np.linalg.norm(rec - q.mat) < 1e-10
+            assert np.linalg.norm(rec - q) < 1e-10
 
     def test_unitary_factor(self, rng):
         q = ginibre_density(rng, 6)

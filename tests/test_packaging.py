@@ -28,3 +28,24 @@ def test_third_party_imports_are_declared():
     third_party = imported_packages() - set(sys.stdlib_module_names) - {"entrodet"}
     assert "numpy" in third_party  # the scan sees imports at all
     assert third_party <= declared, f"undeclared runtime dependencies: {sorted(third_party - declared)}"
+
+
+
+def names_used(node: ast.AST) -> set[str]:
+    """Names a node reads: a bare name, an attribute, or a ``from`` import."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_only_linalg_reads_the_spectrum_tolerances():
+    # the admission policy for spectra lives once, in linalg
+    readers = {path.name for path in (ROOT / "src" / "entrodet").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if names_used(node) & {"PSD_TOL", "TRACE_TOL"}}
+    assert "linalg.py" in readers  # the scan sees the names at all
+    assert readers == {"linalg.py"}, f"tolerances read outside linalg: {sorted(readers)}"
