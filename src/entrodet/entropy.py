@@ -42,7 +42,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError, FractionalPowerOfNegative, _check_count
+from .errors import DimensionMismatch, DomainError, FractionalPowerOfNegative, _check_count
 from .linalg import (
     DensityMatrix,
     MatrixLike,
@@ -277,6 +277,8 @@ def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
 
     Raises
     ------
+    DimensionMismatch
+        If ``lam`` is not two-dimensional.
     NotPositive
         Naming the first row with a value below ``-PSD_TOL`` or a
         non-finite value.
@@ -284,6 +286,8 @@ def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
         Naming the first row whose sum is off 1 by more than ``TRACE_TOL``.
     """
     lam = np.array(lam, dtype=float)
+    if lam.ndim != 2:
+        raise DimensionMismatch(f"expected a stack of spectra of shape (S, n), got {lam.shape}")
     _admit(lam, normalized=True)
     return _unified((lam**r).sum(axis=1), r, s)
 

@@ -99,16 +99,18 @@ def run_xstate_experiment(
     For each subsystem dimension d and sample index, draws the X state
     ``x_state_random(d, seed, index)``, reduces it to both subsystems,
     and records the unified entropy of the full state against the
-    entropy gap of the reductions. All samples of one d are handled as
-    stacked arrays, with closed-form spectra.
+    entropy gap of the reductions. All samples of one d come from one
+    random draw and are handled as stacked arrays, with closed-form
+    spectra computed once.
     """
     samples = _check_count(samples, "sample count", 0)
+    seed = _check_count(seed, "seed", 0)
     t0 = time.perf_counter()
     records = []
     for d in d_list:
-        a, c = states.x_states_random(d, seed, samples)
+        a, c, lam = states._x_states_admitted(d, seed, samples)
         (a_a, c_a), (a_b, c_b) = states.x_partial_traces(a, c, d)
-        hy_full = entropy.hu_ye_rows(states.x_eigvalsh(a, c), r, s)
+        hy_full = entropy.hu_ye_rows(lam, r, s)
         hy_diff = np.abs(
             entropy.hu_ye_rows(states.x_eigvalsh(a_a, c_a), r, s)
             - entropy.hu_ye_rows(states.x_eigvalsh(a_b, c_b), r, s)

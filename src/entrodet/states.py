@@ -124,33 +124,55 @@ def x_state(params: XStateParams) -> DensityMatrix:
     return validate_density(mat)
 
 
-def _x_draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # one (magnitude, phase) pair per coupling, outer block then inner
-    a = rng.exponential(size=n)
-    a = a / a.sum()
-    u = rng.random(2 * (n // 2)).reshape(-1, 2)
-    mag = u[:, 0] * np.sqrt(a[: n // 2] * a[::-1][: n // 2])
-    return a, mag * np.exp(2j * np.pi * u[:, 1])
-
-
-def _check_dim(d: int) -> None:
-    if not 2 <= d <= 8:
+def _check_dim(d) -> int:
+    d = _check_count(d, "subsystem dimension", 2)
+    if d > 8:
         raise DomainError(f"subsystem dimension must be in 2..8, got {d}")
+    return d
+
+
+def _x_samples(d: int, seed, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # samples first .. first + count - 1 of the (seed, d) stream; sample i reads
+    # the w = n + 2 (n // 2) doubles from draw i w on: n uniforms for the diagonal's
+    # exponentials, then one (magnitude, phase) pair per coupling, outer block first
+    n, h = d * d, d * d // 2
+    bits = np.random.PCG64(np.random.SeedSequence([_check_count(seed, "seed", 0), d]))
+    u = np.random.Generator(bits.advance(first * (n + 2 * h))).random((count, n + 2 * h))
+    e = -np.log1p(-u[:, :n])
+    a = e / e.sum(axis=1, keepdims=True)
+    pairs = u[:, n:].reshape(count, h, 2)
+    mag = pairs[..., 0] * np.sqrt(a[:, :h] * a[:, ::-1][:, :h])
+    return a, mag * np.exp(2j * np.pi * pairs[..., 1])
 
 
 def x_state_random(d: int, seed: int, index: int = 0) -> DensityMatrix:
     """Draw a random X-shaped state, deterministic in (seed, index).
 
-    The diagonal is sampled from normalized exponentials; each coupling
-    magnitude is uniform in [0, 1) times its Schur bound with an
-    independent uniform phase, so every sample is positive by
-    construction. Distinct (seed, index) keys give independent streams
-    regardless of how samples are scheduled.
+    The diagonal is sampled from normalized exponentials (Dirichlet(1, ..., 1));
+    each coupling magnitude is uniform in [0, 1) times its Schur bound with an
+    independent uniform phase, so every sample is positive by construction.
+
+    All samples of one d read one PCG64 stream keyed by ``SeedSequence([seed,
+    d])``: sample i takes the ``w = n + 2 (n // 2)`` doubles (n = d^2) that
+    start at draw ``i * w``, which this function reaches by an O(1)
+    ``advance``. The state equals row ``index`` of :func:`x_states_random`
+    bit for bit. Versions before this layout keyed one generator per sample,
+    so their X-state samples and CSV values differ.
     """
-    _check_dim(d)
-    a, c = _x_draw(np.random.default_rng([seed, index, d]), d * d)
+    d = _check_dim(d)
+    a, c = _x_samples(d, seed, _check_count(index, "sample index", 0), 1)
     l = (d * d) // 4
-    return x_state(XStateParams(d, a, c[:l], c[l:]))
+    return x_state(XStateParams(d, a[0], c[0, :l], c[0, l:]))
+
+
+def _x_states_admitted(d: int, seed: int, samples: int) -> tuple[np.ndarray, ...]:
+    """:func:`x_states_random`'s ``(a, c)`` and the admitted spectra of its states."""
+    d = _check_dim(d)
+    a, c = _x_samples(d, seed, 0, _check_count(samples, "sample count", 0))
+    _check_x(a, c)
+    lam = x_eigvalsh(a, c)
+    _admit(lam, normalized=True)
+    return a, c, lam
 
 
 def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,24 +180,21 @@ def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.nda
 
     Returns ``a`` of shape (samples, d^2) and ``c`` of shape
     (samples, d^2 // 2), with ``c[:, p]`` the entry at (p, d^2-1-p).
-    Draws the same numbers as :func:`x_state_random` and applies the same
-    checks, with the closed-form spectra of :func:`x_eigvalsh` admitted
-    as states in place of an eigensolver.
+    Every sample comes from one draw of ``samples * w`` doubles off the
+    stream described in :func:`x_state_random`, so row i equals
+    ``x_state_random(d, seed, i)`` bit for bit. The same checks apply, with
+    the closed-form spectra of :func:`x_eigvalsh` admitted as states in
+    place of an eigensolver.
 
     Raises
     ------
+    DomainError
+        If d is not an integer in 2..8, or samples or seed is not an
+        integer >= 0.
     ConstraintViolation, NotPositive, NotNormalized
         Naming the first sample that breaks a bound or has no state's spectrum.
     """
-    _check_dim(d)
-    n = d * d
-    a = np.empty((samples, n))
-    c = np.empty((samples, n // 2), dtype=complex)
-    for i in range(samples):
-        a[i], c[i] = _x_draw(np.random.default_rng([seed, i, d]), n)
-    _check_x(a, c)
-    _admit(x_eigvalsh(a, c), normalized=True)
-    return a, c
+    return _x_states_admitted(d, seed, samples)[:2]
 
 
 def x_eigvalsh(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -221,8 +240,12 @@ def diag_state(spec: SpectrumLike) -> DensityMatrix:
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:
-    """A Haar-ish (Hilbert-Schmidt measure) random mixed state."""
-    rng = np.random.default_rng(seed)
+    """A Haar-ish (Hilbert-Schmidt measure) random mixed state.
+
+    Raises :class:`DomainError` unless dim is an integer >= 1 and seed one >= 0.
+    """
+    dim = _check_count(dim, "dimension")
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q = g @ g.conj().T
     return validate_density(q / q.trace().real)
@@ -394,7 +417,11 @@ def squeezed_schmidt_spectrum(r: float, n_max: int) -> Spectrum:
         # t rounds up to 1 in double precision (r above ~19); the
         # renormalized truncation converges to the uniform window there
         return as_spectrum(np.full(n_max + 1, 1.0 / (n_max + 1)))
-    p = (1.0 - t) * t ** np.arange(n_max + 1, dtype=float)
+    # t**n rounds to exactly 0 once t**n < 2^-1075, i.e. for n > 1075 ln 2 / -ln t;
+    # evaluating pow on that underflowing tail is slow, so it is left as zeros
+    live = min(n_max + 1, math.ceil(1075 * math.log(2) / -math.log(t)) + 2)
+    p = np.zeros(n_max + 1)
+    p[:live] = (1.0 - t) * t ** np.arange(live, dtype=float)
     return as_spectrum(p / p.sum())
 
 

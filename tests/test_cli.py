@@ -235,6 +235,7 @@ class TestExperimentCommands:
         ("gaussian-experiment", "--interval", "nan", "1"),
         ("gaussian-experiment", "--m", "0"),
         ("gaussian-experiment", "--m", "20000"),  # above MAX_NODES
+        ("xstate-experiment", "--seed", "-1"),
     ])
     def test_nan_parameter_exit_4(self, args):
         proc = run_cli(*args)

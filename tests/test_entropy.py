@@ -27,7 +27,13 @@ from entrodet import (
     von_neumann,
 )
 from entrodet.entropy import ProbeResult, hu_ye_rows
-from entrodet.errors import DomainError, FractionalPowerOfNegative, NotNormalized, NotPositive
+from entrodet.errors import (
+    DimensionMismatch,
+    DomainError,
+    FractionalPowerOfNegative,
+    NotNormalized,
+    NotPositive,
+)
 
 from conftest import ginibre_density, random_spectrum_values
 
@@ -488,6 +494,11 @@ def test_hu_ye_rows_rejects_what_hu_ye_rejects(bad_row, error, message):
     rows = np.array([[1.0, 0.0], bad_row, [0.5, 0.5]])
     with pytest.raises(error, match=message):
         hu_ye_rows(rows, 2, 0.5)
+
+
+def test_hu_ye_rows_needs_a_stack():
+    with pytest.raises(DimensionMismatch, match=r"\(2,\)"):
+        hu_ye_rows(np.array([0.5, 0.5]), 2, 0.5)
 
 
 def test_hu_ye_rows_clamps_as_hu_ye():

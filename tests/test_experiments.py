@@ -54,13 +54,13 @@ class TestXStateExperiment:
             assert rec["pass"] == (diff <= full + TRIANGLE_SLACK)
 
     def test_schur_violation_raises(self, monkeypatch):
-        draw = states._x_draw
+        draw = states._x_samples
 
-        def too_strong(rng, n):
-            a, c = draw(rng, n)
+        def too_strong(d, seed, first, count):
+            a, c = draw(d, seed, first, count)
             return a, np.ones_like(c)  # |c|^2 = 1 > a_p a_q
 
-        monkeypatch.setattr(states, "_x_draw", too_strong)
+        monkeypatch.setattr(states, "_x_samples", too_strong)
         with pytest.raises(ConstraintViolation, match="Schur bound"):
             run_xstate_experiment([3], samples=4, seed=1)
 
@@ -71,6 +71,11 @@ class TestXStateExperiment:
     def test_negative_samples(self):
         with pytest.raises(DomainError):
             run_xstate_experiment([2], samples=-1)
+
+    @pytest.mark.parametrize("d_list", [[2], []])
+    def test_negative_seed(self, d_list):
+        with pytest.raises(DomainError, match="seed"):
+            run_xstate_experiment(d_list, samples=2, seed=-1)
 
 
 class TestGaussianExperiment:

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -119,6 +121,58 @@ class TestXStateRandom:
             with pytest.raises(DomainError):
                 x_states_random(d, 0, 1)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: x_states_random(2, 1, 2.5), "sample count must be an integer"),
+        (lambda: x_states_random(2, 1, -1), "sample count must be >= 0"),
+        (lambda: x_states_random(2, -1, 3), "seed must be >= 0"),
+        (lambda: x_states_random(2, 1.0, 3), "seed must be an integer"),
+        (lambda: x_states_random(2.0, 1, 3), "subsystem dimension must be an integer"),
+        (lambda: x_state_random(2, 1, -1), "sample index must be >= 0"),
+        (lambda: x_state_random(2, 1, 0.5), "sample index must be an integer"),
+        (lambda: x_state_random(2, -1), "seed must be >= 0"),
+        (lambda: random_density(2.5, 1), "dimension must be an integer"),
+        (lambda: random_density(0, 1), "dimension must be >= 1"),
+        (lambda: random_density(2, -1), "seed must be >= 0"),
+    ], ids=["samples-float", "samples-negative", "seed-negative", "seed-float", "d-float",
+            "index-negative", "index-float", "single-seed-negative", "dim-float", "dim-zero",
+            "density-seed-negative"])
+    def test_counts_and_seeds_are_domain_errors(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_far_index_is_one_jump(self):
+        start = time.perf_counter()
+        q = x_state_random(3, 1, 10**12)
+        assert time.perf_counter() - start < 1.0  # drawing 1.7e13 doubles would take hours
+        assert q.dim == 9  # validate_density already ran inside
+
+    def test_one_generator_per_batch(self, monkeypatch):
+        made = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        x_states_random(8, 3, 50)
+        assert made == [([3, 8],)]
+
+    def test_marginals_follow_the_construction(self):
+        # each diagonal entry of Dirichlet(1, ..., 1) on n entries has
+        # CDF 1 - (1 - x)^(n - 1); each |c| is a uniform fraction of its Schur
+        # bound. One entry per sample keeps the KS samples independent.
+        d, samples = 3, 4000
+        n = d * d
+        a, c = x_states_random(d, 20240607, samples)
+        for p in (0, n // 2, n - 1):
+            ks = scipy.stats.kstest(a[:, p], lambda x: 1.0 - (1.0 - x) ** (n - 1))
+            assert ks.pvalue > 1e-3, (p, ks)
+        for p in (0, n // 2 - 1):
+            ratio = np.abs(c[:, p]) / np.sqrt(a[:, p] * a[:, n - 1 - p])
+            ks = scipy.stats.kstest(ratio, "uniform")
+            assert ks.pvalue > 1e-3, (p, ks)
+
 
 def _x_matrix(a, c):
     n = len(a)
@@ -154,6 +208,14 @@ class TestXStatesBatched:
             a, c = x_states_random(d, 17, 6)
             for i in range(6):
                 q = x_state_random(d, 17, index=i).mat
+                assert np.array_equal(_x_matrix(a[i], c[i]), q)
+
+    @pytest.mark.parametrize("seed", [17, 2**40 + 3])
+    def test_rows_of_a_long_batch_equal_single_draws(self, seed):
+        for d in range(2, 9):
+            a, c = x_states_random(d, seed, 50)
+            for i in (0, 1, 49):
+                q = x_state_random(d, seed, index=i).mat
                 assert np.array_equal(_x_matrix(a[i], c[i]), q)
 
     def test_partial_traces_match_dense(self):
