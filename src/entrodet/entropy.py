@@ -42,7 +42,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, FractionalPowerOfNegative, _check_count
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    FractionalPowerOfNegative,
+    NotPositive,
+    _check_count,
+)
 from .linalg import (
     DensityMatrix,
     MatrixLike,
@@ -54,6 +60,7 @@ from .linalg import (
     matrix_function,
     spectrum_of,
 )
+from .states import _PowerLaw
 
 _LN2 = math.log(2.0)
 
@@ -332,8 +339,8 @@ class ProbeResult:
     """Outcome of a divergence probe over a spectrum generator.
 
     ``reached`` tells whether the partial power sums crossed the
-    threshold; ``index`` is the first crossing index, or the last index
-    scanned when the threshold was not reached.
+    threshold; ``index`` is the first crossing index, or ``k_max`` when
+    the threshold was not reached; ``partial_sum`` is the sum up to ``index``.
     """
 
     reached: bool
@@ -348,24 +355,54 @@ def divergence_probe(
     k_max: int = 10_000_000,
     chunk: int = 1_000_000,
 ) -> ProbeResult:
-    """Scan partial sums sum_{k<=K} lam_k^r for a threshold crossing.
+    """Find the first K with partial sum sum_{k<=K} lam_k^r above a threshold.
 
-    ``lam_of_k`` maps an array of 1-based indices to eigenvalues; it is
-    consumed in chunks so generators over 10^7 indices stay cheap. For
+    ``lam_of_k`` maps an array of 1-based indices to eigenvalues. For
     spectra whose power sum diverges the crossing arrives at finite K;
     for convergent sums the probe reports ``reached=False`` at ``k_max``.
+    The probe takes one of two routes:
+
+    * A :func:`~entrodet.states.power_law_generator` knows its partial
+      sums in closed form (1024 terms summed directly plus an
+      Euler-Maclaurin remainder, within a few ulps of the exact sum).
+      The probe evaluates the sum at ``k_max`` once and, if that
+      crosses, doubles from K = 1 and bisects to the first crossing:
+      O(log k_max) sums and no index arrays. ``chunk`` plays no part.
+    * Any other callable is scanned: it is called on ``chunk`` indices
+      at a time and its values are accumulated by ``cumsum``.
+
+    Raises
+    ------
+    DomainError
+        If r is not positive and finite, the threshold is NaN, or
+        ``k_max`` or ``chunk`` is not an integer >= 1.
+    DimensionMismatch
+        If a scanned chunk of values does not have the shape of its indices.
+    NotPositive
+        If a scanned value is negative or not finite, naming its index.
     """
     _check_order(r, "probe order")
-    if chunk < 1:
-        raise DomainError(f"chunk size must be >= 1, got {chunk}")
+    k_max = _check_count(k_max, "probe length k_max")
+    chunk = _check_count(chunk, "chunk size")
     if math.isnan(threshold):
         raise DomainError("threshold must not be NaN")
+    if isinstance(lam_of_k, _PowerLaw):
+        return _bisect_probe(lambda k: lam_of_k.power_sum(r, k), threshold, k_max)
     total = 0.0
     start = 1
     while start <= k_max:
         stop = min(start + chunk - 1, k_max)
         ks = np.arange(start, stop + 1, dtype=float)
         vals = np.asarray(lam_of_k(ks), dtype=float)
+        if vals.shape != ks.shape:
+            raise DimensionMismatch(
+                f"generator returned shape {vals.shape} for indices {start}..{stop}"
+            )
+        if not (vals.min() >= 0 and vals.max() < math.inf):  # NaN fails too
+            i = int(np.argmax(~((vals >= 0) & (vals < math.inf))))
+            raise NotPositive(
+                f"generator value lam_{start + i} = {vals[i]:.6g} is negative or not finite"
+            )
         partial = vals**r
         np.cumsum(partial, out=partial)
         partial += total
@@ -375,6 +412,31 @@ def divergence_probe(
         total = float(partial[-1])
         start = stop + 1
     return ProbeResult(False, k_max, total)
+
+
+def _bisect_probe(
+    partial_sum: Callable[[int], float], threshold: float, k_max: int
+) -> ProbeResult:
+    """divergence_probe on a nondecreasing partial sum known at any K."""
+    total = partial_sum(k_max)
+    if not total > threshold:
+        return ProbeResult(False, k_max, total)
+    # invariant: partial_sum(lo) <= threshold < partial_sum(hi) = total
+    lo, hi = 0, 1
+    while hi < k_max:
+        s = partial_sum(hi)
+        if s > threshold:
+            total = s
+            break
+        lo, hi = hi, min(2 * hi, k_max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = partial_sum(mid)
+        if s > threshold:
+            hi, total = mid, s
+        else:
+            lo = mid
+    return ProbeResult(True, hi, total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from entrodet import (
     alpha_star,
@@ -34,6 +36,8 @@ from entrodet.errors import (
     NotNormalized,
     NotPositive,
 )
+from entrodet.fredholm import zeta_series
+from entrodet.states import _PowerLaw
 
 from conftest import ginibre_density, random_spectrum_values
 
@@ -398,8 +402,9 @@ class TestDivergenceProbe:
             return ProbeResult(False, k_max, total)
 
         lam = power_law_generator(1.0)
-        want = reference(lam, 0.5, threshold, 50_000, chunk)
-        got = divergence_probe(lam, 0.5, threshold, k_max=50_000, chunk=chunk)
+        scan = lambda ks: lam(ks)  # a black box, so the probe takes the scan route
+        want = reference(scan, 0.5, threshold, 50_000, chunk)
+        got = divergence_probe(scan, 0.5, threshold, k_max=50_000, chunk=chunk)
         assert got == want
         if chunk == 1000:
             assert (got.reached, got.index > chunk) == {1.0: (True, False), 7.0: (True, True),
@@ -413,6 +418,124 @@ class TestDivergenceProbe:
             divergence_probe(power_law_generator(1.0), 0.5, 1.0, chunk=0)
         with pytest.raises(DomainError):
             divergence_probe(power_law_generator(1.0), 0.5, math.nan)
+
+    @pytest.mark.parametrize("route", ["closed-form", "scan"])
+    @pytest.mark.parametrize("counts", [{"k_max": 2.5}, {"k_max": math.nan}, {"k_max": 0},
+                                        {"k_max": -5}, {"chunk": 2.5}, {"chunk": -1}])
+    def test_counts_checked_before_any_work(self, route, counts):
+        lam = power_law_generator(1.0)
+        calls = []
+        gen = lam if route == "closed-form" else lambda ks: calls.append(ks) or lam(ks)
+        with pytest.raises(DomainError):
+            divergence_probe(gen, 0.5, 1.0, **counts)
+        assert calls == []
+
+    def test_integer_like_counts_accepted(self):
+        got = divergence_probe(power_law_generator(1.0), 0.5, 3.0, k_max=np.int64(100),
+                               chunk=np.int64(7))
+        assert got == divergence_probe(power_law_generator(1.0), 0.5, 3.0, k_max=100)
+        assert type(got.index) is int
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda ks: np.where(ks == 40, math.nan, 1.0 / ks**2), NotPositive),
+        (lambda ks: np.where(ks == 40, math.inf, 1.0 / ks**2), NotPositive),
+        (lambda ks: -1.0 / ks**2, NotPositive),
+        (lambda ks: 1.0 / ks[:3] ** 2, DimensionMismatch),
+    ], ids=["nan", "inf", "negative", "short-chunk"])
+    def test_scan_refuses_bad_generator_output(self, bad, error):
+        with pytest.raises(error):
+            divergence_probe(bad, 0.5, 1e9, k_max=100, chunk=60)
+
+    def test_scan_names_the_bad_index(self):
+        with pytest.raises(NotPositive, match="lam_70 = nan"):
+            divergence_probe(lambda ks: np.where(ks == 70, math.nan, 1.0 / ks**2), 0.5, 1e9,
+                             k_max=100, chunk=60)
+
+
+class TestPowerLawPartialSums:
+    """The closed-form route of divergence_probe on power_law_generator."""
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 2.5])
+    def test_values_unchanged(self, eps):
+        ks = np.concatenate([np.arange(1.0, 2000.0), [1e6, 1e9, 1e12]])
+        want = ks ** -(1 + eps) / zeta_series(1 + eps)
+        assert power_law_generator(eps)(ks).tobytes() == want.tobytes()
+
+    # s = r (1 + eps) below, at, within 2e-9 of, and above 1
+    @pytest.mark.parametrize("eps, r", [(1.0, 0.3), (0.3, 0.5), (1.0, 0.5), (0.5, 2 / 3),
+                                        (1.0, 0.5 - 1e-9), (1.0, 0.5 + 1e-9),
+                                        (0.3, 1.0), (1.0, 0.9), (1.5, 1.0)])
+    @pytest.mark.parametrize("k", [1, 10, 1023, 1024, 1025, 5000, 10**5, 10**7, 10**9, 10**12])
+    def test_power_sum_against_mpmath(self, eps, r, k):
+        lam = power_law_generator(eps)
+        s = r * (1.0 + eps)  # the exponent the sum is taken at, as a double
+        with mpmath.workdps(50):
+            head = mpmath.harmonic(k) if s == 1 else mpmath.zeta(s) - mpmath.zeta(s, k + 1)
+            want = mpmath.mpf(lam.z) ** -r * head
+            got = lam.power_sum(r, k)
+            assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("eps, r, thresholds", [
+        (1.0, 0.5, [0.5, 0.9, 3.0, 5.0, 8.0]),
+        (0.5, 0.6, [1.5, 5.0, 12.0]),
+        (2.0, 0.3, [0.9, 3.0, 12.0]),
+        (0.3, 0.9, [0.9, 1.5, 1.8]),  # convergent, to 1.87: the last is not reached
+    ])
+    def test_crossing_against_cumsum(self, eps, r, thresholds):
+        lam = power_law_generator(eps)
+        k_max = 10**6
+        sums = np.cumsum(lam(np.arange(1, k_max + 1, dtype=float)) ** r)
+        for t in thresholds:
+            got = divergence_probe(lam, r, t, k_max=k_max)
+            crossed = np.flatnonzero(sums > t)
+            if crossed.size:
+                assert (got.reached, got.index) == (True, int(crossed[0]) + 1)
+                assert got.partial_sum == pytest.approx(sums[got.index - 1], rel=1e-13)
+            else:
+                assert (got.reached, got.index) == (False, k_max)
+                assert got.partial_sum == pytest.approx(sums[-1], rel=1e-13)
+
+    @settings(max_examples=80, deadline=None)
+    @given(eps=st.floats(0.1, 3.0), r=st.floats(0.1, 1.5), threshold=st.floats(0.0, 30.0),
+           k_max=st.integers(1, 30_000))
+    def test_closed_form_agrees_with_scan(self, eps, r, threshold, k_max):
+        lam = power_law_generator(eps)
+        fast = divergence_probe(lam, r, threshold, k_max=k_max)
+        scan = divergence_probe(lambda ks: lam(ks), r, threshold, k_max=k_max)
+        if (fast.reached, fast.index) != (scan.reached, scan.index):
+            # the routes round differently, so they may part only where a scan
+            # partial sum (one chunk here: a plain cumsum) lies within rounding
+            # of the threshold
+            k = min(fast.index, scan.index)
+            near = np.cumsum(lam(np.arange(1, k + 1, dtype=float)) ** r)[-1]
+            event("routes part at a partial sum within rounding of the threshold")
+            assert abs(near - threshold) <= 1e-12 * threshold
+        else:
+            # a running sum of k positive terms is off by at most about k ulps
+            assert fast.partial_sum == pytest.approx(scan.partial_sum,
+                                                     rel=(k_max + 8) * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("threshold", [20.0, 1e9])  # crossing near 1e11, and none
+    def test_probe_to_1e12_takes_log_many_sums(self, monkeypatch, threshold):
+        k_max = 10**12
+        budget = 2 * math.ceil(math.log2(k_max)) + 2
+        sums = []
+        power_sum = _PowerLaw.power_sum
+
+        def counted_power_sum(self, r, k):
+            sums.append(k)
+            if len(sums) > budget:  # fail at once rather than walk a search out to 1e12
+                raise AssertionError(f"more than {budget} partial sums")
+            return power_sum(self, r, k)
+
+        def forbidden_call(self, ks):
+            raise AssertionError("the closed-form route evaluated the generator")
+
+        monkeypatch.setattr(_PowerLaw, "power_sum", counted_power_sum)
+        monkeypatch.setattr(_PowerLaw, "__call__", forbidden_call)
+        got = divergence_probe(power_law_generator(1.0), 0.5, threshold, k_max=k_max)
+        assert got.reached == (threshold == 20.0)
+        assert len(sums) <= budget
 
 
 class TestSandwichBounds:
