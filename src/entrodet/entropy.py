@@ -374,8 +374,9 @@ def divergence_probe(
     Raises
     ------
     DomainError
-        If r is not positive and finite, the threshold is NaN, or
-        ``k_max`` or ``chunk`` is not an integer >= 1.
+        If r is not positive and finite, the threshold is NaN,
+        ``k_max`` or ``chunk`` is not an integer >= 1, or ``k_max``
+        exceeds 2**53.
     DimensionMismatch
         If a scanned chunk of values does not have the shape of its indices.
     NotPositive
@@ -383,6 +384,10 @@ def divergence_probe(
     """
     _check_order(r, "probe order")
     k_max = _check_count(k_max, "probe length k_max")
+    if k_max > 2**53:  # no digits in the message: str() refuses ints past 4300 digits
+        raise DomainError(
+            "probe length k_max exceeds 2**53, past which indices are not exact doubles"
+        )
     chunk = _check_count(chunk, "chunk size")
     if math.isnan(threshold):
         raise DomainError("threshold must not be NaN")

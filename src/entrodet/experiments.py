@@ -203,7 +203,7 @@ def run_gaussian_experiment(
                 "naive_overflow": not math.isfinite(naive),
                 "stable": stable,
                 "schmidt": schmidt,
-                "schmidt_tail": states.SqueezedParams(r, n_max).tail_mass,
+                "schmidt_tail": (math.tanh(r) ** 2) ** (n_max + 1),
                 "logdet": logdet,
                 "logdet_ok": logdet_ok,
                 "a": a,

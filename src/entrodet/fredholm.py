@@ -2,23 +2,30 @@
 
 An integral operator ``(K u)(x) = int_a^b K(x, y) u(y) dy`` is
 discretized on an m-point Gauss-Legendre rule; the determinant of the
-symmetrized Nystrom matrix
+symmetric Nystrom matrix
 
     1 + z * sqrt(w_i) sqrt(w_j) K(x_i, x_j)
 
 converges (spectrally fast for analytic kernels) to det(1 + z K)
-(Bornemann, Math. Comp. 2010). ``fredholm_det`` and ``log_fredholm_det``
-share one route. Adaptive cross approximation (Bebendorf, Numer. Math.
-2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T`` from a few kernel rows and
-columns; one pass over the kernel grid, in row blocks, checks every
-kernel value for finiteness and every entry of ``A - U V^T``; then
-``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
-no low rank fall back to the LU of the dense matrix. Both accumulate the
-determinant in log space and never form the product, so the
-log-determinant stays usable where the determinant itself overflows.
+(Bornemann, Math. Comp. 2010). It is the only weighting: ``1 + z K W``
+is similar to it and has the same determinant. ``fredholm_det`` and
+``log_fredholm_det`` share one route. Adaptive cross approximation
+(Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
+from a few kernel rows and columns; one pass over the kernel grid, in
+row blocks, checks every kernel value for finiteness and every entry of
+``A - U V^T``; then ``det(1 + A) = det(I_k + V^T U)`` for the numerical
+rank k. Kernels with no low rank fall back to the LU of the dense
+matrix. Both accumulate the determinant in log space and never form the
+product, so the log-determinant stays usable where the determinant
+itself overflows.
 
 The prime and zeta helpers, built on the Euler factors of
 ``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
+Every zeta-type sum, partial (``_partial_zeta``, read by the power-law
+spectra of ``states``) or complete (``zeta_series``), is one
+Euler-Maclaurin sum: 1024 terms summed directly plus B_2..B_8
+corrections, within 4e-16 relative of 50-digit mpmath for the complete
+sum at q from 1.1 to 50.
 """
 
 from __future__ import annotations
@@ -197,24 +204,18 @@ def _weighted(
     return out
 
 
-def nystrom_matrix(
-    kernel: KernelLike, z: float, rule: QuadratureRule, symmetrize: bool = True
-) -> np.ndarray:
-    """The discretized matrix 1 + z W K whose determinant approximates det(1+zK).
+def nystrom_matrix(kernel: KernelLike, z: float, rule: QuadratureRule) -> np.ndarray:
+    """The symmetric Nystrom matrix ``1 + z sqrt(w_i) K(x_i, x_j) sqrt(w_j)``.
 
-    ``symmetrize=True`` uses the similarity-equivalent weighting
-    ``sqrt(w_i) K sqrt(w_j)``; both forms have identical determinants.
+    Its determinant approximates det(1 + z K); it is similar to
+    ``1 + z K W`` and has the same determinant.
     """
     m = rule.m
     _check_node_cap(m)
     _check_coupling(z)
     kmat = _kernel_values(_evaluator(kernel), rule, slice(None), slice(None))
-    if symmetrize:
-        sw = np.sqrt(rule.weights)
-        out = _weighted(kmat, z, sw, sw)
-    else:
-        out = np.empty((m, m))
-        np.multiply(kmat, (z * rule.weights)[None, :], out=out)
+    sw = np.sqrt(rule.weights)
+    out = _weighted(kmat, z, sw, sw)
     out.flat[:: m + 1] += 1.0
     return out
 
@@ -305,7 +306,7 @@ def _within_tolerance(
 
 
 def _nystrom_logdet(
-    kernel: KernelLike, z: float, a: float, b: float, m: int, symmetrize: bool = True
+    kernel: KernelLike, z: float, a: float, b: float, m: int
 ) -> tuple[float, float, int]:
     """``(sign, log|det|, rank)`` of the m-node Nystrom matrix of ``det(1 + z K)``.
 
@@ -348,33 +349,25 @@ def _nystrom_logdet(
         u, vt = factors
         sign, logdet = np.linalg.slogdet(np.eye(len(vt)) + vt @ u)
         return float(sign), float(logdet), len(vt)
-    if amat is not None and symmetrize:  # nystrom_matrix's array but for the identity
+    if amat is not None:  # nystrom_matrix's array but for the identity
         dense = amat
         dense.flat[:: m + 1] += 1.0
     else:
-        dense = nystrom_matrix(kernel, z, rule, symmetrize)
+        dense = nystrom_matrix(kernel, z, rule)
     sign, logdet = np.linalg.slogdet(dense)
     return float(sign), float(logdet), m
 
 
-def fredholm_det(
-    kernel: KernelLike,
-    z: float,
-    a: float,
-    b: float,
-    m: int,
-    symmetrize: bool = True,
-) -> float:
+def fredholm_det(kernel: KernelLike, z: float, a: float, b: float, m: int) -> float:
     """Nystrom approximation of the Fredholm determinant det(1 + z K).
 
     ``sign * exp(log|det|)`` of ``log_fredholm_det``'s low-rank or dense
-    route; ``symmetrize`` picks the dense matrix's weighting (the
-    determinant is the same). It is ``+-inf`` beyond the float range.
+    route. It is ``+-inf`` beyond the float range.
     Exact already at m = 1 for z = 0 and for rank-one kernels whose factor
     is integrated exactly by the rule; spectrally convergent for analytic
     kernels.
     """
-    sign, logdet, _ = _nystrom_logdet(kernel, z, a, b, m, symmetrize)
+    sign, logdet, _ = _nystrom_logdet(kernel, z, a, b, m)
     try:
         return sign * math.exp(logdet)
     except OverflowError:
@@ -496,25 +489,49 @@ def zeta_ratio_product(q: float, k: int) -> float:
     return float(np.exp(_first_log_euler_factors(q, k).sum()))
 
 
-def zeta_series(q: float, tol: float = 1e-12) -> float:
-    """zeta(q) = sum n^-q by partial sum plus Euler-Maclaurin tail.
+_EM_HEAD = 1024
+# B_2j / (2j)! for j = 1..4, the Euler-Maclaurin weights of f^(2j-1)
+_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 
-    The cutoff N is grown until the first omitted correction term is
-    below tol/2, so the absolute error is <= tol (down to roundoff).
+
+def _partial_zeta(s: float, k: float) -> float:
+    """sum_{j<=k} j^-s for s > 0: term by term up to a head, Euler-Maclaurin past it.
+
+    Past ``_EM_HEAD = N`` terms the sum is the head plus
+    ``int_N^k x^-s dx + (k^-s - N^-s) / 2`` and the B_2..B_8 corrections.
+    The first omitted one, ``|B_10| / 10! (s)_9 N^(-s-9)``, is below 1e-30
+    for every s > 0, so rounding sets the error: a few ulps, growing like
+    ``log(k)`` ulps through the rounding of s in ``k^(1-s)``. ``k`` is a
+    count or, for s > 1, ``math.inf``, where every power of k is 0.
+    """
+    n = min(k, _EM_HEAD)
+    head = float((np.arange(1, n + 1, dtype=float) ** -s).sum())
+    if k <= _EM_HEAD:
+        return head
+    log_ratio = math.log(k / n)
+    # int_N^k x^-s dx: for |u| > 1 the plain difference loses at most a factor
+    # e / (e - 1) to cancellation; nearer s = 1 it is N^(1-s) log(k/N) expm1(u) / u
+    u = (1.0 - s) * log_ratio
+    if abs(u) > 1.0:
+        integral = (k ** (1.0 - s) - n ** (1.0 - s)) / (1.0 - s)
+    else:
+        integral = n ** (1.0 - s) * (log_ratio * math.expm1(u) / u if u else log_ratio)
+    tail = integral + 0.5 * (k**-s - n**-s)
+    rising = s  # (s)_(2j-1), the rising factorial in f^(2j-1)(x) = -(s)_(2j-1) x^(-s-2j+1)
+    for j, weight in enumerate(_EM_WEIGHTS):
+        tail += weight * rising * (n ** (-s - 2 * j - 1) - k ** (-s - 2 * j - 1))
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
+    return head + tail
+
+
+def zeta_series(q: float) -> float:
+    """zeta(q) = sum n^-q, as the head-plus-Euler-Maclaurin sum ``_partial_zeta(q, inf)``.
+
+    Within 4e-16 relative of 50-digit mpmath for q from 1.1 to 50.
     """
     if not 1.0 < q < math.inf:  # NaN fails too
         raise DomainError(f"zeta series converges for finite q > 1, got {q}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    n_cut = 16
-    while q * (q + 1) * (q + 2) * n_cut ** (-q - 3) / 720.0 > 0.5 * tol:
-        n_cut *= 2
-        if n_cut >= 1 << 24:
-            break
-    n = np.arange(1, n_cut + 1, dtype=float)
-    partial = float((n**-q).sum())
-    tail = n_cut ** (1.0 - q) / (q - 1.0) - 0.5 * n_cut**-q + q * n_cut ** (-q - 1.0) / 12.0
-    return partial + tail
+    return _partial_zeta(q, math.inf)
 
 
 def prime_tail_bound(q: float, p_last: int) -> float:
@@ -522,7 +539,13 @@ def prime_tail_bound(q: float, p_last: int) -> float:
 
     log(1+x) <= x and primes thin out inside the integers, so the tail
     is below the integral bound p_last^(1-q) / (q - 1).
+
+    Raises
+    ------
+    DomainError
+        If q is not finite and above 1, or ``p_last`` is not an integer >= 2.
     """
     if not 1.0 < q < math.inf:  # NaN fails too
         raise DomainError(f"tail bound requires finite q > 1, got {q}")
+    p_last = _check_count(p_last, "last prime", 2)
     return float(p_last) ** (1.0 - q) / (q - 1.0)

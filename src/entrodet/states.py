@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, DomainError, TruncationInsufficient, _check_count
-from .fredholm import KernelSpec, _first_log_euler_factors, zeta_series
+from .fredholm import KernelSpec, _first_log_euler_factors, _partial_zeta, zeta_series
 from .linalg import (
     DensityMatrix,
     Spectrum,
@@ -271,40 +271,6 @@ def power_law_spectrum(eps: float, k: int) -> Spectrum:
     return as_spectrum(w / w.sum())
 
 
-_EM_HEAD = 1024
-# B_2j / (2j)! for j = 1..4, the Euler-Maclaurin weights of f^(2j-1)
-_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
-
-
-def _partial_zeta(s: float, k: int) -> float:
-    """sum_{j<=k} j^-s for s > 0: term by term up to a head, Euler-Maclaurin past it.
-
-    Past ``_EM_HEAD = N`` terms the sum is the head plus
-    ``int_N^k x^-s dx + (k^-s - N^-s) / 2`` and the B_2..B_8 corrections.
-    The first omitted one, ``|B_10| / 10! (s)_9 N^(-s-9)``, is below 1e-30
-    for every s > 0, so rounding sets the error: a few ulps, growing like
-    ``log(k)`` ulps through the rounding of s in ``k^(1-s)``.
-    """
-    n = min(k, _EM_HEAD)
-    head = float((np.arange(1, n + 1, dtype=float) ** -s).sum())
-    if k <= _EM_HEAD:
-        return head
-    log_ratio = math.log(k / n)
-    # int_N^k x^-s dx: for |u| > 1 the plain difference loses at most a factor
-    # e / (e - 1) to cancellation; nearer s = 1 it is N^(1-s) log(k/N) expm1(u) / u
-    u = (1.0 - s) * log_ratio
-    if abs(u) > 1.0:
-        integral = (k ** (1.0 - s) - n ** (1.0 - s)) / (1.0 - s)
-    else:
-        integral = n ** (1.0 - s) * (log_ratio * math.expm1(u) / u if u else log_ratio)
-    tail = integral + 0.5 * (k**-s - n**-s)
-    rising = s  # (s)_(2j-1), the rising factorial in f^(2j-1)(x) = -(s)_(2j-1) x^(-s-2j+1)
-    for j, weight in enumerate(_EM_WEIGHTS):
-        tail += weight * rising * (n ** (-s - 2 * j - 1) - k ** (-s - 2 * j - 1))
-        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
-    return head + tail
-
-
 @dataclass(frozen=True)
 class _PowerLaw:
     """k -> k^-p / z with p = 1 + eps and z = zeta(p), plus its partial power sums."""
@@ -329,8 +295,10 @@ def power_law_generator(eps: float) -> _PowerLaw:
     closed form: the first 1024 terms summed directly plus an
     Euler-Maclaurin remainder through B_8, within a few ulps of the exact
     sum (3e-16 relative against mpmath for r (1+eps) in [0.5, 2.5] and
-    K up to 1e12). The probe uses them to find a crossing in O(log K)
-    sums instead of scanning K values.
+    K up to 1e12). The normalizer ``zeta(1+eps)`` is the same sum taken
+    to K = inf, so the values and their partial sums agree to rounding.
+    The probe uses the partial sums to find a crossing in O(log K) sums
+    instead of scanning K values.
     """
     if not eps > 0:  # NaN fails too
         raise DomainError(f"power-law exponent must be positive, got {eps}")
@@ -431,23 +399,6 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
 # ---------------------------------------------------------------------------
 # two-mode squeezed vacuum
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SqueezedParams:
-    """Squeezing strength and Schmidt truncation order.
-
-    ``tail_mass`` is the geometric weight beyond the truncation,
-    (tanh^2 r)^(n_max + 1); useful as an accuracy diagnostic.
-    """
-
-    r: float
-    n_max: int
-
-    @property
-    def tail_mass(self) -> float:
-        t = math.tanh(self.r) ** 2
-        return t ** (self.n_max + 1)
 
 
 def squeezed_schmidt_spectrum(r: float, n_max: int) -> Spectrum:

@@ -421,7 +421,9 @@ class TestDivergenceProbe:
 
     @pytest.mark.parametrize("route", ["closed-form", "scan"])
     @pytest.mark.parametrize("counts", [{"k_max": 2.5}, {"k_max": math.nan}, {"k_max": 0},
-                                        {"k_max": -5}, {"chunk": 2.5}, {"chunk": -1}])
+                                        {"k_max": -5}, {"chunk": 2.5}, {"chunk": -1},
+                                        # past 2**53 indices are not exact doubles
+                                        {"k_max": 2**53 + 1}, {"k_max": 10**400}])
     def test_counts_checked_before_any_work(self, route, counts):
         lam = power_law_generator(1.0)
         calls = []

@@ -25,6 +25,17 @@ from entrodet.experiments import KERNELS, run_gaussian_experiment, run_xstate_ex
 EXP_RANK_ONE_DET = 4.1945280494653251  # 1 + (e^2 - 1)/2
 
 
+def kw_matrix(kernel, z, rule):
+    """The unsymmetrized Nystrom matrix eye + z K W, on two meshgrid arrays.
+
+    Similar to ``nystrom_matrix``'s symmetric form, so it has the same
+    determinant (Bornemann, Math. Comp. 2010).
+    """
+    xi, xj = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    kmat = np.asarray(kernel.evaluator(xi, xj), dtype=float)
+    return np.eye(rule.m) + z * rule.weights[np.newaxis, :] * kmat
+
+
 def legendre5(x):
     return (63 * x**5 - 70 * x**3 + 15 * x) / 8.0
 
@@ -164,10 +175,10 @@ class TestFredholmDet:
     def test_symmetrized_equals_unsymmetrized(self):
         from entrodet.states import squeezed_kernel
 
-        for kernel in (CONST, EXP1, squeezed_kernel()):
-            sym = fredholm_det(kernel, 0.8, 0, 2, 15, symmetrize=True)
-            raw = fredholm_det(kernel, 0.8, 0, 2, 15, symmetrize=False)
-            assert sym == pytest.approx(raw, rel=1e-12)
+        kink = KernelSpec(lambda x, y: np.exp(-np.abs(x - y)), "kink")  # full rank: dense
+        for kernel in (CONST, EXP1, squeezed_kernel(), kink):
+            raw = np.linalg.det(kw_matrix(kernel, 0.8, gauss_legendre(15, 0, 2)))
+            assert fredholm_det(kernel, 0.8, 0, 2, 15) == pytest.approx(raw, rel=1e-12)
 
     def test_non_finite_kernel(self):
         bad = KernelSpec(lambda x, y: 1.0 / (x - y + 0.0), "singular")
@@ -349,12 +360,19 @@ class TestZeta:
             states.zeta_spectrum(q, 2.0, 10**6)
         assert calls == []
 
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 2.6, 4.0, 8.0])
+    def test_series_against_mpmath(self, q):
+        with mpmath.workdps(50):
+            want = mpmath.zeta(q)
+            assert abs((mpmath.mpf(zeta_series(q)) - want) / want) < 1e-15
+
     def test_domain(self):
         for fn in (lambda: zeta_series(1.0), lambda: zeta_ratio_product(0.5, 3),
-                   lambda: prime_tail_bound(1.0, 10), lambda: zeta_series(2, tol=0.0),
+                   lambda: prime_tail_bound(1.0, 10),
                    lambda: zeta_series(math.nan), lambda: zeta_series(math.inf),
                    lambda: zeta_ratio_product(math.nan, 3), lambda: prime_tail_bound(math.nan, 10),
-                   lambda: zeta_series(2, tol=math.nan),
+                   lambda: prime_tail_bound(2.0, 0), lambda: prime_tail_bound(2.0, -3),
+                   lambda: prime_tail_bound(2.0, 2.5),
                    lambda: log_euler_factors(1.0, first_k_primes(3)),
                    lambda: log_euler_factors(math.nan, first_k_primes(3)),
                    lambda: log_euler_factors(math.inf, first_k_primes(3))):
@@ -369,35 +387,30 @@ class TestNystromMatrix:
         assert np.array_equal(m, np.eye(6))
 
     @staticmethod
-    def old_formula(kernel, z, rule, symmetrize):
-        # reference: the kernel on two full m x m meshgrid arrays, then eye + z W K
-        m = rule.m
+    def old_formula(kernel, z, rule):
+        # reference: the kernel on two full m x m meshgrid arrays, then eye + z W^1/2 K W^1/2
         xi, xj = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
         kmat = np.asarray(kernel.evaluator(xi, xj), dtype=float)
-        if symmetrize:
-            sw = np.sqrt(rule.weights)
-            return np.eye(m) + z * np.outer(sw, sw) * kmat
-        return np.eye(m) + z * rule.weights[np.newaxis, :] * kmat
+        sw = np.sqrt(rule.weights)
+        return np.eye(rule.m) + z * np.outer(sw, sw) * kmat
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
-    @pytest.mark.parametrize("symmetrize", [True, False])
-    def test_equals_meshgrid_formula(self, name, symmetrize):
+    def test_equals_meshgrid_formula(self, name):
         kernel = KERNELS[name][0]
         for m, z, a, b in ((1, 0.7, 0.0, 1.0), (7, -0.3, -1.5, 2.0), (64, 1.3, 0.0, 2.5)):
             rule = gauss_legendre(m, a, b)
-            got = nystrom_matrix(kernel, z, rule, symmetrize)
+            got = nystrom_matrix(kernel, z, rule)
             assert got.shape == (m, m)
-            assert np.array_equal(got, self.old_formula(kernel, z, rule, symmetrize))
+            assert np.array_equal(got, self.old_formula(kernel, z, rule))
 
-    @pytest.mark.parametrize("symmetrize", [True, False])
-    def test_broadcastable_and_read_only_kernel_results(self, symmetrize):
+    def test_broadcastable_and_read_only_kernel_results(self):
         # constant kernel: det(1 + zK) = 1 + z (b - a) at every m
         m, z, a, b = 9, -0.5, 0.0, 1.0
         col = np.ones((m, 1))
         frozen = np.ones((m, m))
         frozen.setflags(write=False)
         for evaluator in (lambda x, y: 1.0, lambda x, y: col, lambda x, y: frozen):
-            det = fredholm_det(evaluator, z, a, b, m, symmetrize=symmetrize)
+            det = fredholm_det(evaluator, z, a, b, m)
             assert det == pytest.approx(0.5, abs=1e-14)
         assert np.array_equal(col, np.ones((m, 1)))
         assert np.array_equal(frozen, np.ones((m, m)))
@@ -473,11 +486,14 @@ class TestLowRankDeterminant:
 
     @pytest.mark.parametrize("m", [40, 700])
     def test_fallback_keeps_the_weighting(self, m):
+        # m = 40 factors the one-block grid in place, m = 700 calls nystrom_matrix
         kink = KernelSpec(lambda x, y: np.exp(-np.abs(x - y)), "kink")
         rule = gauss_legendre(m, 0.0, 5.0)
-        for symmetrize in (True, False):
-            sign, logdet = np.linalg.slogdet(nystrom_matrix(kink, 0.5, rule, symmetrize))
-            assert fredholm_det(kink, 0.5, 0.0, 5.0, m, symmetrize) == sign * math.exp(logdet)
+        det = fredholm_det(kink, 0.5, 0.0, 5.0, m)
+        sign, logdet = np.linalg.slogdet(nystrom_matrix(kink, 0.5, rule))
+        assert det == sign * math.exp(logdet)
+        raw_sign, raw_logdet = np.linalg.slogdet(kw_matrix(kink, 0.5, rule))
+        assert det == pytest.approx(raw_sign * math.exp(raw_logdet), rel=1e-12)
 
     @pytest.mark.parametrize("m", [60, 257, 2000])
     def test_smooth_kernel_is_low_rank(self, m):

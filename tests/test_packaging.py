@@ -49,3 +49,12 @@ def test_only_linalg_reads_the_spectrum_tolerances():
                if names_used(node) & {"PSD_TOL", "TRACE_TOL"}}
     assert "linalg.py" in readers  # the scan sees the names at all
     assert readers == {"linalg.py"}, f"tolerances read outside linalg: {sorted(readers)}"
+
+
+def test_only_fredholm_reads_the_euler_maclaurin_weights():
+    # every zeta-type sum is the one Euler-Maclaurin sum in fredholm
+    readers = {path.name for path in (ROOT / "src" / "entrodet").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if names_used(node) & {"_EM_WEIGHTS"}}
+    assert "fredholm.py" in readers  # the scan sees the name at all
+    assert readers == {"fredholm.py"}, f"weights read outside fredholm: {sorted(readers)}"

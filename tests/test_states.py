@@ -20,10 +20,10 @@ from entrodet import (
     power_law_generator,
     power_law_spectrum,
     random_density,
+    run_gaussian_experiment,
     splice_spectrum,
     squeezed_kernel,
     squeezed_schmidt_spectrum,
-    SqueezedParams,
     validate_density,
     von_neumann,
     x_state,
@@ -359,8 +359,11 @@ class TestSqueezedSchmidt:
             assert abs(squeezed_schmidt_spectrum(r, n).values.sum() - 1.0) < 1e-12
 
     def test_tail_mass_diagnostic(self):
-        p = SqueezedParams(1.0, 10)
-        assert p.tail_mass == pytest.approx(math.tanh(1.0) ** 22, rel=1e-12)
+        # the sweep's schmidt_tail column is the geometric weight past n_max
+        report = run_gaussian_experiment([0.5, 1.0], n_max=10, m=4)
+        assert [rec["schmidt_tail"] for rec in report.records] == pytest.approx(
+            [math.tanh(0.5) ** 22, math.tanh(1.0) ** 22], rel=1e-12
+        )
 
     def test_series_entropy_matches_closed_form(self):
         t = math.tanh(1.0) ** 2
