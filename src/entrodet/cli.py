@@ -17,6 +17,7 @@ the JSON report goes to stdout. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,7 +46,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; tuple defaults keep parses apart."""
     parser = argparse.ArgumentParser(
         prog="entrodet",
         description="Quantum entropies via spectral formulas and Fredholm determinants.",
@@ -62,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=["e", "2"], default="e")
 
     p = sub.add_parser("xstate-experiment", help="triangle inequality on random X states")
-    p.add_argument("--d", type=_int_list, default=[2, 3, 4, 5],
+    p.add_argument("--d", type=_int_list, default=(2, 3, 4, 5),
                    help="comma-separated subsystem dimensions")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--r", type=float, default=2.0)
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaussian-experiment", help="squeezed-vacuum entropy sweep")
     p.add_argument("--r", type=_float_list,
-                   default=[round(0.1 * i, 10) for i in range(1, 10)] + list(range(1, 21)),
+                   default=tuple(round(0.1 * i, 10) for i in range(1, 10)) + tuple(range(1, 21)),
                    help="comma-separated squeezing grid")
     p.add_argument("--nmax", type=int, default=20000)
     p.add_argument("--m", type=int, default=40)
@@ -90,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quad-test", help="Nystrom determinant convergence")
     p.add_argument("--kernel", default="constant")
     p.add_argument("--z", type=float, default=1.0)
-    p.add_argument("--interval", type=float, nargs=2, default=[0.0, 1.0], metavar=("A", "B"))
-    p.add_argument("--m", type=_int_list, default=[2, 5, 10, 20], dest="m_list",
+    p.add_argument("--interval", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B"))
+    p.add_argument("--m", type=_int_list, default=(2, 5, 10, 20), dest="m_list",
                    help="comma-separated node counts")
     p.add_argument("--out", default=None)
 
@@ -135,9 +138,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit_report(report, args.out)
             return EXIT_OK if report.summary["passed"] == report.summary["total"] else EXIT_VALIDATION
         if args.command == "gaussian-experiment":
-            interval = tuple(args.interval) if args.interval is not None else None
             report = experiments.run_gaussian_experiment(
-                args.r, n_max=args.nmax, m=args.m, z=args.z, interval=interval,
+                args.r, n_max=args.nmax, m=args.m, z=args.z, interval=args.interval,
             )
             _emit_report(report, args.out)
             return EXIT_OK

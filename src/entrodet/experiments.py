@@ -1,6 +1,6 @@
 """Reproducible experiment runners with self-describing CSV/JSON reports.
 
-Each runner returns an :class:`ExperimentReport` whose per-record rows
+Each runner returns an :class:`ExperimentReport` whose result columns
 are a pure function of (master seed, record index), so reruns are
 byte-identical. The X-state sweep reads every spectrum off the closed
 form of stacked X states, with no matrix built and no eigensolver.
@@ -13,7 +13,6 @@ excluded from the determinism guarantee.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import time
@@ -32,13 +31,23 @@ ZETA_SLACK = 1e-10      # |log det - analytic| <= tail bound + slack
 
 @dataclass
 class ExperimentReport:
-    """One experiment run: parameters, per-record rows, summary."""
+    """One experiment run: parameters, result columns, summary.
+
+    ``columns`` maps each column name, in CSV order, to a NumPy array or a
+    list with one entry per row. The rows exist only as :attr:`records`.
+    """
 
     experiment: str
     params: dict
-    records: list[dict]
+    columns: dict
     summary: dict
     wall_time_s: float | None = None
+
+    @property
+    def records(self) -> list[dict]:
+        """One dict per row, built on each access; arrays give their ``tolist()``."""
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*values)]
 
     def to_json(self) -> str:
         payload = {
@@ -52,16 +61,14 @@ class ExperimentReport:
         return json.dumps(payload, default=_json_default)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# schema_version={SCHEMA_VERSION}\n")
-        out.write(f"# experiment={self.experiment}\n")
-        out.write(f"# params={json.dumps(self.params, default=_json_default)}\n")
-        if self.records:
-            cols = list(self.records[0].keys())
-            out.write(",".join(cols) + "\n")
-            for rec in self.records:
-                out.write(",".join(_csv_cell(rec[c]) for c in cols) + "\n")
-        return out.getvalue()
+        lines = [
+            f"# schema_version={SCHEMA_VERSION}",
+            f"# experiment={self.experiment}",
+            f"# params={json.dumps(self.params, default=_json_default)}",
+            ",".join(self.columns),
+            *map(",".join, zip(*map(_csv_column, self.columns.values()))),
+        ]
+        return "\n".join(lines) + "\n"
 
 
 def _json_default(v):
@@ -72,14 +79,12 @@ def _json_default(v):
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _csv_column(col) -> list[str]:
+    """One column's CSV cells: true/false, empty for None, else ``str`` (a float's repr)."""
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    if values and type(values[0]) is bool:
+        return ["true" if v else "false" for v in values]
+    return ["" if v is None else str(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -105,33 +110,34 @@ def run_xstate_experiment(
     """
     samples = _check_count(samples, "sample count", 0)
     seed = _check_count(seed, "seed", 0)
+    entropy._check_unified_params(r, s)
+    if len(d_list) == 0:
+        raise DomainError("d list must be non-empty")
     t0 = time.perf_counter()
-    records = []
+    full, diff = [], []
     for d in d_list:
         a, c, lam = states._x_states_admitted(d, seed, samples)
         (a_a, c_a), (a_b, c_b) = states.x_partial_traces(a, c, d)
-        hy_full = entropy.hu_ye_rows(lam, r, s)
-        hy_diff = np.abs(
+        full.append(entropy.hu_ye_rows(lam, r, s))
+        diff.append(np.abs(
             entropy.hu_ye_rows(states.x_eigvalsh(a_a, c_a), r, s)
             - entropy.hu_ye_rows(states.x_eigvalsh(a_b, c_b), r, s)
-        )
-        for idx, (full, diff) in enumerate(zip(hy_full.tolist(), hy_diff.tolist())):
-            records.append(
-                {
-                    "d": d,
-                    "sample": idx,
-                    "hy_full": full,
-                    "hy_diff": diff,
-                    "pass": diff <= full + TRIANGLE_SLACK,
-                }
-            )
-    violations = [rec["hy_diff"] - rec["hy_full"] for rec in records]
-    summary = {
-        "total": len(records),
-        "passed": sum(1 for rec in records if rec["pass"]),
-        "max_violation": max(violations) if violations else 0.0,
+        ))
+    hy_full, hy_diff = np.concatenate(full), np.concatenate(diff)
+    passed = hy_diff <= hy_full + TRIANGLE_SLACK
+    columns = {
+        "d": np.repeat(d_list, samples),
+        "sample": np.tile(np.arange(samples), len(d_list)),
+        "hy_full": hy_full,
+        "hy_diff": hy_diff,
+        "pass": passed,
     }
-    report = ExperimentReport(
+    summary = {
+        "total": len(passed),
+        "passed": int(passed.sum()),
+        "max_violation": float((hy_diff - hy_full).max()) if len(passed) else 0.0,
+    }
+    return ExperimentReport(
         "xstate-triangle",
         {
             "d_list": list(d_list),
@@ -141,11 +147,10 @@ def run_xstate_experiment(
             "seed": seed,
             "slack": TRIANGLE_SLACK,
         },
-        records,
+        columns,
         summary,
         wall_time_s=time.perf_counter() - t0,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -172,50 +177,46 @@ def run_gaussian_experiment(
     the given quadrature parameters. Determinant failures are recorded
     as flags; parameter errors raise :class:`DomainError` before any row.
     """
-    if not r_grid:
+    if len(r_grid) == 0:
         raise DomainError("r grid must be non-empty")
     if not all(math.isfinite(r) for r in r_grid):
         raise DomainError(f"squeezing grid must be finite, got {list(r_grid)}")
-    if not math.isfinite(z):
-        raise DomainError(f"kernel coupling z must be finite, got {z}")
-    if interval is not None and not -math.inf < interval[0] < interval[1] < math.inf:
-        raise DomainError(f"interval must be finite with a < b, got {tuple(interval)}")
+    fredholm._check_coupling(z)
+    if interval is not None:
+        fredholm._check_interval(*interval)
     fredholm._check_node_cap(m)
     _check_count(n_max, "truncation order")
     t0 = time.perf_counter()
     kernel = states.squeezed_kernel()
-    records = []
-    for r in r_grid:
-        naive = states.gaussian_entropy_analytic(r, "naive")
-        stable = states.gaussian_entropy_analytic(r, "stable")
-        schmidt = entropy.von_neumann(states.squeezed_schmidt_spectrum(r, n_max)) if r > 0 else 0.0
-        a, b = interval if interval is not None else (0.0, max(r, 0.25))
-        logdet = None
-        logdet_ok = True
+    naive = [states.gaussian_entropy_analytic(r, "naive") for r in r_grid]
+    stable = [states.gaussian_entropy_analytic(r, "stable") for r in r_grid]
+    schmidt = [
+        entropy.von_neumann(states.squeezed_schmidt_spectrum(r, n_max)) if r > 0 else 0.0
+        for r in r_grid
+    ]
+    ab = [interval if interval is not None else (0.0, max(r, 0.25)) for r in r_grid]
+    logdet = []
+    for a, b in ab:
         try:
-            logdet = fredholm.log_fredholm_det(kernel, z, a, b, m)
+            logdet.append(fredholm.log_fredholm_det(kernel, z, a, b, m))
         except (NonFiniteKernel, NonPositiveDeterminant):
-            logdet_ok = False
-        records.append(
-            {
-                "r": r,
-                "naive": naive,
-                "naive_overflow": not math.isfinite(naive),
-                "stable": stable,
-                "schmidt": schmidt,
-                "schmidt_tail": (math.tanh(r) ** 2) ** (n_max + 1),
-                "logdet": logdet,
-                "logdet_ok": logdet_ok,
-                "a": a,
-                "b": b,
-            }
-        )
+            logdet.append(None)
+    columns = {
+        "r": list(r_grid),
+        "naive": naive,
+        "naive_overflow": [not math.isfinite(v) for v in naive],
+        "stable": stable,
+        "schmidt": schmidt,
+        "schmidt_tail": [(math.tanh(r) ** 2) ** (n_max + 1) for r in r_grid],
+        "logdet": logdet,
+        "logdet_ok": [v is not None for v in logdet],
+        "a": [a for a, _ in ab],
+        "b": [b for _, b in ab],
+    }
     summary = {
-        "rows": len(records),
-        "naive_overflows": sum(1 for rec in records if rec["naive_overflow"]),
-        "max_abs_gap_stable_schmidt": max(
-            abs(rec["stable"] - rec["schmidt"]) for rec in records
-        ),
+        "rows": len(naive),
+        "naive_overflows": sum(columns["naive_overflow"]),
+        "max_abs_gap_stable_schmidt": max(abs(x - y) for x, y in zip(stable, schmidt)),
     }
     params = {
         "r_grid": list(r_grid),
@@ -226,7 +227,7 @@ def run_gaussian_experiment(
         "calibrated_profile": interval is None,
     }
     return ExperimentReport(
-        "gaussian-entropy", params, records, summary,
+        "gaussian-entropy", params, columns, summary,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -252,36 +253,32 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     primes = fredholm.first_k_primes(k)
     factors = fredholm.log_euler_factors(q, primes)
     lam = factors ** (1.0 / r)  # unnormalized zeta_spectrum; each checkpoint reads a prefix
-    records = []
-    for kk in sorted({min(10**i, k) for i in range(12)}):
-        logdet = entropy.log_det_r(lam[:kk], r)
-        product = float(np.exp(factors[:kk].sum()))
-        bound = fredholm.prime_tail_bound(q, int(primes[kk - 1]))
-        gap = abs(logdet - log_analytic)
-        records.append(
-            {
-                "k": kk,
-                "p_k": int(primes[kk - 1]),
-                "product": product,
-                "log_det": logdet,
-                "abs_gap": gap,
-                "rel_gap": gap / abs(log_analytic),
-                "tail_bound": bound,
-                "pass": gap <= bound + ZETA_SLACK,
-            }
-        )
-    final = records[-1]
+    ks = sorted({min(10**i, k) for i in range(12)})
+    p_k = [int(primes[kk - 1]) for kk in ks]
+    log_det = [entropy.log_det_r(lam[:kk], r) for kk in ks]
+    gap = [abs(v - log_analytic) for v in log_det]
+    bound = [fredholm.prime_tail_bound(q, p) for p in p_k]
+    columns = {
+        "k": ks,
+        "p_k": p_k,
+        "product": [float(np.exp(factors[:kk].sum())) for kk in ks],
+        "log_det": log_det,
+        "abs_gap": gap,
+        "rel_gap": [g / abs(log_analytic) for g in gap],
+        "tail_bound": bound,
+        "pass": [g <= tb + ZETA_SLACK for g, tb in zip(gap, bound)],
+    }
     summary = {
         "analytic_ratio": analytic,
         "log_analytic": log_analytic,
-        "final_gap": final["abs_gap"],
-        "final_tail_bound": final["tail_bound"],
-        "passed": all(rec["pass"] for rec in records),
+        "final_gap": gap[-1],
+        "final_tail_bound": bound[-1],
+        "passed": all(columns["pass"]),
     }
     return ExperimentReport(
         "zeta-identity",
         {"q": q, "r": r, "k": k, "slack": ZETA_SLACK},
-        records,
+        columns,
         summary,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -326,6 +323,10 @@ def run_quad_test(
         raise DomainError(
             f"unknown kernel {kernel_name!r}; registry: {sorted(KERNELS)}"
         )
+    fredholm._check_coupling(z)
+    fredholm._check_interval(a, b)
+    if len(m_list) == 0:
+        raise DomainError("m list must be non-empty")
     kernel, analytic_fn = KERNELS[kernel_name]
     try:
         analytic = analytic_fn(z, a, b) if analytic_fn else None
@@ -334,29 +335,20 @@ def run_quad_test(
             f"analytic determinant of {kernel_name!r} overflows on ({a}, {b})"
         ) from exc
     t0 = time.perf_counter()
-    records = []
-    prev = None
-    for m in m_list:
-        det = fredholm.fredholm_det(kernel, z, a, b, m)
-        records.append(
-            {
-                "m": m,
-                "det": det,
-                "diff_prev": None if prev is None else det - prev,
-                "analytic": analytic,
-                "abs_err": None if analytic is None else abs(det - analytic),
-            }
-        )
-        prev = det
-    summary = {
-        "kernel": kernel_name,
-        "final_det": records[-1]["det"] if records else None,
-        "final_abs_err": records[-1]["abs_err"] if records else None,
+    det = [fredholm.fredholm_det(kernel, z, a, b, m) for m in m_list]
+    abs_err = [None if analytic is None else abs(x - analytic) for x in det]
+    columns = {
+        "m": list(m_list),
+        "det": det,
+        "diff_prev": [None] + [x - prev for prev, x in zip(det, det[1:])],
+        "analytic": [analytic] * len(det),
+        "abs_err": abs_err,
     }
+    summary = {"kernel": kernel_name, "final_det": det[-1], "final_abs_err": abs_err[-1]}
     return ExperimentReport(
         "quadrature-convergence",
         {"kernel": kernel_name, "z": z, "a": a, "b": b, "m_list": list(m_list)},
-        records,
+        columns,
         summary,
         wall_time_s=time.perf_counter() - t0,
     )

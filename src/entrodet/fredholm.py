@@ -151,8 +151,7 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     midpoint. The rule on [-1, 1] is built once per m and cached.
     """
     m = _check_count(m, "node count")
-    if not -math.inf < a < b < math.inf:  # NaN fails too
-        raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
+    _check_interval(a, b)
     x, w = _reference_rule(m)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
     weights = 0.5 * (b - a) * w
@@ -168,6 +167,11 @@ def _evaluator(kernel: KernelLike) -> Callable:
 def _check_node_cap(m: int) -> None:
     if _check_count(m, "node count") > MAX_NODES:
         raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
+
+
+def _check_interval(a: float, b: float) -> None:
+    if not -math.inf < a < b < math.inf:  # NaN fails too
+        raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
 
 
 def _check_coupling(z: float) -> None:

@@ -146,6 +146,27 @@ class TestEntropyCommand:
         assert "FractionalPowerOfNegative" in proc.stderr
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [["entropy", "m.json", "--kind", "vn"],
+                                      ["xstate-experiment"], ["gaussian-experiment"],
+                                      ["zeta-check"], ["quad-test"]])
+    def test_sequence_defaults_are_tuples(self, argv):
+        args = vars(cli.build_parser().parse_args(argv))
+        sequences = {k: v for k, v in args.items() if isinstance(v, (list, tuple))}
+        assert all(type(v) is tuple for v in sequences.values()), sequences
+
+    def test_reuse_keeps_calls_apart(self, capsys):
+        assert cli.main(["xstate-experiment", "--d", "2", "--samples", "3"]) == 0
+        capsys.readouterr()
+        assert cli.main(["xstate-experiment"]) == 0
+        fresh = run_cli("xstate-experiment")
+        assert fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+
 class TestExperimentCommands:
     def test_xstate_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -162,6 +183,9 @@ class TestExperimentCommands:
     def test_xstate_zero_samples(self):
         proc = run_cli("xstate-experiment", "--d", "2,3,4,5", "--samples", "0")
         assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert [ln.startswith("#") for ln in lines] == [True, True, True, False]
+        assert lines[-1] == "d,sample,hy_full,hy_diff,pass"
 
     def test_xstate_csv_to_stdout(self):
         proc = run_cli("xstate-experiment", "--d", "2", "--samples", "2", "--seed", "1")
@@ -236,6 +260,13 @@ class TestExperimentCommands:
         ("gaussian-experiment", "--m", "0"),
         ("gaussian-experiment", "--m", "20000"),  # above MAX_NODES
         ("xstate-experiment", "--seed", "-1"),
+        # an empty list skipped every other check and exited 0
+        ("xstate-experiment", "--d", ",", "--r", "nan"),
+        ("xstate-experiment", "--d", ","),
+        ("xstate-experiment", "--s", "nan"),
+        ("quad-test", "--m", ",", "--interval", "1", "0"),
+        ("quad-test", "--m", ",", "--z", "nan"),
+        ("quad-test", "--m", ","),
     ])
     def test_nan_parameter_exit_4(self, args):
         proc = run_cli(*args)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrodet import (
+    cli,
     fredholm,
     hu_ye,
     log_det_r,
@@ -19,7 +21,7 @@ from entrodet import (
     zeta_spectrum,
 )
 from entrodet.errors import ConstraintViolation, DomainError
-from entrodet.experiments import TRIANGLE_SLACK
+from entrodet.experiments import SCHEMA_VERSION, TRIANGLE_SLACK, _json_default
 
 
 class TestXStateExperiment:
@@ -33,6 +35,15 @@ class TestXStateExperiment:
         report = run_xstate_experiment([2, 3, 4, 5], samples=0, seed=1)
         assert report.records == []
         assert report.summary["total"] == 0
+        # the column names are known without a row, so the header is written
+        assert report.to_csv().splitlines()[-1] == "d,sample,hy_full,hy_diff,pass"
+
+    @pytest.mark.parametrize("kwargs", [{"d_list": []}, {"d_list": [], "r": math.nan},
+                                        {"d_list": [2], "r": math.nan},
+                                        {"d_list": [2], "s": 0.0}, {"d_list": [2], "r": 1.0}])
+    def test_parameters_checked_before_any_row(self, kwargs):
+        with pytest.raises(DomainError):
+            run_xstate_experiment(samples=0, **kwargs)
 
     def test_deterministic_csv(self):
         a = run_xstate_experiment([2, 3], samples=10, seed=7).to_csv()
@@ -234,6 +245,13 @@ class TestQuadTest:
             with pytest.raises(DomainError):
                 run_quad_test(kernel, 1.0, 0.0, math.inf, [5])
 
+    @pytest.mark.parametrize("z, a, b, m_list", [(1.0, 0.0, 1.0, []), (1.0, 1.0, 0.0, []),
+                                                 (math.nan, 0.0, 1.0, []),
+                                                 (math.nan, 0.0, 1.0, [5])])
+    def test_parameters_checked_before_any_row(self, z, a, b, m_list):
+        with pytest.raises(DomainError):
+            run_quad_test("constant", z, a, b, m_list)
+
 
 class TestReportSerialization:
     def test_csv_self_describing(self):
@@ -270,3 +288,91 @@ class TestReportSerialization:
         b = json.loads(run_xstate_experiment([2], samples=5, seed=2).to_json())
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
+
+
+def old_csv(experiment: str, params: dict, records: list[dict]) -> str:
+    """The row-by-row writer that formatted each cell through ``_csv_cell``."""
+
+    def _csv_cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+
+    out = io.StringIO()
+    out.write(f"# schema_version={SCHEMA_VERSION}\n")
+    out.write(f"# experiment={experiment}\n")
+    out.write(f"# params={json.dumps(params, default=_json_default)}\n")
+    if records:
+        cols = list(records[0].keys())
+        out.write(",".join(cols) + "\n")
+        for rec in records:
+            out.write(",".join(_csv_cell(rec[c]) for c in cols) + "\n")
+    return out.getvalue()
+
+
+def check_against_row_writer(report) -> None:
+    """``to_csv`` equals the row writer on ``records``, and on the rows ``to_json`` wrote."""
+    csv_text = report.to_csv()
+    assert csv_text == old_csv(report.experiment, report.params, report.records)
+    payload = json.loads(report.to_json())
+    assert list(payload) == ["schema_version", "experiment", "params", "summary", "records",
+                             "wall_time_s"]
+    assert payload["schema_version"] == SCHEMA_VERSION
+    assert payload["summary"] == report.summary
+    assert payload["wall_time_s"] == report.wall_time_s
+    assert csv_text == old_csv(payload["experiment"], payload["params"], payload["records"])
+
+
+def cli_report(monkeypatch, argv):
+    """The report ``entrodet <argv>`` would print, caught before it is written."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit_report", lambda report, out: seen.append(report))
+    cli.main(argv)
+    return seen[0]
+
+
+class TestColumnarReport:
+    @pytest.mark.parametrize("command", ["xstate-experiment", "gaussian-experiment",
+                                         "zeta-check", "quad-test"])
+    def test_csv_and_json_equal_the_row_writer_at_cli_defaults(self, monkeypatch, command):
+        check_against_row_writer(cli_report(monkeypatch, [command]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: run_xstate_experiment(range(2, 9), 200, seed=7),
+        lambda: run_gaussian_experiment([0.5, 1, 25.0], n_max=50, z=-2.0, interval=(0.0, 1.0)),
+        lambda: run_quad_test("squeezed", 0.5, 0.0, 2.0, [4, 8, 16]),
+        lambda: run_quad_test("constant", -0.5, 0.0, 1.0, [1]),
+    ], ids=["xstate-200", "gaussian-logdet-none", "quad-analytic-none", "quad-one-row"])
+    def test_csv_and_json_equal_the_row_writer(self, make):
+        check_against_row_writer(make())
+
+    def test_none_cells(self):
+        gaussian = run_gaussian_experiment([0.5], n_max=50, z=-2.0, interval=(0.0, 1.0))
+        assert gaussian.records[0]["logdet"] is None
+        assert gaussian.to_csv().splitlines()[-1].split(",")[6] == ""
+        quad = run_quad_test("squeezed", 0.5, 0.0, 2.0, [4, 8])
+        first = quad.to_csv().splitlines()[-2].split(",")
+        assert first[0] == "4" and first[2:] == ["", "", ""]  # diff_prev, analytic, abs_err
+
+    @pytest.mark.parametrize("make", [
+        lambda: run_xstate_experiment([2, 3], 4, seed=7),
+        lambda: run_gaussian_experiment([0.5, 1, 25.0], n_max=50),
+        lambda: run_zeta_check(2.0, 2.0, 1000),
+        lambda: run_quad_test("squeezed", 0.5, 0.0, 2.0, [4, 8]),
+    ], ids=["xstate", "gaussian", "zeta", "quad"])
+    def test_records_hold_python_scalars(self, make):
+        report = make()
+        for row in report.records:
+            assert {type(v) for v in row.values()} <= {int, float, bool, type(None)}
+        assert list(report.records[0]) == list(report.columns)
+
+    def test_records_are_derived_and_read_only(self):
+        report = run_xstate_experiment([2], 3, seed=1)
+        report.records[0]["pass"] = "edited"
+        assert report.records[0]["pass"] is True
+        with pytest.raises(AttributeError):
+            report.records = []
