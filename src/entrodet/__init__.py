@@ -55,7 +55,6 @@ from .linalg import (
 )
 from .matrixio import load_matrix, save_matrix
 from .states import (
-    XStateParams,
     diag_state,
     gaussian_entropy_analytic,
     log_power_spectrum,

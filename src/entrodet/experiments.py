@@ -116,9 +116,9 @@ def run_xstate_experiment(
     t0 = time.perf_counter()
     full, diff = [], []
     for d in d_list:
-        a, c, lam = states._x_states_admitted(d, seed, samples)
+        a, c = states.x_states_random(d, seed, samples)
         (a_a, c_a), (a_b, c_b) = states.x_partial_traces(a, c, d)
-        full.append(entropy.hu_ye_rows(lam, r, s))
+        full.append(entropy.hu_ye_rows(states.x_eigvalsh(a, c), r, s))
         diff.append(np.abs(
             entropy.hu_ye_rows(states.x_eigvalsh(a_a, c_a), r, s)
             - entropy.hu_ye_rows(states.x_eigvalsh(a_b, c_b), r, s)
@@ -247,8 +247,7 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     """
     analytic = fredholm.zeta_series(q) / fredholm.zeta_series(2.0 * q)
     log_analytic = math.log(analytic)
-    if not 1.0 < r < math.inf:  # NaN fails too
-        raise DomainError(f"deformation order must be finite and exceed 1, got {r}")
+    states._check_exponent(r, "deformation order", 1.0)
     t0 = time.perf_counter()
     primes = fredholm.first_k_primes(k)
     factors = fredholm.log_euler_factors(q, primes)

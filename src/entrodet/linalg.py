@@ -26,6 +26,7 @@ from .errors import (
     NotNormalized,
     NotPositive,
     TraceNotOne,
+    _check_count,
 )
 
 # Default tolerances; double precision leaves ample headroom at dim <= 2048.
@@ -255,6 +256,8 @@ def partial_trace(q: MatrixLike, d_a: int, d_b: int, keep: str = "A") -> Density
     bare array must pass :func:`validate_density` and raises its errors
     otherwise; a :class:`DensityMatrix` is taken as it is.
     """
+    d_a = _check_count(d_a, "subsystem dimension d_a")
+    d_b = _check_count(d_b, "subsystem dimension d_b")
     m = q.mat if isinstance(q, DensityMatrix) else validate_density(q).mat
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatch(

@@ -1,9 +1,11 @@
 """Generators for the state families used throughout the package.
 
-Finite-dimensional: X-shaped bipartite density matrices (diagonal plus
-anti-diagonal couplings) with a positivity-guaranteeing sampler, the
+Finite-dimensional: X-shaped bipartite density matrices, each held as
+its diagonal ``a`` and anti-diagonal couplings ``c`` in one layout from
+the sampler to the sweep, with a positivity-guaranteeing sampler, the
 closed-form spectra and reductions of stacked X states, and embeddings
-of spectra as diagonal states.
+of spectra as diagonal states. Stacks are checked against the X-state
+bounds only; their spectra are admitted where they are consumed.
 
 Truncated infinite-dimensional spectra: power laws ``k^-(1+eps)``
 (divergent power sums for small orders), log-power laws
@@ -23,45 +25,15 @@ import numpy as np
 
 from .errors import ConstraintViolation, DomainError, TruncationInsufficient, _check_count
 from .fredholm import KernelSpec, _first_log_euler_factors, _partial_zeta, zeta_series
-from .linalg import (
-    DensityMatrix,
-    Spectrum,
-    SpectrumLike,
-    _admit,
-    as_spectrum,
-    validate_density,
-)
+from .linalg import DensityMatrix, Spectrum, SpectrumLike, as_spectrum, validate_density
 
 
-@dataclass(frozen=True)
-class XStateParams:
-    """Parameters of a d x d bipartite X-shaped state (n = d^2 total).
-
-    ``diag`` holds the n diagonal entries (non-negative, summing to 1).
-    The anti-diagonal carries l = floor(n/4) outer couplings ``w`` on
-    pairs (i, n+1-i), i = 1..l, and l inner couplings ``z`` on pairs
-    (l+i, n-l+1-i); for odd n the central diagonal entry is uncoupled.
-    Positivity holds iff every coupling obeys its 2x2 Schur bound
-    |c|^2 <= a_i a_j over its anti-diagonal pair.
-    """
-
-    d: int
-    diag: np.ndarray
-    outer: np.ndarray
-    inner: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.d * self.d
-
-    @property
-    def l(self) -> int:
-        return (self.d * self.d) // 4
-
-
-# Stacked X states are held as diagonals ``a`` of shape (S, n) and
-# couplings ``c`` of shape (S, n // 2): c[:, p] sits at (p, n-1-p), so the
-# l outer couplings come first and the l inner ones after them.
+# An X state on n = d^2 levels is held as its diagonal ``a`` (n entries) and
+# couplings ``c`` (n // 2 entries), c[p] sitting at (p, n-1-p): the l = n // 4
+# outer couplings w come first and the l inner ones z after them; for odd n
+# the central diagonal entry is uncoupled. Stacks of S states have shapes
+# (S, n) and (S, n // 2). Positivity holds iff every coupling obeys its 2x2
+# Schur bound |c_p|^2 <= a_p a_{n-1-p}.
 
 
 def _check_x(a: np.ndarray, c: np.ndarray) -> None:
@@ -79,13 +51,13 @@ def _check_x(a: np.ndarray, c: np.ndarray) -> None:
         s, p = neg[0]
         raise ConstraintViolation(f"{where(s)}diagonal entry a[{p}] = {a[s, p]:.3e} < 0")
     sums = a.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-10))  # NaN fails too
     if bad.size:
         s = bad[0]
         raise ConstraintViolation(f"{where(s)}diagonal sums to {sums[s]:.12g}, expected 1")
     bound = a[:, : n // 2] * a[:, ::-1][:, : n // 2]
     mag2 = np.abs(c) ** 2
-    over = np.argwhere(mag2 > bound + 1e-12)
+    over = np.argwhere(~(mag2 <= bound + 1e-12))
     if over.size:
         s, p = over[0]
         name, i = ("w", p + 1) if p < l else ("z", p - l + 1)
@@ -95,27 +67,22 @@ def _check_x(a: np.ndarray, c: np.ndarray) -> None:
         )
 
 
-def x_state(params: XStateParams) -> DensityMatrix:
-    """Assemble and validate the X-shaped density matrix.
+def x_state(a: np.ndarray, c: np.ndarray) -> DensityMatrix:
+    """Assemble and validate one X-shaped density matrix from its ``(a, c)``.
 
     Raises
     ------
     ConstraintViolation
-        Naming the first violated bound (diagonal normalization,
-        negativity, coupling length, or a Schur pair bound).
+        Naming the first violated bound (shape, negativity, diagonal
+        normalization, or a Schur pair bound).
     """
-    n = params.n
-    a = np.asarray(params.diag, dtype=float)
-    if a.shape != (n,):
-        raise ConstraintViolation(f"diagonal must have length {n}, got {a.shape}")
-    w = np.asarray(params.outer, dtype=complex)
-    z = np.asarray(params.inner, dtype=complex)
-    if w.shape != (params.l,) or z.shape != (params.l,):
-        raise ConstraintViolation(
-            f"expected {params.l} outer and {params.l} inner couplings, "
-            f"got {w.shape} and {z.shape}"
-        )
-    c = np.concatenate([w, z])
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=complex)
+    n = a.size
+    if a.ndim != 1 or not n or math.isqrt(n) ** 2 != n:
+        raise ConstraintViolation(f"diagonal must be 1-D of square length, got shape {a.shape}")
+    if c.shape != (n // 2,):
+        raise ConstraintViolation(f"expected {n // 2} couplings for {n} levels, got {c.shape}")
     _check_x(a[np.newaxis], c[np.newaxis])
     p = np.arange(len(c))
     mat = np.diag(a).astype(complex)
@@ -161,18 +128,7 @@ def x_state_random(d: int, seed: int, index: int = 0) -> DensityMatrix:
     """
     d = _check_dim(d)
     a, c = _x_samples(d, seed, _check_count(index, "sample index", 0), 1)
-    l = (d * d) // 4
-    return x_state(XStateParams(d, a[0], c[0, :l], c[0, l:]))
-
-
-def _x_states_admitted(d: int, seed: int, samples: int) -> tuple[np.ndarray, ...]:
-    """:func:`x_states_random`'s ``(a, c)`` and the admitted spectra of its states."""
-    d = _check_dim(d)
-    a, c = _x_samples(d, seed, 0, _check_count(samples, "sample count", 0))
-    _check_x(a, c)
-    lam = x_eigvalsh(a, c)
-    _admit(lam, normalized=True)
-    return a, c, lam
+    return x_state(a[0], c[0])
 
 
 def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,19 +138,22 @@ def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.nda
     (samples, d^2 // 2), with ``c[:, p]`` the entry at (p, d^2-1-p).
     Every sample comes from one draw of ``samples * w`` doubles off the
     stream described in :func:`x_state_random`, so row i equals
-    ``x_state_random(d, seed, i)`` bit for bit. The same checks apply, with
-    the closed-form spectra of :func:`x_eigvalsh` admitted as states in
-    place of an eigensolver.
+    ``x_state_random(d, seed, i)`` bit for bit. The same bounds are checked
+    as in :func:`x_state`; no matrix is built, so the spectra
+    (:func:`x_eigvalsh`) are left to the caller to admit.
 
     Raises
     ------
     DomainError
         If d is not an integer in 2..8, or samples or seed is not an
         integer >= 0.
-    ConstraintViolation, NotPositive, NotNormalized
-        Naming the first sample that breaks a bound or has no state's spectrum.
+    ConstraintViolation
+        Naming the first sample that breaks a bound.
     """
-    return _x_states_admitted(d, seed, samples)[:2]
+    d = _check_dim(d)
+    a, c = _x_samples(d, seed, 0, _check_count(samples, "sample count", 0))
+    _check_x(a, c)
+    return a, c
 
 
 def x_eigvalsh(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -256,6 +215,11 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _check_exponent(x: float, what: str, low: float = 0.0) -> None:
+    if not low < x < math.inf:  # NaN fails too
+        raise DomainError(f"{what} must be finite and exceed {low:g}, got {x}")
+
+
 def power_law_spectrum(eps: float, k: int) -> Spectrum:
     """Normalized truncation of the power-law spectrum lam_j ~ j^-(1+eps).
 
@@ -263,8 +227,7 @@ def power_law_spectrum(eps: float, k: int) -> Spectrum:
     when s <= 1/(1+eps), which makes this the canonical witness family
     for divergent deformed entropies.
     """
-    if not eps > 0:  # NaN fails too
-        raise DomainError(f"power-law exponent must be positive, got {eps}")
+    _check_exponent(eps, "power-law exponent")
     k = _check_count(k, "truncation length")
     j = np.arange(1, k + 1, dtype=float)
     w = j ** -(1.0 + eps)
@@ -300,8 +263,7 @@ def power_law_generator(eps: float) -> _PowerLaw:
     The probe uses the partial sums to find a crossing in O(log K) sums
     instead of scanning K values.
     """
-    if not eps > 0:  # NaN fails too
-        raise DomainError(f"power-law exponent must be positive, got {eps}")
+    _check_exponent(eps, "power-law exponent")
     return _PowerLaw(1.0 + eps, zeta_series(1.0 + eps))
 
 
@@ -313,8 +275,7 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     (1, 2): the canonical example separating the plain and renormalized
     von Neumann entropies.
     """
-    if not beta > 1:  # NaN fails too
-        raise DomainError(f"log-power exponent must exceed 1, got {beta}")
+    _check_exponent(beta, "log-power exponent", 1.0)
     k = _check_count(k, "truncation length")
     n = np.arange(2, k + 2, dtype=float)
     w = 1.0 / (n * np.log(n) ** beta)
@@ -341,23 +302,27 @@ def splice_spectrum(
 
     Raises
     ------
+    DomainError
+        Unless eps, delta and probe_r are positive (eps and probe_r finite),
+        threshold is finite and >= 0, and k_max is an integer >= 1.
     TruncationInsufficient
         If no tail length within ``k_max`` entries reaches the threshold.
     """
     base = as_spectrum(spec, normalized=True)
-    if not (eps > 0 and delta > 0):  # NaN fails too
-        raise DomainError(f"eps and delta must be positive, got {eps}, {delta}")
-    if not threshold >= 0:
-        raise DomainError(f"threshold must be >= 0, got {threshold}")
+    _check_exponent(eps, "power-law exponent")
+    if not delta > 0:  # NaN fails too
+        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0 <= threshold < math.inf:
+        raise DomainError(f"threshold must be finite and >= 0, got {threshold}")
     if probe_r is None:
         probe_r = 1.0 / (1.0 + eps)
-    elif math.isnan(probe_r):
-        raise DomainError("probe order must not be NaN")
+    _check_exponent(probe_r, "probe order")
+    k_max = _check_count(k_max, "maximum tail length")
     head_len = len(base)
     t = min(delta / 3.0, 0.9)
     head = (1.0 - t) * base.values
 
-    tail_len = 1024
+    tail_len = min(1024, k_max)
     while True:
         j = np.arange(head_len + 1, head_len + tail_len + 1, dtype=float)
         raw = j ** -(1.0 + eps)
@@ -388,8 +353,7 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
     determinant log is then exactly sum_i log(1 + p_i^-q), which
     converges to log(zeta(q) / zeta(2q)) as k grows.
     """
-    if not 1.0 < r < math.inf:  # NaN fails too
-        raise DomainError(f"deformation order must be finite and exceed 1, got {r}")
+    _check_exponent(r, "deformation order", 1.0)
     lam = _first_log_euler_factors(q, k) ** (1.0 / r)
     if normalized:
         return as_spectrum(lam / lam.sum())

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import entrodet
 from entrodet import (
     cli,
     fredholm,
     hu_ye,
+    linalg,
     log_det_r,
     partial_trace,
     run_gaussian_experiment,
@@ -74,6 +76,21 @@ class TestXStateExperiment:
         monkeypatch.setattr(states, "_x_samples", too_strong)
         with pytest.raises(ConstraintViolation, match="Schur bound"):
             run_xstate_experiment([3], samples=4, seed=1)
+
+    def test_one_admission_per_spectrum_stack(self, monkeypatch):
+        # per d: the full states' spectra and those of the two reductions
+        admit = linalg._admit
+        calls = []
+
+        def counting(lam, normalized):
+            calls.append(lam.shape)
+            return admit(lam, normalized)
+
+        for module in vars(entrodet).values():
+            if getattr(module, "_admit", None) is admit:
+                monkeypatch.setattr(module, "_admit", counting)
+        run_xstate_experiment([2, 3], samples=5)
+        assert calls == [(5, 4), (5, 2), (5, 2), (5, 9), (5, 3), (5, 3)]
 
     def test_record_columns(self):
         report = run_xstate_experiment([2], samples=2, seed=3)

@@ -189,6 +189,11 @@ class TestPartialTrace:
         with pytest.raises(DomainError):
             partial_trace(BELL, 2, 2, "C")
 
+    @pytest.mark.parametrize("d_a,d_b", [(2.0, 2.0), (2, 2.0), (0, 4), (4, 0), (-2, -2)])
+    def test_dimensions_are_counts(self, d_a, d_b):
+        with pytest.raises(DomainError, match="subsystem dimension"):
+            partial_trace(BELL, d_a, d_b, "A")
+
 
 class TestSchattenNorms:
     def test_trace_norm_of_state(self):

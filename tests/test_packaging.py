@@ -1,9 +1,10 @@
-"""Every third-party package that entrodet imports is a declared runtime dependency."""
+"""Packaging checks: declared runtime dependencies, the modules that read shared constants, and the pinned public API."""
 
 import ast
 import re
 import sys
 import tomllib
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +59,29 @@ def test_only_fredholm_reads_the_euler_maclaurin_weights():
                if names_used(node) & {"_EM_WEIGHTS"}}
     assert "fredholm.py" in readers  # the scan sees the name at all
     assert readers == {"fredholm.py"}, f"weights read outside fredholm: {sorted(readers)}"
+
+
+PUBLIC_NAMES = [
+    "DensityMatrix", "EntropyParams", "EntropyResult", "ExperimentReport", "KernelSpec",
+    "ProbeResult", "QuadratureRule", "Spectrum", "alpha_star", "as_spectrum", "diag_state",
+    "divergence_probe", "eig_hermitian", "evaluate", "f_r", "first_k_primes", "fredholm_det",
+    "gauss_legendre", "gaussian_entropy_analytic", "hu_ye", "hy_bound", "hy_fredholm",
+    "hy_renormalized", "load_matrix", "log_det_r", "log_det_ren", "log_euler_factors",
+    "log_fredholm_det", "log_power_spectrum", "matrix_function", "nystrom_matrix",
+    "partial_trace", "power_law_generator", "power_law_spectrum", "prime_tail_bound",
+    "random_density", "renyi", "run_gaussian_experiment", "run_quad_test",
+    "run_xstate_experiment", "run_zeta_check", "save_matrix", "schatten_norm", "spectrum_of",
+    "splice_spectrum", "squeezed_kernel", "squeezed_schmidt_spectrum", "trace_distance",
+    "trace_power", "tsallis", "validate_density", "vn_renormalized", "vn_via_fredholm",
+    "von_neumann", "x_state", "x_state_random", "zeta_ratio_product", "zeta_series",
+    "zeta_spectrum",
+]
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package's API shows up as a diff of this list
+    import entrodet
+
+    exported = sorted(name for name, value in vars(entrodet).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == PUBLIC_NAMES

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entrodet import (
-    XStateParams,
     diag_state,
     divergence_probe,
     eig_hermitian,
@@ -41,39 +40,54 @@ from entrodet.states import x_eigvalsh, x_partial_traces, x_states_random
 
 class TestXState:
     def test_bell_state(self):
-        params = XStateParams(2, np.array([0.5, 0, 0, 0.5]), np.array([0.5 + 0j]),
-                              np.array([0j]))
-        q = x_state(params)
+        q = x_state(np.array([0.5, 0, 0, 0.5]), np.array([0.5 + 0j, 0j]))
         spec, _ = eig_hermitian(q)
         assert np.allclose(spec.values, [1, 0, 0, 0], atol=1e-12)
 
     def test_uniform_diagonal(self):
-        params = XStateParams(2, np.full(4, 0.25), np.array([0j]), np.array([0j]))
-        q = x_state(params)
+        q = x_state(np.full(4, 0.25), np.zeros(2, complex))
         assert np.abs(q.mat - np.eye(4) / 4).max() < 1e-15
 
     def test_schur_bound_violation_named(self):
-        params = XStateParams(2, np.array([0.5, 0, 0, 0.5]), np.array([0.51 + 0j]),
-                              np.array([0j]))
         with pytest.raises(ConstraintViolation, match="w_1"):
-            x_state(params)
+            x_state(np.array([0.5, 0, 0, 0.5]), np.array([0.51 + 0j, 0j]))
+
+    def test_inner_coupling_violation_named(self):
+        with pytest.raises(ConstraintViolation, match="z_1"):
+            x_state(np.array([0.5, 0, 0, 0.5]), np.array([0j, 0.1 + 0j]))
 
     def test_diagonal_preserved_under_couplings(self, rng):
         for d in (2, 3, 4):
             q = x_state_random(d, 7)
             n = d * d
             diag = np.diag(q.mat).real
-            bare = x_state(XStateParams(d, diag, np.zeros(n // 4, complex),
-                                        np.zeros(n // 4, complex)))
+            bare = x_state(diag, np.zeros(n // 2, complex))
             assert np.abs(np.diag(bare.mat) - np.diag(q.mat)).max() < 1e-15
 
     def test_bad_diag(self):
         with pytest.raises(ConstraintViolation):
-            x_state(XStateParams(2, np.array([0.5, 0.5, 0.5, -0.5]),
-                                 np.array([0j]), np.array([0j])))
+            x_state(np.array([0.5, 0.5, 0.5, -0.5]), np.zeros(2, complex))
         with pytest.raises(ConstraintViolation):
-            x_state(XStateParams(2, np.array([0.5, 0.5, 0.5, 0.5]),
-                                 np.array([0j]), np.array([0j])))
+            x_state(np.array([0.5, 0.5, 0.5, 0.5]), np.zeros(2, complex))
+        with pytest.raises(ConstraintViolation, match="sums to nan"):
+            x_state(np.array([math.nan, 0.5, 0.5, 0.0]), np.zeros(2, complex))
+        with pytest.raises(ConstraintViolation, match="w_1"):
+            x_state(np.full(4, 0.25), np.array([math.nan, 0j]))
+
+    @pytest.mark.parametrize("a,c,message", [
+        (np.full(4, 0.25), np.zeros(1, complex), "expected 2 couplings"),
+        (np.full(4, 0.25), np.zeros(3, complex), "expected 2 couplings"),
+        (np.full(9, 1 / 9), np.zeros((1, 4), complex), "expected 4 couplings"),
+        (np.full(5, 0.2), np.zeros(2, complex), "square length"),
+        (np.full((2, 2), 0.25), np.zeros(2, complex), "square length"),
+        (np.zeros(0), np.zeros(0, complex), "square length"),
+    ], ids=["c-short", "c-long", "c-2d", "a-not-square", "a-2d", "a-empty"])
+    def test_shape_errors(self, a, c, message):
+        with pytest.raises(ConstraintViolation, match=message):
+            x_state(a, c)
+
+    def test_single_level(self):
+        assert x_state(np.ones(1), np.zeros(0, complex)).dim == 1
 
 
 class TestXStateRandom:
@@ -261,6 +275,16 @@ class TestPowerLawSpectrum:
         with pytest.raises(DomainError):
             power_law_generator(math.nan)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_exponent(self):
+        # every builder refuses eps = inf the same way, before any numerics
+        for build in (lambda: power_law_spectrum(math.inf, 5),
+                      lambda: power_law_generator(math.inf),
+                      lambda: splice_spectrum([1.0], math.inf, 0.1, 3.0),
+                      lambda: log_power_spectrum(math.inf, 5)):
+            with pytest.raises(DomainError, match="exponent must be finite"):
+                build()
+
 
 class TestSpliceSpectrum:
     def test_pure_state_splice(self):
@@ -286,6 +310,9 @@ class TestSpliceSpectrum:
     def test_truncation_insufficient(self):
         with pytest.raises(TruncationInsufficient):
             splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=50.0, k_max=4096)
+        # a cap below the first tail length of 1024 is kept too
+        with pytest.raises(TruncationInsufficient, match="at tail length 10$"):
+            splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=50.0, k_max=10)
 
     def test_large_delta_admits_any_tail(self):
         spliced = splice_spectrum([1.0], eps=1.0, delta=2.0, threshold=1.0)
@@ -293,10 +320,12 @@ class TestSpliceSpectrum:
 
     def test_domain(self):
         for kw in ({"eps": 0.0}, {"delta": -1.0}, {"threshold": -1.0}, {"eps": math.nan},
-                   {"delta": math.nan}, {"threshold": math.nan}, {"probe_r": math.nan}):
-            args = {"eps": 1.0, "delta": 0.1, "threshold": 3.0, **kw}
+                   {"delta": math.nan}, {"threshold": math.nan}, {"probe_r": math.nan},
+                   {"threshold": math.inf}, {"probe_r": -1.0}, {"probe_r": 0.0},
+                   {"probe_r": math.inf}, {"k_max": 0}, {"k_max": 2000.5}):
+            args = {"eps": 1.0, "delta": 0.1, "threshold": 3.0, "k_max": 4096, **kw}
             with pytest.raises(DomainError):
-                splice_spectrum([1.0], k_max=4096, **args)
+                splice_spectrum([1.0], **args)
 
 
 class TestLogPowerSpectrum:
