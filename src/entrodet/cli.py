@@ -11,7 +11,8 @@ quad-test            Nystrom determinant convergence table (CSV)
 Experiments write CSV to ``--out`` (stdout otherwise); with ``--out``
 the JSON report goes to stdout. Exit codes are a stable contract:
 0 success, 2 I/O or parse failure, 3 state validation failure,
-4 parameter domain error.
+4 parameter domain error. ``entropy`` checks its parameters before it
+reads the matrix file, so 4 takes precedence over 2 and 3.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import sys
 
 from . import experiments, matrixio
-from .entropy import KINDS, EntropyParams, evaluate
+from .entropy import KINDS, EntropyParams, _route, evaluate
 from .errors import DomainError, ValidationError
 from .linalg import spectrum_of
 
@@ -113,8 +114,9 @@ def _emit_report(report: experiments.ExperimentReport, out: str | None) -> None:
 
 
 def _cmd_entropy(args) -> int:
-    spec = spectrum_of(matrixio.load_matrix(args.input), normalized=True)
     params = EntropyParams(r=args.r, s=args.s, alpha=args.alpha, log_base=args.base)
+    _route(args.kind, params)  # a bad parameter exits 4 before the file is read
+    spec = spectrum_of(matrixio.load_matrix(args.input), normalized=True)
     result = evaluate(args.kind, spec, params)
     payload = {
         "value": result.value,

@@ -55,6 +55,7 @@ from .linalg import (
     SpectrumLike,
     _admit,
     _matrix_map,
+    _positive_prefix,
     as_spectrum,
     eig_hermitian,
     matrix_function,
@@ -94,8 +95,7 @@ def _check_unified_params(r: float, s: float) -> None:
 
 
 def _power_sum(lam: np.ndarray, r: float) -> float:
-    pos = lam[lam > 0]
-    return float((pos**r).sum())
+    return float((_positive_prefix(lam) ** r).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +111,12 @@ def trace_power(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
 
 def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> float:
     """Entropy -sum lam log lam with the 0 log 0 = 0 convention."""
-    lam = spectrum_of(x, normalized=True).values
-    lam = lam[lam > 0]
-    value = float(-(lam * np.log(lam)).sum())
+    scale = _base_scale(log_base)
+    lam = _positive_prefix(spectrum_of(x, normalized=True).values)
+    h = np.log(lam)
+    h *= lam
     # clip spectral-noise negatives: the exact value is >= 0
-    return max(value, 0.0) * _base_scale(log_base)
+    return max(-float(h.sum()), 0.0) * scale
 
 
 def _log_det_one_plus(
@@ -148,10 +149,11 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
     of second order in ``-lam log lam``, which keeps the sum finite on
     truncated spectra whose plain entropy grows without bound.
     """
-    lam = spectrum_of(x).values
-    lam = lam[lam > 0]
-    ent = -lam * np.log(lam)           # eigenvalues of -Q log Q
-    return float((ent - np.expm1(ent)).sum())
+    lam = _positive_prefix(spectrum_of(x).values)
+    ent = np.log(lam)
+    ent *= lam
+    np.negative(ent, out=ent)          # eigenvalues of -Q log Q
+    return float(np.subtract(ent, np.expm1(ent), out=ent).sum())
 
 
 def f_r(q: MatrixLike, r: float) -> np.ndarray:
@@ -209,61 +211,76 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     if not 0.0 < r < 1.0:
         raise DomainError(f"renormalization applies to r in (0, 1), got {r}")
     alpha = _resolve_alpha(r, alpha)
-    lam = spectrum_of(x).values
-    acc = lam[lam > 0] ** r
+    acc = _positive_prefix(spectrum_of(x).values) ** r
     g = np.expm1(acc)
-    gj = np.ones_like(g)
-    for j in range(1, alpha):
-        gj = gj * g
-        acc = acc + ((-1) ** j / j) * gj
+    acc -= g  # the j = 1 term: (-1) * g is exactly -g
+    if alpha > 2:
+        gj, term = g * g, np.empty_like(g)
+        for j in range(2, alpha):
+            if j > 2:
+                gj *= g
+            acc += np.multiply((-1) ** j / j, gj, out=term)
     return float(acc.sum())
 
 
 # ---------------------------------------------------------------------------
 # the entropies: scalar maps of one statistic
 # ---------------------------------------------------------------------------
+# Each map is built by a function that checks its parameters and returns
+# statistic -> entropy, so callers check before any spectral work.
 
 
-def _tsallis(i_r: float, r: float) -> float:
+def _scaled(log_base: str) -> Callable[[float], float]:
+    scale = _base_scale(log_base)
+    return lambda h: h * scale
+
+
+def _tsallis(r: float) -> Callable[[float], float]:
     _check_deformation(r, "Tsallis order")
-    return (i_r - 1.0) / (1.0 - r)
+    return lambda i_r: (i_r - 1.0) / (1.0 - r)
 
 
-def _renyi(i_r: float, r: float, log_base: str) -> float:
+def _renyi(r: float, log_base: str) -> Callable[[float], float]:
     _check_deformation(r, "Renyi order")
-    return math.log(i_r) / (1.0 - r) * _base_scale(log_base)
+    scale = _base_scale(log_base)
+    return lambda i_r: math.log(i_r) / (1.0 - r) * scale
 
 
-def _unified(p, r: float, s: float):
-    # the unified entropy as a map of the power sum I_r (or of log det = I_r)
+def _unified(r: float, s: float) -> Callable:
+    # the unified entropy as a map of the power sum I_r (or of log det = I_r),
+    # elementwise on an array of them
     _check_unified_params(r, s)
-    return (p**s - 1.0) / ((1.0 - r) * s) + 0.0  # +0.0 folds away -0.0
+    return lambda p: (p**s - 1.0) / ((1.0 - r) * s) + 0.0  # +0.0 folds away -0.0
 
 
-def _unified_fredholm(log_det: float, r: float, s: float) -> float:
+def _unified_fredholm(r: float, s: float) -> Callable[[float], float]:
     if not 1.0 < r < math.inf:
         raise DomainError(f"determinant form requires finite r > 1, got {r}")
-    return _unified(log_det, r, s)
+    return _unified(r, s)
 
 
-def _unified_renormalized(log_det: float, r: float, s: float) -> float:
+def _unified_renormalized(r: float, s: float) -> Callable[[float], float]:
     _check_s(s)
-    if log_det < 0 and float(s) != round(s):
-        raise FractionalPowerOfNegative(
-            f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
-        )
-    powered = log_det ** int(round(s)) if float(s) == round(s) else log_det**s
-    return (powered - 1.0) / ((1.0 - r) * s)
+
+    def value(log_det: float) -> float:
+        if log_det < 0 and float(s) != round(s):
+            raise FractionalPowerOfNegative(
+                f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
+            )
+        powered = log_det ** int(round(s)) if float(s) == round(s) else log_det**s
+        return (powered - 1.0) / ((1.0 - r) * s)
+
+    return value
 
 
 def tsallis(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """Tsallis entropy (I_r - 1) / (1 - r); the s = 1 unified member."""
-    return _tsallis(trace_power(spectrum_of(x, normalized=True), r), r)
+    return _tsallis(r)(trace_power(spectrum_of(x, normalized=True), r))
 
 
 def renyi(x: Union[SpectrumLike, MatrixLike], r: float, log_base: str = "e") -> float:
     """Renyi entropy log(I_r) / (1 - r); the s -> 0 unified member."""
-    return _renyi(trace_power(spectrum_of(x, normalized=True), r), r, log_base)
+    return _renyi(r, log_base)(trace_power(spectrum_of(x, normalized=True), r))
 
 
 def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
@@ -273,7 +290,7 @@ def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
     r -> 1 (at s = 1) the von Neumann entropy. Non-negative on states,
     bounded by :func:`hy_bound` of the dimension.
     """
-    return _unified(trace_power(spectrum_of(x, normalized=True), r), r, s)
+    return _unified(r, s)(trace_power(spectrum_of(x, normalized=True), r))
 
 
 def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
@@ -292,11 +309,12 @@ def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     NotNormalized
         Naming the first row whose sum is off 1 by more than ``TRACE_TOL``.
     """
+    to_value = _unified(r, s)
     lam = np.array(lam, dtype=float)
     if lam.ndim != 2:
         raise DimensionMismatch(f"expected a stack of spectra of shape (S, n), got {lam.shape}")
     _admit(lam, normalized=True)
-    return _unified((lam**r).sum(axis=1), r, s)
+    return to_value((lam**r).sum(axis=1))
 
 
 def hy_bound(d: int, r: float, s: float) -> float:
@@ -317,7 +335,7 @@ def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float
     Valid for r > 1, where the determinant is finite on any state; equal
     to :func:`hu_ye` by the identity log det = I_r.
     """
-    return _unified_fredholm(log_det_r(spectrum_of(x, normalized=True), r), r, s)
+    return _unified_fredholm(r, s)(log_det_r(spectrum_of(x, normalized=True), r))
 
 
 def hy_renormalized(
@@ -331,7 +349,7 @@ def hy_renormalized(
     convention; the value itself may be negative (renormalization
     forfeits the lower bound of the plain entropy).
     """
-    return _unified_renormalized(log_det_ren(x, r, alpha), r, s)
+    return _unified_renormalized(r, s)(log_det_ren(x, r, alpha))
 
 
 @dataclass(frozen=True)
@@ -473,27 +491,37 @@ class EntropyResult:
     divergent: bool = False
 
 
-# kind -> (method, statistic of (spectrum, params), scalar map of
-# (statistic, params), diagnostic key the statistic is reported under).
+# kind -> (method, statistic of (spectrum, params), checked scalar map of
+# params (see above), diagnostic key the statistic is reported under).
 # The entries call the kernels through their module-global names, so a
 # wrapper installed on the module sees every call.
 _ROUTES = {
     "vn": ("direct-spectral", lambda spec, p: von_neumann(spec),
-           lambda h, p: h * _base_scale(p.log_base), None),
+           lambda p: _scaled(p.log_base), None),
     "vn-ren": ("renormalized", lambda spec, p: vn_renormalized(spec),
-               lambda h, p: h, None),
+               lambda p: lambda h: h, None),
     "tsallis": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
-                lambda i_r, p: _tsallis(i_r, p.r), "trace_power"),
+                lambda p: _tsallis(p.r), "trace_power"),
     "renyi": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
-              lambda i_r, p: _renyi(i_r, p.r, p.log_base), "trace_power"),
+              lambda p: _renyi(p.r, p.log_base), "trace_power"),
     "hy": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
-           lambda i_r, p: _unified(i_r, p.r, p.s), "trace_power"),
+           lambda p: _unified(p.r, p.s), "trace_power"),
     "hy-fredholm": ("fredholm", lambda spec, p: log_det_r(spec, p.r),
-                    lambda ld, p: _unified_fredholm(ld, p.r, p.s), "log_det"),
+                    lambda p: _unified_fredholm(p.r, p.s), "log_det"),
     "hy-ren": ("renormalized", lambda spec, p: log_det_ren(spec, p.r, p.alpha),
-               lambda ld, p: _unified_renormalized(ld, p.r, p.s), "log_det"),
+               lambda p: _unified_renormalized(p.r, p.s), "log_det"),
 }
 KINDS = tuple(_ROUTES)
+
+
+def _route(kind: str, params: EntropyParams):
+    """(method, statistic, checked scalar map, diagnostic key, params) of ``kind``."""
+    if kind not in _ROUTES:
+        raise DomainError(f"unknown entropy kind {kind!r}; choose from {KINDS}")
+    method, statistic, scalar_map, key = _ROUTES[kind]
+    if kind == "hy-ren":
+        params = replace(params, alpha=_resolve_alpha(params.r, params.alpha))
+    return method, statistic, scalar_map(params), key, params
 
 
 def evaluate(
@@ -504,20 +532,17 @@ def evaluate(
     """Evaluate one entropy kind with shared diagnostics.
 
     ``kind`` is one of ``vn, vn-ren, tsallis, renyi, hy, hy-fredholm,
-    hy-ren``. The input is reduced to its spectrum once and the kind's
-    statistic is computed once; the diagnostics carry the dimension,
+    hy-ren``. The kind's parameters (r, s, alpha, log base) are checked
+    first; then the input is reduced to its spectrum once and the kind's
+    statistic is computed once. The diagnostics carry the dimension,
     that statistic (the trace power sum or the log-determinant) and, on
     the renormalized routes, the regularization order used.
     """
-    if kind not in _ROUTES:
-        raise DomainError(f"unknown entropy kind {kind!r}; choose from {KINDS}")
-    method, statistic, scalar_map, key = _ROUTES[kind]
-    if kind == "hy-ren":
-        params = replace(params, alpha=_resolve_alpha(params.r, params.alpha))
+    method, statistic, to_value, key, params = _route(kind, params)
     # the renormalized routes take any positive spectrum, the others a state
     spec = spectrum_of(x, normalized=None if method == "renormalized" else True)
     stat = statistic(spec, params)
-    value = scalar_map(stat, params)
+    value = to_value(stat)
     diagnostics: dict = {"dim": len(spec)}
     if method == "renormalized":
         diagnostics["alpha"] = params.alpha if kind == "hy-ren" else 2

@@ -61,6 +61,11 @@ class Spectrum:
 
     ``is_normalized`` records whether the values sum to 1; unnormalized
     positive spectra are legal (some determinant identities require them).
+
+    Build one with :func:`as_spectrum` or :func:`spectrum_of`, which sort
+    and admit the values. The entropy kernels read the positive values as
+    the prefix of that order, so a ``Spectrum`` constructed directly from
+    unsorted or negative values voids the invariant and gives wrong sums.
     """
 
     values: np.ndarray
@@ -131,6 +136,16 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
         np.negative(arr, out=arr)
     is_norm = bool(_admit(arr, bool(normalized))[0]) and normalized is not False
     return Spectrum(_freeze(arr), is_norm)
+
+
+def _positive_prefix(lam: np.ndarray) -> np.ndarray:
+    """The positive values of admitted ``Spectrum.values``, as a view.
+
+    Admitted values are sorted non-increasing and non-negative, so the
+    positive ones are a prefix; one binary search over the reversed
+    (non-decreasing) view counts the trailing zeros.
+    """
+    return lam[: len(lam) - np.searchsorted(lam[::-1], 0.0, side="right")]
 
 
 def _as_matrix(q: MatrixLike) -> np.ndarray:

@@ -73,16 +73,20 @@ def x_state(a: np.ndarray, c: np.ndarray) -> DensityMatrix:
     Raises
     ------
     ConstraintViolation
-        Naming the first violated bound (shape, negativity, diagonal
-        normalization, or a Schur pair bound).
+        Naming the first violated bound (shape, a non-real diagonal entry,
+        negativity, diagonal normalization, or a Schur pair bound).
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)  # not yet float: the cast would drop an imaginary part
     c = np.asarray(c, dtype=complex)
     n = a.size
     if a.ndim != 1 or not n or math.isqrt(n) ** 2 != n:
         raise ConstraintViolation(f"diagonal must be 1-D of square length, got shape {a.shape}")
     if c.shape != (n // 2,):
         raise ConstraintViolation(f"expected {n // 2} couplings for {n} levels, got {c.shape}")
+    if np.iscomplexobj(a) and a.imag.any():  # a NaN imaginary part counts too
+        p = np.flatnonzero(a.imag)[0]
+        raise ConstraintViolation(f"diagonal entry a[{p}] = {a[p]:.3e} is not real")
+    a = np.asarray(a.real, dtype=float)
     _check_x(a[np.newaxis], c[np.newaxis])
     p = np.arange(len(c))
     mat = np.diag(a).astype(complex)
@@ -278,8 +282,12 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     _check_exponent(beta, "log-power exponent", 1.0)
     k = _check_count(k, "truncation length")
     n = np.arange(2, k + 2, dtype=float)
-    w = 1.0 / (n * np.log(n) ** beta)
-    return as_spectrum(w / w.sum())
+    w = np.log(n)  # one buffer becomes 1 / (n log^beta n), then its normalization
+    w **= beta
+    w *= n
+    np.reciprocal(w, out=w)
+    w /= w.sum()
+    return as_spectrum(w)
 
 
 def splice_spectrum(

@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface via subprocess.
 
 Exit codes are a stable contract: 0 success, 2 I/O or parse failure,
-3 validation failure, 4 parameter domain error.
+3 validation failure, 4 parameter domain error; ``entropy`` reports 4
+before it reads its file.
 """
 
 import json
@@ -113,6 +114,16 @@ class TestEntropyCommand:
         proc = run_cli("entropy", mixed_file, "--kind", "tsallis", "--r", "1")
         assert proc.returncode == 4
         assert "DomainError" in proc.stderr
+
+    @pytest.mark.parametrize("content", [None, np.diag([1.2, -0.2])], ids=["missing", "not-psd"])
+    def test_domain_error_precedes_parse_and_validation(self, tmp_path, capsys, content):
+        # the parameters are checked before the file is read: 4, not 2 or 3
+        path = tmp_path / "state.json"
+        if content is not None:
+            save_matrix(path, content.astype(complex))
+        for kind, order in (("tsallis", "0"), ("hy-fredholm", "0.5"), ("hy-ren", "2")):
+            assert cli.main(["entropy", str(path), "--kind", kind, "--r", order]) == 4
+            assert "DomainError" in capsys.readouterr().err
 
     def test_non_finite_order_exit_4(self, mixed_file):
         for kind, r in (("renyi", "inf"), ("hy", "nan")):

@@ -37,6 +37,7 @@ from entrodet.errors import (
     NotPositive,
 )
 from entrodet.fredholm import zeta_series
+from entrodet.linalg import PSD_TOL, _positive_prefix, as_spectrum
 from entrodet.states import _PowerLaw
 
 from conftest import ginibre_density, random_spectrum_values
@@ -674,3 +675,145 @@ class TestDiagnostics:
             warnings.simplefilter("error")
             assert log_det_r([1000.0], 1) == 1000.0
             assert log_det_r([30.0, 20.0], 2) == 1300.0
+
+
+# The kernels read the positive prefix of admitted values in place. These
+# oracles are the masked formulas they replaced; the results must agree bit
+# for bit, since the operands and the order of operations are the same.
+
+
+def _oracle_power_sum(lam, r):
+    pos = lam[lam > 0]
+    return float((pos**r).sum())
+
+
+def _oracle_von_neumann(lam):
+    lam = lam[lam > 0]
+    return max(float(-(lam * np.log(lam)).sum()), 0.0)
+
+
+def _oracle_vn_renormalized(lam):
+    lam = lam[lam > 0]
+    ent = -lam * np.log(lam)
+    return float((ent - np.expm1(ent)).sum())
+
+
+def _oracle_log_det_ren(lam, r, alpha):
+    acc = lam[lam > 0] ** r
+    g = np.expm1(acc)
+    gj = np.ones_like(g)
+    for j in range(1, alpha):
+        gj = gj * g
+        acc = acc + ((-1) ** j / j) * gj
+    return float(acc.sum())
+
+
+@st.composite
+def _admitted_values(draw, normalized=False):
+    """Raw values whose admission leaves trailing zeros, clamped negatives and -0.0."""
+    pos = draw(st.lists(st.floats(5e-324, 1.0), max_size=200))
+    zeros = [0.0] * draw(st.integers(0, 5)) + [-0.0] * draw(st.integers(0, 3))
+    tiny = [-draw(st.floats(5e-324, PSD_TOL)) for _ in range(draw(st.integers(0, 3)))]
+    if normalized:
+        if not pos or not sum(pos) > 0:
+            pos = [1.0]
+        pos = (np.array(pos) / math.fsum(pos)).tolist()
+    values = pos + zeros + tiny
+    draw(st.randoms()).shuffle(values)
+    event(f"{len(pos)} positive of {len(values)}")
+    return values
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+class TestPositivePrefixKernels:
+    def test_prefix_is_a_view(self):
+        spec = as_spectrum([0.5, 0.0, 0.3, -0.0, 0.2, -1e-12])
+        pos = _positive_prefix(spec.values)
+        assert np.shares_memory(pos, spec.values)
+        assert pos.tolist() == [0.5, 0.3, 0.2]
+
+    @pytest.mark.parametrize("values,n_pos", [
+        ([], 0), ([0.0], 0), ([-0.0, 0.0, -1e-11], 0), ([1.0], 1), ([2.0, 0.0], 1),
+        ([5e-324, 1.0, 0.0], 2),
+    ], ids=["empty", "zero", "zeros", "single", "trailing-zero", "subnormal"])
+    def test_prefix_length(self, values, n_pos):
+        assert len(_positive_prefix(as_spectrum(values).values)) == n_pos
+
+    @settings(max_examples=200, deadline=None)
+    @given(_admitted_values(), st.sampled_from([0.3, 0.5, 0.99, 1.0, 2.0, 3.7]))
+    def test_power_sums(self, values, r):
+        lam = as_spectrum(values).values
+        want = _hex(_oracle_power_sum(lam, r))
+        assert _hex(trace_power(lam, r)) == want
+        assert _hex(log_det_r(lam, r)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_admitted_values(), st.sampled_from([(0.5, 2), (0.4, 3), (0.3, 4), (0.15, 7)]))
+    def test_log_det_ren(self, values, order):
+        r, alpha = order
+        lam = as_spectrum(values).values
+        assert _hex(log_det_ren(lam, r, alpha)) == _hex(_oracle_log_det_ren(lam, r, alpha))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_admitted_values())
+    def test_vn_renormalized(self, values):
+        lam = as_spectrum(values).values
+        assert _hex(vn_renormalized(lam)) == _hex(_oracle_vn_renormalized(lam))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_admitted_values(normalized=True))
+    def test_von_neumann(self, values):
+        lam = as_spectrum(values, normalized=True).values
+        assert _hex(von_neumann(lam)) == _hex(_oracle_von_neumann(lam))
+
+    def test_long_spectrum_with_trailing_zeros(self):
+        lam = np.concatenate([log_power_spectrum(1.5, 10**5).values, np.zeros(1000)])
+        spec = as_spectrum(lam)
+        for r in (0.5, 2.0):
+            assert _hex(trace_power(spec, r)) == _hex(_oracle_power_sum(spec.values, r))
+        assert _hex(von_neumann(spec)) == _hex(_oracle_von_neumann(spec.values))
+        assert _hex(vn_renormalized(spec)) == _hex(_oracle_vn_renormalized(spec.values))
+        for alpha in (2, 3, 4):
+            assert (_hex(log_det_ren(spec, 0.6, alpha))
+                    == _hex(_oracle_log_det_ren(spec.values, 0.6, alpha)))
+
+
+class TestParametersFirst:
+    # [1.5, -0.5] fails admission (NotPositive); a DomainError shows the
+    # parameters were checked before the spectrum was formed
+    BAD_SPECTRUM = [1.5, -0.5]
+
+    @pytest.mark.parametrize("kind,params", [
+        ("vn", EntropyParams(log_base="10")),
+        ("tsallis", EntropyParams(r=1)),
+        ("tsallis", EntropyParams(r=-1)),
+        ("renyi", EntropyParams(r=1)),
+        ("renyi", EntropyParams(r=2, log_base="10")),
+        ("hy", EntropyParams(r=2, s=0)),
+        ("hy", EntropyParams(r=math.nan)),
+        ("hy-fredholm", EntropyParams(r=0.5)),
+        ("hy-ren", EntropyParams(r=2)),
+        ("hy-ren", EntropyParams(r=0.5, s=0)),
+        ("hy-ren", EntropyParams(r=0.5, alpha=1)),
+    ])
+    def test_evaluate(self, kind, params):
+        with pytest.raises(DomainError):
+            evaluate(kind, self.BAD_SPECTRUM, params)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: von_neumann(x, log_base="10"),
+        lambda x: tsallis(x, 1),
+        lambda x: renyi(x, 1),
+        lambda x: renyi(x, 2, log_base="10"),
+        lambda x: hu_ye(x, 2, 0),
+        lambda x: hy_fredholm(x, 0.5, 1),
+        lambda x: hy_renormalized(x, 0.5, 0),
+        lambda x: hu_ye_rows(np.array([x]), 1, 1),
+    ], ids=["von_neumann", "tsallis", "renyi", "renyi-base", "hu_ye", "hy_fredholm",
+            "hy_renormalized", "hu_ye_rows"])
+    def test_public_entropies(self, fn):
+        with pytest.raises(DomainError):
+            fn(self.BAD_SPECTRUM)

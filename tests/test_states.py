@@ -74,6 +74,19 @@ class TestXState:
         with pytest.raises(ConstraintViolation, match="w_1"):
             x_state(np.full(4, 0.25), np.array([math.nan, 0j]))
 
+    @pytest.mark.parametrize("a,message", [
+        (np.array([1 + 1j, 0, 0, 0]), r"a\[0\] = 1.000e\+00\+1.000e\+00j is not real"),
+        (np.array([0.5, 0, 0, complex(0.5, math.nan)]), r"a\[3\] = .* is not real"),
+    ], ids=["imaginary", "nan-imaginary"])
+    def test_non_real_diag(self, a, message):
+        # the cast to float used to drop the imaginary part with only a ComplexWarning
+        with pytest.raises(ConstraintViolation, match=message):
+            x_state(a, np.zeros(2, complex))
+
+    def test_complex_diag_with_zero_imaginary_part(self):
+        real = x_state(np.full(4, 0.25), np.zeros(2, complex))
+        assert np.array_equal(x_state(np.full(4, 0.25 + 0j), np.zeros(2, complex)).mat, real.mat)
+
     @pytest.mark.parametrize("a,c,message", [
         (np.full(4, 0.25), np.zeros(1, complex), "expected 2 couplings"),
         (np.full(4, 0.25), np.zeros(3, complex), "expected 2 couplings"),
@@ -329,6 +342,15 @@ class TestSpliceSpectrum:
 
 
 class TestLogPowerSpectrum:
+    @pytest.mark.parametrize("beta,k", [(1.5, 1), (1.2, 7), (1.8, 1000), (2.0, 4321), (3.0, 10**5)])
+    def test_bit_identical_to_the_formula(self, beta, k):
+        # the in-place build must round exactly as the expression it replaced
+        n = np.arange(2, k + 2, dtype=float)
+        w = 1.0 / (n * np.log(n) ** beta)
+        want = w / w.sum()
+        got = log_power_spectrum(beta, k).values
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
     def test_two_entries_oracle(self):
         spec = log_power_spectrum(1.5, 2)
         assert np.allclose(
