@@ -214,12 +214,10 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     acc = _positive_prefix(spectrum_of(x).values) ** r
     g = np.expm1(acc)
     acc -= g  # the j = 1 term: (-1) * g is exactly -g
-    if alpha > 2:
-        gj, term = g * g, np.empty_like(g)
-        for j in range(2, alpha):
-            if j > 2:
-                gj *= g
-            acc += np.multiply((-1) ** j / j, gj, out=term)
+    gj = g
+    for j in range(2, alpha):
+        gj = gj * g
+        acc += ((-1) ** j / j) * gj
     return float(acc.sum())
 
 

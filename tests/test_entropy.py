@@ -37,7 +37,7 @@ from entrodet.errors import (
     NotPositive,
 )
 from entrodet.fredholm import zeta_series
-from entrodet.linalg import PSD_TOL, _positive_prefix, as_spectrum
+from entrodet.linalg import PSD_TOL, Spectrum, _positive_prefix, as_spectrum
 from entrodet.states import _PowerLaw
 
 from conftest import ginibre_density, random_spectrum_values
@@ -741,6 +741,13 @@ class TestPositivePrefixKernels:
     ], ids=["empty", "zero", "zeros", "single", "trailing-zero", "subnormal"])
     def test_prefix_length(self, values, n_pos):
         assert len(_positive_prefix(as_spectrum(values).values)) == n_pos
+
+    def test_direct_spectrum_voids_the_order_invariant(self):
+        # A Spectrum built directly skips the sort that the prefix relies on:
+        # the leading zero hides the 1. Admitting the same values gives the sum.
+        raw = np.array([0.0, 1.0])
+        assert trace_power(Spectrum(raw, True), 2) == 0.0
+        assert trace_power(as_spectrum(raw), 2) == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(_admitted_values(), st.sampled_from([0.3, 0.5, 0.99, 1.0, 2.0, 3.7]))
