@@ -37,6 +37,7 @@ matrix costs one ``eigvalsh``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
@@ -64,6 +65,7 @@ from .linalg import (
 from .states import _PowerLaw
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _base_scale(log_base: str) -> float:
@@ -206,19 +208,28 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     summand is <= 0 (it is log(1+g) - g), so the result is non-positive.
     ``alpha=None`` resolves to the smallest admissible order
     :func:`alpha_star`. The spectrum need not be normalized, only
-    non-negative.
+    non-negative. Where ``g^(alpha-1)`` overflows at the largest
+    eigenvalue, the top term ``(-1)^(alpha-1) g^(alpha-1) / (alpha-1)``
+    outgrows the float range and the result is ``(-1)^(alpha-1) inf``.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"renormalization applies to r in (0, 1), got {r}")
     alpha = _resolve_alpha(r, alpha)
-    acc = _positive_prefix(spectrum_of(x).values) ** r
+    lam = _positive_prefix(spectrum_of(x).values)
+    if len(lam):
+        top = float(lam[0]) ** r  # the largest eigenvalue comes first
+        # log g = top + log(1 - e^-top), exact where expm1(top) would overflow
+        if (alpha - 1) * (top + math.log(-math.expm1(-top))) > _LOG_MAX:
+            return math.copysign(math.inf, (-1) ** (alpha - 1))
+    acc = lam**r
     g = np.expm1(acc)
     acc -= g  # the j = 1 term: (-1) * g is exactly -g
     gj = g
     for j in range(2, alpha):
         gj = gj * g
         acc += ((-1) ** j / j) * gj
-    return float(acc.sum())
+    with np.errstate(over="ignore"):  # every term has the sign of (-1)^(alpha-1)
+        return float(acc.sum())
 
 
 # ---------------------------------------------------------------------------

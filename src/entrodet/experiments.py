@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import entropy, fredholm, states
+from . import entropy, fredholm, linalg, states
 from .errors import DomainError, NonFiniteKernel, NonPositiveDeterminant, _check_count
 
 SCHEMA_VERSION = 1
@@ -251,16 +251,20 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     t0 = time.perf_counter()
     primes = fredholm.first_k_primes(k)
     factors = fredholm.log_euler_factors(q, primes)
-    lam = factors ** (1.0 / r)  # unnormalized zeta_spectrum; each checkpoint reads a prefix
     ks = sorted({min(10**i, k) for i in range(12)})
     p_k = [int(primes[kk - 1]) for kk in ks]
-    log_det = [entropy.log_det_r(lam[:kk], r) for kk in ks]
+    product = [float(np.exp(factors[:kk].sum())) for kk in ks]
+    # factors become the unnormalized zeta_spectrum in place, admitted once;
+    # its values are non-increasing, so each checkpoint's spectrum is a prefix
+    factors **= 1.0 / r
+    lam = linalg._own_spectrum(factors, normalized=False).values
+    log_det = [entropy.log_det_r(linalg.Spectrum(lam[:kk], False), r) for kk in ks]
     gap = [abs(v - log_analytic) for v in log_det]
     bound = [fredholm.prime_tail_bound(q, p) for p in p_k]
     columns = {
         "k": ks,
         "p_k": p_k,
-        "product": [float(np.exp(factors[:kk].sum())) for kk in ks],
+        "product": product,
         "log_det": log_det,
         "abs_gap": gap,
         "rel_gap": [g / abs(log_analytic) for g in gap],

@@ -12,12 +12,13 @@ is similar to it and has the same determinant. ``fredholm_det`` and
 ``log_fredholm_det`` share one route. Adaptive cross approximation
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
 from a few kernel rows and columns; one pass over the kernel grid, in
-row blocks, checks every kernel value for finiteness and every entry of
+row blocks, checks every entry of A for finiteness and every entry of
 ``A - U V^T``; then ``det(1 + A) = det(I_k + V^T U)`` for the numerical
 rank k. Kernels with no low rank fall back to the LU of the dense
 matrix. Both accumulate the determinant in log space and never form the
 product, so the log-determinant stays usable where the determinant
-itself overflows.
+itself overflows; an entry of A or of the k x k core that overflows
+raises ``DomainError``.
 
 The prime and zeta helpers, built on the Euler factors of
 ``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
@@ -58,8 +59,26 @@ _ACA_TOL = 1e-14
 _GRID_TOL = 1e-12
 _BLOCK_VALUES = 1 << 16
 
-# odd sieve candidates struck per block: 256 KiB of bool, well inside L2
-_SIEVE_BLOCK = 1 << 18
+# odd sieve candidates per block: 1 MiB of bool, half the 2 MiB L2 per core of
+# the Xeon host it was timed on; a sieve to 15.49M took 25-29 ms there at 1 MiB
+# and 512 KiB, 31 ms at 256 KiB and 30-36 ms at 2 MiB
+_SIEVE_BLOCK = 1 << 20
+
+# the wheel: slot i stands for the odd number 2 i + 1, True unless it is a
+# multiple of 3, 5, 7, 11 or 13; the pattern repeats every 15015 odd numbers
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_SLOTS = 15015
+
+
+def _wheel_pattern() -> np.ndarray:
+    wheel = np.ones(_WHEEL_SLOTS, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        wheel[p // 2 :: p] = False  # odd multiples of p are p slots apart
+    wheel.setflags(write=False)
+    return wheel
+
+
+_WHEEL = _wheel_pattern()
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-15
@@ -179,32 +198,40 @@ def _check_coupling(z: float) -> None:
         raise DomainError(f"coupling z must be finite, got {z}")
 
 
-def _kernel_values(f: Callable, rule: QuadratureRule, rows: slice, cols: slice) -> np.ndarray:
-    """The kernel on the grid block ``rows x cols``, checked finite.
+def _weighted_block(
+    f: Callable, rule: QuadratureRule, z: float, sw: np.ndarray, rows: slice, cols: slice
+) -> np.ndarray:
+    """The block ``rows x cols`` of ``A = z sqrt(w_i) K(x_i, x_j) sqrt(w_j)``, checked finite.
 
     The evaluator gets a column of the row nodes and a row of the column
-    nodes; its result need only broadcast to the block.
+    nodes; its result need only broadcast to the block. The block is a
+    fresh array, never the evaluator's own (maybe read-only), and every
+    entry rounds as in ``z * np.outer(sw, sw) * kmat``, whatever the block.
+    Callers hold ``np.errstate(all="ignore")``, which silences the
+    evaluator's own floating-point warnings too: a non-finite entry raises
+    here instead.
+
+    Raises
+    ------
+    NonFiniteKernel
+        If a kernel value is not finite.
+    DomainError
+        If the kernel is finite but an entry of A overflows.
     """
     x = rule.nodes
     kvals = np.asarray(f(x[rows, None], x[None, cols]), dtype=float)
-    if not np.all(np.isfinite(kvals)):
-        raise NonFiniteKernel(
-            f"kernel produced non-finite values on ({rule.a}, {rule.b}) nodes"
-        )
-    return kvals
-
-
-def _weighted(
-    kvals: np.ndarray, z: float, sw_rows: np.ndarray, sw_cols: np.ndarray
-) -> np.ndarray:
-    """The block ``z sqrt(w_i) K(x_i, x_j) sqrt(w_j)`` of A, in a fresh array.
-
-    Never ``kvals`` itself (the evaluator's own, maybe read-only); every
-    entry rounds as in ``z * np.outer(sw, sw) * kmat``, whatever the block.
-    """
-    out = np.outer(sw_rows, sw_cols)
+    out = np.outer(sw[rows], sw[cols])
     out *= z
     out *= kvals
+    if not np.isfinite(out).all():
+        if not np.isfinite(kvals).all():
+            raise NonFiniteKernel(
+                f"kernel produced non-finite values on ({rule.a}, {rule.b}) nodes"
+            )
+        raise DomainError(
+            f"z sqrt(w_i w_j) K(x_i, x_j) overflows at z = {z} on ({rule.a}, {rule.b}), "
+            f"m = {rule.m}"
+        )
     return out
 
 
@@ -213,13 +240,20 @@ def nystrom_matrix(kernel: KernelLike, z: float, rule: QuadratureRule) -> np.nda
 
     Its determinant approximates det(1 + z K); it is similar to
     ``1 + z K W`` and has the same determinant.
+
+    Raises
+    ------
+    NonFiniteKernel
+        If a kernel value is not finite.
+    DomainError
+        If an entry overflows.
     """
     m = rule.m
     _check_node_cap(m)
     _check_coupling(z)
-    kmat = _kernel_values(_evaluator(kernel), rule, slice(None), slice(None))
-    sw = np.sqrt(rule.weights)
-    out = _weighted(kmat, z, sw, sw)
+    every = slice(None)
+    with np.errstate(all="ignore"):
+        out = _weighted_block(_evaluator(kernel), rule, z, np.sqrt(rule.weights), every, every)
     out.flat[:: m + 1] += 1.0
     return out
 
@@ -247,8 +281,9 @@ def _aca(
     Cross l is ``peaks[l]`` times the outer product of ``ut[l]``, the
     residual column over its largest entry, and ``vt[l]``, the residual
     row over its pivot. Norms and inner products are taken of those
-    unit-peak vectors, and the estimate is updated relative to the larger
-    of two norms, so no square overflows.
+    unit-peak vectors, norms are kept in units of the first peak, and the
+    estimate is updated relative to the larger of two norms, so neither a
+    norm of entries near the float maximum nor a square overflows.
     """
     ut = np.empty((cap, m))
     vt = np.empty((cap, m))
@@ -272,11 +307,14 @@ def _aca(
             break
         r = r / pivot
         c = c / peak
-        size = peak * math.sqrt((c @ c) * (r @ r))
+        if not k:
+            unit = peak
+        size = peak / unit * math.sqrt((c @ c) * (r @ r))
         if k:
             # ||S + t||^2 = ||S||^2 + 2 <S, t> + ||t||^2, all over scale^2
             scale = max(frob, size)
-            cross = (ut[:k] @ c) * (peaks[:k] / scale) @ (vt[:k] @ r) * (peak / scale)
+            rel = peaks[:k] / unit / scale
+            cross = (ut[:k] @ c) * rel @ (vt[:k] @ r) * (peak / unit / scale)
             frob2 = (frob / scale) ** 2 + 2.0 * cross + (size / scale) ** 2
             frob = scale * math.sqrt(max(0.0, frob2))
             if size <= _ACA_TOL * frob:
@@ -299,13 +337,16 @@ def _aca(
 def _within_tolerance(
     blocks: Iterable[tuple[int, np.ndarray]], u: np.ndarray, vt: np.ndarray
 ) -> bool:
-    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over the row blocks of A."""
+    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over the row blocks of A.
+
+    A residual that is not finite fails the check.
+    """
     worst = peak = 0.0
     for start, block in blocks:
         peak = max(peak, float(np.abs(block).max()))
         residual = u[start : start + len(block)] @ vt
         residual -= block
-        worst = max(worst, float(np.abs(residual).max()))
+        worst = float(np.maximum(worst, np.abs(residual).max()))  # NaN sticks
     return worst <= _GRID_TOL * peak
 
 
@@ -316,13 +357,22 @@ def _nystrom_logdet(
 
     ACA factors ``A = z W^1/2 K W^1/2 ~ U V^T`` from a few kernel rows and
     columns. One pass over the kernel grid, in row blocks of about
-    ``_BLOCK_VALUES`` values, then checks every kernel value for
-    finiteness and every entry of ``A - U V^T`` against the tolerance;
-    when it holds, ``det(I_m + U V^T) = det(I_k + V^T U)`` and the rank is
-    k. When ACA reaches the rank cap or the check fails, the rank is m and
-    the determinant is the dense ``slogdet`` of ``nystrom_matrix``. A grid
+    ``_BLOCK_VALUES`` values, then checks every entry of A for finiteness
+    and every entry of ``A - U V^T`` against the tolerance; when it holds,
+    ``det(I_m + U V^T) = det(I_k + V^T U)`` and the rank is k. When ACA
+    reaches the rank cap or the check fails, the rank is m and the
+    determinant is the dense ``slogdet`` of ``nystrom_matrix``. A grid
     that fits one block is evaluated once, before ACA, which reads its
     rows and columns from it.
+
+    Raises
+    ------
+    NonFiniteKernel
+        If a kernel value is not finite.
+    DomainError
+        If an entry of A, or of the k x k core ``I_k + V^T U``, overflows:
+        the determinant is then out of reach of both routes, whose rounding
+        is relative to the largest entry.
     """
     _check_node_cap(m)
     rule = gauss_legendre(m, a, b)
@@ -331,28 +381,35 @@ def _nystrom_logdet(
     sw = np.sqrt(rule.weights)
     step = max(1, _BLOCK_VALUES // m)
     every = slice(None)
-    if m <= step:
-        # one block holds the grid: evaluate it once and read ACA rows from it
-        amat = _weighted(_kernel_values(f, rule, every, every), z, sw, sw)
-        factors = _aca(amat.__getitem__, lambda j: amat[:, j], m, _rank_cap(m))
-        blocks = [(0, amat)]
-    else:
-        amat = None
+    with np.errstate(all="ignore"):
+        if m <= step:
+            # one block holds the grid: evaluate it once and read ACA rows from it
+            amat = _weighted_block(f, rule, z, sw, every, every)
+            factors = _aca(amat.__getitem__, lambda j: amat[:, j], m, _rank_cap(m))
+            blocks = [(0, amat)]
+        else:
+            amat = None
 
-        def block(rows: slice, cols: slice) -> np.ndarray:
-            return _weighted(_kernel_values(f, rule, rows, cols), z, sw[rows], sw[cols])
+            def block(rows: slice, cols: slice) -> np.ndarray:
+                return _weighted_block(f, rule, z, sw, rows, cols)
 
-        factors = _aca(
-            lambda i: block(slice(i, i + 1), every)[0],
-            lambda j: block(every, slice(j, j + 1))[:, 0],
-            m,
-            _rank_cap(m),
-        )
-        blocks = ((s, block(slice(s, s + step), every)) for s in range(0, m, step))
-    if factors is not None and _within_tolerance(blocks, *factors):
-        u, vt = factors
-        sign, logdet = np.linalg.slogdet(np.eye(len(vt)) + vt @ u)
-        return float(sign), float(logdet), len(vt)
+            factors = _aca(
+                lambda i: block(slice(i, i + 1), every)[0],
+                lambda j: block(every, slice(j, j + 1))[:, 0],
+                m,
+                _rank_cap(m),
+            )
+            blocks = ((s, block(slice(s, s + step), every)) for s in range(0, m, step))
+        if factors is not None and _within_tolerance(blocks, *factors):
+            u, vt = factors
+            core = np.eye(len(vt)) + vt @ u
+            if not np.isfinite(core).all():
+                raise DomainError(
+                    f"the rank-{len(vt)} determinant core overflows at z = {z} on "
+                    f"({a}, {b}), m = {m}"
+                )
+            sign, logdet = np.linalg.slogdet(core)
+            return float(sign), float(logdet), len(vt)
     if amat is not None:  # nystrom_matrix's array but for the identity
         dense = amat
         dense.flat[:: m + 1] += 1.0
@@ -400,32 +457,60 @@ def log_fredholm_det(kernel: KernelLike, z: float, a: float, b: float, m: int) -
 
 
 def _prime_bound(k: int) -> int:
-    """First sieve bound for the k-th prime: p_k < k (ln k + ln ln k) for k >= 6."""
+    """First sieve bound for the k-th prime, p_k <= bound.
+
+    Dusart's ``p_k <= k (ln k + ln ln k - 0.9484)`` for k >= 39017 (Math.
+    Comp. 68, 1999), Rosser's ``p_k < k (ln k + ln ln k)`` for 6 <= k < 39017,
+    and 15 below that.
+    """
     if k < 6:
         return 15
     lk = math.log(k)
-    return int(k * (lk + math.log(lk))) + 3
+    shift = 0.9484 if k >= 39017 else 0.0
+    return int(k * (lk + math.log(lk) - shift)) + 3
+
+
+def _wheel_fill(block: np.ndarray, lo: int) -> None:
+    """Copy the wheel pattern of slots ``lo .. lo + len(block) - 1`` into ``block``."""
+    n = len(block)
+    off = lo % _WHEEL_SLOTS
+    head = min(n, _WHEEL_SLOTS - off)
+    block[:head] = _WHEEL[off : off + head]
+    rows = (n - head) // _WHEEL_SLOTS
+    body = block[head : head + rows * _WHEEL_SLOTS]
+    body.reshape(rows, _WHEEL_SLOTS)[...] = _WHEEL
+    tail = head + len(body)
+    block[tail:] = _WHEEL[: n - tail]
 
 
 def _primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as a C-contiguous int64 array.
 
-    Slot i of the sieve stands for the odd number 2 i + 1. The odd base
-    primes up to isqrt(limit) (found by the same routine) strike one
-    block of ``_SIEVE_BLOCK`` slots at a time, so the strikes of every
-    base prime stay in cache; each prime carries its next strike offset
-    from block to block. Slot 0 (the number 1) becomes the prime 2.
+    Slot i of the sieve stands for the odd number 2 i + 1. One buffer of
+    ``_SIEVE_BLOCK`` slots is reused block after block: it starts from the
+    wheel pattern, which has struck the multiples of 3, 5, 7, 11 and 13
+    (the wheel primes themselves are put back), then the odd base primes
+    from 17 up to isqrt(limit) (found by the same routine) strike it, each
+    carrying its next strike offset from block to block, and its primes
+    are read off while it is still in cache. They go into one array sized
+    by Rosser and Schoenfeld's ``pi(x) < 1.25506 x / ln x``, whose unused
+    end is never written. Slot 0 (the number 1) becomes the prime 2.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     n_slots = (limit + 1) // 2
-    is_prime = np.ones(n_slots, dtype=bool)
-    base = _primes_up_to(math.isqrt(limit))[1:].tolist()
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.int64)
+    buf = np.empty(min(_SIEVE_BLOCK, n_slots), dtype=bool)
+    base = [p for p in _primes_up_to(math.isqrt(limit)).tolist() if p > _WHEEL_PRIMES[-1]]
     nxt = [(p * p) // 2 for p in base]  # slot of p^2, the first multiple to strike
-    active = 0
+    active = count = 0
     for lo in range(0, n_slots, _SIEVE_BLOCK):
         hi = min(lo + _SIEVE_BLOCK, n_slots)
-        block = is_prime[lo:hi]
+        block = buf[: hi - lo]
+        _wheel_fill(block, lo)
+        for p in _WHEEL_PRIMES:
+            if lo <= p // 2 < hi:
+                block[p // 2 - lo] = True
         while active < len(base) and nxt[active] < hi:
             active += 1
         for j in range(active):
@@ -434,23 +519,25 @@ def _primes_up_to(limit: int) -> np.ndarray:
                 # odd multiples of p are 2 p apart: p slots
                 block[s - lo :: p] = False
                 nxt[j] = s + (hi - s + p - 1) // p * p
-    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
+        found = np.flatnonzero(block)
+        out = primes[count : count + len(found)]
+        np.multiply(found, 2, out=out)
+        out += 2 * lo + 1
+        count += len(found)
     primes[0] = 2
-    return primes
+    return primes[:count]
 
 
 def first_k_primes(k: int) -> np.ndarray:
     """The first k primes, as a C-contiguous int64 array.
 
-    A segmented sieve of Eratosthenes over odd numbers only: one bool
-    per odd candidate, about ``limit / 2`` bytes where a sieve over all
-    integers takes ``limit``, struck one cache-sized block at a time
-    (see ``_primes_up_to``). The sieve bound uses
-    p_k < k (ln k + ln ln k) for k >= 6 and a fixed cap below that; the
-    bound is doubled (never needed in practice) if the sieve comes up
-    short.
+    A segmented sieve of Eratosthenes over odd numbers only, started from
+    a wheel that has already struck the multiples of 3 to 13, and run in
+    one cache-sized buffer reused block after block (see
+    ``_primes_up_to``). The sieve bound is ``_prime_bound``'s: Dusart's
+    bound for k >= 39017, so the sieve to the millionth prime stops at
+    15.49M. The bound is doubled (never needed in practice) if the sieve
+    comes up short.
 
     Raises
     ------
@@ -475,7 +562,9 @@ def _check_product_order(q: float) -> None:
 def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
     """The log Euler factors log(1 + p^-q) of zeta(q)/zeta(2q), one per prime."""
     _check_product_order(q)
-    return np.log1p(primes.astype(float) ** -q)
+    factors = primes.astype(float)
+    np.power(factors, -q, out=factors)
+    return np.log1p(factors, out=factors)
 
 
 def _first_log_euler_factors(q: float, k: int) -> np.ndarray:

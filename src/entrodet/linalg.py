@@ -126,7 +126,17 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
             )
         return spec
     arr = np.array(values, dtype=float, order="C").ravel()  # the one copy
-    # A positive, non-increasing copy is already sorted. Anything else
+    return _own_spectrum(arr, normalized)
+
+
+def _own_spectrum(arr: np.ndarray, normalized: bool | None = None) -> Spectrum:
+    """:func:`as_spectrum` of a fresh 1-D float64 buffer, sorted and admitted in place.
+
+    The caller hands ``arr`` over: it is reordered, clamped and frozen, and
+    becomes the spectrum's values, bit for bit those of
+    ``as_spectrum(arr, normalized)`` on a copy.
+    """
+    # A positive, non-increasing buffer is already sorted. Anything else
     # (NaN fails both tests) is sorted in place: negate, sort ascending,
     # negate back. Zeros always take the sort: its SIMD kernels may rewrite
     # the sign bit of a zero, and the output bits must not depend on the path.

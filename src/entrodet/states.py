@@ -25,7 +25,14 @@ import numpy as np
 
 from .errors import ConstraintViolation, DomainError, TruncationInsufficient, _check_count
 from .fredholm import KernelSpec, _first_log_euler_factors, _partial_zeta, zeta_series
-from .linalg import DensityMatrix, Spectrum, SpectrumLike, as_spectrum, validate_density
+from .linalg import (
+    DensityMatrix,
+    Spectrum,
+    SpectrumLike,
+    _own_spectrum,
+    as_spectrum,
+    validate_density,
+)
 
 
 # An X state on n = d^2 levels is held as its diagonal ``a`` (n entries) and
@@ -218,6 +225,10 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 # truncated infinite-dimensional spectra
 # ---------------------------------------------------------------------------
 
+# values per chunk of a long-spectrum build: 256 KiB, so each chunk's passes
+# stay in L2 and the output buffer is written from memory once
+_BUILD_CHUNK = 1 << 15
+
 
 def _check_exponent(x: float, what: str, low: float = 0.0) -> None:
     if not low < x < math.inf:  # NaN fails too
@@ -235,7 +246,8 @@ def power_law_spectrum(eps: float, k: int) -> Spectrum:
     k = _check_count(k, "truncation length")
     j = np.arange(1, k + 1, dtype=float)
     w = j ** -(1.0 + eps)
-    return as_spectrum(w / w.sum())
+    w /= w.sum()
+    return _own_spectrum(w)
 
 
 @dataclass(frozen=True)
@@ -281,13 +293,18 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     """
     _check_exponent(beta, "log-power exponent", 1.0)
     k = _check_count(k, "truncation length")
-    n = np.arange(2, k + 2, dtype=float)
-    w = np.log(n)  # one buffer becomes 1 / (n log^beta n), then its normalization
-    w **= beta
-    w *= n
-    np.reciprocal(w, out=w)
+    # one buffer, filled with 1 / (n log^beta n) a cache-sized chunk at a time,
+    # then normalized and admitted in place
+    w = np.empty(k)
+    for lo in range(0, k, _BUILD_CHUNK):
+        chunk = w[lo : lo + _BUILD_CHUNK]
+        n = np.arange(lo + 2, lo + 2 + len(chunk), dtype=float)
+        np.log(n, out=chunk)
+        chunk **= beta
+        chunk *= n
+        np.reciprocal(chunk, out=chunk)
     w /= w.sum()
-    return as_spectrum(w)
+    return _own_spectrum(w)
 
 
 def splice_spectrum(
@@ -351,7 +368,7 @@ def splice_spectrum(
         raise TruncationInsufficient(
             f"trace distance {l1:.6g} not below delta = {delta}"
         )
-    return as_spectrum(spliced)
+    return _own_spectrum(spliced)
 
 
 def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectrum:
@@ -362,10 +379,12 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
     converges to log(zeta(q) / zeta(2q)) as k grows.
     """
     _check_exponent(r, "deformation order", 1.0)
-    lam = _first_log_euler_factors(q, k) ** (1.0 / r)
+    lam = _first_log_euler_factors(q, k)
+    lam **= 1.0 / r
     if normalized:
-        return as_spectrum(lam / lam.sum())
-    return as_spectrum(lam, normalized=False)
+        lam /= lam.sum()
+        return _own_spectrum(lam)
+    return _own_spectrum(lam, normalized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +404,18 @@ def squeezed_schmidt_spectrum(r: float, n_max: int) -> Spectrum:
     n_max = _check_count(n_max, "truncation order")
     t = math.tanh(r) ** 2
     if t == 0.0:
-        return as_spectrum(np.array([1.0]))
+        return _own_spectrum(np.array([1.0]))
     if t == 1.0:
         # t rounds up to 1 in double precision (r above ~19); the
         # renormalized truncation converges to the uniform window there
-        return as_spectrum(np.full(n_max + 1, 1.0 / (n_max + 1)))
+        return _own_spectrum(np.full(n_max + 1, 1.0 / (n_max + 1)))
     # t**n rounds to exactly 0 once t**n < 2^-1075, i.e. for n > 1075 ln 2 / -ln t;
     # evaluating pow on that underflowing tail is slow, so it is left as zeros
     live = min(n_max + 1, math.ceil(1075 * math.log(2) / -math.log(t)) + 2)
     p = np.zeros(n_max + 1)
     p[:live] = (1.0 - t) * t ** np.arange(live, dtype=float)
-    return as_spectrum(p / p.sum())
+    p /= p.sum()
+    return _own_spectrum(p)
 
 
 def gaussian_entropy_analytic(r: float, mode: str = "stable") -> float:

@@ -298,6 +298,35 @@ class TestDetRen:
         with pytest.raises(DomainError):
             log_det_ren([0.5, 0.5], 0.4, 2)  # alpha_star(0.4) = 3
 
+    @pytest.mark.parametrize("r, alpha, want", [(0.6, 2, -math.inf), (0.45, 3, math.inf),
+                                                (0.45, 4, -math.inf)])
+    def test_overflow_is_the_signed_top_term(self, r, alpha, want):
+        # 1e7^0.45 = 1412.5 > 709.78, so expm1 overflows; alpha >= 3 made -inf + inf = NaN
+        assert log_det_ren([1e7], r, alpha) == want
+        assert log_det_ren([1e7, 1.0, 0.0], r, alpha) == want
+
+    @pytest.mark.parametrize("r, alpha", [(0.6, 2), (0.45, 3), (0.45, 5)])
+    def test_overflow_threshold(self, r, alpha):
+        # finite while g^(alpha-1) stays in range at the largest eigenvalue
+        edge = math.log(np.finfo(float).max) / (alpha - 1)  # log g at the threshold
+        below = log_det_ren([(edge - 0.01) ** (1 / r)], r, alpha)
+        above = log_det_ren([(edge + 0.01) ** (1 / r)], r, alpha)
+        assert math.isfinite(below)
+        assert above == math.copysign(math.inf, (-1) ** (alpha - 1))
+
+    def test_sum_past_the_float_range(self):
+        # each term 7.5e307 is finite; three of them sum past the range
+        lam = [354.8 ** (1 / 0.45)] * 3
+        assert math.isfinite(log_det_ren(lam[:1], 0.45, 3))
+        assert log_det_ren(lam, 0.45, 3) == math.inf
+
+    def test_overflow_in_evaluate(self):
+        res = evaluate("hy-ren", [1e7, 1.0], EntropyParams(r=0.45))
+        assert res.value == math.inf
+        assert res.divergent
+        assert res.diagnostics["log_det"] == math.inf
+        assert res.diagnostics["alpha"] == 3
+
     def test_consistency_with_plain_determinant(self, rng):
         # log det_alpha = log det + sum_j (-1)^j Tr(f_r^j) / j on finite spectra
         for _ in range(30):

@@ -23,7 +23,13 @@ from entrodet import (
     zeta_spectrum,
 )
 from entrodet.errors import ConstraintViolation, DomainError
-from entrodet.experiments import SCHEMA_VERSION, TRIANGLE_SLACK, _json_default
+from entrodet.experiments import (
+    SCHEMA_VERSION,
+    TRIANGLE_SLACK,
+    ZETA_SLACK,
+    ExperimentReport,
+    _json_default,
+)
 
 
 class TestXStateExperiment:
@@ -218,6 +224,44 @@ class TestZetaCheck:
         monkeypatch.setattr(fredholm, "first_k_primes", counting)
         run_zeta_check(2.0, 2.0, 1000)
         assert calls == [1000]
+
+    def test_one_admission_per_run(self, monkeypatch):
+        # the spectrum is admitted once; every checkpoint reads a prefix of it
+        calls = []
+        admit = linalg._admit
+
+        def counting(lam, normalized):
+            calls.append(len(lam))
+            return admit(lam, normalized)
+
+        monkeypatch.setattr(linalg, "_admit", counting)
+        run_zeta_check(2.0, 2.0, 10**5)
+        assert calls == [10**5]
+
+    @pytest.mark.parametrize("q, r, k", [(2.0, 2.0, 1000), (3.0, 1.5, 54321)])
+    def test_csv_equals_the_copy_path(self, q, r, k):
+        # the per-checkpoint columns: each checkpoint builds, copies and admits
+        # its own spectrum and product
+        report = run_zeta_check(q, r, k)
+        ks = report.columns["k"]
+        log_det = [log_det_r(np.array(zeta_spectrum(q, r, kk, normalized=False).values), r)
+                   for kk in ks]
+        analytic = report.summary["analytic_ratio"]
+        gap = [abs(v - math.log(analytic)) for v in log_det]
+        p_k = [int(fredholm.first_k_primes(kk)[-1]) for kk in ks]
+        bound = [fredholm.prime_tail_bound(q, p) for p in p_k]
+        columns = {
+            "k": ks,
+            "p_k": p_k,
+            "product": [zeta_ratio_product(q, kk) for kk in ks],
+            "log_det": log_det,
+            "abs_gap": gap,
+            "rel_gap": [g / abs(math.log(analytic)) for g in gap],
+            "tail_bound": bound,
+            "pass": [g <= tb + ZETA_SLACK for g, tb in zip(gap, bound)],
+        }
+        want = ExperimentReport(report.experiment, report.params, columns, report.summary)
+        assert report.to_csv() == want.to_csv()
 
     @pytest.mark.parametrize("q, r, k", [(2.0, 2.0, 1), (2.0, 2.0, 1000), (3.0, 1.5, 54321),
                                          (4.0, 2.0, 10_000), (2.5, 3.0, 777)])

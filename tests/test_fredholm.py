@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -23,6 +24,7 @@ from entrodet.errors import DomainError, NonFiniteKernel, NonPositiveDeterminant
 from entrodet.experiments import KERNELS, run_gaussian_experiment, run_xstate_experiment, run_zeta_check
 
 EXP_RANK_ONE_DET = 4.1945280494653251  # 1 + (e^2 - 1)/2
+HUGE = KernelSpec(lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape), 1e300), "1e300")
 
 
 def kw_matrix(kernel, z, rule):
@@ -215,6 +217,39 @@ class TestLogFredholmDet:
         with pytest.raises(NonPositiveDeterminant):
             log_fredholm_det(CONST, -2.0, 0, 1, 5)  # det = 1 - 2 = -1
 
+    @pytest.mark.parametrize("m", [20, 400])
+    @pytest.mark.parametrize("det", [fredholm_det, log_fredholm_det])
+    def test_overflow_is_a_domain_error(self, det, m):
+        # K = 1e300 on (0, 1) at z = 1e10: det(1 + z K) = 1 + 1e310 (log 713.80) is
+        # out of float range; at m = 20 the entries z w_i K overflow, at m = 400
+        # they do not, but the 1 x 1 core 1 + sum_i z w_i K does. Both used to
+        # return NaN, 0.0 or a wrong sign, with RuntimeWarnings (test errors here)
+        with pytest.raises(DomainError, match="overflows") as info:
+            det(HUGE, 1e10, 0.0, 1.0, m)
+        assert not isinstance(info.value, (NonFiniteKernel, NonPositiveDeterminant))
+
+    def test_overflowing_nystrom_matrix(self):
+        with pytest.raises(DomainError, match="overflows") as info:
+            nystrom_matrix(HUGE, 1e10, gauss_legendre(20, 0.0, 1.0))
+        assert not isinstance(info.value, NonFiniteKernel)
+
+    @pytest.mark.parametrize("m", [20, 400])
+    def test_large_finite_entries_stay_exact(self, m):
+        # at z = 1e7 nothing overflows: log(1 + 1e307), on either route
+        assert log_fredholm_det(HUGE, 1e7, 0.0, 1.0, m) == pytest.approx(math.log(1e307), rel=1e-14)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0])
+    @pytest.mark.parametrize("f", [
+        lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape), np.inf),
+        lambda x, y: np.log(np.abs(x - y)),  # -inf on the diagonal, with a divide warning
+    ], ids=["inf", "log"])
+    def test_non_finite_kernel_still_named(self, f, z):
+        # at z = 0 the weighted entry is 0 * inf = NaN: still the kernel's fault;
+        # the kernel's own floating-point warnings give way to the typed error
+        for m in (5, 400):
+            with pytest.raises(NonFiniteKernel):
+                log_fredholm_det(f, z, 0, 1, m)
+
     def test_kernel_failures_are_domain_errors(self):
         # the CLI maps DomainError to exit 4
         assert issubclass(NonPositiveDeterminant, DomainError)
@@ -230,6 +265,16 @@ def trial_division_primes(k):
             primes.append(n)
         n += 1
     return primes
+
+
+@functools.lru_cache(maxsize=None)
+def _primes_up_to_by_trial(limit):
+    return tuple(n for n in range(2, limit + 1) if all(n % p for p in range(2, math.isqrt(n) + 1)))
+
+
+def primes_up_to_by_trial(limit):
+    """All primes <= limit by trial division."""
+    return list(_primes_up_to_by_trial(limit))
 
 
 class TestPrimes:
@@ -248,6 +293,51 @@ class TestPrimes:
         want = trial_division_primes(2000)
         for k in (1, 2, 5, 6, 7, 100, 2000):
             assert first_k_primes(k).tolist() == want[:k]
+
+    @pytest.mark.parametrize("block", [8, 37, 1000, 20_000, 40_000])
+    def test_blocks_not_dividing_the_wheel(self, monkeypatch, block):
+        # 15015 = 3 5 7 11 13 odd slots per wheel turn: none of these blocks
+        # divides it, so every block starts at another phase of the pattern,
+        # and 40000 copies a whole turn inside one block
+        monkeypatch.setattr(fredholm, "_SIEVE_BLOCK", block)
+        for limit in (30_028, 30_030, 30_032, 100_003):
+            assert fredholm._primes_up_to(limit).tolist() == primes_up_to_by_trial(limit)
+
+    @pytest.mark.parametrize("limit", [*range(21), 15_013, 15_014, 15_015, 15_016, 15_017,
+                                       30_028, 30_029, 30_030, 30_031, 30_032])
+    def test_limits_straddling_the_wheel(self, limit):
+        primes = fredholm._primes_up_to(limit)
+        assert primes.tolist() == primes_up_to_by_trial(limit)
+        assert primes.dtype == np.int64 and primes.flags.c_contiguous
+
+    def test_wheel_pattern(self):
+        wheel = fredholm._WHEEL
+        assert len(wheel) == fredholm._WHEEL_SLOTS == 3 * 5 * 7 * 11 * 13
+        assert not wheel.flags.writeable
+        odd = np.arange(1, 2 * len(wheel), 2)
+        assert np.array_equal(wheel, np.gcd(odd, 15015) == 1)
+
+    @pytest.mark.parametrize("k, p_k", [(39_016, 467_471), (39_017, 467_473),
+                                        (10**6, 15_485_863), (2 * 10**6, 32_452_843)])
+    def test_bound_holds_and_is_never_doubled(self, monkeypatch, k, p_k):
+        bound = fredholm._prime_bound(k)
+        assert bound >= p_k
+        limits = []
+        sieve = fredholm._primes_up_to
+
+        def recording(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(fredholm, "_primes_up_to", recording)
+        assert int(first_k_primes(k)[-1]) == p_k
+        assert max(limits) == bound  # the first sieve was long enough
+
+    def test_dusart_bound_from_39017(self):
+        # Dusart: p_k <= k (ln k + ln ln k - 0.9484); the sieve to the
+        # millionth prime stops at 15.49M, not 16.44M
+        assert fredholm._prime_bound(10**6) < 15_500_000
+        assert fredholm._prime_bound(39_016) > fredholm._prime_bound(39_017)
 
     def test_hundred_thousandth(self):
         assert int(first_k_primes(100_000)[-1]) == 1_299_709

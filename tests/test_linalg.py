@@ -3,6 +3,7 @@ import pytest
 
 from entrodet import (
     DensityMatrix,
+    linalg,
     as_spectrum,
     eig_hermitian,
     matrix_function,
@@ -22,6 +23,7 @@ from entrodet.errors import (
     NotPositive,
     TraceNotOne,
 )
+from entrodet.linalg import PSD_TOL
 
 from conftest import ginibre_density, haar_unitary, random_pure_bipartite
 
@@ -350,6 +352,42 @@ class TestCoercionOrder:
         with pytest.raises(NotPositive):
             as_spectrum(values)
         assert np.array_equal(values, bad, equal_nan=True)
+
+
+class TestInPlaceAdmission:
+    """``as_spectrum`` admits a copy; ``_own_spectrum`` admits the buffer it is handed."""
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.5, 0.3, 0.2]),
+        np.array([0.2, 0.5, 0.3]),
+        np.array([0.6, -0.5 * PSD_TOL, 0.4, -PSD_TOL]),
+        np.array([0.6, 0.4, 0.0, -PSD_TOL]),
+    ], ids=["sorted", "unsorted", "clamped", "sorted clamped"])
+    def test_caller_array_untouched(self, values):
+        before = values.copy()
+        spec = as_spectrum(values)
+        assert values.flags.writeable
+        assert values.tobytes() == before.tobytes()
+        assert not np.shares_memory(spec.values, values)
+        assert not spec.values.flags.writeable
+
+    @pytest.mark.parametrize("case", [c for c, v in COERCION_CASES.items()
+                                      if np.ndim(v) == 1 and len(v)])
+    @pytest.mark.parametrize("normalized", [None, False])
+    def test_own_buffer_bits_equal_the_copy_path(self, case, normalized):
+        buf = np.array(COERCION_CASES[case], dtype=float)
+        want = as_spectrum(buf, normalized)
+        got = linalg._own_spectrum(buf, normalized)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.is_normalized == want.is_normalized
+        assert np.shares_memory(got.values, buf)  # admitted where it lies
+        assert not buf.flags.writeable
+
+    def test_own_buffer_errors_as_the_copy_path(self):
+        for bad, error in (([0.5, -0.1], NotPositive), ([0.5, np.nan], NotPositive),
+                           ([0.5, 0.4], NotNormalized)):
+            with pytest.raises(error):
+                linalg._own_spectrum(np.array(bad), normalized=True)
 
 
 class TestSpectrumOf:

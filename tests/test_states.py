@@ -13,6 +13,7 @@ from entrodet import (
     eig_hermitian,
     gaussian_entropy_analytic,
     hu_ye,
+    linalg,
     log_det_r,
     log_power_spectrum,
     partial_trace,
@@ -23,6 +24,7 @@ from entrodet import (
     splice_spectrum,
     squeezed_kernel,
     squeezed_schmidt_spectrum,
+    states,
     validate_density,
     von_neumann,
     x_state,
@@ -342,7 +344,9 @@ class TestSpliceSpectrum:
 
 
 class TestLogPowerSpectrum:
-    @pytest.mark.parametrize("beta,k", [(1.5, 1), (1.2, 7), (1.8, 1000), (2.0, 4321), (3.0, 10**5)])
+    @pytest.mark.parametrize("beta,k", [(1.5, 1), (1.2, 7), (1.8, 1000), (2.0, 4321), (3.0, 10**5),
+                                        (1.5, states._BUILD_CHUNK - 1), (1.5, states._BUILD_CHUNK),
+                                        (1.5, 2 * states._BUILD_CHUNK + 1)])
     def test_bit_identical_to_the_formula(self, beta, k):
         # the in-place build must round exactly as the expression it replaced
         n = np.arange(2, k + 2, dtype=float)
@@ -350,6 +354,12 @@ class TestLogPowerSpectrum:
         want = w / w.sum()
         got = log_power_spectrum(beta, k).values
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunking_is_invisible(self, monkeypatch, chunk):
+        want = log_power_spectrum(1.7, 1000).values
+        monkeypatch.setattr(states, "_BUILD_CHUNK", chunk)
+        assert log_power_spectrum(1.7, 1000).values.tobytes() == want.tobytes()
 
     def test_two_entries_oracle(self):
         spec = log_power_spectrum(1.5, 2)
@@ -366,6 +376,30 @@ class TestLogPowerSpectrum:
             log_power_spectrum(1.0, 10)
         with pytest.raises(DomainError):
             log_power_spectrum(math.nan, 10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: log_power_spectrum(1.5, 10**5),
+    lambda: log_power_spectrum(1.2, 3),
+    lambda: zeta_spectrum(2.0, 2.0, 10**5),
+    lambda: zeta_spectrum(3.0, 1.5, 54_321, normalized=False),
+    lambda: squeezed_schmidt_spectrum(0.0, 10),
+    lambda: squeezed_schmidt_spectrum(1.0, 5000),  # trailing zeros take the sort
+    lambda: squeezed_schmidt_spectrum(20.0, 50),
+    lambda: power_law_spectrum(0.5, 10**4),
+    lambda: splice_spectrum([0.6, 0.4], eps=1.0, delta=0.1, threshold=3.0),
+], ids=["log-power", "log-power short", "zeta", "zeta raw", "squeezed r=0", "squeezed",
+        "squeezed t=1", "power law", "splice"])
+def test_builders_admit_in_place_as_the_copy_path(monkeypatch, build):
+    # the builders hand their own buffer to _own_spectrum; admitting a copy of
+    # it instead (what as_spectrum does) gives the same spectrum bit for bit
+    got = build()
+    own = linalg._own_spectrum
+    monkeypatch.setattr(states, "_own_spectrum", lambda a, normalized=None: own(a.copy(), normalized))
+    want = build()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.is_normalized == want.is_normalized
+    assert not got.values.flags.writeable
 
 
 class TestZetaSpectrum:
