@@ -12,13 +12,14 @@ is similar to it and has the same determinant. ``fredholm_det`` and
 ``log_fredholm_det`` share one route. Adaptive cross approximation
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
 from a few kernel rows and columns; one pass over the kernel grid, in
-row blocks, checks every entry of A for finiteness and every entry of
-``A - U V^T``; then ``det(1 + A) = det(I_k + V^T U)`` for the numerical
-rank k. Kernels with no low rank fall back to the LU of the dense
-matrix. Both accumulate the determinant in log space and never form the
-product, so the log-determinant stays usable where the determinant
-itself overflows; an entry of A or of the k x k core that overflows
-raises ``DomainError``.
+row blocks held in two reused buffers, checks every entry of A for
+finiteness and every entry of ``A - U V^T``; then
+``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
+no low rank fall back to the LU of the dense matrix. Both accumulate the
+determinant in log space and never form the product, so the
+log-determinant stays usable where the determinant itself overflows: a
+k x k core that overflows is scaled by a power of two first, and only an
+entry of A that overflows raises ``DomainError``.
 
 The prime and zeta helpers, built on the Euler factors of
 ``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -53,11 +54,21 @@ MAX_NODES = 10_000
 
 # low-rank route: ACA stops at crosses below _ACA_TOL of the Frobenius
 # estimate, a decade above the rounding floor of about 1e-15; the grid check
-# allows entries of A - U V^T up to _GRID_TOL of max|A|; kernel values per
-# block of the grid pass
+# allows entries of A - U V^T up to _GRID_TOL of max|A|
 _ACA_TOL = 1e-14
 _GRID_TOL = 1e-12
-_BLOCK_VALUES = 1 << 16
+# kernel values per block of the grid check: 256 KiB per block. The check's
+# two buffers are reused, but a kernel's own temporaries (x + y, then exp of
+# it) are fresh arrays each block, and glibc serves such sizes by mmap or
+# trims them off the heap, so every block can page-fault them in anew. On one
+# vCPU of a shared Xeon host, over two runs of 20-30 interleaved cycles, a
+# fredholm-nystrom cycle took a median 135-145 ms (831-1,000 faults) at 32K
+# values, 138-151 ms (551-718) at 16K, 149 ms (600) at 8K, 149-157 ms
+# (2,438-2,612) at 64K and 245-249 ms (about 33,600) at 128K
+_BLOCK_VALUES = 1 << 15
+# a row of the grid check whose scaled peak reaches this is re-decided in A's
+# own units: far above any rounding gap, far below the float maximum
+_NEAR_MAX = 2.0**1020
 
 # odd sieve candidates per block: 1 MiB of bool, half the 2 MiB L2 per core of
 # the Xeon host it was timed on; a sieve to 15.49M took 25-29 ms there at 1 MiB
@@ -168,15 +179,27 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     weights are ``(b-a) / ((1-x^2) P_m'(x)^2)``. The computed rule is
     mirror-symmetrized so nodes are exactly symmetric about the interval
     midpoint. The rule on [-1, 1] is built once per m and cached.
+
+    Raises
+    ------
+    DomainError
+        If the interval is not finite with a < b, or its width b - a
+        overflows (then so would the weights, which sum to it).
     """
     m = _check_count(m, "node count")
     _check_interval(a, b)
+    a, b = float(a), float(b)  # Python floats overflow to inf without a warning
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    if math.isinf(mid):  # a + b overflows; halves of floats this large are exact
+        mid = 0.5 * a + 0.5 * b
+    if math.isinf(half):
+        raise DomainError(f"the rule on ({a}, {b}) overflows: b - a is beyond the float range")
     x, w = _reference_rule(m)
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
-    weights = 0.5 * (b - a) * w
+    nodes = mid + half * x
+    weights = half * w
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes, weights, float(a), float(b))
+    return QuadratureRule(nodes, weights, a, b)
 
 
 def _evaluator(kernel: KernelLike) -> Callable:
@@ -335,19 +358,84 @@ def _aca(
 
 
 def _within_tolerance(
-    blocks: Iterable[tuple[int, np.ndarray]], u: np.ndarray, vt: np.ndarray
+    f: Callable,
+    rule: QuadratureRule,
+    z: float,
+    sw: np.ndarray,
+    u: np.ndarray,
+    vt: np.ndarray,
+    step: int,
+    amat: np.ndarray | None,
 ) -> bool:
-    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over the row blocks of A.
+    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over every entry of A.
 
+    One pass over the grid in blocks of ``step`` rows, each block filled
+    into one reused buffer and its residual into another. A block is held
+    in kernel-row units ``B = K sqrt(w_j)``, one row-broadcast multiply of
+    the kernel values, so that ``A_i = c_i B_i`` with ``c_i = z sqrt(w_i)``;
+    u is brought to the same units once, ``u_i / c_i`` (0 where c_i = 0,
+    where the row of u is 0 too). Per row the max and min of B and of
+    ``u @ vt - B`` are kept; at the end they are scaled by ``|c_i|``.
+    ``amat``, a one-block grid already weighted, is A itself: it is read
+    in place and reduced as one row.
+
+    A block where any of these is not finite, or where a row's peak comes
+    near the float maximum (products round differently there), is
+    re-decided in A's own units from ``_weighted_block``, which raises
+    ``NonFiniteKernel`` or ``DomainError`` as it would for the whole grid.
     A residual that is not finite fails the check.
     """
-    worst = peak = 0.0
-    for start, block in blocks:
-        peak = max(peak, float(np.abs(block).max()))
-        residual = u[start : start + len(block)] @ vt
-        residual -= block
-        worst = float(np.maximum(worst, np.abs(residual).max()))  # NaN sticks
-    return worst <= _GRID_TOL * peak
+    m = rule.m
+    x = rule.nodes
+    every = slice(None)
+    product = np.dot if len(vt) == 1 else np.matmul  # matmul's k = 1 path is slow
+    res = np.empty((min(step, m), m))
+    if amat is None:
+        scale = z * sw
+        us = np.divide(u, scale[:, None], out=np.zeros_like(u), where=scale[:, None] != 0.0)
+        c = np.abs(scale)
+        buf = np.empty_like(res)
+    else:
+        us, c = u, 1.0
+    # per row: max and min of the block, then of its residual; amat is reduced as
+    # one row, since per-row passes cost about 3x more at m = 80
+    ext = np.empty((4, m if amat is None else 1))
+
+    def fold(block: np.ndarray, uu: np.ndarray, rows: slice) -> None:
+        r = product(uu, vt, out=res[: len(block)])
+        r -= block
+        out = ext[:, rows]
+        shape = (out.shape[1], -1)  # a row of ext per row of A, or one for all of amat
+        # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call, 500 of
+        # them per m = 2000 determinant
+        np.maximum.reduce(block.reshape(shape), axis=1, out=out[0])
+        np.minimum.reduce(block.reshape(shape), axis=1, out=out[1])
+        np.maximum.reduce(r.reshape(shape), axis=1, out=out[2])
+        np.minimum.reduce(r.reshape(shape), axis=1, out=out[3])
+
+    def extremes() -> tuple[np.ndarray, float, float]:
+        # per row max|A| and max|A - u @ vt|, then their maxima; NaN sticks
+        per_row = np.maximum(ext[0::2], -ext[1::2])
+        per_row *= c
+        return per_row, *np.maximum.reduce(per_row, axis=1)
+
+    for s in range(0, m, step):
+        rows = slice(s, s + step)
+        if amat is None:
+            block = buf[: min(step, m - s)]
+            np.multiply(np.asarray(f(x[rows, None], x[None, :]), dtype=float), sw, out=block)
+        else:
+            block = amat
+        fold(block, us[rows], rows)
+    per_row, peak, worst = extremes()
+    if amat is None and not (peak < _NEAR_MAX and math.isfinite(worst)):
+        bad = np.flatnonzero(~((per_row[0] < _NEAR_MAX) & np.isfinite(per_row[1])))
+        for s in np.unique(bad // step) * step:
+            rows = slice(s, s + step)
+            fold(_weighted_block(f, rule, z, sw, rows, every), u[rows], rows)
+            c[rows] = 1.0
+        _, peak, worst = extremes()
+    return bool(worst <= _GRID_TOL * peak)
 
 
 def _nystrom_logdet(
@@ -357,22 +445,23 @@ def _nystrom_logdet(
 
     ACA factors ``A = z W^1/2 K W^1/2 ~ U V^T`` from a few kernel rows and
     columns. One pass over the kernel grid, in row blocks of about
-    ``_BLOCK_VALUES`` values, then checks every entry of A for finiteness
-    and every entry of ``A - U V^T`` against the tolerance; when it holds,
-    ``det(I_m + U V^T) = det(I_k + V^T U)`` and the rank is k. When ACA
+    ``_BLOCK_VALUES`` values (``_within_tolerance``), then checks every
+    entry of A for finiteness and every entry of ``A - U V^T`` against the
+    tolerance; when it holds, ``det(I_m + U V^T) = det(I_k + V^T U)`` and
+    the rank is k. A core ``I_k + V^T U`` that overflows is taken as
+    ``s^k det(I / s + V^T (U / s))`` for a power of two s. When ACA
     reaches the rank cap or the check fails, the rank is m and the
     determinant is the dense ``slogdet`` of ``nystrom_matrix``. A grid
     that fits one block is evaluated once, before ACA, which reads its
-    rows and columns from it.
+    rows and columns from it, and the check reads it in place.
 
     Raises
     ------
     NonFiniteKernel
         If a kernel value is not finite.
     DomainError
-        If an entry of A, or of the k x k core ``I_k + V^T U``, overflows:
-        the determinant is then out of reach of both routes, whose rounding
-        is relative to the largest entry.
+        If an entry of A overflows: the determinant is then out of reach of
+        both routes, whose rounding is relative to the largest entry.
     """
     _check_node_cap(m)
     rule = gauss_legendre(m, a, b)
@@ -386,30 +475,27 @@ def _nystrom_logdet(
             # one block holds the grid: evaluate it once and read ACA rows from it
             amat = _weighted_block(f, rule, z, sw, every, every)
             factors = _aca(amat.__getitem__, lambda j: amat[:, j], m, _rank_cap(m))
-            blocks = [(0, amat)]
         else:
             amat = None
-
-            def block(rows: slice, cols: slice) -> np.ndarray:
-                return _weighted_block(f, rule, z, sw, rows, cols)
-
             factors = _aca(
-                lambda i: block(slice(i, i + 1), every)[0],
-                lambda j: block(every, slice(j, j + 1))[:, 0],
+                lambda i: _weighted_block(f, rule, z, sw, slice(i, i + 1), every)[0],
+                lambda j: _weighted_block(f, rule, z, sw, every, slice(j, j + 1))[:, 0],
                 m,
                 _rank_cap(m),
             )
-            blocks = ((s, block(slice(s, s + step), every)) for s in range(0, m, step))
-        if factors is not None and _within_tolerance(blocks, *factors):
+        if factors is not None and _within_tolerance(f, rule, z, sw, *factors, step, amat):
             u, vt = factors
-            core = np.eye(len(vt)) + vt @ u
-            if not np.isfinite(core).all():
-                raise DomainError(
-                    f"the rank-{len(vt)} determinant core overflows at z = {z} on "
-                    f"({a}, {b}), m = {m}"
-                )
-            sign, logdet = np.linalg.slogdet(core)
-            return float(sign), float(logdet), len(vt)
+            k = len(vt)
+            core = np.eye(k) + vt @ u
+            if np.isfinite(core).all():
+                sign, logdet = np.linalg.slogdet(core)
+            else:
+                # V^T U overflows: det(core) = s^k det(I / s + V^T (U / s)) for s = 2^e
+                # above max|U|, where every |V| <= 1 keeps V^T (U / s) below m
+                e = math.frexp(float(np.abs(u).max()))[1]
+                sign, logdet = np.linalg.slogdet(np.eye(k) * 2.0**-e + vt @ np.ldexp(u, -e))
+                logdet += k * e * math.log(2.0)
+            return float(sign), float(logdet), k
     if amat is not None:  # nystrom_matrix's array but for the identity
         dense = amat
         dense.flat[:: m + 1] += 1.0

@@ -251,6 +251,7 @@ class TestExperimentCommands:
         ("--interval", "0", "inf"),
         ("--kernel", "exp-rank-one", "--interval", "0", "inf"),
         ("--z", "1e300", "--interval", "0", "1e10"),  # z w K overflows: was det=nan, exit 0
+        ("--interval", "-1" + "0" * 308, "1e308"),  # b - a overflows: the rule is refused
     ])
     def test_quad_failure_exit_4(self, args):
         proc = run_cli("quad-test", *args)

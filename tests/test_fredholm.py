@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -135,6 +136,34 @@ class TestGaussLegendre:
             with pytest.raises(DomainError):
                 gauss_legendre(3, a, b)
 
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (-1.7e308, 1e308)])
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_overflowing_rule_is_a_domain_error(self, a, b, m):
+        # b - a overflows: the rule was [-inf, -inf, nan, inf, inf] with inf
+        # weights and a RuntimeWarning (a test error here)
+        for cast in (float, np.float64):
+            with pytest.raises(DomainError, match="overflows"):
+                gauss_legendre(m, cast(a), cast(b))
+
+    @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (-1.7e308, -1e308)])
+    def test_overflowing_midpoint_is_halved_first(self, a, b):
+        # a + b overflows but every node lies in (a, b): the nodes were all inf
+        for cast in (float, np.float64):
+            rule = gauss_legendre(5, cast(a), cast(b))
+            x, w = fredholm._reference_rule(5)
+            assert np.array_equal(rule.nodes, (0.5 * a + 0.5 * b) + 0.5 * (b - a) * x)
+            assert np.array_equal(rule.weights, 0.5 * (b - a) * w)
+            assert a < rule.nodes[0] and rule.nodes[-1] < b
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (-1.5, 2.0), (0.0, 1e-320), (-1e307, 1e307),
+                                      (1e300, 1.5e300), (np.float64(0.3), np.float64(7.1))])
+    def test_finite_rules_keep_their_bits(self, a, b):
+        x, w = fredholm._reference_rule(9)
+        rule = gauss_legendre(9, a, b)
+        assert np.array_equal(rule.nodes, 0.5 * (a + b) + 0.5 * (b - a) * x)
+        assert np.array_equal(rule.weights, 0.5 * (b - a) * w)
+        assert np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()
+
 
 CONST = KernelSpec(lambda x, y: np.ones_like(x + y), "constant")
 EXP1 = KernelSpec(lambda x, y: np.exp(x + y), "exp-rank-one")
@@ -217,16 +246,44 @@ class TestLogFredholmDet:
         with pytest.raises(NonPositiveDeterminant):
             log_fredholm_det(CONST, -2.0, 0, 1, 5)  # det = 1 - 2 = -1
 
-    @pytest.mark.parametrize("m", [20, 400])
+    @pytest.mark.parametrize("m", [20])
     @pytest.mark.parametrize("det", [fredholm_det, log_fredholm_det])
     def test_overflow_is_a_domain_error(self, det, m):
-        # K = 1e300 on (0, 1) at z = 1e10: det(1 + z K) = 1 + 1e310 (log 713.80) is
-        # out of float range; at m = 20 the entries z w_i K overflow, at m = 400
-        # they do not, but the 1 x 1 core 1 + sum_i z w_i K does. Both used to
-        # return NaN, 0.0 or a wrong sign, with RuntimeWarnings (test errors here)
+        # K = 1e300 on (0, 1) at z = 1e10: det(1 + z K) = 1 + 1e310 (log 713.80);
+        # at m = 20 the entries z w_i K overflow. It used to return NaN, with
+        # RuntimeWarnings (test errors here)
         with pytest.raises(DomainError, match="overflows") as info:
             det(HUGE, 1e10, 0.0, 1.0, m)
         assert not isinstance(info.value, (NonFiniteKernel, NonPositiveDeterminant))
+
+    @staticmethod
+    def exact_log_det(kernel, z, m, rank):
+        """log det(I + z G) of the m-node rule, G the Gram matrix of K's factors, in mpmath."""
+        rule = gauss_legendre(m, 0.0, 1.0)
+        with mpmath.workdps(40):
+            phi = [[mpmath.mpf(float(v)) for v in kernel(rule.nodes, a)] for a in range(rank)]
+            w = [mpmath.mpf(float(v)) for v in rule.weights]
+            gram = mpmath.matrix([[(a == b) + mpmath.mpf(z) * mpmath.fsum(
+                wi * pa * pb for wi, pa, pb in zip(w, phi[a], phi[b]))
+                for b in range(rank)] for a in range(rank)])
+            return float(mpmath.log(mpmath.det(gram)))
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_overflowing_core_is_rescaled(self, m):
+        # every entry of A is finite (about 4e307 at m = 400), but the 1 x 1 core
+        # 1 + sum_i z w_i K = 1 + 1e310 is not; log det was refused with DomainError
+        want = self.exact_log_det(lambda x, a: np.full(len(x), 1e150), 1e10, m, 1)
+        assert want == pytest.approx(713.8013788281543, abs=1e-12)
+        assert log_fredholm_det(HUGE, 1e10, 0.0, 1.0, m) == pytest.approx(want, abs=2e-13)
+        assert fredholm_det(HUGE, 1e10, 0.0, 1.0, m) == math.inf
+
+    def test_overflowing_rank_two_core_is_rescaled(self):
+        # K = 1e300 (1 + x y): V^T U overflows in two of its entries
+        kernel = KernelSpec(lambda x, y: 1e300 * (1.0 + x * y), "huge-rank-two")
+        sign, logdet, rank = fredholm._nystrom_logdet(kernel, 1e10, 0.0, 1.0, 400)
+        want = self.exact_log_det(lambda x, a: 1e150 * x**a, 1e10, 400, 2)
+        assert (sign, rank) == (1.0, 2)
+        assert logdet == pytest.approx(want, rel=1e-14)
 
     def test_overflowing_nystrom_matrix(self):
         with pytest.raises(DomainError, match="overflows") as info:
@@ -630,8 +687,9 @@ class TestLowRankDeterminant:
         assert all(y == (1, m) and x[1] == 1 and x[0] < m for x, y in blocks)
         assert sum(x[0] for x, _ in blocks) == m  # every grid row once
         seen.clear()
-        log_fredholm_det(evaluator, 1.0, 0, 1, 200)  # the grid is one block
-        assert seen == [((200, 1), (1, 200))]
+        m = math.isqrt(fredholm._BLOCK_VALUES)  # the largest grid that is one block
+        log_fredholm_det(evaluator, 1.0, 0, 1, m)
+        assert seen == [((m, 1), (1, m))]
 
     def test_no_dense_det(self, monkeypatch):
         def refuse(_):
@@ -646,6 +704,204 @@ class TestLowRankDeterminant:
         for sign in (1.0, -1.0):
             monkeypatch.setattr(fredholm, "_nystrom_logdet", lambda *args: (sign, 800.0, 1))
             assert fredholm_det(CONST, 1.0, 0.0, 1.0, 4) == sign * math.inf
+
+
+def two_pass_within_tolerance(amat, u, vt):
+    """The grid check as two passes over the whole of A: the fused check's oracle.
+
+    ``max|A - u @ vt| <= _GRID_TOL * max|A|``; a residual that is not finite fails.
+    """
+    peak = float(np.abs(amat).max())
+    residual = u @ vt
+    residual -= amat
+    worst = float(np.abs(residual).max())  # NaN sticks
+    return worst <= fredholm._GRID_TOL * peak
+
+
+def exact_factors(phis, z, rule):
+    """``(u, vt)`` with ``u @ vt = z W^1/2 K W^1/2`` for ``K = sum_l phi_l(x) phi_l(y)``."""
+    sw = np.sqrt(rule.weights)
+    vt = np.array([sw * phi(rule.nodes) for phi in phis])
+    return np.ascontiguousarray(z * vt.T), vt
+
+
+class TestGridCheck:
+    """``_within_tolerance`` against the two-pass formula it replaced."""
+
+    PHIS = {1: (np.exp,), 2: (np.exp, lambda x: 0.5 * np.sin(3.0 * x))}
+
+    @staticmethod
+    def spiked(phis, bad_x, bad_y, delta):
+        def evaluator(x, y):
+            smooth = sum(phi(x) * phi(y) for phi in phis)
+            return smooth + np.where((x == bad_x) & (y == bad_y), delta, 0.0)
+        return evaluator
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def smooth(cls, rank, z, m):
+        """The rule, sqrt(w), exact factors and A of the unspiked kernel."""
+        rule = gauss_legendre(m, 0.0, 1.0)
+        sw = np.sqrt(rule.weights)
+        f = cls.spiked(cls.PHIS[rank], 0.0, 0.0, 0.0)
+        amat = fredholm._weighted_block(f, rule, z, sw, slice(None), slice(None))
+        amat.setflags(write=False)
+        return rule, sw, *exact_factors(cls.PHIS[rank], z, rule), amat
+
+    def decide(self, rank, z, m, row, col, t):
+        rule, sw, u, vt, smooth = self.smooth(rank, z, m)
+        # a spike of t times the tolerance, in A's units, at (row, col)
+        delta = t * fredholm._GRID_TOL * np.abs(smooth).max() / (abs(z) * sw[row] * sw[col])
+        f = self.spiked(self.PHIS[rank], rule.nodes[row], rule.nodes[col], delta)
+        amat = smooth.copy()  # the spiked kernel's A, which differs at (row, col) only
+        amat[row, col] = fredholm._weighted_block(
+            f, rule, z, sw, slice(row, row + 1), slice(col, col + 1))[0, 0]
+        want = two_pass_within_tolerance(amat, u, vt)
+        step = max(1, fredholm._BLOCK_VALUES // m)
+        with np.errstate(all="ignore"):
+            got = fredholm._within_tolerance(f, rule, z, sw, u, vt, step, amat if m <= step else None)
+        return got, want
+
+    @pytest.mark.parametrize("t", [0.9, 1.1, -0.9, -1.1])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("z", [0.7, -1.3])
+    def test_spike_at_block_edges(self, t, rank, z):
+        m = 600
+        step = fredholm._BLOCK_VALUES // m
+        assert m % step  # the last block is ragged
+        rows = (0, step - 1, step, 2 * step - 1, m - m % step, m - 2, m - 1)  # 0, m - 1: least sw
+        for row in rows:
+            for col in (0, 517, m - 1):
+                got, want = self.decide(rank, z, m, row, col, t)
+                assert got == want == (abs(t) < 1.0), (row, col)
+
+    @pytest.mark.parametrize("t", [0.9, 1.1])
+    @pytest.mark.parametrize("m", [40, math.isqrt(fredholm._BLOCK_VALUES), 2000])
+    def test_spike_on_one_block_and_on_many(self, t, m):
+        for row, col in ((0, m - 1), (m // 2, 3), (m - 1, m // 3)):
+            got, want = self.decide(1, 1.0, m, row, col, t)
+            assert got == want == (t < 1.0), (row, col)
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_row_scale_near_the_float_maximum_is_redecided(self, m):
+        # A spike of about 1e308 in A's units sends one row past _NEAR_MAX: its block
+        # is re-decided in A's units and the check fails, as the formula's does
+        rule = gauss_legendre(m, 0.0, 1.0)
+        sw = np.sqrt(rule.weights)
+        row, col = m // 2, m // 3
+        z = 1e8 / (sw[row] * sw[col])
+        u, vt = exact_factors(self.PHIS[1], z, rule)
+        f = self.spiked(self.PHIS[1], rule.nodes[row], rule.nodes[col], 1e300)
+        every = slice(None)
+        with np.errstate(all="ignore"):
+            amat = fredholm._weighted_block(f, rule, z, sw, every, every)
+            step = fredholm._BLOCK_VALUES // m
+            assert not fredholm._within_tolerance(f, rule, z, sw, u, vt, step, None)
+        assert np.abs(amat).max() > fredholm._NEAR_MAX
+        assert not two_pass_within_tolerance(amat, u, vt)
+
+    def test_entry_overflowing_in_a_units_only_is_a_domain_error(self):
+        # (sqrt(w_i) sqrt(w_j) z) K overflows while |z sqrt(w_i)| (K sqrt(w_j)), the
+        # fused check's order, rounds to the float maximum: the row's peak is past
+        # _NEAR_MAX, so _weighted_block re-decides it and raises, as it did before
+        m, z, row, col = 400, 1e3, 100, 250
+        rule = gauss_legendre(m, 0.0, 1.0)
+        sw = np.sqrt(rule.weights)
+        k = np.nextafter(np.finfo(float).max / (z * sw[row] * sw[col]), 0.0)
+        with np.errstate(over="ignore"):
+            while np.isfinite(sw[row] * sw[col] * z * k):
+                k = np.nextafter(k, np.inf)
+            assert np.isfinite(abs(z * sw[row]) * (k * sw[col]))
+        bad_x, bad_y = rule.nodes[row], rule.nodes[col]
+        f = lambda x, y: np.where((x == bad_x) & (y == bad_y), k, np.exp(x + y))
+        u, vt = exact_factors(self.PHIS[1], z, rule)
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
+            fredholm._within_tolerance(f, rule, z, sw, u, vt, fredholm._BLOCK_VALUES // m, None)
+
+
+class TestBlockedPath:
+    """The determinant on grids of many blocks (m > isqrt(_BLOCK_VALUES))."""
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_broadcastable_and_read_only_kernel_results(self, m):
+        # constant kernel: det(1 + zK) = 1 + z (b - a) at every m
+        z, a, b = -0.5, 0.0, 1.0
+        frozen = np.ones((1, m))
+        frozen.setflags(write=False)
+        for evaluator in (
+            lambda x, y: 1.0,
+            lambda x, y: np.ones_like(x),  # a column
+            lambda x, y: frozen if y.shape[1] == m else np.ones((1, 1)),  # a read-only row
+            lambda x, y: np.broadcast_to(1.0, np.broadcast_shapes(x.shape, y.shape)),
+            lambda x, y: np.ones(np.broadcast_shapes(x.shape, y.shape), dtype=np.int64),
+        ):
+            assert fredholm_det(evaluator, z, a, b, m) == pytest.approx(0.5, abs=1e-13)
+        assert np.array_equal(frozen, np.ones((1, m)))
+
+    @pytest.mark.parametrize("m, z, a, b", [
+        (400, 0.0, 0.0, 1.0), (2000, 0.0, 0.0, 1.0), (400, 1.0, 0.0, 1e-300),
+        (2000, -1.0, 0.0, 1e-300), (400, 1.0, 0.0, 1e-320), (400, 1e300, 0.0, 1e-320),
+    ])
+    def test_vanishing_weights_or_coupling_give_one(self, m, z, a, b):
+        # at (0, 1e-320) the endpoint weights are 0, so rows of A are 0 (c_i = 0)
+        assert fredholm_det(EXP1, z, a, b, m) == 1.0
+        assert log_fredholm_det(EXP1, z, a, b, m) == pytest.approx(0.0, abs=1e-290)
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_non_finite_kernels_keep_their_errors(self, m):
+        every_inf = lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape), np.inf)
+        for z in (0.0, 1.0):
+            with pytest.raises(NonFiniteKernel):
+                log_fredholm_det(every_inf, z, 0.0, 1.0, m)
+        # NaN at one grid entry that no ACA row or column reads
+        rule = gauss_legendre(m, 0.0, 1.0)
+        bad_x, bad_y = rule.nodes[2 * m // 3], rule.nodes[m // 3]
+        nan_off = lambda x, y: np.where((x == bad_x) & (y == bad_y), np.nan, np.exp(x + y))
+        for det in (fredholm_det, log_fredholm_det):
+            with pytest.raises(NonFiniteKernel):
+                det(nan_off, 1.0, 0.0, 1.0, m)
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_overflowing_entry_off_the_crosses_is_a_domain_error(self, m):
+        # K is finite everywhere, but z sqrt(w_i w_j) K overflows at one entry no
+        # cross reads
+        rule = gauss_legendre(m, 0.0, 1.0)
+        bad_x, bad_y = rule.nodes[2 * m // 3], rule.nodes[m // 3]
+        spike = lambda x, y: np.where((x == bad_x) & (y == bad_y), 1e308, np.exp(x + y))
+        z = 4.0 / math.sqrt(rule.weights[2 * m // 3] * rule.weights[m // 3])
+        for det in (fredholm_det, log_fredholm_det):
+            with pytest.raises(DomainError, match="overflows") as info:
+                det(spike, z, 0.0, 1.0, m)
+            assert not isinstance(info.value, NonFiniteKernel)
+        # at z = 1e-3 every entry of A is finite, and the spike is no low rank:
+        # the dense LU decides
+        got = fredholm._nystrom_logdet(spike, 1e-3, 0.0, 1.0, m)
+        assert got == (*map(float, dense_slogdet(spike, 1e-3, 0.0, 1.0, m)), m)
+
+    def test_kernel_times_weight_overflows_but_a_does_not(self):
+        # on (0, 1000) sqrt(w_j) > 1, so K sqrt(w_j) overflows at the spike while
+        # z sqrt(w_i w_j) K does not: that block is re-decided in A's units
+        m = 400
+        rule = gauss_legendre(m, 0.0, 1000.0)
+        i, j = m // 2, m // 3
+        assert math.sqrt(rule.weights[j]) > 1.0
+        bad_x, bad_y = rule.nodes[i], rule.nodes[j]
+        spike = lambda x, y: np.where((x == bad_x) & (y == bad_y), 1.7e308, 0.0)
+        sign, logdet, rank = fredholm._nystrom_logdet(spike, 1e-310, 0.0, 1000.0, m)
+        assert (sign, logdet, rank) == (*map(float, dense_slogdet(spike, 1e-310, 0.0, 1000.0, m)), m)
+
+    def test_peak_memory_is_a_few_blocks_plus_the_factors(self):
+        m = 2000
+        fredholm_det(EXP1, 1.0, 0.0, 1.0, m)  # the rule is cached
+        tracemalloc.start()
+        try:
+            fredholm_det(EXP1, 1.0, 0.0, 1.0, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = fredholm._BLOCK_VALUES // m * m * 8
+        factors = 2 * fredholm._rank_cap(m) * m * 8  # ACA's rows and columns, at the cap
+        assert peak < factors + 4 * block
 
 
 def _separable(terms):
@@ -680,3 +936,8 @@ def test_low_rank_agrees_with_dense(terms, t, a, length, m):
     assert abs(logdet - want) <= 1e-12 * max(1.0, abs(want))
     if fredholm._rank_cap(m) > len(terms):
         assert rank <= len(terms)
+    # blocks of one row, of 37 values and of 1000 (one block up to m = 31): bit for bit the same
+    for block in (1, 37, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fredholm, "_BLOCK_VALUES", block)
+            assert fredholm._nystrom_logdet(kernel, z, a, b, m) == (sign, logdet, rank)
