@@ -246,14 +246,16 @@ class TestLogFredholmDet:
         with pytest.raises(NonPositiveDeterminant):
             log_fredholm_det(CONST, -2.0, 0, 1, 5)  # det = 1 - 2 = -1
 
-    @pytest.mark.parametrize("m", [20])
+    @pytest.mark.parametrize("m", [20, 400])
     @pytest.mark.parametrize("det", [fredholm_det, log_fredholm_det])
     def test_overflow_is_a_domain_error(self, det, m):
-        # K = 1e300 on (0, 1) at z = 1e10: det(1 + z K) = 1 + 1e310 (log 713.80);
-        # at m = 20 the entries z w_i K overflow. It used to return NaN, with
-        # RuntimeWarnings (test errors here)
+        # K = 1e300 on (0, 1) at z = 1e12: the entries z sqrt(w_i w_j) K overflow
+        # on the one-block grid (m = 20) and on the blocked one (m = 400, about
+        # 4e309). It used to return NaN, with RuntimeWarnings (test errors here).
+        # At z = 1e10 the m = 400 entries are finite and only the core overflows:
+        # see test_overflowing_core_is_rescaled
         with pytest.raises(DomainError, match="overflows") as info:
-            det(HUGE, 1e10, 0.0, 1.0, m)
+            det(HUGE, 1e12, 0.0, 1.0, m)
         assert not isinstance(info.value, (NonFiniteKernel, NonPositiveDeterminant))
 
     @staticmethod
