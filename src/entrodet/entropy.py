@@ -66,6 +66,8 @@ from .states import _PowerLaw
 
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
+# indices per call of a generator that divergence_probe scans: 8 MB per float array
+_PROBE_CHUNK = 1_000_000
 
 
 def _base_scale(log_base: str) -> float:
@@ -380,7 +382,6 @@ def divergence_probe(
     r: float,
     threshold: float,
     k_max: int = 10_000_000,
-    chunk: int = 1_000_000,
 ) -> ProbeResult:
     """Find the first K with partial sum sum_{k<=K} lam_k^r above a threshold.
 
@@ -394,16 +395,15 @@ def divergence_probe(
       Euler-Maclaurin remainder, within a few ulps of the exact sum).
       The probe evaluates the sum at ``k_max`` once and, if that
       crosses, doubles from K = 1 and bisects to the first crossing:
-      O(log k_max) sums and no index arrays. ``chunk`` plays no part.
-    * Any other callable is scanned: it is called on ``chunk`` indices
-      at a time and its values are accumulated by ``cumsum``.
+      O(log k_max) sums and no index arrays.
+    * Any other callable is scanned: it is called on ``_PROBE_CHUNK``
+      indices at a time and its values are accumulated by ``cumsum``.
 
     Raises
     ------
     DomainError
-        If r is not positive and finite, the threshold is NaN,
-        ``k_max`` or ``chunk`` is not an integer >= 1, or ``k_max``
-        exceeds 2**53.
+        If r is not positive and finite, the threshold is NaN, or
+        ``k_max`` is not an integer >= 1 or exceeds 2**53.
     DimensionMismatch
         If a scanned chunk of values does not have the shape of its indices.
     NotPositive
@@ -415,7 +415,6 @@ def divergence_probe(
         raise DomainError(
             "probe length k_max exceeds 2**53, past which indices are not exact doubles"
         )
-    chunk = _check_count(chunk, "chunk size")
     if math.isnan(threshold):
         raise DomainError("threshold must not be NaN")
     if isinstance(lam_of_k, _PowerLaw):
@@ -423,7 +422,7 @@ def divergence_probe(
     total = 0.0
     start = 1
     while start <= k_max:
-        stop = min(start + chunk - 1, k_max)
+        stop = min(start + _PROBE_CHUNK - 1, k_max)
         ks = np.arange(start, stop + 1, dtype=float)
         vals = np.asarray(lam_of_k(ks), dtype=float)
         if vals.shape != ks.shape:

@@ -11,9 +11,9 @@ converges (spectrally fast for analytic kernels) to det(1 + z K)
 is similar to it and has the same determinant. ``fredholm_det`` and
 ``log_fredholm_det`` share one route. Adaptive cross approximation
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
-from a few kernel rows and columns; one pass over the kernel grid, in
-row blocks held in two reused buffers, checks every entry of A for
-finiteness and every entry of ``A - U V^T``; then
+from a few kernel rows and columns; every entry of A is checked for
+finiteness and every entry of ``A - U V^T`` against a tolerance, on a
+grid of one block as one array, on a larger one in row blocks; then
 ``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
 no low rank fall back to the LU of the dense matrix. Both accumulate the
 determinant in log space and never form the product, so the
@@ -183,12 +183,12 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     Raises
     ------
     DomainError
-        If the interval is not finite with a < b, or its width b - a
-        overflows (then so would the weights, which sum to it).
+        If the interval is not finite with a < b, an endpoint is an int
+        beyond the float range, or the width b - a overflows (then so would
+        the weights, which sum to it).
     """
     m = _check_count(m, "node count")
-    _check_interval(a, b)
-    a, b = float(a), float(b)  # Python floats overflow to inf without a warning
+    a, b = _check_interval(a, b)  # Python floats overflow to inf without a warning
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     if math.isinf(mid):  # a + b overflows; halves of floats this large are exact
         mid = 0.5 * a + 0.5 * b
@@ -211,9 +211,14 @@ def _check_node_cap(m: int) -> None:
         raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
 
 
-def _check_interval(a: float, b: float) -> None:
+def _check_interval(a: float, b: float) -> tuple[float, float]:
+    """``(a, b)`` as Python floats, once checked finite with a < b."""
     if not -math.inf < a < b < math.inf:  # NaN fails too
         raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
+    try:
+        return float(a), float(b)
+    except OverflowError:  # an int past the float range: no digits, str() refuses 4300+
+        raise DomainError("interval endpoint is beyond the float range") from None
 
 
 def _check_coupling(z: float) -> None:
@@ -357,27 +362,30 @@ def _aca(
     return (ut[:k] * peaks[:k, None]).T, vt[:k]
 
 
-def _within_tolerance(
-    f: Callable,
-    rule: QuadratureRule,
-    z: float,
-    sw: np.ndarray,
-    u: np.ndarray,
-    vt: np.ndarray,
-    step: int,
-    amat: np.ndarray | None,
-) -> bool:
-    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over every entry of A.
+def _one_block_within_tolerance(amat: np.ndarray, u: np.ndarray, vt: np.ndarray) -> bool:
+    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` on a one-block grid ``amat``.
 
-    One pass over the grid in blocks of ``step`` rows, each block filled
-    into one reused buffer and its residual into another. A block is held
-    in kernel-row units ``B = K sqrt(w_j)``, one row-broadcast multiply of
-    the kernel values, so that ``A_i = c_i B_i`` with ``c_i = z sqrt(w_i)``;
-    u is brought to the same units once, ``u_i / c_i`` (0 where c_i = 0,
-    where the row of u is 0 too). Per row the max and min of B and of
-    ``u @ vt - B`` are kept; at the end they are scaled by ``|c_i|``.
-    ``amat``, a one-block grid already weighted, is A itself: it is read
-    in place and reduced as one row.
+    Two passes: the residual is formed in place, then it and A are reduced
+    by max and min; a residual that is not finite (inf or NaN) fails.
+    """
+    r = (np.dot if len(vt) == 1 else np.matmul)(u, vt)  # matmul's k = 1 path is slow
+    r -= amat
+    return bool(max(r.max(), -r.min()) <= _GRID_TOL * max(amat.max(), -amat.min()))
+
+
+def _within_tolerance(
+    f: Callable, rule: QuadratureRule, z: float, sw: np.ndarray, u: np.ndarray, vt: np.ndarray
+) -> bool:
+    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over every entry of a blocked grid.
+
+    One pass over the grid in blocks of ``_BLOCK_VALUES // m`` rows, each
+    block filled into one reused buffer and its residual into another. A
+    block is held in kernel-row units ``B = K sqrt(w_j)``, one
+    row-broadcast multiply of the kernel values, so that ``A_i = c_i B_i``
+    with ``c_i = z sqrt(w_i)``; u is brought to the same units once,
+    ``u_i / c_i`` (0 where c_i = 0, where the row of u is 0 too). Per row
+    the max and min of B and of ``u @ vt - B`` are kept; at the end they
+    are scaled by ``|c_i|``.
 
     A block where any of these is not finite, or where a row's peak comes
     near the float maximum (products round differently there), is
@@ -387,31 +395,25 @@ def _within_tolerance(
     """
     m = rule.m
     x = rule.nodes
-    every = slice(None)
+    step = max(1, _BLOCK_VALUES // m)
     product = np.dot if len(vt) == 1 else np.matmul  # matmul's k = 1 path is slow
-    res = np.empty((min(step, m), m))
-    if amat is None:
-        scale = z * sw
-        us = np.divide(u, scale[:, None], out=np.zeros_like(u), where=scale[:, None] != 0.0)
-        c = np.abs(scale)
-        buf = np.empty_like(res)
-    else:
-        us, c = u, 1.0
-    # per row: max and min of the block, then of its residual; amat is reduced as
-    # one row, since per-row passes cost about 3x more at m = 80
-    ext = np.empty((4, m if amat is None else 1))
+    scale = z * sw
+    us = np.divide(u, scale[:, None], out=np.zeros_like(u), where=scale[:, None] != 0.0)
+    c = np.abs(scale)
+    buf = np.empty((step, m))
+    res = np.empty_like(buf)
+    ext = np.empty((4, m))  # per row: max and min of the block, then of its residual
 
     def fold(block: np.ndarray, uu: np.ndarray, rows: slice) -> None:
         r = product(uu, vt, out=res[: len(block)])
         r -= block
         out = ext[:, rows]
-        shape = (out.shape[1], -1)  # a row of ext per row of A, or one for all of amat
         # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call, 500 of
         # them per m = 2000 determinant
-        np.maximum.reduce(block.reshape(shape), axis=1, out=out[0])
-        np.minimum.reduce(block.reshape(shape), axis=1, out=out[1])
-        np.maximum.reduce(r.reshape(shape), axis=1, out=out[2])
-        np.minimum.reduce(r.reshape(shape), axis=1, out=out[3])
+        np.maximum.reduce(block, axis=1, out=out[0])
+        np.minimum.reduce(block, axis=1, out=out[1])
+        np.maximum.reduce(r, axis=1, out=out[2])
+        np.minimum.reduce(r, axis=1, out=out[3])
 
     def extremes() -> tuple[np.ndarray, float, float]:
         # per row max|A| and max|A - u @ vt|, then their maxima; NaN sticks
@@ -421,21 +423,35 @@ def _within_tolerance(
 
     for s in range(0, m, step):
         rows = slice(s, s + step)
-        if amat is None:
-            block = buf[: min(step, m - s)]
-            np.multiply(np.asarray(f(x[rows, None], x[None, :]), dtype=float), sw, out=block)
-        else:
-            block = amat
+        block = buf[: min(step, m - s)]
+        np.multiply(np.asarray(f(x[rows, None], x[None, :]), dtype=float), sw, out=block)
         fold(block, us[rows], rows)
     per_row, peak, worst = extremes()
-    if amat is None and not (peak < _NEAR_MAX and math.isfinite(worst)):
+    if not (peak < _NEAR_MAX and math.isfinite(worst)):
         bad = np.flatnonzero(~((per_row[0] < _NEAR_MAX) & np.isfinite(per_row[1])))
         for s in np.unique(bad // step) * step:
             rows = slice(s, s + step)
-            fold(_weighted_block(f, rule, z, sw, rows, every), u[rows], rows)
+            fold(_weighted_block(f, rule, z, sw, rows, slice(None)), u[rows], rows)
             c[rows] = 1.0
         _, peak, worst = extremes()
     return bool(worst <= _GRID_TOL * peak)
+
+
+def _core_slogdet(u: np.ndarray, vt: np.ndarray) -> tuple[float, float, int]:
+    """``(sign, log|det|, k)`` of ``det(I_m + u @ vt) = det(I_k + vt @ u)``.
+
+    A core that overflows is taken as ``s^k det(I / s + V^T (U / s))`` for
+    s = 2^e above max|U|, where every |V| <= 1 keeps ``V^T (U / s)`` below m.
+    """
+    k = len(vt)
+    core = np.eye(k) + vt @ u
+    if np.isfinite(core).all():
+        sign, logdet = np.linalg.slogdet(core)
+    else:
+        e = math.frexp(float(np.abs(u).max()))[1]
+        sign, logdet = np.linalg.slogdet(np.eye(k) * 2.0**-e + vt @ np.ldexp(u, -e))
+        logdet += k * e * math.log(2.0)
+    return float(sign), float(logdet), k
 
 
 def _nystrom_logdet(
@@ -444,16 +460,14 @@ def _nystrom_logdet(
     """``(sign, log|det|, rank)`` of the m-node Nystrom matrix of ``det(1 + z K)``.
 
     ACA factors ``A = z W^1/2 K W^1/2 ~ U V^T`` from a few kernel rows and
-    columns. One pass over the kernel grid, in row blocks of about
-    ``_BLOCK_VALUES`` values (``_within_tolerance``), then checks every
-    entry of A for finiteness and every entry of ``A - U V^T`` against the
-    tolerance; when it holds, ``det(I_m + U V^T) = det(I_k + V^T U)`` and
-    the rank is k. A core ``I_k + V^T U`` that overflows is taken as
-    ``s^k det(I / s + V^T (U / s))`` for a power of two s. When ACA
-    reaches the rank cap or the check fails, the rank is m and the
-    determinant is the dense ``slogdet`` of ``nystrom_matrix``. A grid
-    that fits one block is evaluated once, before ACA, which reads its
-    rows and columns from it, and the check reads it in place.
+    columns. If every entry of ``A - U V^T`` is within the tolerance, the
+    rank is k and the determinant is ``_core_slogdet``'s; if not, or if ACA
+    reaches the rank cap, the rank is m and it is the dense ``slogdet``. A
+    grid of at most ``_BLOCK_VALUES`` values is evaluated once: ACA reads
+    it, ``_one_block_within_tolerance`` checks it and the fallback factors
+    it in place. A larger grid is read by single rows and columns, checked
+    in row blocks by ``_within_tolerance`` and built whole by
+    ``nystrom_matrix`` only for the fallback.
 
     Raises
     ------
@@ -468,38 +482,23 @@ def _nystrom_logdet(
     _check_coupling(z)
     f = _evaluator(kernel)
     sw = np.sqrt(rule.weights)
-    step = max(1, _BLOCK_VALUES // m)
     every = slice(None)
-    with np.errstate(all="ignore"):
-        if m <= step:
-            # one block holds the grid: evaluate it once and read ACA rows from it
-            amat = _weighted_block(f, rule, z, sw, every, every)
-            factors = _aca(amat.__getitem__, lambda j: amat[:, j], m, _rank_cap(m))
-        else:
-            amat = None
+    if m * m <= _BLOCK_VALUES:
+        with np.errstate(all="ignore"):
+            dense = _weighted_block(f, rule, z, sw, every, every)
+            factors = _aca(dense.__getitem__, lambda j: dense[:, j], m, _rank_cap(m))
+            if factors is not None and _one_block_within_tolerance(dense, *factors):
+                return _core_slogdet(*factors)
+        dense.flat[:: m + 1] += 1.0  # nystrom_matrix's array
+    else:
+        with np.errstate(all="ignore"):
             factors = _aca(
                 lambda i: _weighted_block(f, rule, z, sw, slice(i, i + 1), every)[0],
                 lambda j: _weighted_block(f, rule, z, sw, every, slice(j, j + 1))[:, 0],
-                m,
-                _rank_cap(m),
+                m, _rank_cap(m),
             )
-        if factors is not None and _within_tolerance(f, rule, z, sw, *factors, step, amat):
-            u, vt = factors
-            k = len(vt)
-            core = np.eye(k) + vt @ u
-            if np.isfinite(core).all():
-                sign, logdet = np.linalg.slogdet(core)
-            else:
-                # V^T U overflows: det(core) = s^k det(I / s + V^T (U / s)) for s = 2^e
-                # above max|U|, where every |V| <= 1 keeps V^T (U / s) below m
-                e = math.frexp(float(np.abs(u).max()))[1]
-                sign, logdet = np.linalg.slogdet(np.eye(k) * 2.0**-e + vt @ np.ldexp(u, -e))
-                logdet += k * e * math.log(2.0)
-            return float(sign), float(logdet), k
-    if amat is not None:  # nystrom_matrix's array but for the identity
-        dense = amat
-        dense.flat[:: m + 1] += 1.0
-    else:
+            if factors is not None and _within_tolerance(f, rule, z, sw, *factors):
+                return _core_slogdet(*factors)
         dense = nystrom_matrix(kernel, z, rule)
     sign, logdet = np.linalg.slogdet(dense)
     return float(sign), float(logdet), m

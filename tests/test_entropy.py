@@ -28,6 +28,7 @@ from entrodet import (
     vn_via_fredholm,
     von_neumann,
 )
+from entrodet import entropy
 from entrodet.entropy import ProbeResult, hu_ye_rows
 from entrodet.errors import (
     DimensionMismatch,
@@ -413,7 +414,7 @@ class TestDivergenceProbe:
 
     @pytest.mark.parametrize("threshold", [1.0, 7.0, 1e9])
     @pytest.mark.parametrize("chunk", [1000, 1_000_000])
-    def test_equal_to_reference_loop(self, threshold, chunk):
+    def test_equal_to_reference_loop(self, monkeypatch, threshold, chunk):
         # with chunk = 1000 the thresholds cross in the first chunk, in a
         # later one, and never; the reference is the loop this one replaced
         def reference(lam_of_k, r, threshold, k_max, chunk):
@@ -434,7 +435,8 @@ class TestDivergenceProbe:
         lam = power_law_generator(1.0)
         scan = lambda ks: lam(ks)  # a black box, so the probe takes the scan route
         want = reference(scan, 0.5, threshold, 50_000, chunk)
-        got = divergence_probe(scan, 0.5, threshold, k_max=50_000, chunk=chunk)
+        monkeypatch.setattr(entropy, "_PROBE_CHUNK", chunk)
+        got = divergence_probe(scan, 0.5, threshold, k_max=50_000)
         assert got == want
         if chunk == 1000:
             assert (got.reached, got.index > chunk) == {1.0: (True, False), 7.0: (True, True),
@@ -445,13 +447,11 @@ class TestDivergenceProbe:
             with pytest.raises(DomainError):
                 divergence_probe(power_law_generator(1.0), r, 1.0)
         with pytest.raises(DomainError):
-            divergence_probe(power_law_generator(1.0), 0.5, 1.0, chunk=0)
-        with pytest.raises(DomainError):
             divergence_probe(power_law_generator(1.0), 0.5, math.nan)
 
     @pytest.mark.parametrize("route", ["closed-form", "scan"])
     @pytest.mark.parametrize("counts", [{"k_max": 2.5}, {"k_max": math.nan}, {"k_max": 0},
-                                        {"k_max": -5}, {"chunk": 2.5}, {"chunk": -1},
+                                        {"k_max": -5},
                                         # past 2**53 indices are not exact doubles
                                         {"k_max": 2**53 + 1}, {"k_max": 10**400}])
     def test_counts_checked_before_any_work(self, route, counts):
@@ -463,8 +463,7 @@ class TestDivergenceProbe:
         assert calls == []
 
     def test_integer_like_counts_accepted(self):
-        got = divergence_probe(power_law_generator(1.0), 0.5, 3.0, k_max=np.int64(100),
-                               chunk=np.int64(7))
+        got = divergence_probe(power_law_generator(1.0), 0.5, 3.0, k_max=np.int64(100))
         assert got == divergence_probe(power_law_generator(1.0), 0.5, 3.0, k_max=100)
         assert type(got.index) is int
 
@@ -474,14 +473,16 @@ class TestDivergenceProbe:
         (lambda ks: -1.0 / ks**2, NotPositive),
         (lambda ks: 1.0 / ks[:3] ** 2, DimensionMismatch),
     ], ids=["nan", "inf", "negative", "short-chunk"])
-    def test_scan_refuses_bad_generator_output(self, bad, error):
+    def test_scan_refuses_bad_generator_output(self, monkeypatch, bad, error):
+        monkeypatch.setattr(entropy, "_PROBE_CHUNK", 60)
         with pytest.raises(error):
-            divergence_probe(bad, 0.5, 1e9, k_max=100, chunk=60)
+            divergence_probe(bad, 0.5, 1e9, k_max=100)
 
-    def test_scan_names_the_bad_index(self):
+    def test_scan_names_the_bad_index(self, monkeypatch):
+        monkeypatch.setattr(entropy, "_PROBE_CHUNK", 60)
         with pytest.raises(NotPositive, match="lam_70 = nan"):
             divergence_probe(lambda ks: np.where(ks == 70, math.nan, 1.0 / ks**2), 0.5, 1e9,
-                             k_max=100, chunk=60)
+                             k_max=100)
 
 
 class TestPowerLawPartialSums:

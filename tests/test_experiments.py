@@ -306,6 +306,13 @@ class TestQuadTest:
             with pytest.raises(DomainError):
                 run_quad_test(kernel, 1.0, 0.0, math.inf, [5])
 
+    @pytest.mark.parametrize("a, b", [(0, 10**400), (-10**400, 0), (10**400, 10**400 + 1)])
+    def test_int_endpoint_past_the_float_range_rejected(self, a, b):
+        # the endpoints compare finite as ints, and converting them overflows
+        for kernel in ("constant", "exp-rank-one", "squeezed"):
+            with pytest.raises(DomainError, match="float range"):
+                run_quad_test(kernel, 1.0, a, b, [5])
+
     @pytest.mark.parametrize("z, a, b, m_list", [(1.0, 0.0, 1.0, []), (1.0, 1.0, 0.0, []),
                                                  (math.nan, 0.0, 1.0, []),
                                                  (math.nan, 0.0, 1.0, [5])])

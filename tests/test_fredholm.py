@@ -145,6 +145,14 @@ class TestGaussLegendre:
             with pytest.raises(DomainError, match="overflows"):
                 gauss_legendre(m, cast(a), cast(b))
 
+    @pytest.mark.parametrize("a, b", [(0, 10**400), (-10**400, 0), (10**400, 10**400 + 1)])
+    def test_int_endpoint_past_the_float_range_is_a_domain_error(self, a, b):
+        # the endpoints compare finite as ints; converting them raised OverflowError
+        with pytest.raises(DomainError, match="float range"):
+            gauss_legendre(5, a, b)
+        with pytest.raises(DomainError, match="float range"):
+            log_fredholm_det(CONST, 1.0, a, b, 5)
+
     @pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (-1.7e308, -1e308)])
     def test_overflowing_midpoint_is_halved_first(self, a, b):
         # a + b overflows but every node lies in (a, b): the nodes were all inf
@@ -728,7 +736,7 @@ def exact_factors(phis, z, rule):
 
 
 class TestGridCheck:
-    """``_within_tolerance`` against the two-pass formula it replaced."""
+    """The one-block and the blocked grid check against the two-pass formula."""
 
     PHIS = {1: (np.exp,), 2: (np.exp, lambda x: 0.5 * np.sin(3.0 * x))}
 
@@ -759,9 +767,11 @@ class TestGridCheck:
         amat[row, col] = fredholm._weighted_block(
             f, rule, z, sw, slice(row, row + 1), slice(col, col + 1))[0, 0]
         want = two_pass_within_tolerance(amat, u, vt)
-        step = max(1, fredholm._BLOCK_VALUES // m)
         with np.errstate(all="ignore"):
-            got = fredholm._within_tolerance(f, rule, z, sw, u, vt, step, amat if m <= step else None)
+            if m * m <= fredholm._BLOCK_VALUES:
+                got = fredholm._one_block_within_tolerance(amat, u, vt)
+            else:
+                got = fredholm._within_tolerance(f, rule, z, sw, u, vt)
         return got, want
 
     @pytest.mark.parametrize("t", [0.9, 1.1, -0.9, -1.1])
@@ -784,6 +794,61 @@ class TestGridCheck:
             got, want = self.decide(1, 1.0, m, row, col, t)
             assert got == want == (t < 1.0), (row, col)
 
+    @pytest.mark.parametrize("t", [0.9, 1.1, -0.9, -1.1])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 5, 40, math.isqrt(fredholm._BLOCK_VALUES)])
+    def test_one_block_check_agrees_with_two_pass(self, t, rank, m):
+        for row, col in ((0, m - 1), (m // 2, m // 3), (m - 1, 0)):
+            got, want = self.decide(rank, -1.3, m, row, col, t)
+            assert got == want == (abs(t) < 1.0), (row, col)
+
+    @pytest.mark.parametrize("m", [1, 5, math.isqrt(fredholm._BLOCK_VALUES)])
+    def test_one_block_check_fails_on_infinite_factors(self, monkeypatch, m):
+        # an inf in U makes the residual inf or NaN: the check fails, as the
+        # formula's does, and the determinant takes the dense route
+        rule, sw, u, vt, amat = self.smooth(1, 1.0, m)
+        bad = u.copy()
+        bad[m // 2, 0] = math.inf
+        assert not fredholm._one_block_within_tolerance(amat, bad, vt)
+        assert not two_pass_within_tolerance(amat, bad, vt)
+        aca = fredholm._aca
+
+        def infinite_aca(*args):
+            u, vt = aca(*args)
+            u = u.copy()
+            u[m // 2, 0] = math.inf
+            return u, vt
+
+        monkeypatch.setattr(fredholm, "_aca", infinite_aca)
+        got = fredholm._nystrom_logdet(EXP1, 1.0, 0.0, 1.0, m)
+        assert got == (*map(float, dense_slogdet(EXP1, 1.0, 0.0, 1.0, m)), m)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 40, math.isqrt(fredholm._BLOCK_VALUES)])
+    def test_one_block_at_zero_coupling_is_exactly_one(self, m):
+        # A = 0: ACA stops with no cross, the check holds on 0 <= 0, the core is empty
+        assert fredholm._nystrom_logdet(EXP1, 0.0, 0.0, 1.0, m) == (1.0, 0.0, 0)
+        assert fredholm_det(EXP1, 0.0, 0.0, 1.0, m) == 1.0
+        rule, sw, u, vt, amat = self.smooth(1, 0.0, m)
+        assert fredholm._one_block_within_tolerance(amat, u, vt)
+        assert two_pass_within_tolerance(amat, u, vt)
+
+    @pytest.mark.parametrize("check", ["_one_block_within_tolerance", "_within_tolerance"])
+    def test_grid_shape_picks_the_check(self, monkeypatch, check):
+        # the largest one-block grid never reaches the blocked check, the next
+        # grid never reaches the one-block check
+        def refuse(*args):
+            raise AssertionError(f"{check} called")
+
+        monkeypatch.setattr(fredholm, check, refuse)
+        m = math.isqrt(fredholm._BLOCK_VALUES)
+        for size in (m, m + 1):
+            if (size == m) == (check == "_one_block_within_tolerance"):
+                with pytest.raises(AssertionError, match=check):
+                    log_fredholm_det(EXP1, 1.0, 0.0, 1.0, size)
+            else:
+                assert log_fredholm_det(EXP1, 1.0, 0.0, 1.0, size) == pytest.approx(
+                    nystrom_log_rank_one(np.exp, 1.0, 0.0, 1.0, size), abs=1e-13)
+
     @pytest.mark.parametrize("m", [400, 2000])
     def test_row_scale_near_the_float_maximum_is_redecided(self, m):
         # A spike of about 1e308 in A's units sends one row past _NEAR_MAX: its block
@@ -797,8 +862,7 @@ class TestGridCheck:
         every = slice(None)
         with np.errstate(all="ignore"):
             amat = fredholm._weighted_block(f, rule, z, sw, every, every)
-            step = fredholm._BLOCK_VALUES // m
-            assert not fredholm._within_tolerance(f, rule, z, sw, u, vt, step, None)
+            assert not fredholm._within_tolerance(f, rule, z, sw, u, vt)
         assert np.abs(amat).max() > fredholm._NEAR_MAX
         assert not two_pass_within_tolerance(amat, u, vt)
 
@@ -818,7 +882,7 @@ class TestGridCheck:
         f = lambda x, y: np.where((x == bad_x) & (y == bad_y), k, np.exp(x + y))
         u, vt = exact_factors(self.PHIS[1], z, rule)
         with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
-            fredholm._within_tolerance(f, rule, z, sw, u, vt, fredholm._BLOCK_VALUES // m, None)
+            fredholm._within_tolerance(f, rule, z, sw, u, vt)
 
 
 class TestBlockedPath:
