@@ -300,14 +300,14 @@ def _exp_rank_one(x, y):
     return np.exp(x + y)
 
 
-# name -> (kernel, analytic determinant or None)
+# name -> (kernel, analytic determinant or None); all three are symmetric bit for bit
 KERNELS = {
     "constant": (
-        fredholm.KernelSpec(_const_kernel, "constant"),
+        fredholm._SymmetricKernel(_const_kernel, "constant"),
         lambda z, a, b: 1.0 + z * (b - a),
     ),
     "exp-rank-one": (
-        fredholm.KernelSpec(_exp_rank_one, "exp-rank-one"),
+        fredholm._SymmetricKernel(_exp_rank_one, "exp-rank-one"),
         lambda z, a, b: 1.0 + z * (math.exp(2 * b) - math.exp(2 * a)) / 2.0,
     ),
     "squeezed": (states.squeezed_kernel(), None),

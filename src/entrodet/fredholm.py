@@ -13,7 +13,10 @@ is similar to it and has the same determinant. ``fredholm_det`` and
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
 from a few kernel rows and columns; every entry of A is checked for
 finiteness and every entry of ``A - U V^T`` against a tolerance, on a
-grid of one block as one array, on a larger one in row blocks; then
+grid of one block as one array, on a larger one in row blocks (for a
+kernel the library builds symmetric, the squeezed, constant and
+exp-rank-one kernels, in blocks of the upper triangle, each compared
+with both triangles of ``U V^T``); then
 ``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
 no low rank fall back to the LU of the dense matrix. Both accumulate the
 determinant in log space and never form the product, so the
@@ -116,13 +119,25 @@ class KernelSpec:
     ``evaluator`` must work elementwise under numpy broadcasting: it is
     called on blocks of the grid of nodes, each time with a column of row
     nodes (``x[i:j, None]``) and a row of column nodes (``x[None, :]``,
-    or ``x[None, j:j + 1]`` for one column), and its result must
-    broadcast to the block. ``nystrom_matrix``, and a determinant whose
-    grid is one block, call it once on ``x[:, None]`` and ``x[None, :]``.
+    ``x[None, i:]`` from the diagonal for a kernel the library marks
+    symmetric, or ``x[None, j:j + 1]`` for one column), and its result
+    must broadcast to the block. ``nystrom_matrix``, and a determinant
+    whose grid is one block, call it once on ``x[:, None]`` and
+    ``x[None, :]``.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str
+
+
+@dataclass(frozen=True)
+class _SymmetricKernel(KernelSpec):
+    """A kernel the library builds symmetric bit for bit: ``K(x, y) == K(y, x)``.
+
+    A determinant on a grid of many blocks checks one triangle of it
+    (``_triangle_within_tolerance``). The mark is private, so a user's
+    own kernel is never taken as symmetric and never skips a check.
+    """
 
 
 KernelLike = Union[KernelSpec, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -313,9 +328,9 @@ def _aca(
     estimate is updated relative to the larger of two norms, so neither a
     norm of entries near the float maximum nor a square overflows.
     """
-    ut = np.empty((cap, m))
-    vt = np.empty((cap, m))
-    peaks = np.empty(cap)
+    ut = np.empty((min(cap, 4), m))
+    vt = np.empty_like(ut)
+    peaks = np.empty(len(ut))
     used: list[int] = []
     frob = 0.0
     k = i = 0
@@ -351,6 +366,11 @@ def _aca(
             frob = size
         if k + 1 == cap:
             return None
+        if k == len(peaks):  # double the buffers: a rank-one kernel never holds cap x m
+            grown = min(2 * k, cap) - k
+            ut = np.concatenate((ut, np.empty((grown, m))))
+            vt = np.concatenate((vt, np.empty((grown, m))))
+            peaks = np.concatenate((peaks, np.empty(grown)))
         ut[k] = c
         vt[k] = r
         peaks[k] = peak
@@ -437,6 +457,59 @@ def _within_tolerance(
     return bool(worst <= _GRID_TOL * peak)
 
 
+def _triangle_within_tolerance(
+    f: Callable, rule: QuadratureRule, z: float, sw: np.ndarray, u: np.ndarray, vt: np.ndarray
+) -> bool:
+    """``_within_tolerance`` for a symmetric kernel, over the upper triangle of its grid.
+
+    Row blocks start at the diagonal, ``f(x[s:e, None], x[None, s:])``,
+    with about ``_BLOCK_VALUES`` values each, held in the kernel-row units
+    of ``_within_tolerance``. As ``A_ji = A_ij``, each block is compared
+    with both triangles of ``u @ vt``: with ``us @ vt`` for the entries
+    (i, j) and with ``vs^T u^T``, where column i of ``vs`` is that of vt
+    over ``c_i``, for their mirrors (j, i), both in row i's units. ACA
+    with partial pivoting gives a non-symmetric ``u @ vt`` even when A is
+    symmetric, so neither triangle stands for the other. One buffer takes
+    the block, one each residual in turn.
+
+    It decides only when every value it saw is finite and the peak is
+    below ``_NEAR_MAX``; otherwise ``_within_tolerance`` decides, and
+    raises, as it does for any kernel.
+    """
+    m = rule.m
+    x = rule.nodes
+    product = np.dot if len(vt) == 1 else np.matmul  # matmul's k = 1 path is slow
+    scale = z * sw
+    live = scale != 0.0
+    us = np.divide(u, scale[:, None], out=np.zeros_like(u), where=live[:, None])
+    vs = np.divide(vt, scale, out=np.zeros_like(vt), where=live)
+    buf = np.empty(max(_BLOCK_VALUES, m))
+    res = np.empty_like(buf)
+    ext = np.empty((6, m))  # per row: max and min of the block, then of each residual
+    s = 0
+    while s < m:
+        e = min(m, s + max(1, _BLOCK_VALUES // (m - s)))
+        shape = (e - s, m - s)
+        block = buf[: shape[0] * shape[1]].reshape(shape)
+        np.multiply(np.asarray(f(x[s:e, None], x[None, s:]), dtype=float), sw[s:], out=block)
+        r = res[: block.size].reshape(shape)
+        out = ext[:, s:e]
+        np.maximum.reduce(block, axis=1, out=out[0])
+        np.minimum.reduce(block, axis=1, out=out[1])
+        for top, left, right in ((2, us[s:e], vt[:, s:]), (4, vs[:, s:e].T, u[s:].T)):
+            product(left, right, out=r)
+            r -= block
+            np.maximum.reduce(r, axis=1, out=out[top])
+            np.minimum.reduce(r, axis=1, out=out[top + 1])
+        s = e
+    per_row = np.maximum(ext[0::2], -ext[1::2])  # |B|, then |residual| and |mirror residual|
+    per_row *= np.abs(scale)
+    peak, worst = float(per_row[0].max()), float(per_row[1:].max())  # NaN sticks
+    if peak < _NEAR_MAX and math.isfinite(worst):
+        return worst <= _GRID_TOL * peak
+    return _within_tolerance(f, rule, z, sw, u, vt)
+
+
 def _core_slogdet(u: np.ndarray, vt: np.ndarray) -> tuple[float, float, int]:
     """``(sign, log|det|, k)`` of ``det(I_m + u @ vt) = det(I_k + vt @ u)``.
 
@@ -466,7 +539,8 @@ def _nystrom_logdet(
     grid of at most ``_BLOCK_VALUES`` values is evaluated once: ACA reads
     it, ``_one_block_within_tolerance`` checks it and the fallback factors
     it in place. A larger grid is read by single rows and columns, checked
-    in row blocks by ``_within_tolerance`` and built whole by
+    in row blocks by ``_within_tolerance`` (by ``_triangle_within_tolerance``
+    on the upper triangle for a ``_SymmetricKernel``) and built whole by
     ``nystrom_matrix`` only for the fallback.
 
     Raises
@@ -497,7 +571,9 @@ def _nystrom_logdet(
                 lambda j: _weighted_block(f, rule, z, sw, every, slice(j, j + 1))[:, 0],
                 m, _rank_cap(m),
             )
-            if factors is not None and _within_tolerance(f, rule, z, sw, *factors):
+            check = (_triangle_within_tolerance if isinstance(kernel, _SymmetricKernel)
+                     else _within_tolerance)
+            if factors is not None and check(f, rule, z, sw, *factors):
                 return _core_slogdet(*factors)
         dense = nystrom_matrix(kernel, z, rule)
     sign, logdet = np.linalg.slogdet(dense)

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, DomainError, TruncationInsufficient, _check_count
-from .fredholm import KernelSpec, _first_log_euler_factors, _partial_zeta, zeta_series
+from .fredholm import (
+    KernelSpec,
+    _first_log_euler_factors,
+    _partial_zeta,
+    _SymmetricKernel,
+    zeta_series,
+)
 from .linalg import (
     DensityMatrix,
     Spectrum,
@@ -451,9 +457,20 @@ def gaussian_entropy_analytic(r: float, mode: str = "stable") -> float:
 
 
 def _squeezed_kernel_eval(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.tanh(x + y) / np.cosh(x - y)
+    # tanh(x + y) / cosh(x - y) in two arrays: each ufunc after the first writes in place
+    out = np.add(x, y, out=np.empty(np.broadcast(x, y).shape))
+    np.tanh(out, out=out)
+    den = np.subtract(x, y, out=np.empty_like(out))
+    np.cosh(den, out=den)
+    out /= den
+    return out
 
 
 def squeezed_kernel() -> KernelSpec:
-    """The symmetric kernel tanh(x + y) / cosh(x - y)."""
-    return KernelSpec(_squeezed_kernel_eval, "squeezed")
+    """The symmetric kernel tanh(x + y) / cosh(x - y).
+
+    Symmetric bit for bit, as ``x + y`` and ``cosh`` of ``x - y`` are, so
+    a determinant on a grid of many blocks checks the upper triangle of
+    it only, row blocks ``x[s:e, None]`` against ``x[None, s:]``.
+    """
+    return _SymmetricKernel(_squeezed_kernel_eval, "squeezed")

@@ -589,6 +589,11 @@ def nystrom_log_rank_one(phi, z, a, b, m):
     return math.log(1.0 + z * math.fsum(rule.weights * phi(rule.nodes) ** 2))
 
 
+def nystrom_det_rank_one(phi, z, a, b, m):
+    """The exact m-node Nystrom determinant 1 + z sum_i w_i phi(x_i)^2."""
+    return math.exp(nystrom_log_rank_one(phi, z, a, b, m))
+
+
 def dense_slogdet(kernel, z, a, b, m):
     return np.linalg.slogdet(nystrom_matrix(kernel, z, gauss_legendre(m, a, b)))
 
@@ -884,6 +889,94 @@ class TestGridCheck:
         with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
             fredholm._within_tolerance(f, rule, z, sw, u, vt)
 
+    @staticmethod
+    def mirrored(phis, bad_x, bad_y, delta):
+        """The spiked kernel with its spike at (bad_x, bad_y) and at (bad_y, bad_x)."""
+        def evaluator(x, y):
+            smooth = sum(phi(x) * phi(y) for phi in phis)
+            at = ((x == bad_x) & (y == bad_y)) | ((x == bad_y) & (y == bad_x))
+            return smooth + np.where(at, delta, 0.0)
+        return evaluator
+
+    @pytest.mark.parametrize("t", [0.9, 1.1, -0.9, -1.1])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("z", [0.7, -1.3])
+    def test_triangle_check_agrees_with_two_pass(self, t, rank, z):
+        # a symmetric spike of t times the tolerance, on and off the diagonal, at
+        # the edges of the triangle's row blocks
+        m = 600
+        rule, sw, u, vt, smooth = self.smooth(rank, z, m)
+        first = fredholm._BLOCK_VALUES // m  # rows of the first block
+        every = slice(None)
+        for row, col in ((0, 0), (0, m - 1), (first - 1, first), (first, first - 1),
+                         (first, 517), (m - 2, m - 1), (m - 1, m - 1), (m // 2, m // 2)):
+            delta = t * fredholm._GRID_TOL * np.abs(smooth).max() / (abs(z) * sw[row] * sw[col])
+            f = self.mirrored(self.PHIS[rank], rule.nodes[row], rule.nodes[col], delta)
+            amat = fredholm._weighted_block(f, rule, z, sw, every, every)
+            want = two_pass_within_tolerance(amat, u, vt)
+            with np.errstate(all="ignore"):
+                got = fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt)
+            assert got == want == (abs(t) < 1.0), (row, col)
+
+    @pytest.mark.parametrize("m", [182, 600, 2000])
+    @pytest.mark.parametrize("factor", ["u", "vt"])
+    def test_error_below_the_diagonal_only_fails(self, m, factor):
+        # U V^T of a symmetric A, changed below the diagonal only: in row m - 1
+        # of U along a vector orthogonal to column m - 1 of V^T, or in column 0
+        # of V^T along a vector orthogonal to row 0 of U; the upper triangle
+        # (diagonal included) still passes, so both triangles must be read
+        z = 0.8
+        rule, sw, u, vt, amat = self.smooth(2, z, m)
+        u, vt = u.copy(), vt.copy()
+        peak = np.abs(amat).max()
+        if factor == "u":
+            w = np.array([vt[1, -1], -vt[0, -1]])  # row m - 1 of U V^T moves by t (w @ vt)
+            u[-1] += 10.0 * fredholm._GRID_TOL * peak / np.abs(w @ vt).max() * w
+        else:
+            e = np.array([u[0, 1], -u[0, 0]])  # column 0 of U V^T moves by t (u @ e)
+            vt[:, 0] += 10.0 * fredholm._GRID_TOL * peak / np.abs(u @ e).max() * e
+        residual = u @ vt - amat
+        assert np.abs(np.triu(residual)).max() <= fredholm._GRID_TOL * peak
+        assert not two_pass_within_tolerance(amat, u, vt)
+        f = self.spiked(self.PHIS[2], 0.0, 0.0, 0.0)
+        assert fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt) is False
+        assert fredholm._within_tolerance(f, rule, z, sw, u, vt) is False
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_triangle_row_scale_near_the_float_maximum_is_redecided(self, m):
+        # as test_row_scale_near_the_float_maximum_is_redecided, with the spike
+        # mirrored: the peak passes _NEAR_MAX and _within_tolerance decides
+        rule = gauss_legendre(m, 0.0, 1.0)
+        sw = np.sqrt(rule.weights)
+        row, col = m // 2, m // 3
+        z = 1e8 / (sw[row] * sw[col])
+        u, vt = exact_factors(self.PHIS[1], z, rule)
+        f = self.mirrored(self.PHIS[1], rule.nodes[row], rule.nodes[col], 1e300)
+        with np.errstate(all="ignore"):
+            assert fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt) is False
+
+    def test_triangle_entry_overflowing_in_a_units_only_is_a_domain_error(self):
+        # as test_entry_overflowing_in_a_units_only_is_a_domain_error, with the
+        # spike mirrored: the row units round it finite, but past _NEAR_MAX, so
+        # _within_tolerance re-decides the grid and raises
+        m, z, row, col = 400, 1e3, 100, 250
+        rule = gauss_legendre(m, 0.0, 1.0)
+        sw = np.sqrt(rule.weights)
+        k = np.nextafter(np.finfo(float).max / (z * sw[row] * sw[col]), 0.0)
+        with np.errstate(over="ignore"):
+            while np.isfinite(sw[row] * sw[col] * z * k):
+                k = np.nextafter(k, np.inf)
+            assert np.isfinite(abs(z * sw[row]) * (k * sw[col]))
+        bad_x, bad_y = rule.nodes[row], rule.nodes[col]
+
+        def f(x, y):
+            at = ((x == bad_x) & (y == bad_y)) | ((x == bad_y) & (y == bad_x))
+            return np.where(at, k, np.exp(x + y))
+
+        u, vt = exact_factors(self.PHIS[1], z, rule)
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
+            fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt)
+
 
 class TestBlockedPath:
     """The determinant on grids of many blocks (m > isqrt(_BLOCK_VALUES))."""
@@ -969,6 +1062,94 @@ class TestBlockedPath:
         factors = 2 * fredholm._rank_cap(m) * m * 8  # ACA's rows and columns, at the cap
         assert peak < factors + 4 * block
 
+    def test_rank_one_peak_memory_is_below_the_aca_cap(self):
+        # ACA's buffers start at four crosses and double as they fill; at the
+        # full cap (100 crosses of 2000) they alone set a 3.33 MB peak
+        m = 2000
+        fredholm_det(EXP1, 1.0, 0.0, 1.0, m)  # the rule is cached
+        tracemalloc.start()
+        try:
+            det = fredholm_det(EXP1, 1.0, 0.0, 1.0, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert det == pytest.approx(nystrom_det_rank_one(np.exp, 1.0, 0.0, 1.0, m), rel=1e-13)
+        assert peak < 3_330_000
+
+    @pytest.mark.parametrize("rank", [1, 4, 5, 9, 17])
+    @pytest.mark.parametrize("cap", [5, 6, 9, 40])
+    def test_aca_buffers_grow_to_the_rank(self, rank, cap):
+        # an exact rank-r matrix: ACA returns the crosses that reproduce it when
+        # r < cap, None when r >= cap; buffers of 4 rows grow to 8, 16 and 32
+        m = 60
+        rng = np.random.default_rng(rank)
+        amat = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, m))
+        factors = fredholm._aca(amat.__getitem__, lambda j: amat[:, j], m, cap)
+        if rank >= cap:
+            assert factors is None
+        else:
+            u, vt = factors
+            assert rank <= len(vt) <= rank + 1  # maybe one cross of rounding noise
+            assert u.shape == (m, len(vt)) and vt.shape == (len(vt), m)
+            assert np.abs(u @ vt - amat).max() <= 1e-12 * np.abs(amat).max()
+
+    def test_marked_kernel_called_on_triangle_blocks(self, monkeypatch):
+        seen = []
+
+        def evaluator(x, y):
+            seen.append((x.copy(), y.copy()))
+            return np.exp(x + y)
+
+        m = 1000
+        nodes = gauss_legendre(m, 0.0, 1.0).nodes
+        full = fredholm._within_tolerance
+        monkeypatch.setattr(fredholm, "_within_tolerance",
+                            lambda *args: pytest.fail("_within_tolerance called"))
+        got = log_fredholm_det(fredholm._SymmetricKernel(evaluator, "exp"), 1.0, 0, 1, m)
+        assert got == pytest.approx(nystrom_log_rank_one(np.exp, 1.0, 0.0, 1.0, m), abs=1e-13)
+        blocks = [(x, y) for x, y in seen if x.shape[0] > 1 and y.shape[1] > 1]
+        start = 0
+        for x, y in blocks:  # row blocks from the diagonal, x[s:e, None] and x[None, s:]
+            assert np.array_equal(x[:, 0], nodes[start : start + len(x)])
+            assert np.array_equal(y[0], nodes[start:])
+            assert len(x) * len(y[0]) <= fredholm._BLOCK_VALUES
+            start += len(x)
+        assert start == m
+        # an unmarked kernel is checked on the whole grid
+        monkeypatch.setattr(fredholm, "_within_tolerance", full)
+        monkeypatch.setattr(fredholm, "_triangle_within_tolerance",
+                            lambda *args: pytest.fail("_triangle_within_tolerance called"))
+        assert log_fredholm_det(evaluator, 1.0, 0, 1, m) == got
+        assert log_fredholm_det(KernelSpec(evaluator, "exp"), 1.0, 0, 1, m) == got
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "nan-diagonal", "overflow"])
+    def test_marked_kernel_errors_match_unmarked(self, monkeypatch, case):
+        # a bad entry and its mirror, off every ACA cross: the triangle check sees
+        # it and hands the grid to _within_tolerance, which raises as for any kernel
+        m = 400
+        rule = gauss_legendre(m, 0.0, 1.0)
+        i, j = (m // 2, m // 2) if case == "nan-diagonal" else (2 * m // 3, m // 3)
+        bad_x, bad_y = rule.nodes[i], rule.nodes[j]
+        value = {"nan": np.nan, "inf": np.inf, "nan-diagonal": np.nan, "overflow": 1e308}[case]
+        z = 4.0 / math.sqrt(rule.weights[i] * rule.weights[j]) if case == "overflow" else 1.0
+
+        def evaluator(x, y):
+            at = ((x == bad_x) & (y == bad_y)) | ((x == bad_y) & (y == bad_x))
+            return np.where(at, value, np.exp(x + y))
+
+        triangle = fredholm._triangle_within_tolerance
+        calls = []
+        monkeypatch.setattr(fredholm, "_triangle_within_tolerance",
+                            lambda *args: calls.append(1) or triangle(*args))
+        errors = []
+        for kernel in (KernelSpec(evaluator, "bad"), fredholm._SymmetricKernel(evaluator, "bad")):
+            with pytest.raises(DomainError) as info:
+                log_fredholm_det(kernel, z, 0.0, 1.0, m)
+            errors.append(type(info.value))
+        assert calls == [1]
+        assert errors[0] is errors[1]
+        assert errors[0] is (DomainError if case == "overflow" else NonFiniteKernel)
+
 
 def _separable(terms):
     """K(x, y) = sum_j c_j sin(p_j x + q_j) cos(s_j y + t_j), |K| <= sum |c_j|."""
@@ -1007,3 +1188,87 @@ def test_low_rank_agrees_with_dense(terms, t, a, length, m):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fredholm, "_BLOCK_VALUES", block)
             assert fredholm._nystrom_logdet(kernel, z, a, b, m) == (sign, logdet, rank)
+
+
+def _symmetric_separable(terms):
+    """K(x, y) = sum_j c_j sin(p_j x + q_j) sin(p_j y + q_j), bitwise symmetric, |K| <= sum |c_j|.
+
+    ``c * (s_x * s_y)``: the product of the two sines commutes bit for bit,
+    where ``(c * s_x) * s_y`` would not.
+    """
+    def evaluator(x, y):
+        return sum(c * (np.sin(p * x + q) * np.sin(p * y + q)) for c, p, q in terms)
+    return fredholm._SymmetricKernel(evaluator, "symmetric separable")
+
+
+_symmetric_terms = st.lists(st.tuples(_signed(1.0), _freq, _signed(1.0)), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_symmetric_terms, t=_signed(0.9), a=st.floats(-3.0, 3.0),
+       length=st.floats(0.1, 4.0), m=st.integers(1, 300))
+def test_symmetric_low_rank_agrees_with_dense(terms, t, a, length, m):
+    # test_low_rank_agrees_with_dense for a marked kernel: on a blocked grid
+    # it is checked over one triangle
+    b = a + length
+    kernel = _symmetric_separable(terms)
+    nodes = gauss_legendre(m, a, b).nodes
+    grid = kernel.evaluator(nodes[:, None], nodes[None, :])
+    assert np.array_equal(grid.view(np.int64), grid.T.view(np.int64))  # the mark holds
+    z = t / (length * sum(abs(term[0]) for term in terms) + 1e-300)
+    sign, logdet, rank = fredholm._nystrom_logdet(kernel, z, a, b, m)
+    want_sign, want = dense_slogdet(kernel, z, a, b, m)
+    assert sign == want_sign
+    assert abs(logdet - want) <= 1e-12 * max(1.0, abs(want))
+    if fredholm._rank_cap(m) > len(terms):
+        assert rank <= len(terms)
+    # blocks of one row, of 37 values and of 1000 (one block up to m = 31): bit for bit the same
+    for block in (1, 37, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fredholm, "_BLOCK_VALUES", block)
+            assert fredholm._nystrom_logdet(kernel, z, a, b, m) == (sign, logdet, rank)
+
+
+def _marked_kernels():
+    """Every kernel the library marks symmetric: the squeezed kernel and ``KERNELS``."""
+    kernels = {k.name: k for k in (states.squeezed_kernel(), *(k for k, _ in KERNELS.values()))}
+    return [k for k in kernels.values() if isinstance(k, fredholm._SymmetricKernel)]
+
+
+def test_the_library_marks_three_kernels():
+    assert sorted(k.name for k in _marked_kernels()) == ["constant", "exp-rank-one", "squeezed"]
+    assert not isinstance(KernelSpec(np.add, "user"), fredholm._SymmetricKernel)
+
+
+def _assert_bitwise_symmetric(nodes):
+    nodes = np.asarray(nodes, dtype=float)
+    for kernel in _marked_kernels():
+        with np.errstate(all="ignore"):  # exp and cosh overflow to inf far out
+            grid = np.asarray(kernel.evaluator(nodes[:, None], nodes[None, :]), dtype=float)
+        bits = grid.view(np.int64)
+        assert np.array_equal(bits, bits.T), kernel.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(nodes=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=80))
+def test_marked_kernels_are_bitwise_symmetric_on_random_nodes(nodes):
+    _assert_bitwise_symmetric(nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nodes=st.lists(st.floats(-1e3, -1e-300), min_size=1, max_size=80))
+def test_marked_kernels_are_bitwise_symmetric_on_negative_nodes(nodes):
+    _assert_bitwise_symmetric(nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(1e-3, 20.0), m=st.integers(1, 400))
+def test_marked_kernels_are_bitwise_symmetric_on_sweep_rules(r, m):
+    # the gaussian sweep's interval, (0, max(r, 0.25)), and its default m = 40
+    for size in (m, 40):
+        _assert_bitwise_symmetric(gauss_legendre(size, 0.0, max(r, 0.25)).nodes)
+
+
+@pytest.mark.parametrize("b", [0.25, 2.0, 20.0])
+def test_marked_kernels_are_bitwise_symmetric_on_large_rules(b):
+    _assert_bitwise_symmetric(gauss_legendre(2000, 0.0, b).nodes)

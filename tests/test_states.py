@@ -11,6 +11,7 @@ from entrodet import (
     diag_state,
     divergence_probe,
     eig_hermitian,
+    gauss_legendre,
     gaussian_entropy_analytic,
     hu_ye,
     linalg,
@@ -521,6 +522,21 @@ class TestSqueezedKernel:
         k = squeezed_kernel()
         x, y = rng.uniform(0, 3, size=(2, 50))
         assert np.abs(k.evaluator(x, y) - k.evaluator(y, x)).max() < 1e-12
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 5.0, 20.0])
+    def test_equals_the_two_temporary_formula(self, rng, r):
+        # tanh(x + y) / cosh(x - y) as written, five arrays: the in-place
+        # evaluator gives the same bits on every grid shape it is called on
+        k = squeezed_kernel()
+        random = np.sort(rng.uniform(-r, r, size=300))
+        for x in (gauss_legendre(400, 0.0, r).nodes, gauss_legendre(40, 0.0, r).nodes, random):
+            for xs, ys in ((x[:, None], x[None, :]), (x[17:60, None], x[None, 17:]),
+                           (x[5:6, None], x[None, :]), (x[:, None], x[None, 9:10]),
+                           (x, x[::-1]), (x[3], x[7])):
+                want = np.tanh(xs + ys) / np.cosh(xs - ys)
+                got = k.evaluator(xs, ys)
+                assert got.shape == np.shape(want)
+                assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
     def test_value_oracle(self):
         k = squeezed_kernel()
