@@ -157,10 +157,6 @@ def run_xstate_experiment(
 # squeezed-vacuum entropy sweep
 # ---------------------------------------------------------------------------
 
-# quadrature profile used when no interval is given; calibration artifact,
-# the interval follows the squeezing parameter row by row
-GAUSSIAN_PROFILE = {"z": 1.0, "m": 40, "interval": "auto [0, r]"}
-
 
 def run_gaussian_experiment(
     r_grid: list[float],
@@ -223,7 +219,7 @@ def run_gaussian_experiment(
         "n_max": n_max,
         "m": m,
         "z": z,
-        "interval": list(interval) if interval is not None else GAUSSIAN_PROFILE["interval"],
+        "interval": list(interval) if interval is not None else "auto [0, r]",
         "calibrated_profile": interval is None,
     }
     return ExperimentReport(

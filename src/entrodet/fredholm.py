@@ -13,10 +13,11 @@ is similar to it and has the same determinant. ``fredholm_det`` and
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
 from a few kernel rows and columns; every entry of A is checked for
 finiteness and every entry of ``A - U V^T`` against a tolerance, on a
-grid of one block as one array, on a larger one in row blocks (for a
-kernel the library builds symmetric, the squeezed, constant and
-exp-rank-one kernels, in blocks of the upper triangle, each compared
-with both triangles of ``U V^T``); then
+grid of one block as one array, on a larger one in one pass of row
+blocks (for a kernel the library builds symmetric, the squeezed,
+constant and exp-rank-one kernels, blocks of the upper triangle, each
+compared with both triangles of ``U V^T``), and a grid that pass cannot
+decide as one array again; then
 ``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
 no low rank fall back to the LU of the dense matrix. Both accumulate the
 determinant in log space and never form the product, so the
@@ -69,8 +70,8 @@ _GRID_TOL = 1e-12
 # values, 138-151 ms (551-718) at 16K, 149 ms (600) at 8K, 149-157 ms
 # (2,438-2,612) at 64K and 245-249 ms (about 33,600) at 128K
 _BLOCK_VALUES = 1 << 15
-# a row of the grid check whose scaled peak reaches this is re-decided in A's
-# own units: far above any rounding gap, far below the float maximum
+# a blocked grid check whose scaled peak reaches this is re-decided in A's own
+# units: far above any rounding gap, far below the float maximum
 _NEAR_MAX = 2.0**1020
 
 # odd sieve candidates per block: 1 MiB of bool, half the 2 MiB L2 per core of
@@ -121,9 +122,10 @@ class KernelSpec:
     nodes (``x[i:j, None]``) and a row of column nodes (``x[None, :]``,
     ``x[None, i:]`` from the diagonal for a kernel the library marks
     symmetric, or ``x[None, j:j + 1]`` for one column), and its result
-    must broadcast to the block. ``nystrom_matrix``, and a determinant
-    whose grid is one block, call it once on ``x[:, None]`` and
-    ``x[None, :]``.
+    must broadcast to the block. ``nystrom_matrix``, a determinant whose
+    grid is one block, and a blocked grid check that meets a value that is
+    not finite or near the float maximum, call it once on ``x[:, None]``
+    and ``x[None, :]``.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -135,7 +137,7 @@ class _SymmetricKernel(KernelSpec):
     """A kernel the library builds symmetric bit for bit: ``K(x, y) == K(y, x)``.
 
     A determinant on a grid of many blocks checks one triangle of it
-    (``_triangle_within_tolerance``). The mark is private, so a user's
+    (``_within_tolerance``). The mark is private, so a user's
     own kernel is never taken as symmetric and never skips a check.
     """
 
@@ -394,120 +396,74 @@ def _one_block_within_tolerance(amat: np.ndarray, u: np.ndarray, vt: np.ndarray)
 
 
 def _within_tolerance(
-    f: Callable, rule: QuadratureRule, z: float, sw: np.ndarray, u: np.ndarray, vt: np.ndarray
+    kernel: KernelLike, rule: QuadratureRule, z: float, sw: np.ndarray, u: np.ndarray,
+    vt: np.ndarray,
 ) -> bool:
     """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over every entry of a blocked grid.
 
-    One pass over the grid in blocks of ``_BLOCK_VALUES // m`` rows, each
-    block filled into one reused buffer and its residual into another. A
+    One pass over the grid in row blocks of about ``_BLOCK_VALUES`` values,
+    each filled into one reused buffer and each residual into another. A
     block is held in kernel-row units ``B = K sqrt(w_j)``, one
     row-broadcast multiply of the kernel values, so that ``A_i = c_i B_i``
     with ``c_i = z sqrt(w_i)``; u is brought to the same units once,
-    ``u_i / c_i`` (0 where c_i = 0, where the row of u is 0 too). Per row
-    the max and min of B and of ``u @ vt - B`` are kept; at the end they
-    are scaled by ``|c_i|``.
+    ``us_i = u_i / c_i`` (0 where c_i = 0, where the row of u is 0 too).
+    Per row the max and min of B and of each residual are kept; at the
+    end they are scaled by ``|c_i|``.
 
-    A block where any of these is not finite, or where a row's peak comes
-    near the float maximum (products round differently there), is
-    re-decided in A's own units from ``_weighted_block``, which raises
-    ``NonFiniteKernel`` or ``DomainError`` as it would for the whole grid.
-    A residual that is not finite fails the check.
+    Row block ``s:e`` covers the columns ``lo:``: all of them, or for a
+    ``_SymmetricKernel`` those from the diagonal, ``lo = s``. A block is
+    compared with ``us @ vt``; a symmetric one, as ``A_ji = A_ij``, also
+    with ``vs^T u^T``, where column i of ``vs`` is that of vt over
+    ``c_i``, for the mirrored entries (j, i) in row i's units. ACA with
+    partial pivoting gives a non-symmetric ``u @ vt`` even when A is
+    symmetric, so neither triangle stands for the other.
+
+    A grid with a value that is not finite, or whose peak comes near the
+    float maximum (products round differently there), is re-decided whole
+    in A's own units: ``_weighted_block`` builds A, and raises
+    ``NonFiniteKernel`` or ``DomainError`` as ``nystrom_matrix`` does, and
+    ``_one_block_within_tolerance`` decides. A residual that is not finite
+    fails the check.
     """
-    m = rule.m
-    x = rule.nodes
-    step = max(1, _BLOCK_VALUES // m)
-    product = np.dot if len(vt) == 1 else np.matmul  # matmul's k = 1 path is slow
-    scale = z * sw
-    us = np.divide(u, scale[:, None], out=np.zeros_like(u), where=scale[:, None] != 0.0)
-    c = np.abs(scale)
-    buf = np.empty((step, m))
-    res = np.empty_like(buf)
-    ext = np.empty((4, m))  # per row: max and min of the block, then of its residual
-
-    def fold(block: np.ndarray, uu: np.ndarray, rows: slice) -> None:
-        r = product(uu, vt, out=res[: len(block)])
-        r -= block
-        out = ext[:, rows]
-        # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call, 500 of
-        # them per m = 2000 determinant
-        np.maximum.reduce(block, axis=1, out=out[0])
-        np.minimum.reduce(block, axis=1, out=out[1])
-        np.maximum.reduce(r, axis=1, out=out[2])
-        np.minimum.reduce(r, axis=1, out=out[3])
-
-    def extremes() -> tuple[np.ndarray, float, float]:
-        # per row max|A| and max|A - u @ vt|, then their maxima; NaN sticks
-        per_row = np.maximum(ext[0::2], -ext[1::2])
-        per_row *= c
-        return per_row, *np.maximum.reduce(per_row, axis=1)
-
-    for s in range(0, m, step):
-        rows = slice(s, s + step)
-        block = buf[: min(step, m - s)]
-        np.multiply(np.asarray(f(x[rows, None], x[None, :]), dtype=float), sw, out=block)
-        fold(block, us[rows], rows)
-    per_row, peak, worst = extremes()
-    if not (peak < _NEAR_MAX and math.isfinite(worst)):
-        bad = np.flatnonzero(~((per_row[0] < _NEAR_MAX) & np.isfinite(per_row[1])))
-        for s in np.unique(bad // step) * step:
-            rows = slice(s, s + step)
-            fold(_weighted_block(f, rule, z, sw, rows, slice(None)), u[rows], rows)
-            c[rows] = 1.0
-        _, peak, worst = extremes()
-    return bool(worst <= _GRID_TOL * peak)
-
-
-def _triangle_within_tolerance(
-    f: Callable, rule: QuadratureRule, z: float, sw: np.ndarray, u: np.ndarray, vt: np.ndarray
-) -> bool:
-    """``_within_tolerance`` for a symmetric kernel, over the upper triangle of its grid.
-
-    Row blocks start at the diagonal, ``f(x[s:e, None], x[None, s:])``,
-    with about ``_BLOCK_VALUES`` values each, held in the kernel-row units
-    of ``_within_tolerance``. As ``A_ji = A_ij``, each block is compared
-    with both triangles of ``u @ vt``: with ``us @ vt`` for the entries
-    (i, j) and with ``vs^T u^T``, where column i of ``vs`` is that of vt
-    over ``c_i``, for their mirrors (j, i), both in row i's units. ACA
-    with partial pivoting gives a non-symmetric ``u @ vt`` even when A is
-    symmetric, so neither triangle stands for the other. One buffer takes
-    the block, one each residual in turn.
-
-    It decides only when every value it saw is finite and the peak is
-    below ``_NEAR_MAX``; otherwise ``_within_tolerance`` decides, and
-    raises, as it does for any kernel.
-    """
+    f = _evaluator(kernel)
+    symmetric = isinstance(kernel, _SymmetricKernel)
     m = rule.m
     x = rule.nodes
     product = np.dot if len(vt) == 1 else np.matmul  # matmul's k = 1 path is slow
     scale = z * sw
     live = scale != 0.0
-    us = np.divide(u, scale[:, None], out=np.zeros_like(u), where=live[:, None])
-    vs = np.divide(vt, scale, out=np.zeros_like(vt), where=live)
+    pairs = [(np.divide(u, scale[:, None], out=np.zeros_like(u), where=live[:, None]), vt)]
+    if symmetric:
+        pairs.append((np.divide(vt, scale, out=np.zeros_like(vt), where=live).T, u.T))
     buf = np.empty(max(_BLOCK_VALUES, m))
     res = np.empty_like(buf)
-    ext = np.empty((6, m))  # per row: max and min of the block, then of each residual
+    ext = np.empty((2 + 2 * len(pairs), m))  # per row: max and min of the block, of each residual
     s = 0
     while s < m:
-        e = min(m, s + max(1, _BLOCK_VALUES // (m - s)))
-        shape = (e - s, m - s)
+        lo = s if symmetric else 0
+        e = min(m, s + max(1, _BLOCK_VALUES // (m - lo)))
+        shape = (e - s, m - lo)
         block = buf[: shape[0] * shape[1]].reshape(shape)
-        np.multiply(np.asarray(f(x[s:e, None], x[None, s:]), dtype=float), sw[s:], out=block)
+        np.multiply(np.asarray(f(x[s:e, None], x[None, lo:]), dtype=float), sw[lo:], out=block)
         r = res[: block.size].reshape(shape)
         out = ext[:, s:e]
+        # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call, 500 of
+        # them per m = 2000 determinant
         np.maximum.reduce(block, axis=1, out=out[0])
         np.minimum.reduce(block, axis=1, out=out[1])
-        for top, left, right in ((2, us[s:e], vt[:, s:]), (4, vs[:, s:e].T, u[s:].T)):
-            product(left, right, out=r)
+        for top, (left, right) in enumerate(pairs, 1):
+            product(left[s:e], right[:, lo:], out=r)
             r -= block
-            np.maximum.reduce(r, axis=1, out=out[top])
-            np.minimum.reduce(r, axis=1, out=out[top + 1])
+            np.maximum.reduce(r, axis=1, out=out[2 * top])
+            np.minimum.reduce(r, axis=1, out=out[2 * top + 1])
         s = e
-    per_row = np.maximum(ext[0::2], -ext[1::2])  # |B|, then |residual| and |mirror residual|
+    per_row = np.maximum(ext[0::2], -ext[1::2])  # |B|, then |each residual|
     per_row *= np.abs(scale)
     peak, worst = float(per_row[0].max()), float(per_row[1:].max())  # NaN sticks
     if peak < _NEAR_MAX and math.isfinite(worst):
         return worst <= _GRID_TOL * peak
-    return _within_tolerance(f, rule, z, sw, u, vt)
+    every = slice(None)
+    return _one_block_within_tolerance(_weighted_block(f, rule, z, sw, every, every), u, vt)
 
 
 def _core_slogdet(u: np.ndarray, vt: np.ndarray) -> tuple[float, float, int]:
@@ -539,9 +495,10 @@ def _nystrom_logdet(
     grid of at most ``_BLOCK_VALUES`` values is evaluated once: ACA reads
     it, ``_one_block_within_tolerance`` checks it and the fallback factors
     it in place. A larger grid is read by single rows and columns, checked
-    in row blocks by ``_within_tolerance`` (by ``_triangle_within_tolerance``
-    on the upper triangle for a ``_SymmetricKernel``) and built whole by
-    ``nystrom_matrix`` only for the fallback.
+    in row blocks by ``_within_tolerance`` (on the upper triangle for a
+    ``_SymmetricKernel``) and built whole only where that check cannot
+    decide (by ``_weighted_block``) and for the fallback (by
+    ``nystrom_matrix``).
 
     Raises
     ------
@@ -571,9 +528,7 @@ def _nystrom_logdet(
                 lambda j: _weighted_block(f, rule, z, sw, every, slice(j, j + 1))[:, 0],
                 m, _rank_cap(m),
             )
-            check = (_triangle_within_tolerance if isinstance(kernel, _SymmetricKernel)
-                     else _within_tolerance)
-            if factors is not None and check(f, rule, z, sw, *factors):
+            if factors is not None and _within_tolerance(kernel, rule, z, sw, *factors):
                 return _core_slogdet(*factors)
         dense = nystrom_matrix(kernel, z, rule)
     sign, logdet = np.linalg.slogdet(dense)
@@ -715,14 +670,15 @@ def first_k_primes(k: int) -> np.ndarray:
         limit *= 2
 
 
-def _check_product_order(q: float) -> None:
+def _check_order(q: float, claim: str) -> None:
+    """Refuse q unless it is finite and above 1: ``DomainError("<claim> finite q > 1, got q")``."""
     if not 1.0 < q < math.inf:  # NaN fails too
-        raise DomainError(f"product converges for finite q > 1, got {q}")
+        raise DomainError(f"{claim} finite q > 1, got {q}")
 
 
 def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
     """The log Euler factors log(1 + p^-q) of zeta(q)/zeta(2q), one per prime."""
-    _check_product_order(q)
+    _check_order(q, "product converges for")
     factors = primes.astype(float)
     np.power(factors, -q, out=factors)
     return np.log1p(factors, out=factors)
@@ -730,7 +686,7 @@ def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
 
 def _first_log_euler_factors(q: float, k: int) -> np.ndarray:
     """``log_euler_factors`` over the first k primes; q is checked before the sieve."""
-    _check_product_order(q)
+    _check_order(q, "product converges for")
     return log_euler_factors(q, first_k_primes(k))
 
 
@@ -783,8 +739,7 @@ def zeta_series(q: float) -> float:
 
     Within 4e-16 relative of 50-digit mpmath for q from 1.1 to 50.
     """
-    if not 1.0 < q < math.inf:  # NaN fails too
-        raise DomainError(f"zeta series converges for finite q > 1, got {q}")
+    _check_order(q, "zeta series converges for")
     return _partial_zeta(q, math.inf)
 
 
@@ -799,7 +754,6 @@ def prime_tail_bound(q: float, p_last: int) -> float:
     DomainError
         If q is not finite and above 1, or ``p_last`` is not an integer >= 2.
     """
-    if not 1.0 < q < math.inf:  # NaN fails too
-        raise DomainError(f"tail bound requires finite q > 1, got {q}")
+    _check_order(q, "tail bound requires")
     p_last = _check_count(p_last, "last prime", 2)
     return float(p_last) ** (1.0 - q) / (q - 1.0)

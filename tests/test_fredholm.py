@@ -687,6 +687,36 @@ class TestLowRankDeterminant:
         assert crosses
         assert not any(bad_x in xs and bad_y in ys for xs, ys in crosses)
 
+    @pytest.mark.parametrize("marked", [False, True])
+    @pytest.mark.parametrize("m", [40, 181, 400, 2000])
+    def test_overflow_before_a_nan_is_a_non_finite_kernel(self, m, marked):
+        # an entry of A that overflows in one row block and a NaN kernel value in a
+        # later one, each mirrored and off every ACA cross: the error is
+        # nystrom_matrix's whatever the grid shape
+        rule = gauss_legendre(m, 0.0, 1.0)
+        big, bad = (m // 4, m // 2), (3 * m // 4, 2 * m // 3)
+        z = 4.0 / math.sqrt(rule.weights[big[0]] * rule.weights[big[1]])
+
+        def at(x, y, i, j):
+            bx, by = rule.nodes[i], rule.nodes[j]
+            return ((x == bx) & (y == by)) | ((x == by) & (y == bx))
+
+        def evaluator(x, y):
+            return np.where(at(x, y, *bad), np.nan,
+                            np.where(at(x, y, *big), 1e308, np.exp(x + y)))
+
+        kernel = (fredholm._SymmetricKernel if marked else KernelSpec)(evaluator, "bad")
+        for det in (fredholm_det, log_fredholm_det):
+            with pytest.raises(NonFiniteKernel):
+                det(kernel, z, 0.0, 1.0, m)
+        with pytest.raises(NonFiniteKernel):
+            nystrom_matrix(kernel, z, rule)
+        # alone, the overflowing entry is a DomainError
+        alone = lambda x, y: np.where(at(x, y, *big), 1e308, np.exp(x + y))
+        with pytest.raises(DomainError, match="overflows") as info:
+            log_fredholm_det(alone, z, 0.0, 1.0, m)
+        assert not isinstance(info.value, NonFiniteKernel)
+
     def test_evaluator_called_on_grid_blocks(self):
         seen = []
 
@@ -752,6 +782,22 @@ class TestGridCheck:
             return smooth + np.where((x == bad_x) & (y == bad_y), delta, 0.0)
         return evaluator
 
+    @staticmethod
+    def mirrored(phis, bad_x, bad_y, delta):
+        """The spiked kernel with its spike at (bad_x, bad_y) and at (bad_y, bad_x)."""
+        def evaluator(x, y):
+            smooth = sum(phi(x) * phi(y) for phi in phis)
+            at = ((x == bad_x) & (y == bad_y)) | ((x == bad_y) & (y == bad_x))
+            return smooth + np.where(at, delta, 0.0)
+        return evaluator
+
+    @classmethod
+    def bad_kernel(cls, phis, bad_x, bad_y, delta, marked):
+        """The spiked kernel, or the mirrored one marked symmetric."""
+        if marked:
+            return fredholm._SymmetricKernel(cls.mirrored(phis, bad_x, bad_y, delta), "mirrored")
+        return cls.spiked(phis, bad_x, bad_y, delta)
+
     @classmethod
     @functools.lru_cache(maxsize=None)
     def smooth(cls, rank, z, m):
@@ -763,20 +809,22 @@ class TestGridCheck:
         amat.setflags(write=False)
         return rule, sw, *exact_factors(cls.PHIS[rank], z, rule), amat
 
-    def decide(self, rank, z, m, row, col, t):
+    def decide(self, rank, z, m, row, col, t, marked=False):
         rule, sw, u, vt, smooth = self.smooth(rank, z, m)
-        # a spike of t times the tolerance, in A's units, at (row, col)
+        # a spike of t times the tolerance, in A's units, at (row, col), and at
+        # (col, row) too for a marked kernel
         delta = t * fredholm._GRID_TOL * np.abs(smooth).max() / (abs(z) * sw[row] * sw[col])
-        f = self.spiked(self.PHIS[rank], rule.nodes[row], rule.nodes[col], delta)
-        amat = smooth.copy()  # the spiked kernel's A, which differs at (row, col) only
-        amat[row, col] = fredholm._weighted_block(
-            f, rule, z, sw, slice(row, row + 1), slice(col, col + 1))[0, 0]
+        kernel = self.bad_kernel(self.PHIS[rank], rule.nodes[row], rule.nodes[col], delta, marked)
+        amat = smooth.copy()  # the spiked kernel's A, which differs at the spikes only
+        for i, j in {(row, col), (col, row)} if marked else {(row, col)}:
+            amat[i, j] = fredholm._weighted_block(
+                fredholm._evaluator(kernel), rule, z, sw, slice(i, i + 1), slice(j, j + 1))[0, 0]
         want = two_pass_within_tolerance(amat, u, vt)
         with np.errstate(all="ignore"):
             if m * m <= fredholm._BLOCK_VALUES:
                 got = fredholm._one_block_within_tolerance(amat, u, vt)
             else:
-                got = fredholm._within_tolerance(f, rule, z, sw, u, vt)
+                got = fredholm._within_tolerance(kernel, rule, z, sw, u, vt)
         return got, want
 
     @pytest.mark.parametrize("t", [0.9, 1.1, -0.9, -1.1])
@@ -854,27 +902,34 @@ class TestGridCheck:
                 assert log_fredholm_det(EXP1, 1.0, 0.0, 1.0, size) == pytest.approx(
                     nystrom_log_rank_one(np.exp, 1.0, 0.0, 1.0, size), abs=1e-13)
 
-    @pytest.mark.parametrize("m", [400, 2000])
-    def test_row_scale_near_the_float_maximum_is_redecided(self, m):
-        # A spike of about 1e308 in A's units sends one row past _NEAR_MAX: its block
-        # is re-decided in A's units and the check fails, as the formula's does
+    def near_the_float_maximum(self, m, marked):
+        # A spike of about 1e308 in A's units sends one row past _NEAR_MAX: the grid
+        # is re-decided whole in A's units and the check fails, as the formula's does
         rule = gauss_legendre(m, 0.0, 1.0)
         sw = np.sqrt(rule.weights)
         row, col = m // 2, m // 3
         z = 1e8 / (sw[row] * sw[col])
         u, vt = exact_factors(self.PHIS[1], z, rule)
-        f = self.spiked(self.PHIS[1], rule.nodes[row], rule.nodes[col], 1e300)
+        kernel = self.bad_kernel(self.PHIS[1], rule.nodes[row], rule.nodes[col], 1e300, marked)
         every = slice(None)
         with np.errstate(all="ignore"):
-            amat = fredholm._weighted_block(f, rule, z, sw, every, every)
-            assert not fredholm._within_tolerance(f, rule, z, sw, u, vt)
+            amat = fredholm._weighted_block(fredholm._evaluator(kernel), rule, z, sw, every, every)
+            assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt) is False
         assert np.abs(amat).max() > fredholm._NEAR_MAX
         assert not two_pass_within_tolerance(amat, u, vt)
 
-    def test_entry_overflowing_in_a_units_only_is_a_domain_error(self):
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_row_scale_near_the_float_maximum_is_redecided(self, m):
+        self.near_the_float_maximum(m, marked=False)
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    def test_triangle_row_scale_near_the_float_maximum_is_redecided(self, m):
+        self.near_the_float_maximum(m, marked=True)
+
+    def overflowing_in_a_units_only(self, marked):
         # (sqrt(w_i) sqrt(w_j) z) K overflows while |z sqrt(w_i)| (K sqrt(w_j)), the
-        # fused check's order, rounds to the float maximum: the row's peak is past
-        # _NEAR_MAX, so _weighted_block re-decides it and raises, as it did before
+        # blocked check's order, rounds to the float maximum: the row's peak is past
+        # _NEAR_MAX, so _weighted_block re-decides the grid and raises
         m, z, row, col = 400, 1e3, 100, 250
         rule = gauss_legendre(m, 0.0, 1.0)
         sw = np.sqrt(rule.weights)
@@ -883,39 +938,30 @@ class TestGridCheck:
             while np.isfinite(sw[row] * sw[col] * z * k):
                 k = np.nextafter(k, np.inf)
             assert np.isfinite(abs(z * sw[row]) * (k * sw[col]))
-        bad_x, bad_y = rule.nodes[row], rule.nodes[col]
-        f = lambda x, y: np.where((x == bad_x) & (y == bad_y), k, np.exp(x + y))
+        # k in the spiked kernel's own entry, and in its mirror for a marked one
+        kernel = self.bad_kernel((np.exp,), rule.nodes[row], rule.nodes[col], k, marked)
         u, vt = exact_factors(self.PHIS[1], z, rule)
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
-            fredholm._within_tolerance(f, rule, z, sw, u, vt)
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows") as info:
+            fredholm._within_tolerance(kernel, rule, z, sw, u, vt)
+        assert not isinstance(info.value, NonFiniteKernel)
 
-    @staticmethod
-    def mirrored(phis, bad_x, bad_y, delta):
-        """The spiked kernel with its spike at (bad_x, bad_y) and at (bad_y, bad_x)."""
-        def evaluator(x, y):
-            smooth = sum(phi(x) * phi(y) for phi in phis)
-            at = ((x == bad_x) & (y == bad_y)) | ((x == bad_y) & (y == bad_x))
-            return smooth + np.where(at, delta, 0.0)
-        return evaluator
+    def test_entry_overflowing_in_a_units_only_is_a_domain_error(self):
+        self.overflowing_in_a_units_only(marked=False)
+
+    def test_triangle_entry_overflowing_in_a_units_only_is_a_domain_error(self):
+        self.overflowing_in_a_units_only(marked=True)
 
     @pytest.mark.parametrize("t", [0.9, 1.1, -0.9, -1.1])
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("z", [0.7, -1.3])
     def test_triangle_check_agrees_with_two_pass(self, t, rank, z):
-        # a symmetric spike of t times the tolerance, on and off the diagonal, at
-        # the edges of the triangle's row blocks
+        # test_spike_at_block_edges for a marked kernel: a mirrored spike, on and off
+        # the diagonal, at the edges of the triangle's row blocks
         m = 600
-        rule, sw, u, vt, smooth = self.smooth(rank, z, m)
         first = fredholm._BLOCK_VALUES // m  # rows of the first block
-        every = slice(None)
         for row, col in ((0, 0), (0, m - 1), (first - 1, first), (first, first - 1),
                          (first, 517), (m - 2, m - 1), (m - 1, m - 1), (m // 2, m // 2)):
-            delta = t * fredholm._GRID_TOL * np.abs(smooth).max() / (abs(z) * sw[row] * sw[col])
-            f = self.mirrored(self.PHIS[rank], rule.nodes[row], rule.nodes[col], delta)
-            amat = fredholm._weighted_block(f, rule, z, sw, every, every)
-            want = two_pass_within_tolerance(amat, u, vt)
-            with np.errstate(all="ignore"):
-                got = fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt)
+            got, want = self.decide(rank, z, m, row, col, t, marked=True)
             assert got == want == (abs(t) < 1.0), (row, col)
 
     @pytest.mark.parametrize("m", [182, 600, 2000])
@@ -939,43 +985,8 @@ class TestGridCheck:
         assert np.abs(np.triu(residual)).max() <= fredholm._GRID_TOL * peak
         assert not two_pass_within_tolerance(amat, u, vt)
         f = self.spiked(self.PHIS[2], 0.0, 0.0, 0.0)
-        assert fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt) is False
-        assert fredholm._within_tolerance(f, rule, z, sw, u, vt) is False
-
-    @pytest.mark.parametrize("m", [400, 2000])
-    def test_triangle_row_scale_near_the_float_maximum_is_redecided(self, m):
-        # as test_row_scale_near_the_float_maximum_is_redecided, with the spike
-        # mirrored: the peak passes _NEAR_MAX and _within_tolerance decides
-        rule = gauss_legendre(m, 0.0, 1.0)
-        sw = np.sqrt(rule.weights)
-        row, col = m // 2, m // 3
-        z = 1e8 / (sw[row] * sw[col])
-        u, vt = exact_factors(self.PHIS[1], z, rule)
-        f = self.mirrored(self.PHIS[1], rule.nodes[row], rule.nodes[col], 1e300)
-        with np.errstate(all="ignore"):
-            assert fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt) is False
-
-    def test_triangle_entry_overflowing_in_a_units_only_is_a_domain_error(self):
-        # as test_entry_overflowing_in_a_units_only_is_a_domain_error, with the
-        # spike mirrored: the row units round it finite, but past _NEAR_MAX, so
-        # _within_tolerance re-decides the grid and raises
-        m, z, row, col = 400, 1e3, 100, 250
-        rule = gauss_legendre(m, 0.0, 1.0)
-        sw = np.sqrt(rule.weights)
-        k = np.nextafter(np.finfo(float).max / (z * sw[row] * sw[col]), 0.0)
-        with np.errstate(over="ignore"):
-            while np.isfinite(sw[row] * sw[col] * z * k):
-                k = np.nextafter(k, np.inf)
-            assert np.isfinite(abs(z * sw[row]) * (k * sw[col]))
-        bad_x, bad_y = rule.nodes[row], rule.nodes[col]
-
-        def f(x, y):
-            at = ((x == bad_x) & (y == bad_y)) | ((x == bad_y) & (y == bad_x))
-            return np.where(at, k, np.exp(x + y))
-
-        u, vt = exact_factors(self.PHIS[1], z, rule)
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
-            fredholm._triangle_within_tolerance(f, rule, z, sw, u, vt)
+        for kernel in (fredholm._SymmetricKernel(f, "rank two"), f):
+            assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt) is False
 
 
 class TestBlockedPath:
@@ -1093,7 +1104,22 @@ class TestBlockedPath:
             assert u.shape == (m, len(vt)) and vt.shape == (len(vt), m)
             assert np.abs(u @ vt - amat).max() <= 1e-12 * np.abs(amat).max()
 
-    def test_marked_kernel_called_on_triangle_blocks(self, monkeypatch):
+    @staticmethod
+    def assert_row_blocks(seen, nodes, marked):
+        """The evaluator's calls, past ACA's single rows and columns, are row blocks
+        in order over every row: ``x[s:e, None]`` against ``x[None, s:]`` from the
+        diagonal for a marked kernel, against ``x[None, :]`` for an unmarked one."""
+        start = 0
+        for x, y in seen:
+            if x.shape[0] == 1 or y.shape[1] == 1:  # an ACA row or column
+                continue
+            assert np.array_equal(x[:, 0], nodes[start : start + len(x)])
+            assert np.array_equal(y[0], nodes[start if marked else 0 :])
+            assert len(x) * y.shape[1] <= fredholm._BLOCK_VALUES
+            start += len(x)
+        assert start == len(nodes)
+
+    def test_marked_kernel_called_on_triangle_blocks(self):
         seen = []
 
         def evaluator(x, y):
@@ -1102,53 +1128,46 @@ class TestBlockedPath:
 
         m = 1000
         nodes = gauss_legendre(m, 0.0, 1.0).nodes
-        full = fredholm._within_tolerance
-        monkeypatch.setattr(fredholm, "_within_tolerance",
-                            lambda *args: pytest.fail("_within_tolerance called"))
-        got = log_fredholm_det(fredholm._SymmetricKernel(evaluator, "exp"), 1.0, 0, 1, m)
-        assert got == pytest.approx(nystrom_log_rank_one(np.exp, 1.0, 0.0, 1.0, m), abs=1e-13)
-        blocks = [(x, y) for x, y in seen if x.shape[0] > 1 and y.shape[1] > 1]
-        start = 0
-        for x, y in blocks:  # row blocks from the diagonal, x[s:e, None] and x[None, s:]
-            assert np.array_equal(x[:, 0], nodes[start : start + len(x)])
-            assert np.array_equal(y[0], nodes[start:])
-            assert len(x) * len(y[0]) <= fredholm._BLOCK_VALUES
-            start += len(x)
-        assert start == m
-        # an unmarked kernel is checked on the whole grid
-        monkeypatch.setattr(fredholm, "_within_tolerance", full)
-        monkeypatch.setattr(fredholm, "_triangle_within_tolerance",
-                            lambda *args: pytest.fail("_triangle_within_tolerance called"))
-        assert log_fredholm_det(evaluator, 1.0, 0, 1, m) == got
-        assert log_fredholm_det(KernelSpec(evaluator, "exp"), 1.0, 0, 1, m) == got
+        got = []
+        for kernel, marked in ((fredholm._SymmetricKernel(evaluator, "exp"), True),
+                               (KernelSpec(evaluator, "exp"), False), (evaluator, False)):
+            seen.clear()
+            got.append(log_fredholm_det(kernel, 1.0, 0, 1, m))
+            self.assert_row_blocks(seen, nodes, marked)
+        assert got[0] == pytest.approx(nystrom_log_rank_one(np.exp, 1.0, 0.0, 1.0, m), abs=1e-13)
+        assert got[0] == got[1] == got[2]
 
     @pytest.mark.parametrize("case", ["nan", "inf", "nan-diagonal", "overflow"])
-    def test_marked_kernel_errors_match_unmarked(self, monkeypatch, case):
-        # a bad entry and its mirror, off every ACA cross: the triangle check sees
-        # it and hands the grid to _within_tolerance, which raises as for any kernel
+    def test_marked_kernel_errors_match_unmarked(self, case):
+        # a bad entry and its mirror, off every ACA cross: the blocked pass sees it,
+        # and the grid is then evaluated once whole, which raises as nystrom_matrix does
         m = 400
         rule = gauss_legendre(m, 0.0, 1.0)
         i, j = (m // 2, m // 2) if case == "nan-diagonal" else (2 * m // 3, m // 3)
         bad_x, bad_y = rule.nodes[i], rule.nodes[j]
         value = {"nan": np.nan, "inf": np.inf, "nan-diagonal": np.nan, "overflow": 1e308}[case]
         z = 4.0 / math.sqrt(rule.weights[i] * rule.weights[j]) if case == "overflow" else 1.0
+        seen = []
 
         def evaluator(x, y):
+            seen.append((x.copy(), y.copy()))
             at = ((x == bad_x) & (y == bad_y)) | ((x == bad_y) & (y == bad_x))
             return np.where(at, value, np.exp(x + y))
 
-        triangle = fredholm._triangle_within_tolerance
-        calls = []
-        monkeypatch.setattr(fredholm, "_triangle_within_tolerance",
-                            lambda *args: calls.append(1) or triangle(*args))
         errors = []
-        for kernel in (KernelSpec(evaluator, "bad"), fredholm._SymmetricKernel(evaluator, "bad")):
+        for kernel, marked in ((KernelSpec(evaluator, "bad"), False),
+                               (fredholm._SymmetricKernel(evaluator, "bad"), True)):
+            seen.clear()
             with pytest.raises(DomainError) as info:
                 log_fredholm_det(kernel, z, 0.0, 1.0, m)
             errors.append(type(info.value))
-        assert calls == [1]
+            x, y = seen.pop()  # the last call: the whole grid
+            assert np.array_equal(x[:, 0], rule.nodes) and np.array_equal(y[0], rule.nodes)
+            self.assert_row_blocks(seen, rule.nodes, marked)
         assert errors[0] is errors[1]
         assert errors[0] is (DomainError if case == "overflow" else NonFiniteKernel)
+        with pytest.raises(errors[0]):
+            nystrom_matrix(evaluator, z, rule)
 
 
 def _separable(terms):

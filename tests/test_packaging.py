@@ -1,4 +1,4 @@
-"""Packaging checks: declared runtime dependencies, the modules that read shared constants, and the pinned public API."""
+"""Packaging checks: declared runtime dependencies, the modules and functions that read shared constants, and the pinned public API."""
 
 import ast
 import re
@@ -59,6 +59,16 @@ def test_only_fredholm_reads_the_euler_maclaurin_weights():
                if names_used(node) & {"_EM_WEIGHTS"}}
     assert "fredholm.py" in readers  # the scan sees the name at all
     assert readers == {"fredholm.py"}, f"weights read outside fredholm: {sorted(readers)}"
+
+
+def test_two_functions_read_the_grid_tolerance():
+    # the tolerance decision of the grid check is written once per grid shape: the
+    # one-block check and the blocked one, which serves every kernel
+    readers = {node.name for path in (ROOT / "src" / "entrodet").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and any(names_used(inner) & {"_GRID_TOL"} for inner in ast.walk(node))}
+    assert readers == {"_one_block_within_tolerance", "_within_tolerance"}, sorted(readers)
 
 
 PUBLIC_NAMES = [
