@@ -27,6 +27,9 @@ entry of A that overflows raises ``DomainError``.
 
 The prime and zeta helpers, built on the Euler factors of
 ``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
+``first_k_primes`` returns a read-only view of one per-process table of
+primes, sieved again only when a larger k asks for it; the table keeps at
+most 16 MiB of primes, and a count above ``MAX_PRIMES`` is refused.
 Every zeta-type sum, partial (``_partial_zeta``, read by the power-law
 spectra of ``states``) or complete (``zeta_series``), is one
 Euler-Maclaurin sum: 1024 terms summed directly plus B_2..B_8
@@ -55,6 +58,10 @@ from .errors import (
 # matrix, and the low-rank route still reads all m^2 kernel values; keep
 # the quadratic cost visible
 MAX_NODES = 10_000
+# the first k primes as int64 take 8 k bytes, and the sieve array is sized
+# by Rosser and Schoenfeld's bound above that: under 1 GB at this cap, about
+# the size of MAX_NODES' dense matrix
+MAX_PRIMES = 10**8
 
 # low-rank route: ACA stops at crosses below _ACA_TOL of the Frobenius
 # estimate, a decade above the rounding floor of about 1e-15; the grid check
@@ -78,6 +85,14 @@ _NEAR_MAX = 2.0**1020
 # the Xeon host it was timed on; a sieve to 15.49M took 25-29 ms there at 1 MiB
 # and 512 KiB, 31 ms at 256 KiB and 30-36 ms at 2 MiB
 _SIEVE_BLOCK = 1 << 20
+
+# every prime up to the largest limit sieved so far in this process, read-only
+# and replaced whole by one assignment, so a race between threads can only
+# cost another sieve; a sieve of more than _PRIMES_KEPT primes (16 MiB) is
+# returned but not kept
+_PRIMES_KEPT = 1 << 21
+_PRIMES = np.empty(0, dtype=np.int64)
+_PRIMES.setflags(write=False)
 
 # the wheel: slot i stands for the odd number 2 i + 1, True unless it is a
 # multiple of 3, 5, 7, 11 or 13; the pattern repeats every 15015 odd numbers
@@ -645,7 +660,13 @@ def _primes_up_to(limit: int) -> np.ndarray:
 
 
 def first_k_primes(k: int) -> np.ndarray:
-    """The first k primes, as a C-contiguous int64 array.
+    """The first k primes, as a read-only, C-contiguous int64 array.
+
+    The result is a view of a per-process table that holds every prime up
+    to the largest limit sieved so far; the table is sieved again, larger,
+    only when it holds fewer than k primes. A sieve of more than
+    ``1 << 21`` primes (16 MiB) is returned but not kept, so the table
+    never holds more than that.
 
     A segmented sieve of Eratosthenes over odd numbers only, started from
     a wheel that has already struck the multiples of 3 to 13, and run in
@@ -658,16 +679,22 @@ def first_k_primes(k: int) -> np.ndarray:
     Raises
     ------
     DomainError
-        If k is not an integer (``operator.index`` refuses it) or k < 1;
-        both are checked before any sieving.
+        If k is not an integer (``operator.index`` refuses it), k < 1 or
+        k > ``MAX_PRIMES``; all are checked before any sieving.
     """
+    global _PRIMES
     k = _check_count(k, "prime count")
-    limit = _prime_bound(k)
-    while True:
-        primes = _primes_up_to(limit)
-        if len(primes) >= k:
-            return primes[:k]
-        limit *= 2
+    if k > MAX_PRIMES:
+        raise DomainError(f"prime count {k} exceeds the {MAX_PRIMES} sieve cap")
+    primes = _PRIMES
+    if len(primes) < k:
+        limit = _prime_bound(k)
+        while len(primes := _primes_up_to(limit)) < k:
+            limit *= 2
+        primes.setflags(write=False)
+        if len(primes) <= _PRIMES_KEPT:
+            _PRIMES = primes
+    return primes[:k]
 
 
 def _check_order(q: float, claim: str) -> None:

@@ -263,6 +263,14 @@ class TestExperimentCommands:
         proc = run_cli("zeta-check", "--q", "0.5")
         assert proc.returncode == 4
 
+    def test_zeta_huge_k_exit_4(self):
+        # refused by the MAX_PRIMES cap before the sieve allocates anything
+        proc = run_cli("zeta-check", "--k", "10000000000000")
+        assert proc.returncode == 4
+        assert "DomainError" in proc.stderr and "sieve cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("args", [
         ("gaussian-experiment", "--r", "nan"),
         ("gaussian-experiment", "--z", "nan"),

@@ -225,6 +225,14 @@ class TestZetaCheck:
         run_zeta_check(2.0, 2.0, 1000)
         assert calls == [1000]
 
+        def no_sieve(limit):
+            raise AssertionError("a second run sieved again")
+
+        # the primes are kept for the process: a second run reads the table
+        monkeypatch.setattr(fredholm, "_primes_up_to", no_sieve)
+        run_zeta_check(2.0, 2.0, 1000)
+        assert calls == [1000, 1000]
+
     def test_one_admission_per_run(self, monkeypatch):
         # the spectrum is admitted once; every checkpoint reads a prefix of it
         calls = []

@@ -344,7 +344,42 @@ def primes_up_to_by_trial(limit):
     return list(_primes_up_to_by_trial(limit))
 
 
+def _empty_prime_table():
+    table = np.empty(0, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+@pytest.fixture
+def sieves(monkeypatch):
+    """The limits of the outermost ``_primes_up_to`` calls from here on.
+
+    The sieve finds its base primes by calling itself; those inner calls
+    are not recorded.
+    """
+    limits, depth = [], []
+    sieve = fredholm._primes_up_to
+
+    def recording(limit):
+        if not depth:
+            limits.append(limit)
+        depth.append(limit)
+        try:
+            return sieve(limit)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(fredholm, "_primes_up_to", recording)
+    return limits
+
+
 class TestPrimes:
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        # every test starts from a cold table, so the sieve (and any patched
+        # _SIEVE_BLOCK, _prime_bound or _primes_up_to) really runs
+        monkeypatch.setattr(fredholm, "_PRIMES", _empty_prime_table())
+
     def test_first_few(self):
         assert first_k_primes(1).tolist() == [2]
         assert first_k_primes(5).tolist() == [2, 3, 5, 7, 11]
@@ -420,9 +455,11 @@ class TestPrimes:
 
     @pytest.mark.parametrize("k", [1, 5, 6, 1000])
     def test_dtype_and_layout(self, k):
-        primes = first_k_primes(k)
-        assert primes.dtype == np.int64
-        assert primes.flags.c_contiguous
+        for primes in (first_k_primes(k), first_k_primes(k)):  # sieved, then from the table
+            assert primes.dtype == np.int64
+            assert primes.flags.c_contiguous
+            with pytest.raises(ValueError):
+                primes[0] = 4
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -445,6 +482,63 @@ class TestPrimes:
         assert first_k_primes(np.int64(7)).tolist() == [2, 3, 5, 7, 11, 13, 17]
         assert zeta_ratio_product(2.0, np.int64(7)) == zeta_ratio_product(2.0, 7)
         assert run_zeta_check(2.0, 2.0, np.int64(7)).records == run_zeta_check(2.0, 2.0, 7).records
+
+    def test_sieves_only_when_the_table_is_short(self, sieves):
+        first_k_primes(1000)
+        assert sieves == [fredholm._prime_bound(1000)]
+        for k in (1000, 1, 999, 500):
+            first_k_primes(k)
+        assert len(sieves) == 1
+        first_k_primes(5000)
+        assert sieves == [fredholm._prime_bound(1000), fredholm._prime_bound(5000)]
+
+    def test_second_zeta_check_does_not_sieve(self, sieves):
+        first = run_zeta_check(2, 2, 10**6)
+        assert len(sieves) == 1
+        second = run_zeta_check(2, 2, 10**6)
+        assert len(sieves) == 1
+        assert second.records == first.records
+
+    def test_sieve_above_the_cap_is_not_kept(self, monkeypatch, sieves):
+        monkeypatch.setattr(fredholm, "_PRIMES_KEPT", 100)
+        first_k_primes(50)  # 56 primes up to _prime_bound(50) = 266: kept
+        kept = fredholm._PRIMES
+        assert len(kept) == 56
+        primes = first_k_primes(1000)
+        assert primes.tolist() == trial_division_primes(1000)
+        assert not primes.flags.writeable
+        assert fredholm._PRIMES is kept
+        first_k_primes(1000)
+        assert len(sieves) == 3  # not kept, so sieved again
+        first_k_primes(50)
+        assert len(sieves) == 3
+
+    def test_count_above_max_primes_refused_before_sieving(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("sieved a count above MAX_PRIMES")
+
+        monkeypatch.setattr(fredholm, "_primes_up_to", no_sieve)
+        for k in (fredholm.MAX_PRIMES + 1, 10**13):
+            for call in (lambda: first_k_primes(k),
+                         lambda: zeta_ratio_product(2.0, k),
+                         lambda: states.zeta_spectrum(2.0, 2.0, k),
+                         lambda: run_zeta_check(2.0, 2.0, k)):
+                with pytest.raises(DomainError, match="exceeds the 100000000 sieve cap"):
+                    call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ks=st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+def test_prime_table_gives_the_prefix_at_every_call(ks):
+    # any order of counts, from a cold table: each call is the first k primes
+    want = primes_up_to_by_trial(48_611)  # p_5000 = 48611
+    warm = fredholm._PRIMES
+    fredholm._PRIMES = _empty_prime_table()
+    try:
+        for k in ks:
+            assert first_k_primes(k).tolist() == want[:k]
+    finally:
+        fredholm._PRIMES = warm
 
 
 @pytest.mark.parametrize("call", [
