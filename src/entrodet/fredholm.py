@@ -625,7 +625,8 @@ def _primes_up_to(limit: int) -> np.ndarray:
     carrying its next strike offset from block to block, and its primes
     are read off while it is still in cache. They go into one array sized
     by Rosser and Schoenfeld's ``pi(x) < 1.25506 x / ln x``, whose unused
-    end is never written. Slot 0 (the number 1) becomes the prime 2.
+    end is never written and is cut off in place at the end, so the result
+    owns exactly its primes. Slot 0 (the number 1) becomes the prime 2.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
@@ -655,8 +656,10 @@ def _primes_up_to(limit: int) -> np.ndarray:
         np.multiply(found, 2, out=out)
         out += 2 * lo + 1
         count += len(found)
+    del out  # the last view of primes: the shrink below may move its data
     primes[0] = 2
-    return primes[:count]
+    primes.resize(count, refcheck=False)
+    return primes
 
 
 def first_k_primes(k: int) -> np.ndarray:
@@ -664,9 +667,10 @@ def first_k_primes(k: int) -> np.ndarray:
 
     The result is a view of a per-process table that holds every prime up
     to the largest limit sieved so far; the table is sieved again, larger,
-    only when it holds fewer than k primes. A sieve of more than
-    ``1 << 21`` primes (16 MiB) is returned but not kept, so the table
-    never holds more than that.
+    only when it holds fewer than k primes. The array that owns the table
+    is read-only too, so the view cannot be made writeable. A sieve of
+    more than ``1 << 21`` primes (16 MiB) is returned but not kept, so the
+    table never holds more than that.
 
     A segmented sieve of Eratosthenes over odd numbers only, started from
     a wheel that has already struck the multiples of 3 to 13, and run in

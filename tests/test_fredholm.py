@@ -411,6 +411,7 @@ class TestPrimes:
         primes = fredholm._primes_up_to(limit)
         assert primes.tolist() == primes_up_to_by_trial(limit)
         assert primes.dtype == np.int64 and primes.flags.c_contiguous
+        assert primes.flags.owndata  # not a view of the larger sieve output
 
     def test_wheel_pattern(self):
         wheel = fredholm._WHEEL
@@ -460,6 +461,9 @@ class TestPrimes:
             assert primes.flags.c_contiguous
             with pytest.raises(ValueError):
                 primes[0] = 4
+            with pytest.raises(ValueError):  # the array owning the table is read-only
+                primes.setflags(write=True)
+        assert fredholm._PRIMES.flags.owndata and not fredholm._PRIMES.flags.writeable
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -506,7 +510,8 @@ class TestPrimes:
         assert len(kept) == 56
         primes = first_k_primes(1000)
         assert primes.tolist() == trial_division_primes(1000)
-        assert not primes.flags.writeable
+        with pytest.raises(ValueError):
+            primes.setflags(write=True)
         assert fredholm._PRIMES is kept
         first_k_primes(1000)
         assert len(sieves) == 3  # not kept, so sieved again
