@@ -320,10 +320,19 @@ def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     NotNormalized
         Naming the first row whose sum is off 1 by more than ``TRACE_TOL``.
     """
-    to_value = _unified(r, s)
+    _check_unified_params(r, s)
     lam = np.array(lam, dtype=float)
     if lam.ndim != 2:
         raise DimensionMismatch(f"expected a stack of spectra of shape (S, n), got {lam.shape}")
+    return _hu_ye_own_rows(lam, r, s)
+
+
+def _hu_ye_own_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
+    """:func:`hu_ye_rows` of a fresh (S, n) float64 stack that the caller hands over.
+
+    The stack is admitted in place, so its negative rounding values become 0.
+    """
+    to_value = _unified(r, s)
     _admit(lam, normalized=True)
     return to_value((lam**r).sum(axis=1))
 

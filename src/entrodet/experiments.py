@@ -105,8 +105,10 @@ def run_xstate_experiment(
     ``x_state_random(d, seed, index)``, reduces it to both subsystems,
     and records the unified entropy of the full state against the
     entropy gap of the reductions. All samples of one d come from one
-    random draw and are handled as stacked arrays, with closed-form
-    spectra computed once.
+    random draw and are handled as stacked arrays: per d, one stack of
+    the full states' closed-form spectra and one of both reductions
+    (the A rows, then the B rows), each admitted once and reduced row by
+    row, so every value equals that of the sample on its own.
     """
     samples = _check_count(samples, "sample count", 0)
     seed = _check_count(seed, "seed", 0)
@@ -118,11 +120,12 @@ def run_xstate_experiment(
     for d in d_list:
         a, c = states.x_states_random(d, seed, samples)
         (a_a, c_a), (a_b, c_b) = states.x_partial_traces(a, c, d)
-        full.append(entropy.hu_ye_rows(states.x_eigvalsh(a, c), r, s))
-        diff.append(np.abs(
-            entropy.hu_ye_rows(states.x_eigvalsh(a_a, c_a), r, s)
-            - entropy.hu_ye_rows(states.x_eigvalsh(a_b, c_b), r, s)
-        ))
+        full.append(entropy._hu_ye_own_rows(states.x_eigvalsh(a, c), r, s))
+        # rows 0..S-1 are the A reductions, rows S..2S-1 the B ones
+        both = entropy._hu_ye_own_rows(
+            states.x_eigvalsh(np.concatenate((a_a, a_b)), np.concatenate((c_a, c_b))), r, s
+        )
+        diff.append(np.abs(both[:samples] - both[samples:]))
     hy_full, hy_diff = np.concatenate(full), np.concatenate(diff)
     passed = hy_diff <= hy_full + TRIANGLE_SLACK
     columns = {

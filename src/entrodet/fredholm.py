@@ -336,7 +336,10 @@ def _aca(
     that ``row(i)`` and ``col(j)`` give, or None when ``cap`` crosses
     are not enough. It stops before a cross whose Frobenius norm is below
     ``_ACA_TOL`` times the running estimate of ``||u @ vt||_F``, so a
-    rounding-noise cross of a huge exact-rank matrix is never added.
+    rounding-noise cross of a huge exact-rank matrix is never added. The
+    cross that would reach ``cap`` is taken for noise, and dropped, when
+    it is below ``_GRID_TOL`` times the estimate; the caller's grid check
+    then decides whether the crosses before it suffice.
 
     Cross l is ``peaks[l]`` times the outer product of ``ut[l]``, the
     residual column over its largest entry, and ``vt[l]``, the residual
@@ -382,6 +385,8 @@ def _aca(
         else:
             frob = size
         if k + 1 == cap:
+            if size <= _GRID_TOL * frob:  # rounding noise at the cap: the grid check decides
+                break
             return None
         if k == len(peaks):  # double the buffers: a rank-one kernel never holds cap x m
             grown = min(2 * k, cap) - k

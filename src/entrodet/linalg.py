@@ -85,21 +85,23 @@ def _admit(lam: np.ndarray, normalized: bool) -> np.ndarray:
     Values in ``[-PSD_TOL, 0)`` become 0. A value below ``-PSD_TOL`` or a
     non-finite sum raises :class:`NotPositive`, and with ``normalized`` a sum
     off 1 by more than ``TRACE_TOL`` raises :class:`NotNormalized`, naming
-    the first bad row of a stack.
+    the first bad row of a stack. Each bound is decided by one reduction
+    over the whole stack; the offending row is looked up only after its
+    bound has failed.
     """
     rows = lam if lam.ndim > 1 else lam[np.newaxis]
     where = "row {}: " if lam.ndim > 1 else ""
     low = rows.min(axis=1, initial=0.0)
-    bad = np.flatnonzero(low < -PSD_TOL)
-    if bad.size:
-        i = bad[0]
-        raise NotPositive(f"{where.format(i)}negative spectrum value {low[i]:.3e}")
-    if (low < 0).any():  # the mask pass runs only when some value is negative
+    if (low < 0).any():  # the bound and the mask pass run only when some value is negative
+        bad = np.flatnonzero(low < -PSD_TOL)
+        if bad.size:
+            i = bad[0]
+            raise NotPositive(f"{where.format(i)}negative spectrum value {low[i]:.3e}")
         lam[lam < 0] = 0.0
     total = rows.sum(axis=1)
-    bad = np.flatnonzero(~np.isfinite(total))
-    if bad.size:
-        i = bad[0]
+    finite = np.isfinite(total)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
         raise NotPositive(f"{where.format(i)}spectrum has non-finite values (sum {total[i]})")
     is_norm = np.abs(total - 1.0) <= TRACE_TOL
     if normalized and not is_norm.all():

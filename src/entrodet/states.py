@@ -50,7 +50,11 @@ from .linalg import (
 
 
 def _check_x(a: np.ndarray, c: np.ndarray) -> None:
-    """x_state's bounds on stacked states; names the first offender."""
+    """x_state's bounds on stacked states; names the first offender.
+
+    Each bound is decided by one reduction over the whole stack; the
+    offender is looked up only after its bound has failed.
+    """
     if not a.size:
         return
     n = a.shape[1]
@@ -59,20 +63,20 @@ def _check_x(a: np.ndarray, c: np.ndarray) -> None:
     def where(s: int) -> str:
         return f"sample {s}: " if len(a) > 1 else ""
 
-    neg = np.argwhere(a < 0)
-    if neg.size:
-        s, p = neg[0]
+    neg = a < 0
+    if neg.any():
+        s, p = np.argwhere(neg)[0]
         raise ConstraintViolation(f"{where(s)}diagonal entry a[{p}] = {a[s, p]:.3e} < 0")
     sums = a.sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-10))  # NaN fails too
-    if bad.size:
-        s = bad[0]
+    ok = np.abs(sums - 1.0) <= 1e-10  # NaN fails too
+    if not ok.all():
+        s = np.flatnonzero(~ok)[0]
         raise ConstraintViolation(f"{where(s)}diagonal sums to {sums[s]:.12g}, expected 1")
     bound = a[:, : n // 2] * a[:, ::-1][:, : n // 2]
     mag2 = np.abs(c) ** 2
-    over = np.argwhere(~(mag2 <= bound + 1e-12))
-    if over.size:
-        s, p = over[0]
+    ok = mag2 <= bound + 1e-12
+    if not ok.all():
+        s, p = np.argwhere(~ok)[0]
         name, i = ("w", p + 1) if p < l else ("z", p - l + 1)
         raise ConstraintViolation(
             f"{where(s)}|{name}_{i}|^2 = {mag2[s, p]:.6g} exceeds "

@@ -5,6 +5,7 @@ Exit codes are a stable contract: 0 success, 2 I/O or parse failure,
 before it reads its file.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -190,6 +191,17 @@ class TestExperimentCommands:
             report = json.loads(proc.stdout)
             assert report["summary"]["passed"] == 10
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_xstate_golden_csv(self, tmp_path):
+        # the benchmark's sweep at a fixed seed: a change to these bytes is a change
+        # to the sweep's results, to be recorded as one
+        out = tmp_path / "x.csv"
+        argv = ["xstate-experiment", "--d", "2,3,4,5,6,7,8", "--samples", "50",
+                "--seed", "12345", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "442977e91e946e5da94fd6eec01ca2c8e5e96721aa6a8dafc3ffdf7019f7ee26"
+        )
 
     def test_xstate_zero_samples(self):
         proc = run_cli("xstate-experiment", "--d", "2,3,4,5", "--samples", "0")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entrodet
 from entrodet import (
@@ -22,6 +23,7 @@ from entrodet import (
     zeta_ratio_product,
     zeta_spectrum,
 )
+from entrodet.entropy import hu_ye_rows
 from entrodet.errors import ConstraintViolation, DomainError
 from entrodet.experiments import (
     SCHEMA_VERSION,
@@ -84,7 +86,8 @@ class TestXStateExperiment:
             run_xstate_experiment([3], samples=4, seed=1)
 
     def test_one_admission_per_spectrum_stack(self, monkeypatch):
-        # per d: the full states' spectra and those of the two reductions
+        # per d: the full states' spectra, then those of both reductions in one
+        # stack (the A rows, then the B rows)
         admit = linalg._admit
         calls = []
 
@@ -96,7 +99,23 @@ class TestXStateExperiment:
             if getattr(module, "_admit", None) is admit:
                 monkeypatch.setattr(module, "_admit", counting)
         run_xstate_experiment([2, 3], samples=5)
-        assert calls == [(5, 4), (5, 2), (5, 2), (5, 9), (5, 3), (5, 3)]
+        assert calls == [(5, 4), (10, 2), (5, 9), (10, 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 8), samples=st.integers(0, 12), seed=st.integers(0, 2**63),
+           r=st.floats(0.05, 6.0).filter(lambda r: r != 1.0),
+           s=st.floats(-4.0, 4.0).filter(lambda s: s != 0.0))
+    def test_stacked_reductions_equal_separate_calls(self, d, samples, seed, r, s):
+        # one stack of both reductions gives, bit for bit, the values of one
+        # hu_ye_rows call per reduction
+        report = run_xstate_experiment([d], samples, r=r, s=s, seed=seed)
+        a, c = states.x_states_random(d, seed, samples)
+        (a_a, c_a), (a_b, c_b) = states.x_partial_traces(a, c, d)
+        full = hu_ye_rows(states.x_eigvalsh(a, c), r, s)
+        diff = np.abs(hu_ye_rows(states.x_eigvalsh(a_a, c_a), r, s)
+                      - hu_ye_rows(states.x_eigvalsh(a_b, c_b), r, s))
+        assert report.columns["hy_full"].tobytes() == full.tobytes()
+        assert report.columns["hy_diff"].tobytes() == diff.tobytes()
 
     def test_record_columns(self):
         report = run_xstate_experiment([2], samples=2, seed=3)

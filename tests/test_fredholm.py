@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entrodet import (
     KernelSpec,
@@ -1287,9 +1287,17 @@ _terms = st.lists(
 )
 
 
+# A rank-3 kernel at m = 272, whose rank cap is 4: the fourth singular value of
+# its grid is 5.8e-14 of the first, above _ACA_TOL and below _GRID_TOL, so ACA's
+# fourth cross is rounding noise. As sin * cos terms, sin(u) being cos(u - pi/2):
+_CAP_NOISE_TERMS = [(1.0, 0.0, 1.0), (1.0, 1.5, 0.0), (0.25, 1.0, 0.0)]
+_CAP_NOISE_SEPARABLE = [(c, p, q, p, q - math.pi / 2) for c, p, q in _CAP_NOISE_TERMS]
+
+
 @settings(max_examples=60, deadline=None)
 @given(terms=_terms, t=_signed(0.9), a=st.floats(-3.0, 3.0),
        length=st.floats(0.1, 4.0), m=st.integers(1, 300))
+@example(terms=_CAP_NOISE_SEPARABLE, t=0.5, a=0.0, length=2.0, m=272)
 def test_low_rank_agrees_with_dense(terms, t, a, length, m):
     # |z| (b - a) sup|K| <= 0.9: every eigenvalue of 1 + zK stays above 0.1
     b = a + length
@@ -1325,6 +1333,7 @@ _symmetric_terms = st.lists(st.tuples(_signed(1.0), _freq, _signed(1.0)), min_si
 @settings(max_examples=60, deadline=None)
 @given(terms=_symmetric_terms, t=_signed(0.9), a=st.floats(-3.0, 3.0),
        length=st.floats(0.1, 4.0), m=st.integers(1, 300))
+@example(terms=_CAP_NOISE_TERMS, t=0.5, a=0.0, length=2.0, m=272)
 def test_symmetric_low_rank_agrees_with_dense(terms, t, a, length, m):
     # test_low_rank_agrees_with_dense for a marked kernel: on a blocked grid
     # it is checked over one triangle
@@ -1345,6 +1354,21 @@ def test_symmetric_low_rank_agrees_with_dense(terms, t, a, length, m):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fredholm, "_BLOCK_VALUES", block)
             assert fredholm._nystrom_logdet(kernel, z, a, b, m) == (sign, logdet, rank)
+
+
+@pytest.mark.parametrize("kernel", [_separable(_CAP_NOISE_SEPARABLE),
+                                    _symmetric_separable(_CAP_NOISE_TERMS)],
+                         ids=["unmarked", "marked"])
+def test_noise_cross_at_the_rank_cap_keeps_the_low_rank_route(kernel):
+    # ACA drops the noise cross that would reach the cap and the grid check
+    # accepts the three before it; the dense LU used to take this kernel
+    z, a, b, m = 0.5 / 4.5, 0.0, 2.0, 272
+    assert fredholm._rank_cap(m) == 4
+    sign, logdet, rank = fredholm._nystrom_logdet(kernel, z, a, b, m)
+    want_sign, want = dense_slogdet(kernel, z, a, b, m)
+    assert rank == 3
+    assert sign == want_sign
+    assert abs(logdet - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def _marked_kernels():

@@ -390,6 +390,23 @@ class TestInPlaceAdmission:
                 linalg._own_spectrum(np.array(bad), normalized=True)
 
 
+@pytest.mark.parametrize("rows,error,message", [
+    ([[1.0, 0.0], [0.5, 0.4], [1.5, -0.5], [1.2, -0.2]], NotPositive,
+     r"^row 2: negative spectrum value -5\.000e-01$"),
+    ([[1.0, 0.0], [np.nan, 1.0], [1.5, -0.5]], NotPositive, r"^row 2: negative"),
+    ([[1.0, 0.0], [0.5, 0.4], [np.nan, 1.0], [np.inf, 0.0]], NotPositive,
+     r"^row 2: spectrum has non-finite values \(sum nan\)$"),
+    ([[1.0, 0.0], [1.0, 0.0], [0.5, 0.4], [0.5, 0.3]], NotNormalized,
+     r"^row 2: spectrum sums to 0\.9, expected 1$"),
+], ids=["negative-after-unnormalized", "negative-after-nan", "nan-after-unnormalized",
+        "unnormalized"])
+def test_admit_decides_each_bound_over_the_stack_in_order(rows, error, message):
+    # positivity, then finiteness, then the sum: each bound is decided over every
+    # row before the next, and names the first row that breaks it
+    with pytest.raises(error, match=message):
+        linalg._admit(np.array(rows), normalized=True)
+
+
 class TestSpectrumOf:
     def test_spectrum_passes_through(self):
         s = as_spectrum([0.7, 0.3])

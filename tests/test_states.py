@@ -260,6 +260,25 @@ class TestXStatesBatched:
                     assert np.abs(_x_matrix(ai[i], ci[i]) - dense).max() < 1e-15
                 assert np.any(c_a[i]) == bool(d % 2)
 
+    @pytest.mark.parametrize("bound", ["negative", "sum", "schur"])
+    @pytest.mark.parametrize("sample", [1, 4])
+    def test_check_names_a_later_sample(self, bound, sample):
+        # one bad sample among good ones: its bound fails, and it is the one named
+        a, c = x_states_random(3, 2, 5)
+        a, c = a.copy(), c.copy()
+        if bound == "negative":
+            a[sample, 1] -= 1.0
+            a[sample, 0] += 1.0
+            message = rf"^sample {sample}: diagonal entry a\[1\] = -\d\.\d+e-01 < 0$"
+        elif bound == "sum":
+            a[sample] *= 1.5
+            message = rf"^sample {sample}: diagonal sums to 1\.5\d*, expected 1$"
+        else:
+            c[sample, 1] = 1.0
+            message = rf"^sample {sample}: \|w_2\|\^2 = 1 exceeds Schur bound a_2 a_8 = "
+        with pytest.raises(ConstraintViolation, match=message):
+            states._check_x(a, c)
+
     def test_empty_batch(self):
         a, c = x_states_random(3, 1, 0)
         assert a.shape == (0, 9) and c.shape == (0, 4)
