@@ -265,7 +265,6 @@ class TestXStatesBatched:
     def test_check_names_a_later_sample(self, bound, sample):
         # one bad sample among good ones: its bound fails, and it is the one named
         a, c = x_states_random(3, 2, 5)
-        a, c = a.copy(), c.copy()
         if bound == "negative":
             a[sample, 1] -= 1.0
             a[sample, 0] += 1.0
