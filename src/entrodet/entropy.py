@@ -25,7 +25,10 @@ Each entropy is a scalar map of one spectral statistic: the power sum
 ``trace_power``, ``von_neumann``'s ``-sum lam log lam``, ``vn_renormalized``,
 or one of the log-determinants ``log_det_r`` and ``log_det_ren``.
 :func:`evaluate` computes that statistic once, reports it as the
-diagnostic and maps it to the entropy.
+diagnostic and maps it to the entropy. Each statistic is summed by
+:func:`~entrodet.linalg._blocked_sum`: in leaves that stay in cache, on
+NumPy's own pairwise summation tree, so its bits are those of the
+whole-array formula.
 
 Every input reduces to its spectrum through
 :func:`~entrodet.linalg.spectrum_of`: a :class:`~entrodet.linalg.Spectrum`
@@ -55,6 +58,7 @@ from .linalg import (
     MatrixLike,
     SpectrumLike,
     _admit,
+    _blocked_sum,
     _matrix_map,
     _positive_prefix,
     as_spectrum,
@@ -98,8 +102,29 @@ def _check_unified_params(r: float, s: float) -> None:
     _check_s(s)
 
 
+# the ufuncs that ``x ** r`` calls in place of ``power`` at these exponents
+_POWER_SHORTCUTS = {0.5: np.sqrt, 1.0: np.positive, 2.0: np.square}
+
+
+def _power(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
+    """``x ** r`` written into ``out``, by the ufunc that the operator calls."""
+    shortcut = _POWER_SHORTCUTS.get(r)
+    return shortcut(x, out=out) if shortcut else np.power(x, r, out=out)
+
+
 def _power_sum(lam: np.ndarray, r: float) -> float:
-    return float((_positive_prefix(lam) ** r).sum())
+    return _blocked_sum(_positive_prefix(lam), lambda x, out: _power(x, r, out))
+
+
+def _lam_log_lam(lam: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.log(lam, out=out)
+    out *= lam
+    return out
+
+
+def _vn_ren_terms(lam: np.ndarray, ent: np.ndarray, g: np.ndarray) -> np.ndarray:
+    np.negative(_lam_log_lam(lam, ent), out=ent)  # eigenvalues of -Q log Q
+    return np.subtract(ent, np.expm1(ent, out=g), out=ent)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +142,9 @@ def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> floa
     """Entropy -sum lam log lam with the 0 log 0 = 0 convention."""
     scale = _base_scale(log_base)
     lam = _positive_prefix(spectrum_of(x, normalized=True).values)
-    h = np.log(lam)
-    h *= lam
-    # clip spectral-noise negatives: the exact value is >= 0
-    return max(-float(h.sum()), 0.0) * scale
+    h = _blocked_sum(lam, _lam_log_lam)
+    # clip spectral-noise negatives: the exact value is >= 0; +0.0 folds away -0.0
+    return max(-h, 0.0) * scale + 0.0
 
 
 def _log_det_one_plus(
@@ -153,11 +177,7 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
     of second order in ``-lam log lam``, which keeps the sum finite on
     truncated spectra whose plain entropy grows without bound.
     """
-    lam = _positive_prefix(spectrum_of(x).values)
-    ent = np.log(lam)
-    ent *= lam
-    np.negative(ent, out=ent)          # eigenvalues of -Q log Q
-    return float(np.subtract(ent, np.expm1(ent), out=ent).sum())
+    return _blocked_sum(_positive_prefix(spectrum_of(x).values), _vn_ren_terms, buffers=2)
 
 
 def f_r(q: MatrixLike, r: float) -> np.ndarray:
@@ -223,15 +243,21 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
         # log g = top + log(1 - e^-top), exact where expm1(top) would overflow
         if (alpha - 1) * (top + math.log(-math.expm1(-top))) > _LOG_MAX:
             return math.copysign(math.inf, (-1) ** (alpha - 1))
-    acc = lam**r
-    g = np.expm1(acc)
-    acc -= g  # the j = 1 term: (-1) * g is exactly -g
-    gj = g
-    for j in range(2, alpha):
-        gj = gj * g
-        acc += ((-1) ** j / j) * gj
+
+    def terms(x, acc, g, *spare):
+        # spare[0] holds g^j and spare[-1] the j-th term; with one spare
+        # (alpha = 3) the term overwrites g^j, which the last j no longer needs
+        _power(x, r, acc)
+        np.expm1(acc, out=g)
+        acc -= g  # the j = 1 term: (-1) * g is exactly -g
+        gj = g
+        for j in range(2, alpha):
+            gj = np.multiply(gj, g, out=spare[0])
+            acc += np.multiply(gj, (-1) ** j / j, out=spare[-1])
+        return acc
+
     with np.errstate(over="ignore"):  # every term has the sign of (-1)^(alpha-1)
-        return float(acc.sum())
+        return _blocked_sum(lam, terms, buffers=min(alpha, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +274,13 @@ def _scaled(log_base: str) -> Callable[[float], float]:
 
 def _tsallis(r: float) -> Callable[[float], float]:
     _check_deformation(r, "Tsallis order")
-    return lambda i_r: (i_r - 1.0) / (1.0 - r)
+    return lambda i_r: (i_r - 1.0) / (1.0 - r) + 0.0  # +0.0 folds away -0.0
 
 
 def _renyi(r: float, log_base: str) -> Callable[[float], float]:
     _check_deformation(r, "Renyi order")
     scale = _base_scale(log_base)
-    return lambda i_r: math.log(i_r) / (1.0 - r) * scale
+    return lambda i_r: math.log(i_r) / (1.0 - r) * scale + 0.0  # +0.0 folds away -0.0
 
 
 def _unified(r: float, s: float) -> Callable:

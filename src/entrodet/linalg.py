@@ -160,6 +160,39 @@ def _positive_prefix(lam: np.ndarray) -> np.ndarray:
     return lam[: len(lam) - np.searchsorted(lam[::-1], 0.0, side="right")]
 
 
+# values per leaf of a long 1-D pass: 256 KiB of float64, so a leaf's passes stay
+# in L2. At least 128, NumPy's pairwise leaf: a smaller one splits where NumPy does not
+_BLOCK = 1 << 15
+
+
+def _blocked_sum(x: np.ndarray, transform: Callable[..., np.ndarray], buffers: int = 1) -> float:
+    """``float(transform(x).sum())`` in leaves of at most ``_BLOCK`` values, bit for bit.
+
+    NumPy sums a contiguous float64 array pairwise: a run of more than 128
+    values is split at half its length, rounded down to a multiple of 8, and
+    the two halves' sums are added. Splitting ``x`` the same way down to runs
+    of at most ``_BLOCK`` values and reducing each run's transform with
+    ``np.add.reduce`` adds the same values in the same order, while every
+    pass over a run stays in cache. ``transform(run, *scratch)`` gets
+    ``buffers`` scratch arrays of the run's length, allocated once per call,
+    and returns the array to reduce; it must map each value on its own.
+    """
+    scratch = np.empty((buffers, min(len(x), _BLOCK)))
+
+    def tree(lo: int, hi: int):
+        n = hi - lo
+        if n <= _BLOCK:
+            return np.add.reduce(transform(x[lo:hi], *scratch[:, :n]))
+        half = lo + n // 2 - n // 2 % 8
+        return tree(lo, half) + tree(half, hi)
+
+    total = float(tree(0, len(x)))
+    # tree refers to itself, so until a garbage collection the cycle would hold
+    # the scratch, and the next call would write fresh pages: break it now
+    del tree
+    return total
+
+
 def _as_matrix(q: MatrixLike) -> np.ndarray:
     if isinstance(q, DensityMatrix):
         return q.mat

@@ -32,6 +32,7 @@ from .fredholm import (
     zeta_series,
 )
 from .linalg import (
+    _BLOCK,
     DensityMatrix,
     Spectrum,
     SpectrumLike,
@@ -235,11 +236,6 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 # truncated infinite-dimensional spectra
 # ---------------------------------------------------------------------------
 
-# values per chunk of a long-spectrum build: 256 KiB, so each chunk's passes
-# stay in L2 and the output buffer is written from memory once
-_BUILD_CHUNK = 1 << 15
-
-
 def _check_exponent(x: float, what: str, low: float = 0.0) -> None:
     if not low < x < math.inf:  # NaN fails too
         raise DomainError(f"{what} must be finite and exceed {low:g}, got {x}")
@@ -306,8 +302,8 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     # one buffer, filled with 1 / (n log^beta n) a cache-sized chunk at a time,
     # then normalized and admitted in place
     w = np.empty(k)
-    for lo in range(0, k, _BUILD_CHUNK):
-        chunk = w[lo : lo + _BUILD_CHUNK]
+    for lo in range(0, k, _BLOCK):
+        chunk = w[lo : lo + _BLOCK]
         n = np.arange(lo + 2, lo + 2 + len(chunk), dtype=float)
         np.log(n, out=chunk)
         chunk **= beta

@@ -152,6 +152,20 @@ class TestEntropyCommand:
             assert calls == ["eigvalsh"], kind
         capsys.readouterr()
 
+    def test_pure_state_prints_positive_zero(self, tmp_path, capsys):
+        # every kind whose value on a pure state is zero prints 0.0, never -0.0
+        path = tmp_path / "pure.json"
+        save_matrix(path, np.ones((1, 1), dtype=complex))
+        for kind in ("vn", "vn-ren", "tsallis", "renyi", "hy", "hy-fredholm"):
+            for base in ("e", "2"):
+                assert cli.main(["entropy", str(path), "--kind", kind, "--base", base]) == 0
+                out = capsys.readouterr().out
+                assert '"value": 0.0,' in out, (kind, base, out)
+                assert math.copysign(1.0, json.loads(out)["value"]) == 1.0
+        proc = run_cli("entropy", str(path), "--kind", "vn")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith('{"value": 0.0, ')
+
     def test_fractional_power_exit_4(self, mixed_file):
         proc = run_cli("entropy", mixed_file, "--kind", "hy-ren", "--r", "0.5", "--s", "0.5")
         assert proc.returncode == 4

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -28,7 +29,7 @@ from entrodet import (
     vn_via_fredholm,
     von_neumann,
 )
-from entrodet import entropy
+from entrodet import entropy, linalg
 from entrodet.entropy import ProbeResult, hu_ye_rows
 from entrodet.errors import (
     DimensionMismatch,
@@ -721,7 +722,7 @@ def _oracle_power_sum(lam, r):
 
 def _oracle_von_neumann(lam):
     lam = lam[lam > 0]
-    return max(float(-(lam * np.log(lam)).sum()), 0.0)
+    return max(float(-(lam * np.log(lam)).sum()), 0.0) + 0.0  # +0.0 folds away -0.0
 
 
 def _oracle_vn_renormalized(lam):
@@ -741,9 +742,16 @@ def _oracle_log_det_ren(lam, r, alpha):
 
 
 @st.composite
-def _admitted_values(draw, normalized=False):
-    """Raw values whose admission leaves trailing zeros, clamped negatives and -0.0."""
+def _admitted_values(draw, normalized=False, stretch=None):
+    """Raw values whose admission leaves trailing zeros, clamped negatives and -0.0.
+
+    With ``stretch = (lo, hi)`` the drawn values are repeated to a drawn length
+    in that range, on a falling scale, since drawing each value is slow.
+    """
     pos = draw(st.lists(st.floats(5e-324, 1.0), max_size=200))
+    if stretch is not None:
+        n = draw(st.integers(*stretch))
+        pos = (np.resize(pos or [1.0], n) * np.linspace(1.0, 0.5, n)).tolist()
     zeros = [0.0] * draw(st.integers(0, 5)) + [-0.0] * draw(st.integers(0, 3))
     tiny = [-draw(st.floats(5e-324, PSD_TOL)) for _ in range(draw(st.integers(0, 3)))]
     if normalized:
@@ -751,7 +759,10 @@ def _admitted_values(draw, normalized=False):
             pos = [1.0]
         pos = (np.array(pos) / math.fsum(pos)).tolist()
     values = pos + zeros + tiny
-    draw(st.randoms()).shuffle(values)
+    if stretch is None:
+        draw(st.randoms()).shuffle(values)
+    else:  # a drawn seed: st.randoms() draws once per swap
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(values).tolist()
     event(f"{len(pos)} positive of {len(values)}")
     return values
 
@@ -760,7 +771,41 @@ def _hex(x):
     return float(x).hex()
 
 
-class TestPositivePrefixKernels:
+class _PrefixOracles:
+    # the hypothesis oracles, collected by the classes below: once at the
+    # block constant the kernels use, once with it small enough to cross leaves
+    STRETCH = None  # see _admitted_values
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([0.3, 0.5, 0.99, 1.0, 2.0, 3.7]))
+    def test_power_sums(self, data, r):
+        lam = as_spectrum(data.draw(_admitted_values(stretch=self.STRETCH))).values
+        want = _hex(_oracle_power_sum(lam, r))
+        assert _hex(trace_power(lam, r)) == want
+        assert _hex(log_det_r(lam, r)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([(0.5, 2), (0.4, 3), (0.3, 4), (0.15, 7)]))
+    def test_log_det_ren(self, data, order):
+        r, alpha = order
+        lam = as_spectrum(data.draw(_admitted_values(stretch=self.STRETCH))).values
+        assert _hex(log_det_ren(lam, r, alpha)) == _hex(_oracle_log_det_ren(lam, r, alpha))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_vn_renormalized(self, data):
+        lam = as_spectrum(data.draw(_admitted_values(stretch=self.STRETCH))).values
+        assert _hex(vn_renormalized(lam)) == _hex(_oracle_vn_renormalized(lam))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_von_neumann(self, data):
+        values = data.draw(_admitted_values(normalized=True, stretch=self.STRETCH))
+        lam = as_spectrum(values, normalized=True).values
+        assert _hex(von_neumann(lam)) == _hex(_oracle_von_neumann(lam))
+
+
+class TestPositivePrefixKernels(_PrefixOracles):
     def test_prefix_is_a_view(self):
         spec = as_spectrum([0.5, 0.0, 0.3, -0.0, 0.2, -1e-12])
         pos = _positive_prefix(spec.values)
@@ -781,33 +826,6 @@ class TestPositivePrefixKernels:
         assert trace_power(Spectrum(raw, True), 2) == 0.0
         assert trace_power(as_spectrum(raw), 2) == 1.0
 
-    @settings(max_examples=200, deadline=None)
-    @given(_admitted_values(), st.sampled_from([0.3, 0.5, 0.99, 1.0, 2.0, 3.7]))
-    def test_power_sums(self, values, r):
-        lam = as_spectrum(values).values
-        want = _hex(_oracle_power_sum(lam, r))
-        assert _hex(trace_power(lam, r)) == want
-        assert _hex(log_det_r(lam, r)) == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(_admitted_values(), st.sampled_from([(0.5, 2), (0.4, 3), (0.3, 4), (0.15, 7)]))
-    def test_log_det_ren(self, values, order):
-        r, alpha = order
-        lam = as_spectrum(values).values
-        assert _hex(log_det_ren(lam, r, alpha)) == _hex(_oracle_log_det_ren(lam, r, alpha))
-
-    @settings(max_examples=200, deadline=None)
-    @given(_admitted_values())
-    def test_vn_renormalized(self, values):
-        lam = as_spectrum(values).values
-        assert _hex(vn_renormalized(lam)) == _hex(_oracle_vn_renormalized(lam))
-
-    @settings(max_examples=200, deadline=None)
-    @given(_admitted_values(normalized=True))
-    def test_von_neumann(self, values):
-        lam = as_spectrum(values, normalized=True).values
-        assert _hex(von_neumann(lam)) == _hex(_oracle_von_neumann(lam))
-
     def test_long_spectrum_with_trailing_zeros(self):
         lam = np.concatenate([log_power_spectrum(1.5, 10**5).values, np.zeros(1000)])
         spec = as_spectrum(lam)
@@ -818,6 +836,125 @@ class TestPositivePrefixKernels:
         for alpha in (2, 3, 4):
             assert (_hex(log_det_ren(spec, 0.6, alpha))
                     == _hex(_oracle_log_det_ren(spec.values, 0.6, alpha)))
+
+
+class TestPrefixOraclesAcrossLeaves(_PrefixOracles):
+    # leaves of 128, 136 and 200 values, and spectra of 100 to 450 values:
+    # most are split into leaves where NumPy's pairwise sum splits them
+    STRETCH = (100, 450)
+
+    @pytest.fixture(scope="class", params=[128, 136, 200], autouse=True)
+    def small_block(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_BLOCK", request.param)
+            yield
+
+
+def _blocked_lengths():
+    b = linalg._BLOCK
+    return [b - 1, b, b + 1, 3 * b + 5, 10**6]
+
+
+class TestBlockedKernels:
+    @pytest.fixture(scope="class", params=_blocked_lengths() + ["log-power"])
+    def spectrum(self, request):
+        if request.param == "log-power":  # the spectral-tail benchmark's spectrum
+            return log_power_spectrum(1.5, 10**6)
+        values = np.random.default_rng(request.param).exponential(size=request.param) ** 3
+        values[::7] = 0.0  # zeros sort to a tail that the kernels skip
+        return as_spectrum(values / values.sum(), normalized=True)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.3])
+    def test_power_sums(self, spectrum, r):
+        want = _hex(_oracle_power_sum(spectrum.values, r))
+        assert _hex(trace_power(spectrum, r)) == want
+        assert _hex(log_det_r(spectrum, r)) == want
+
+    @pytest.mark.parametrize("alpha", [2, 3, 5])
+    def test_log_det_ren(self, spectrum, alpha):
+        assert (_hex(log_det_ren(spectrum, 0.6, alpha))
+                == _hex(_oracle_log_det_ren(spectrum.values, 0.6, alpha)))
+
+    def test_entropies(self, spectrum):
+        assert _hex(von_neumann(spectrum)) == _hex(_oracle_von_neumann(spectrum.values))
+        assert _hex(vn_renormalized(spectrum)) == _hex(_oracle_vn_renormalized(spectrum.values))
+
+    @pytest.mark.parametrize("statistic", [
+        lambda spec: trace_power(spec, 0.5),
+        von_neumann,
+        vn_renormalized,
+        lambda spec: log_det_ren(spec, 0.6, 2),
+        lambda spec: log_det_ren(spec, 0.4, 3),
+    ], ids=["trace_power", "von_neumann", "vn_renormalized", "log_det_2", "log_det_3"])
+    def test_peak_memory_is_a_few_leaves(self, statistic):
+        # a leaf is 256 KiB and a kernel holds at most three: the whole-array
+        # formulas held one to four arrays of 8 MB each
+        spec = log_power_spectrum(1.5, 10**6)
+        tracemalloc.start()
+        try:
+            statistic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestPureStates:
+    # a pure state has entropy +0.0 in every kind whose value there is zero
+    @pytest.mark.parametrize("kind", ["vn", "vn-ren", "tsallis", "renyi", "hy", "hy-fredholm"])
+    @pytest.mark.parametrize("log_base", ["e", "2"])
+    def test_evaluate(self, kind, log_base):
+        value = evaluate(kind, [1.0], EntropyParams(r=2.0, s=0.5, log_base=log_base)).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("fn", [
+        von_neumann,
+        lambda x: von_neumann(x, log_base="2"),
+        vn_renormalized,
+        lambda x: tsallis(x, 2),
+        lambda x: tsallis(x, 0.5),
+        lambda x: renyi(x, 2),
+        lambda x: renyi(x, 2, log_base="2"),
+        lambda x: hu_ye(x, 2, 0.5),
+        lambda x: hy_fredholm(x, 2, 0.5),
+    ], ids=["von_neumann", "von_neumann-base2", "vn_renormalized", "tsallis", "tsallis-half",
+            "renyi", "renyi-base2", "hu_ye", "hy_fredholm"])
+    @pytest.mark.parametrize("values", [[1.0], [1.0, 0.0, 0.0]], ids=["dim1", "dim3"])
+    def test_public_entropies(self, fn, values):
+        value = fn(values)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@st.composite
+def _product_pair(draw):
+    """Two random states whose product spectrum is longer than one leaf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_a = draw(st.integers(100, 400))
+    d_b = draw(st.integers(linalg._BLOCK // d_a + 1, 400))
+    return random_spectrum_values(rng, d_a), random_spectrum_values(rng, d_b)
+
+
+class TestCompositionLaws:
+    # on a product state the unified entropy composes by
+    # E(a x b) = E(a) + E(b) + (1 - r) s E(a) E(b); Renyi and von Neumann add
+    @settings(max_examples=40, deadline=None)
+    @given(_product_pair(), st.sampled_from([0.3, 0.5, 0.7, 1.5, 2.0, 2.3, 3.0]),
+           st.sampled_from([-2.0, -0.5, 0.5, 1.0, 2.0]))
+    def test_unified(self, pair, r, s):
+        a, b = pair
+        product = np.outer(a, b).ravel()
+        assert len(product) > linalg._BLOCK
+        e_a, e_b = hu_ye(a, r, s), hu_ye(b, r, s)
+        assert hu_ye(product, r, s) == pytest.approx(e_a + e_b + (1 - r) * s * e_a * e_b,
+                                                     rel=1e-12)
+        assert renyi(product, r) == pytest.approx(renyi(a, r) + renyi(b, r), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_product_pair())
+    def test_von_neumann(self, pair):
+        a, b = pair
+        product = np.outer(a, b).ravel()
+        assert von_neumann(product) == pytest.approx(von_neumann(a) + von_neumann(b), rel=1e-12)
 
 
 class TestParametersFirst:

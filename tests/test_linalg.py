@@ -446,3 +446,46 @@ class TestSpectrumOf:
         with pytest.raises(NotNormalized):
             spectrum_of(np.eye(2), normalized=True)
         assert not spectrum_of(np.eye(2)).is_normalized
+
+
+class TestBlockedSum:
+    """``_blocked_sum`` adds what ``transform(x).sum()`` adds, in the same order."""
+
+    @staticmethod
+    def _arrays(seed, count, longest):
+        # signed values over 20 decades: any change of summation order shows
+        rng = np.random.default_rng(seed)
+        for n in rng.integers(0, longest, count):
+            yield rng.standard_normal(n) * 10.0 ** rng.uniform(-10, 10, n)
+
+    @pytest.mark.parametrize("block", [128, 136, 200, 4096])
+    def test_leaves_follow_numpy_pairwise_tree(self, monkeypatch, block):
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        for x in self._arrays(block, 60, 20 * block):
+            assert linalg._blocked_sum(x, lambda v, out: v).hex() == float(x.sum()).hex()
+
+    def test_long_arrays_at_the_default_block(self):
+        for x in self._arrays(0, 6, 3 * 10**6):
+            want = float(np.square(x).sum()).hex()
+            assert linalg._blocked_sum(x, lambda v, out: np.square(v, out=out)).hex() == want
+
+    def test_a_leaf_below_numpy_pairwise_leaf_changes_bits(self, monkeypatch):
+        # why _BLOCK >= 128: below it a leaf is added in another order
+        monkeypatch.setattr(linalg, "_BLOCK", 64)
+        assert any(linalg._blocked_sum(x, lambda v, out: v) != x.sum()
+                   for x in self._arrays(1, 20, 1000))
+
+    def test_scratch_is_one_leaf_per_buffer(self):
+        shapes = []
+
+        def transform(x, a, b):
+            shapes.append((a.shape, b.shape))
+            a[:] = x
+            return a
+
+        x = np.arange(3 * linalg._BLOCK + 5, dtype=float)  # four leaves
+        assert linalg._blocked_sum(x, transform, buffers=2) == float(x.sum())
+        assert [a for a, b in shapes] == [b for a, b in shapes]
+        assert sum(n for (n,), _ in shapes) == len(x)
+        assert len(shapes) == 4 and max(n for (n,), _ in shapes) <= linalg._BLOCK
+        assert linalg._blocked_sum(np.empty(0), transform, buffers=2) == 0.0

@@ -72,6 +72,23 @@ def test_three_functions_read_the_grid_tolerance():
     assert readers == {"_aca", "_one_block_within_tolerance", "_within_tolerance"}, sorted(readers)
 
 
+def test_one_block_constant_for_long_spectra():
+    # one leaf size for every long 1-D pass: the blocked sum of the statistics
+    # and the log-power build read it, and no second constant is left over
+    readers, leftovers = set(), set()
+    for path in (ROOT / "src" / "entrodet").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers |= {(path.name, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and any(names_used(inner) & {"_BLOCK"} for inner in ast.walk(node))}
+        leftovers |= {path.name for node in ast.walk(tree) if names_used(node) & {"_BUILD_CHUNK"}}
+    assert readers == {("linalg.py", "_blocked_sum"), ("states.py", "log_power_spectrum")}, sorted(readers)
+    assert not leftovers, sorted(leftovers)
+    from entrodet import linalg
+
+    assert linalg._BLOCK >= 128  # NumPy's pairwise leaf: a smaller one changes bits
+
+
 PUBLIC_NAMES = [
     "DensityMatrix", "EntropyParams", "EntropyResult", "ExperimentReport", "KernelSpec",
     "ProbeResult", "QuadratureRule", "Spectrum", "alpha_star", "as_spectrum", "diag_state",

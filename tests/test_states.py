@@ -364,8 +364,8 @@ class TestSpliceSpectrum:
 
 class TestLogPowerSpectrum:
     @pytest.mark.parametrize("beta,k", [(1.5, 1), (1.2, 7), (1.8, 1000), (2.0, 4321), (3.0, 10**5),
-                                        (1.5, states._BUILD_CHUNK - 1), (1.5, states._BUILD_CHUNK),
-                                        (1.5, 2 * states._BUILD_CHUNK + 1)])
+                                        (1.5, states._BLOCK - 1), (1.5, states._BLOCK),
+                                        (1.5, 2 * states._BLOCK + 1)])
     def test_bit_identical_to_the_formula(self, beta, k):
         # the in-place build must round exactly as the expression it replaced
         n = np.arange(2, k + 2, dtype=float)
@@ -377,7 +377,7 @@ class TestLogPowerSpectrum:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_chunking_is_invisible(self, monkeypatch, chunk):
         want = log_power_spectrum(1.7, 1000).values
-        monkeypatch.setattr(states, "_BUILD_CHUNK", chunk)
+        monkeypatch.setattr(states, "_BLOCK", chunk)
         assert log_power_spectrum(1.7, 1000).values.tobytes() == want.tobytes()
 
     def test_two_entries_oracle(self):
