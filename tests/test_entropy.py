@@ -887,7 +887,7 @@ class TestBlockedKernels:
         lambda spec: log_det_ren(spec, 0.4, 3),
     ], ids=["trace_power", "von_neumann", "vn_renormalized", "log_det_2", "log_det_3"])
     def test_peak_memory_is_a_few_leaves(self, statistic):
-        # a leaf is 256 KiB and a kernel holds at most three: the whole-array
+        # a leaf is 256 KiB and these hold one to three: the whole-array
         # formulas held one to four arrays of 8 MB each
         spec = log_power_spectrum(1.5, 10**6)
         tracemalloc.start()
