@@ -13,11 +13,11 @@ is similar to it and has the same determinant. ``fredholm_det`` and
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
 from a few kernel rows and columns; every entry of A is checked for
 finiteness and every entry of ``A - U V^T`` against a tolerance, on a
-grid of one block as one array, on a larger one in one pass of row
-blocks (for a kernel the library builds symmetric, the squeezed,
-constant and exp-rank-one kernels, blocks of the upper triangle, each
-compared with both triangles of ``U V^T``), and a grid that pass cannot
-decide as one array again; then
+grid of one block as one array, on a larger one by a bound from one pass
+of row blocks of kernel values (for a kernel the library builds
+symmetric, the squeezed, constant and exp-rank-one kernels, blocks of the
+upper triangle, each compared with both triangles of ``U V^T``), and a
+grid that bound cannot decide as one array, which the fallback reuses; then
 ``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
 no low rank fall back to the LU of the dense matrix. Both accumulate the
 determinant in log space and never form the product, so the
@@ -69,16 +69,17 @@ MAX_PRIMES = 10**8
 _ACA_TOL = 1e-14
 _GRID_TOL = 1e-12
 # kernel values per block of the grid check: 256 KiB per block. The check's
-# two buffers are reused, but a kernel's own temporaries (x + y, then exp of
-# it) are fresh arrays each block, and glibc serves such sizes by mmap or
-# trims them off the heap, so every block can page-fault them in anew. On one
-# vCPU of a shared Xeon host, over two runs of 20-30 interleaved cycles, a
+# residual buffer is reused, but the kernel's values and temporaries (x + y,
+# then exp of it) are fresh arrays each block, and glibc serves such sizes by
+# mmap or trims them off the heap, so every block can page-fault them in anew.
+# On one vCPU of a shared Xeon host, over two runs of 20-30 interleaved cycles
+# of a check that also weighted each block into a second buffer, a
 # fredholm-nystrom cycle took a median 135-145 ms (831-1,000 faults) at 32K
 # values, 138-151 ms (551-718) at 16K, 149 ms (600) at 8K, 149-157 ms
 # (2,438-2,612) at 64K and 245-249 ms (about 33,600) at 128K
 _BLOCK_VALUES = 1 << 15
-# a blocked grid check whose scaled peak reaches this is re-decided in A's own
-# units: far above any rounding gap, far below the float maximum
+# a blocked grid check whose upper bound on max|A| reaches this is re-decided in
+# A's own units: far above any rounding gap, far below the float maximum
 _NEAR_MAX = 2.0**1020
 
 # odd sieve candidates per block: 1 MiB of bool, half the 2 MiB L2 per core of
@@ -138,9 +139,9 @@ class KernelSpec:
     ``x[None, i:]`` from the diagonal for a kernel the library marks
     symmetric, or ``x[None, j:j + 1]`` for one column), and its result
     must broadcast to the block. ``nystrom_matrix``, a determinant whose
-    grid is one block, and a blocked grid check that meets a value that is
-    not finite or near the float maximum, call it once on ``x[:, None]``
-    and ``x[None, :]``.
+    grid is one block, and a blocked grid check whose bound cannot decide
+    (the dense fallback then reuses that grid), call it once on
+    ``x[:, None]`` and ``x[None, :]``.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -418,32 +419,30 @@ def _one_block_within_tolerance(amat: np.ndarray, u: np.ndarray, vt: np.ndarray)
 def _within_tolerance(
     kernel: KernelLike, rule: QuadratureRule, z: float, sw: np.ndarray, u: np.ndarray,
     vt: np.ndarray,
-) -> bool:
-    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` over every entry of a blocked grid.
+) -> tuple[bool, np.ndarray | None]:
+    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` on a blocked grid; and A, if built.
 
-    One pass over the grid in row blocks of about ``_BLOCK_VALUES`` values,
-    each filled into one reused buffer and each residual into another. A
-    block is held in kernel-row units ``B = K sqrt(w_j)``, one
-    row-broadcast multiply of the kernel values, so that ``A_i = c_i B_i``
-    with ``c_i = z sqrt(w_i)``; u is brought to the same units once,
-    ``us_i = u_i / c_i`` (0 where c_i = 0, where the row of u is 0 too).
-    Per row the max and min of B and of each residual are kept; at the
-    end they are scaled by ``|c_i|``.
+    One pass over the grid in row blocks of about ``_BLOCK_VALUES`` values
+    compares the factors with the kernel values K themselves: brought to
+    kernel units once, ``us_i = u_i / (z sqrt(w_i))`` and ``vs_j = vt_j /
+    sqrt(w_j)`` (0 where the divisor is 0), they give ``(A - u @ vt)_ij =
+    -z sqrt(w_i w_j) R_ij`` with ``R = us @ vs - K``, formed in one reused
+    buffer and reduced per row by max and min. Row block ``s:e`` covers
+    the columns ``lo:``: all of them, or for a ``_SymmetricKernel`` those
+    from the diagonal, ``lo = s``, where the pair ``(vs^T, us^T)`` also
+    checks the mirrored entries (j, i), as ``A_ji = A_ij``: ACA with partial
+    pivoting gives a non-symmetric ``u @ vt`` even when A is symmetric.
 
-    Row block ``s:e`` covers the columns ``lo:``: all of them, or for a
-    ``_SymmetricKernel`` those from the diagonal, ``lo = s``. A block is
-    compared with ``us @ vt``; a symmetric one, as ``A_ji = A_ij``, also
-    with ``vs^T u^T``, where column i of ``vs`` is that of vt over
-    ``c_i``, for the mirrored entries (j, i) in row i's units. ACA with
-    partial pivoting gives a non-symmetric ``u @ vt`` even when A is
-    symmetric, so neither triangle stands for the other.
-
-    A grid with a value that is not finite, or whose peak comes near the
-    float maximum (products round differently there), is re-decided whole
-    in A's own units: ``_weighted_block`` builds A, and raises
-    ``NonFiniteKernel`` or ``DomainError`` as ``nystrom_matrix`` does, and
-    ``_one_block_within_tolerance`` decides. A residual that is not finite
-    fails the check.
+    So ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij|`` bounds row i's
+    residual, and ``|(u @ vt)_ij| - worst_i`` at the peaks of u's first
+    column and vt's first row (for ACA, the peak of the first cross's
+    column) bounds ``max|A|`` from below. The grid passes when ``max worst``
+    is within the tolerance of that bound and ``sum_l max|u_l| max|vt_l| +
+    max worst``, above ``max|A|``, is below ``_NEAR_MAX``. Otherwise
+    ``_weighted_block`` builds A, raising ``NonFiniteKernel`` or
+    ``DomainError`` as ``nystrom_matrix`` does, ``_one_block_within_tolerance``
+    decides in A's own units, and A is returned for the fallback to factor.
+    A residual that is not finite fails.
     """
     f = _evaluator(kernel)
     symmetric = isinstance(kernel, _SymmetricKernel)
@@ -451,39 +450,37 @@ def _within_tolerance(
     x = rule.nodes
     product = np.dot if len(vt) == 1 else np.matmul  # matmul's k = 1 path is slow
     scale = z * sw
-    live = scale != 0.0
-    pairs = [(np.divide(u, scale[:, None], out=np.zeros_like(u), where=live[:, None]), vt)]
-    if symmetric:
-        pairs.append((np.divide(vt, scale, out=np.zeros_like(vt), where=live).T, u.T))
-    buf = np.empty(max(_BLOCK_VALUES, m))
-    res = np.empty_like(buf)
-    ext = np.empty((2 + 2 * len(pairs), m))  # per row: max and min of the block, of each residual
+    us = np.divide(u, scale[:, None], out=np.zeros_like(u), where=(scale != 0.0)[:, None])
+    vs = np.divide(vt, sw, out=np.zeros_like(vt), where=sw != 0.0)
+    pairs = [(us, vs), (vs.T, us.T)] if symmetric else [(us, vs)]
+    res = np.empty(max(_BLOCK_VALUES, m))
+    ext = np.empty((2 * len(pairs), m))  # per row: max and min of each residual
     s = 0
     while s < m:
         lo = s if symmetric else 0
         e = min(m, s + max(1, _BLOCK_VALUES // (m - lo)))
-        shape = (e - s, m - lo)
-        block = buf[: shape[0] * shape[1]].reshape(shape)
-        np.multiply(np.asarray(f(x[s:e, None], x[None, lo:]), dtype=float), sw[lo:], out=block)
-        r = res[: block.size].reshape(shape)
-        out = ext[:, s:e]
-        # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call, 500 of
-        # them per m = 2000 determinant
-        np.maximum.reduce(block, axis=1, out=out[0])
-        np.minimum.reduce(block, axis=1, out=out[1])
-        for top, (left, right) in enumerate(pairs, 1):
+        kvals = np.asarray(f(x[s:e, None], x[None, lo:]), dtype=float)
+        r = res[: (e - s) * (m - lo)].reshape(e - s, m - lo)
+        for p, (left, right) in enumerate(pairs):
             product(left[s:e], right[:, lo:], out=r)
-            r -= block
-            np.maximum.reduce(r, axis=1, out=out[2 * top])
-            np.minimum.reduce(r, axis=1, out=out[2 * top + 1])
+            r -= kvals
+            # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call, 500
+            # of them per m = 2000 determinant
+            np.maximum.reduce(r, axis=1, out=ext[2 * p, s:e])
+            np.minimum.reduce(r, axis=1, out=ext[2 * p + 1, s:e])
         s = e
-    per_row = np.maximum(ext[0::2], -ext[1::2])  # |B|, then |each residual|
-    per_row *= np.abs(scale)
-    peak, worst = float(per_row[0].max()), float(per_row[1:].max())  # NaN sticks
-    if peak < _NEAR_MAX and math.isfinite(worst):
-        return worst <= _GRID_TOL * peak
+    worst = np.maximum(ext[0::2], -ext[1::2]).max(axis=0)  # NaN sticks
+    worst *= np.abs(scale) * sw.max()
+    i, j = (int(np.abs(u[:, 0]).argmax()), int(np.abs(vt[0]).argmax())) if len(vt) else (0, 0)
+    top = float(worst.max())
+    low = abs(float(u[i] @ vt[:, j])) - float(worst[i])
+    high = float(np.maximum(u.max(axis=0), -u.min(axis=0))
+                 @ np.maximum(vt.max(axis=1), -vt.min(axis=1))) + top
+    if high < _NEAR_MAX and top <= _GRID_TOL * low:
+        return True, None
     every = slice(None)
-    return _one_block_within_tolerance(_weighted_block(f, rule, z, sw, every, every), u, vt)
+    amat = _weighted_block(f, rule, z, sw, every, every)
+    return _one_block_within_tolerance(amat, u, vt), amat
 
 
 def _core_slogdet(u: np.ndarray, vt: np.ndarray) -> tuple[float, float, int]:
@@ -516,9 +513,9 @@ def _nystrom_logdet(
     it, ``_one_block_within_tolerance`` checks it and the fallback factors
     it in place. A larger grid is read by single rows and columns, checked
     in row blocks by ``_within_tolerance`` (on the upper triangle for a
-    ``_SymmetricKernel``) and built whole only where that check cannot
-    decide (by ``_weighted_block``) and for the fallback (by
-    ``nystrom_matrix``).
+    ``_SymmetricKernel``) and built whole at most once, by
+    ``_weighted_block``: where that check's bound cannot decide, or where
+    ACA reaches the rank cap; the fallback factors that array in place.
 
     Raises
     ------
@@ -540,7 +537,6 @@ def _nystrom_logdet(
             factors = _aca(dense.__getitem__, lambda j: dense[:, j], m, _rank_cap(m))
             if factors is not None and _one_block_within_tolerance(dense, *factors):
                 return _core_slogdet(*factors)
-        dense.flat[:: m + 1] += 1.0  # nystrom_matrix's array
     else:
         with np.errstate(all="ignore"):
             factors = _aca(
@@ -548,9 +544,12 @@ def _nystrom_logdet(
                 lambda j: _weighted_block(f, rule, z, sw, every, slice(j, j + 1))[:, 0],
                 m, _rank_cap(m),
             )
-            if factors is not None and _within_tolerance(kernel, rule, z, sw, *factors):
+            passed, dense = (False, None) if factors is None else _within_tolerance(
+                kernel, rule, z, sw, *factors)
+            if passed:
                 return _core_slogdet(*factors)
-        dense = nystrom_matrix(kernel, z, rule)
+            dense = _weighted_block(f, rule, z, sw, every, every) if dense is None else dense
+    dense.flat[:: m + 1] += 1.0  # nystrom_matrix's array
     sign, logdet = np.linalg.slogdet(dense)
     return float(sign), float(logdet), m
 

@@ -36,7 +36,9 @@ from .linalg import (
     DensityMatrix,
     Spectrum,
     SpectrumLike,
+    _blocked_sum,
     _own_spectrum,
+    _positive_prefix,
     as_spectrum,
     validate_density,
 )
@@ -352,14 +354,24 @@ def splice_spectrum(
     head_len = len(base)
     t = min(delta / 3.0, 0.9)
     head = (1.0 - t) * base.values
+    n_pos = len(_positive_prefix(head))  # head is non-increasing, as base is
 
     tail_len = min(1024, k_max)
     while True:
-        j = np.arange(head_len + 1, head_len + tail_len + 1, dtype=float)
-        raw = j ** -(1.0 + eps)
-        tail = raw * (t / raw.sum())
-        spliced = np.concatenate([head, tail])
-        power = float((spliced[spliced > 0] ** probe_r).sum())
+        # one buffer per length: the head's positive values, the tail, the head's
+        # zeros, so the values the probe sums are one run; the tail's slots start
+        # as j = head_len + 1, ..., head_len + tail_len
+        first = head_len + 1 - n_pos
+        spliced = np.arange(first, first + head_len + tail_len, dtype=float)
+        spliced[:n_pos] = head[:n_pos]
+        spliced[n_pos + tail_len :] = 0.0
+        tail = spliced[n_pos : n_pos + tail_len]
+        tail **= -(1.0 + eps)
+        tail *= t / tail.sum()
+        # j ** -(1 + eps) falls as j grows, so the tail's positive values lead it
+        # (a NaN, 0 times an overflowing scale, is not positive and trails too)
+        positive = spliced[: n_pos + np.count_nonzero(tail > 0)]
+        power = _blocked_sum(positive, lambda x: x ** probe_r, 0)
         if power > threshold:
             break
         if tail_len >= k_max:
@@ -369,7 +381,7 @@ def splice_spectrum(
         tail_len = min(2 * tail_len, k_max)
 
     # distance is evaluated in construction order, where head aligns with base
-    l1 = float(np.abs(spliced[:head_len] - base.values).sum() + tail.sum())
+    l1 = float(np.abs(head - base.values).sum() + tail.sum())
     if not l1 < delta:
         raise TruncationInsufficient(
             f"trace distance {l1:.6g} not below delta = {delta}"

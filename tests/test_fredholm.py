@@ -923,7 +923,7 @@ class TestGridCheck:
             if m * m <= fredholm._BLOCK_VALUES:
                 got = fredholm._one_block_within_tolerance(amat, u, vt)
             else:
-                got = fredholm._within_tolerance(kernel, rule, z, sw, u, vt)
+                got = fredholm._within_tolerance(kernel, rule, z, sw, u, vt)[0]
         return got, want
 
     @pytest.mark.parametrize("t", [0.9, 1.1, -0.9, -1.1])
@@ -1013,7 +1013,7 @@ class TestGridCheck:
         every = slice(None)
         with np.errstate(all="ignore"):
             amat = fredholm._weighted_block(fredholm._evaluator(kernel), rule, z, sw, every, every)
-            assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt) is False
+            assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt)[0] is False
         assert np.abs(amat).max() > fredholm._NEAR_MAX
         assert not two_pass_within_tolerance(amat, u, vt)
 
@@ -1063,6 +1063,23 @@ class TestGridCheck:
             got, want = self.decide(rank, z, m, row, col, t, marked=True)
             assert got == want == (abs(t) < 1.0), (row, col)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_blocked_check_agrees_with_two_pass(self, data):
+        # a spike of 0.5 to 2 times the tolerance at any cell, end rows and columns
+        # (the least sqrt(w)) drawn often; within 1% of the tolerance both checks
+        # round the spike's own value, so that band is left out
+        m = data.draw(st.sampled_from([182, 600]), label="m")
+        cell = st.one_of(st.sampled_from([0, m - 1]), st.integers(0, m - 1))
+        row, col = data.draw(cell, label="row"), data.draw(cell, label="col")
+        t = data.draw(st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)), label="t")
+        sign = data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+        rank = data.draw(st.sampled_from([1, 2]), label="rank")
+        z = data.draw(st.sampled_from([0.7, -1.3]), label="z")
+        marked = data.draw(st.booleans(), label="marked")
+        got, want = self.decide(rank, z, m, row, col, sign * t, marked)
+        assert got == want == (t < 1.0)
+
     @pytest.mark.parametrize("m", [182, 600, 2000])
     @pytest.mark.parametrize("factor", ["u", "vt"])
     def test_error_below_the_diagonal_only_fails(self, m, factor):
@@ -1085,7 +1102,7 @@ class TestGridCheck:
         assert not two_pass_within_tolerance(amat, u, vt)
         f = self.spiked(self.PHIS[2], 0.0, 0.0, 0.0)
         for kernel in (fredholm._SymmetricKernel(f, "rank two"), f):
-            assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt) is False
+            assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt)[0] is False
 
 
 class TestBlockedPath:
@@ -1158,6 +1175,60 @@ class TestBlockedPath:
         spike = lambda x, y: np.where((x == bad_x) & (y == bad_y), 1.7e308, 0.0)
         sign, logdet, rank = fredholm._nystrom_logdet(spike, 1e-310, 0.0, 1000.0, m)
         assert (sign, logdet, rank) == (*map(float, dense_slogdet(spike, 1e-310, 0.0, 1000.0, m)), m)
+
+    @pytest.mark.parametrize("m", [1000, 2000])
+    @pytest.mark.parametrize("name", ["squeezed", "exp"])
+    def test_bound_decides_the_benchmark_kernels(self, m, name):
+        # the squeezed kernel (marked, rank 9-20) and an unmarked exp(x + y) pass
+        # on the bound: the evaluator sees ACA's rows and columns and row blocks,
+        # never the whole grid
+        seen = []
+
+        def spy(f):
+            def evaluator(x, y):
+                seen.append((x.shape, y.shape))
+                return f(x, y)
+            return evaluator
+
+        if name == "squeezed":
+            kernel = fredholm._SymmetricKernel(spy(states.squeezed_kernel().evaluator), name)
+        else:
+            kernel = KernelSpec(spy(lambda x, y: np.exp(x + y)), name)
+        for z, b in ((0.5, 0.5), (1.0, 1.3), (1.5, 2.0)):
+            seen.clear()
+            rank = fredholm._nystrom_logdet(kernel, z, 0.0, b, m)[2]
+            assert rank < 30
+            assert seen and ((m, 1), (1, m)) not in seen
+
+    @pytest.mark.parametrize("case", ["bump", "marked bump", "weight overflow"])
+    def test_failed_check_evaluates_the_grid_once(self, case):
+        # the check fails after ACA returned factors: a bump off every ACA cross
+        # (mirrored for the marked kernel), or a kernel value whose product with
+        # sqrt(w_j) overflows; the dense LU factors the grid the check built
+        m = 600
+        a, b, z = (0.0, 1000.0, 1e-310) if case == "weight overflow" else (0.0, 1.0, 1.0)
+        rule = gauss_legendre(m, a, b)
+        bx, by = rule.nodes[2 * m // 3], rule.nodes[m // 3]
+        whole = []
+
+        def evaluator(x, y):
+            if x.shape == (m, 1) and y.shape == (1, m):
+                whole.append(True)
+            at = ((x == bx) & (y == by)) | ((x == by) & (y == bx))
+            if case == "weight overflow":
+                return np.where(at, 1.7e308, 0.0)
+            return np.exp(x + y) + np.where(at, 1e-3, 0.0)
+
+        marked = case == "marked bump"
+        kernel = (fredholm._SymmetricKernel if marked else KernelSpec)(evaluator, case)
+        seen = []
+        aca = fredholm._aca
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fredholm, "_aca", lambda *args: seen.append(aca(*args)) or seen[-1])
+            got = fredholm._nystrom_logdet(kernel, z, a, b, m)
+        assert seen[0] is not None and len(seen[0][1]) < 2  # the check ran, on rank 0 or 1
+        assert len(whole) == 1
+        assert got == (*map(float, dense_slogdet(kernel, z, a, b, m)), m)
 
     def test_peak_memory_is_a_few_blocks_plus_the_factors(self):
         m = 2000

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,71 @@ class TestSpliceSpectrum:
         # a cap below the first tail length of 1024 is kept too
         with pytest.raises(TruncationInsufficient, match="at tail length 10$"):
             splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=50.0, k_max=10)
+
+    @staticmethod
+    def concatenating_splice(spec, eps, delta, threshold, probe_r, k_max):
+        """The splice rebuilt and concatenated whole per tail length: the oracle.
+
+        Returns the spectrum's values, or the ``TruncationInsufficient`` message.
+        """
+        base = linalg.as_spectrum(spec, normalized=True).values
+        t = min(delta / 3.0, 0.9)
+        head = (1.0 - t) * base
+        tail_len = min(1024, k_max)
+        with np.errstate(all="ignore"):
+            while True:
+                j = np.arange(len(base) + 1, len(base) + tail_len + 1, dtype=float)
+                raw = j ** -(1.0 + eps)
+                tail = raw * (t / raw.sum())
+                spliced = np.concatenate([head, tail])
+                power = float((spliced[spliced > 0] ** probe_r).sum())
+                if power > threshold:
+                    break
+                if tail_len >= k_max:
+                    return f"power sum {power:.6g} <= {threshold} at tail length {tail_len}"
+                tail_len = min(2 * tail_len, k_max)
+        l1 = float(np.abs(head - base).sum() + tail.sum())
+        if not l1 < delta:
+            return f"trace distance {l1:.6g} not below delta = {delta}"
+        return linalg.as_spectrum(spliced).values
+
+    @pytest.mark.parametrize("spec, eps, delta, threshold, probe_r, k_max", [
+        ([0.5, 0.3, 0.2], 1.0, 0.1, 3.0, None, 10**7),
+        ([0.5, 0.3, 0.2], 0.3, 0.5, 5.0, 0.5, 10**5),
+        ([0.6, 0.4, 0.0, 0.0], 1.0, 0.1, 4.0, None, 10**6),  # zeros in the head
+        ([0.6, 0.4, 0.0], 2.5, 0.05, 1.2, 2.0, 5000),
+        ([0.6, 0.4], 1.0, 3.0, 1.5, 1.0, 3000),
+        ([1.0 - 1e-300, 1e-300, 5e-324], 1.0, 3.0, 2.0, None, 10**5),  # 0.1 * 5e-324 is 0
+        ([1.0], 1e-3, 0.3, 40.0, 0.37, 2**15 + 3),
+        ([0.5, 0.3, 0.2], 700.0, 0.1, 0.0, None, 4096),  # the tail underflows, then NaN
+        ([0.5, 0.3, 0.2], 150.0, 0.5, 1.0, 0.5, 4096),  # the tail ends in zeros
+        ([1.0], 1.0, 0.1, 50.0, None, 10),
+        ([0.7, 0.2, 0.1], 1.0, 0.1, 50.0, None, 2**17),
+    ])
+    def test_bit_identical_to_the_concatenating_splice(self, spec, eps, delta, threshold,
+                                                       probe_r, k_max):
+        probe = 1.0 / (1.0 + eps) if probe_r is None else probe_r
+        want = self.concatenating_splice(spec, eps, delta, threshold, probe, k_max)
+        with np.errstate(all="ignore"):
+            if isinstance(want, str):
+                with pytest.raises(TruncationInsufficient) as info:
+                    splice_spectrum(spec, eps, delta, threshold, probe_r, k_max)
+                assert str(info.value) == want
+            else:
+                got = splice_spectrum(spec, eps, delta, threshold, probe_r, k_max).values
+                assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_about_one_buffer(self):
+        # the tail grows to 2**21 values (16 MiB) without reaching the threshold;
+        # rebuilding five tail-length arrays per length peaked at 82 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationInsufficient, match="at tail length 2097152$"):
+                splice_spectrum([0.5, 0.3, 0.2], eps=1.0, delta=0.1, threshold=50.0, k_max=2**21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
 
     def test_large_delta_admits_any_tail(self):
         spliced = splice_spectrum([1.0], eps=1.0, delta=2.0, threshold=1.0)
