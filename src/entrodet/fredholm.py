@@ -69,14 +69,13 @@ MAX_PRIMES = 10**8
 _ACA_TOL = 1e-14
 _GRID_TOL = 1e-12
 # kernel values per block of the grid check: 256 KiB per block. The check's
-# residual buffer is reused, but the kernel's values and temporaries (x + y,
-# then exp of it) are fresh arrays each block, and glibc serves such sizes by
-# mmap or trims them off the heap, so every block can page-fault them in anew.
-# On one vCPU of a shared Xeon host, over two runs of 20-30 interleaved cycles
-# of a check that also weighted each block into a second buffer, a
-# fredholm-nystrom cycle took a median 135-145 ms (831-1,000 faults) at 32K
-# values, 138-151 ms (551-718) at 16K, 149 ms (600) at 8K, 149-157 ms
-# (2,438-2,612) at 64K and 245-249 ms (about 33,600) at 128K
+# buffer is reused, but the kernel's values and temporaries (x + y, exp of it)
+# are fresh arrays each block, and glibc serves such sizes by mmap or trims
+# them off the heap, so every block can page-fault them in anew. On one vCPU of
+# a shared Xeon host, over two runs of 20-30 interleaved cycles of an earlier
+# two-buffer check, a fredholm-nystrom cycle took a median 135-145 ms (831-1,000
+# faults) at 32K values, 138-151 ms (551-718) at 16K, 149 ms (600) at 8K,
+# 149-157 ms (2,438-2,612) at 64K and 245-249 ms (about 33,600) at 128K
 _BLOCK_VALUES = 1 << 15
 # a blocked grid check whose upper bound on max|A| reaches this is re-decided in
 # A's own units: far above any rounding gap, far below the float maximum
@@ -422,27 +421,27 @@ def _within_tolerance(
 ) -> tuple[bool, np.ndarray | None]:
     """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` on a blocked grid; and A, if built.
 
-    One pass over the grid in row blocks of about ``_BLOCK_VALUES`` values
-    compares the factors with the kernel values K themselves: brought to
-    kernel units once, ``us_i = u_i / (z sqrt(w_i))`` and ``vs_j = vt_j /
-    sqrt(w_j)`` (0 where the divisor is 0), they give ``(A - u @ vt)_ij =
-    -z sqrt(w_i w_j) R_ij`` with ``R = us @ vs - K``, formed in one reused
-    buffer and reduced per row by max and min. Row block ``s:e`` covers
-    the columns ``lo:``: all of them, or for a ``_SymmetricKernel`` those
-    from the diagonal, ``lo = s``, where the pair ``(vs^T, us^T)`` also
-    checks the mirrored entries (j, i), as ``A_ji = A_ij``: ACA with partial
-    pivoting gives a non-symmetric ``u @ vt`` even when A is symmetric.
+    A pass over the grid in row blocks of about ``_BLOCK_VALUES`` values
+    compares the factors, brought to kernel units once (``us_i = u_i / (z
+    sqrt(w_i))``, ``vs_j = vt_j / sqrt(w_j)``, 0 where the divisor is 0),
+    with the kernel values K: ``(A - u @ vt)_ij = -z sqrt(w_i w_j) R_ij``
+    for ``R = us @ vs - K``, formed in one reused buffer and reduced per
+    row by max and min. Row block ``s:e`` covers the columns ``lo:``: all,
+    or for a ``_SymmetricKernel`` those from the diagonal, ``lo = s``, where
+    the pair ``(vs^T, us^T)`` checks the mirrored entries (j, i) too: ACA
+    with partial pivoting gives a non-symmetric ``u @ vt`` for a symmetric A.
 
-    So ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij|`` bounds row i's
-    residual, and ``|(u @ vt)_ij| - worst_i`` at the peaks of u's first
+    ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij|`` bounds row i's
+    residual and ``|(u @ vt)_ij| - worst_i`` at the peaks of u's first
     column and vt's first row (for ACA, the peak of the first cross's
-    column) bounds ``max|A|`` from below. The grid passes when ``max worst``
-    is within the tolerance of that bound and ``sum_l max|u_l| max|vt_l| +
-    max worst``, above ``max|A|``, is below ``_NEAR_MAX``. Otherwise
+    column) bounds ``max|A|`` below; the grid passes when ``max worst`` is
+    within the tolerance of that, and ``sum_l max|u_l| max|vt_l| + max
+    worst``, above ``max|A|``, is below ``_NEAR_MAX``. Failing on the
+    tolerance alone, it takes a second pass with R's columns times
+    ``sqrt(w_j)``, which makes ``worst_i`` row i's residual itself. Else
     ``_weighted_block`` builds A, raising ``NonFiniteKernel`` or
     ``DomainError`` as ``nystrom_matrix`` does, ``_one_block_within_tolerance``
-    decides in A's own units, and A is returned for the fallback to factor.
-    A residual that is not finite fails.
+    decides, and A is returned for the fallback to factor.
     """
     f = _evaluator(kernel)
     symmetric = isinstance(kernel, _SymmetricKernel)
@@ -455,29 +454,31 @@ def _within_tolerance(
     pairs = [(us, vs), (vs.T, us.T)] if symmetric else [(us, vs)]
     res = np.empty(max(_BLOCK_VALUES, m))
     ext = np.empty((2 * len(pairs), m))  # per row: max and min of each residual
-    s = 0
-    while s < m:
-        lo = s if symmetric else 0
-        e = min(m, s + max(1, _BLOCK_VALUES // (m - lo)))
-        kvals = np.asarray(f(x[s:e, None], x[None, lo:]), dtype=float)
-        r = res[: (e - s) * (m - lo)].reshape(e - s, m - lo)
-        for p, (left, right) in enumerate(pairs):
-            product(left[s:e], right[:, lo:], out=r)
-            r -= kvals
-            # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call, 500
-            # of them per m = 2000 determinant
-            np.maximum.reduce(r, axis=1, out=ext[2 * p, s:e])
-            np.minimum.reduce(r, axis=1, out=ext[2 * p + 1, s:e])
-        s = e
-    worst = np.maximum(ext[0::2], -ext[1::2]).max(axis=0)  # NaN sticks
-    worst *= np.abs(scale) * sw.max()
     i, j = (int(np.abs(u[:, 0]).argmax()), int(np.abs(vt[0]).argmax())) if len(vt) else (0, 0)
-    top = float(worst.max())
-    low = abs(float(u[i] @ vt[:, j])) - float(worst[i])
-    high = float(np.maximum(u.max(axis=0), -u.min(axis=0))
-                 @ np.maximum(vt.max(axis=1), -vt.min(axis=1))) + top
-    if high < _NEAR_MAX and top <= _GRID_TOL * low:
-        return True, None
+    size = float(np.maximum(u.max(0), -u.min(0)) @ np.maximum(vt.max(1), -vt.min(1)))
+    for weighted in (False, True):
+        s = 0
+        while s < m:
+            lo = s if symmetric else 0
+            e = min(m, s + max(1, _BLOCK_VALUES // (m - lo)))
+            kvals = np.asarray(f(x[s:e, None], x[None, lo:]), dtype=float)
+            r = res[: (e - s) * (m - lo)].reshape(e - s, m - lo)
+            for p, (left, right) in enumerate(pairs):
+                product(left[s:e], right[:, lo:], out=r)
+                r -= kvals
+                if weighted:
+                    r *= sw[lo:]
+                # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call
+                np.maximum.reduce(r, axis=1, out=ext[2 * p, s:e])
+                np.minimum.reduce(r, axis=1, out=ext[2 * p + 1, s:e])
+            s = e
+        worst = np.maximum(ext[0::2], -ext[1::2]).max(axis=0)  # NaN sticks
+        worst *= np.abs(scale) if weighted else np.abs(scale) * sw.max()
+        top = float(worst.max())
+        if not size + top < _NEAR_MAX:  # not finite, or near the float maximum
+            break
+        if top <= _GRID_TOL * (abs(float(u[i] @ vt[:, j])) - float(worst[i])):
+            return True, None
     every = slice(None)
     amat = _weighted_block(f, rule, z, sw, every, every)
     return _one_block_within_tolerance(amat, u, vt), amat
