@@ -899,17 +899,17 @@ class TestGridCheck:
 
     @classmethod
     @functools.lru_cache(maxsize=None)
-    def smooth(cls, rank, z, m):
-        """The rule, sqrt(w), exact factors and A of the unspiked kernel."""
-        rule = gauss_legendre(m, 0.0, 1.0)
+    def smooth(cls, rank, z, m, b=1.0):
+        """The rule on (0, b), sqrt(w), exact factors and A of the unspiked kernel."""
+        rule = gauss_legendre(m, 0.0, b)
         sw = np.sqrt(rule.weights)
         f = cls.spiked(cls.PHIS[rank], 0.0, 0.0, 0.0)
         amat = fredholm._weighted_block(f, rule, z, sw, slice(None), slice(None))
         amat.setflags(write=False)
         return rule, sw, *exact_factors(cls.PHIS[rank], z, rule), amat
 
-    def decide(self, rank, z, m, row, col, t, marked=False):
-        rule, sw, u, vt, smooth = self.smooth(rank, z, m)
+    def decide(self, rank, z, m, row, col, t, marked=False, b=1.0):
+        rule, sw, u, vt, smooth = self.smooth(rank, z, m, b)
         # a spike of t times the tolerance, in A's units, at (row, col), and at
         # (col, row) too for a marked kernel
         delta = t * fredholm._GRID_TOL * np.abs(smooth).max() / (abs(z) * sw[row] * sw[col])
@@ -1068,8 +1068,11 @@ class TestGridCheck:
     def test_blocked_check_agrees_with_two_pass(self, data):
         # a spike of 0.5 to 2 times the tolerance at any cell, end rows and columns
         # (the least sqrt(w)) drawn often; within 1% of the tolerance both checks
-        # round the spike's own value, so that band is left out
+        # round the spike's own value, so that band is left out. On (0, 200) at
+        # m = 182 the middle sqrt(w) is 1.3: a bound that dropped max sqrt(w) there
+        # would pass a spike of 1.1 times the tolerance
         m = data.draw(st.sampled_from([182, 600]), label="m")
+        b = data.draw(st.sampled_from([1.0, 200.0]), label="b")
         cell = st.one_of(st.sampled_from([0, m - 1]), st.integers(0, m - 1))
         row, col = data.draw(cell, label="row"), data.draw(cell, label="col")
         t = data.draw(st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)), label="t")
@@ -1077,7 +1080,7 @@ class TestGridCheck:
         rank = data.draw(st.sampled_from([1, 2]), label="rank")
         z = data.draw(st.sampled_from([0.7, -1.3]), label="z")
         marked = data.draw(st.booleans(), label="marked")
-        got, want = self.decide(rank, z, m, row, col, sign * t, marked)
+        got, want = self.decide(rank, z, m, row, col, sign * t, marked, b)
         assert got == want == (t < 1.0)
 
     @pytest.mark.parametrize("m", [182, 600, 2000])
