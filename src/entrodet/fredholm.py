@@ -17,7 +17,7 @@ grid of one block as one array, on a larger one by a bound from one pass
 of row blocks of kernel values (for a kernel the library builds
 symmetric, the squeezed, constant and exp-rank-one kernels, blocks of the
 upper triangle, each compared with both triangles of ``U V^T``), and a
-grid that bound cannot decide as one array, which the fallback reuses; then
+grid neither bound decides as one array, which the fallback reuses; then
 ``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
 no low rank fall back to the LU of the dense matrix. Both accumulate the
 determinant in log space and never form the product, so the
@@ -138,9 +138,8 @@ class KernelSpec:
     ``x[None, i:]`` from the diagonal for a kernel the library marks
     symmetric, or ``x[None, j:j + 1]`` for one column), and its result
     must broadcast to the block. ``nystrom_matrix``, a determinant whose
-    grid is one block, and a blocked grid check whose bound cannot decide
-    (the dense fallback then reuses that grid), call it once on
-    ``x[:, None]`` and ``x[None, :]``.
+    grid is one block, and a blocked grid check that neither pass decides,
+    call it once on ``x[:, None]`` and ``x[None, :]``.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -471,6 +470,7 @@ def _within_tolerance(
                 # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call
                 np.maximum.reduce(r, axis=1, out=ext[2 * p, s:e])
                 np.minimum.reduce(r, axis=1, out=ext[2 * p + 1, s:e])
+            del kvals  # before the next block's evaluator call: one block alive
             s = e
         worst = np.maximum(ext[0::2], -ext[1::2]).max(axis=0)  # NaN sticks
         worst *= np.abs(scale) if weighted else np.abs(scale) * sw.max()
@@ -515,7 +515,7 @@ def _nystrom_logdet(
     it in place. A larger grid is read by single rows and columns, checked
     in row blocks by ``_within_tolerance`` (on the upper triangle for a
     ``_SymmetricKernel``) and built whole at most once, by
-    ``_weighted_block``: where that check's bound cannot decide, or where
+    ``_weighted_block``: where neither pass of that check decides, or where
     ACA reaches the rank cap; the fallback factors that array in place.
 
     Raises
