@@ -1,10 +1,10 @@
 """entrodet: quantum entropies via spectral formulas and Fredholm determinants.
 
-Dense spectral core (validation, eigendecomposition, matrix functions,
-partial traces, Schatten norms), the von Neumann / Tsallis / Renyi /
-unified entropy family with determinant and Carleman-regularized
-reformulations, Gauss-Legendre Nystrom Fredholm determinants, state and
-spectrum generators, and reproducible experiment runners.
+Dense spectral core (validation, eigendecomposition, partial traces,
+trace distance), the von Neumann / Tsallis / Renyi / unified entropy
+family with determinant and Carleman-regularized reformulations,
+Gauss-Legendre Nystrom Fredholm determinants, state and spectrum
+generators, and reproducible experiment runners.
 """
 
 from .entropy import (
@@ -46,9 +46,7 @@ from .linalg import (
     Spectrum,
     as_spectrum,
     eig_hermitian,
-    matrix_function,
     partial_trace,
-    schatten_norm,
     spectrum_of,
     trace_distance,
     validate_density,
@@ -59,7 +57,6 @@ from .states import (
     gaussian_entropy_analytic,
     log_power_spectrum,
     power_law_generator,
-    power_law_spectrum,
     random_density,
     splice_spectrum,
     squeezed_kernel,

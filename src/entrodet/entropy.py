@@ -63,13 +63,13 @@ from .linalg import (
     _positive_prefix,
     as_spectrum,
     eig_hermitian,
-    matrix_function,
     spectrum_of,
 )
 from .states import _PowerLaw
 
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
+_UNDERFLOW = "{} needs I_r > 0, but the power sum underflows to 0 at r = {}"
 # indices per call of a generator that divergence_probe scans: 8 MB per float array
 _PROBE_CHUNK = 1_000_000
 
@@ -183,7 +183,7 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
 def f_r(q: MatrixLike, r: float) -> np.ndarray:
     """The positive operator exp(Q^r) - 1 via the functional calculus."""
     _check_order(r, "order r")
-    return matrix_function(q, lambda lam: math.expm1(lam**r))
+    return _matrix_map(*eig_hermitian(q), lambda lam: math.expm1(lam**r))
 
 
 def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
@@ -277,17 +277,34 @@ def _tsallis(r: float) -> Callable[[float], float]:
     return lambda i_r: (i_r - 1.0) / (1.0 - r) + 0.0  # +0.0 folds away -0.0
 
 
+def _float_power(x, e: float, at_zero: str = "0 to a negative power"):
+    """``x ** e``, with the signed inf that an array's power gives past the float range."""
+    try:
+        return x**e
+    except OverflowError:  # only a negative x to an odd integer power is negative
+        return -math.inf if x < 0 and e % 2 else math.inf
+    except ZeroDivisionError:  # 0 ** (e < 0)
+        raise DomainError(at_zero) from None
+
+
 def _renyi(r: float, log_base: str) -> Callable[[float], float]:
     _check_deformation(r, "Renyi order")
     scale = _base_scale(log_base)
-    return lambda i_r: math.log(i_r) / (1.0 - r) * scale + 0.0  # +0.0 folds away -0.0
+
+    def value(i_r: float) -> float:
+        if i_r == 0:  # every lam^r of a state underflowed
+            raise DomainError(_UNDERFLOW.format("log I_r", r))
+        return math.log(i_r) / (1.0 - r) * scale + 0.0  # +0.0 folds away -0.0
+
+    return value
 
 
 def _unified(r: float, s: float) -> Callable:
     # the unified entropy as a map of the power sum I_r (or of log det = I_r),
-    # elementwise on an array of them
+    # elementwise on an array of them; +0.0 folds away -0.0
     _check_unified_params(r, s)
-    return lambda p: (p**s - 1.0) / ((1.0 - r) * s) + 0.0  # +0.0 folds away -0.0
+    at_zero = _UNDERFLOW.format(f"I_r^s with s = {s} < 0", r)
+    return lambda p: (_float_power(p, s, at_zero) - 1.0) / ((1.0 - r) * s) + 0.0
 
 
 def _unified_fredholm(r: float, s: float) -> Callable[[float], float]:
@@ -298,14 +315,15 @@ def _unified_fredholm(r: float, s: float) -> Callable[[float], float]:
 
 def _unified_renormalized(r: float, s: float) -> Callable[[float], float]:
     _check_s(s)
+    at_zero = f"(log det_ren)^s with log det_ren = 0 and s = {s} < 0"
 
     def value(log_det: float) -> float:
         if log_det < 0 and float(s) != round(s):
             raise FractionalPowerOfNegative(
                 f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
             )
-        powered = log_det ** int(round(s)) if float(s) == round(s) else log_det**s
-        return (powered - 1.0) / ((1.0 - r) * s)
+        e = int(round(s)) if float(s) == round(s) else s
+        return (_float_power(log_det, e, at_zero) - 1.0) / ((1.0 - r) * s)
 
     return value
 
@@ -330,33 +348,11 @@ def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
     return _unified(r, s)(trace_power(spectrum_of(x, normalized=True), r))
 
 
-def hu_ye_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
-    """:func:`hu_ye` of each row of a stack of Hermitian eigenvalues.
-
-    ``lam`` has shape (S, n); rows need not be sorted. Each row is admitted
-    as a state by the same policy as a spectrum passed to :func:`hu_ye`.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``lam`` is not two-dimensional.
-    NotPositive
-        Naming the first row with a value below ``-PSD_TOL`` or a
-        non-finite value.
-    NotNormalized
-        Naming the first row whose sum is off 1 by more than ``TRACE_TOL``.
-    """
-    _check_unified_params(r, s)
-    lam = np.array(lam, dtype=float)
-    if lam.ndim != 2:
-        raise DimensionMismatch(f"expected a stack of spectra of shape (S, n), got {lam.shape}")
-    return _hu_ye_own_rows(lam, r, s)
-
-
 def _hu_ye_own_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
-    """:func:`hu_ye_rows` of a fresh (S, n) float64 stack that the caller hands over.
+    """:func:`hu_ye` of each row of a fresh (S, n) float64 stack that the caller hands over.
 
-    The stack is admitted in place, so its negative rounding values become 0.
+    The stack is admitted in place, by :func:`hu_ye`'s policy, so its negative
+    rounding values become 0; the first bad row is named.
     """
     to_value = _unified(r, s)
     _admit(lam, normalized=True)
@@ -372,7 +368,7 @@ def hy_bound(d: int, r: float, s: float) -> float:
     _check_unified_params(r, s)
     d = _check_count(d, "dimension")
     e = (1.0 - r) * s
-    return (float(d) ** e - 1.0) / e
+    return (_float_power(float(d), e) - 1.0) / e
 
 
 def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:

@@ -3,8 +3,7 @@
 Containers for density matrices and spectra, plus the spectral operations
 every entropy formula in this package is built on: validation, the one
 reduction of any input to its spectrum (:func:`spectrum_of`),
-eigendecomposition, matrix functions of Hermitian operators, partial
-traces and Schatten norms.
+eigendecomposition, partial traces and the trace distance.
 
 All functions are pure; returned arrays are marked read-only so values can
 be shared freely between threads.
@@ -12,7 +11,6 @@ be shared freely between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -284,23 +282,13 @@ def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, np.ndarray]:
     return as_spectrum(lam[::-1]), _freeze(u[:, ::-1].copy())
 
 
-def matrix_function(q: MatrixLike, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar map to a Hermitian matrix through its eigenbasis.
-
-    Returns ``U diag(f(lam_i)) U^dag``. Maps are expected to encode their
-    own lambda -> 0+ limit at zero (e.g. ``lam**-lam - 1`` evaluates to 0
-    at lam = 0, matching the entropy convention).
-
-    Raises
-    ------
-    NotHermitian, NotPositive, DomainError
-        As :func:`eig_hermitian`, or if ``f`` is not finite at some eigenvalue.
-    """
-    return _matrix_map(*eig_hermitian(q), f)
-
-
 def _matrix_map(spec: Spectrum, u: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """``U diag(f(lam_i)) U^dag`` from the output of :func:`eig_hermitian`."""
+    """``U diag(f(lam_i)) U^dag`` from the output of :func:`eig_hermitian`.
+
+    ``f`` encodes its own lam -> 0+ limit at zero (``lam**-lam - 1`` is 0 at
+    lam = 0, the entropy convention); a value that is not finite raises
+    :class:`DomainError`.
+    """
     vals = np.array([float(f(x)) for x in spec.values])
     if not np.all(np.isfinite(vals)):
         bad = spec.values[~np.isfinite(vals)][0]
@@ -331,22 +319,6 @@ def partial_trace(q: MatrixLike, d_a: int, d_b: int, keep: str = "A") -> Density
     else:
         red = np.einsum("ijil->jl", m4)
     return DensityMatrix(_freeze(np.ascontiguousarray(red)))
-
-
-def singular_values(a: MatrixLike) -> np.ndarray:
-    return np.linalg.svd(_as_matrix(a), compute_uv=False)
-
-
-def schatten_norm(a: MatrixLike, p: float) -> float:
-    """Schatten norm (sum_i s_i^p)^(1/p) over singular values.
-
-    For ``p >= 1`` this is a norm; for ``p`` in (0, 1) a quasi-norm. On a
-    Hermitian PSD input the singular values are the eigenvalues.
-    """
-    if not 0.0 < p < math.inf:  # NaN fails too
-        raise DomainError(f"Schatten order must be positive and finite, got {p}")
-    s = singular_values(a)
-    return float((s**p).sum() ** (1.0 / p))
 
 
 def trace_distance(a: MatrixLike, b: MatrixLike) -> float:

@@ -7,8 +7,8 @@ closed-form spectra and reductions of stacked X states, and embeddings
 of spectra as diagonal states. Stacks are checked against the X-state
 bounds only; their spectra are admitted where they are consumed.
 
-Truncated infinite-dimensional spectra: power laws ``k^-(1+eps)``
-(divergent power sums for small orders), log-power laws
+Infinite-dimensional spectra: the power law ``k^-(1+eps)`` as an
+index map (divergent power sums for small orders), truncated log-power laws
 ``1/(n log^beta n)`` (finite but entropy-divergent for beta in (1, 2)),
 prime-zeta spectra whose determinant is a zeta ratio, and the geometric
 Schmidt spectrum of the two-mode squeezed vacuum together with its
@@ -241,21 +241,6 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 def _check_exponent(x: float, what: str, low: float = 0.0) -> None:
     if not low < x < math.inf:  # NaN fails too
         raise DomainError(f"{what} must be finite and exceed {low:g}, got {x}")
-
-
-def power_law_spectrum(eps: float, k: int) -> Spectrum:
-    """Normalized truncation of the power-law spectrum lam_j ~ j^-(1+eps).
-
-    The power sum of order s diverges (as the truncation grows) exactly
-    when s <= 1/(1+eps), which makes this the canonical witness family
-    for divergent deformed entropies.
-    """
-    _check_exponent(eps, "power-law exponent")
-    k = _check_count(k, "truncation length")
-    j = np.arange(1, k + 1, dtype=float)
-    w = j ** -(1.0 + eps)
-    w /= w.sum()
-    return _own_spectrum(w)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,29 @@ class TestEntropyCommand:
         assert "FractionalPowerOfNegative" in proc.stderr
 
 
+    def test_overflowing_value_is_divergent(self, tmp_path):
+        # I_3^s = 0.25^-2000 is past the float range: +inf, flagged, exit 0
+        path = tmp_path / "mm.json"
+        save_matrix(path, np.eye(2) / 2)
+        proc = run_cli("entropy", str(path), "--kind", "hy", "--r", "3", "--s", "-2000")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["value"] == math.inf
+        assert payload["divergent"] is True
+
+    @pytest.mark.parametrize("args", [("--kind", "renyi", "--r", "2000"),
+                                      ("--kind", "hy", "--r", "2000", "--s", "-1")],
+                             ids=["renyi", "hy"])
+    def test_underflowing_power_sum_exit_4(self, tmp_path, args):
+        # I_2000 of the maximally mixed qubit underflows to 0: a domain error, not a parse one
+        path = tmp_path / "mm.json"
+        save_matrix(path, np.eye(2) / 2)
+        proc = run_cli("entropy", str(path), *args)
+        assert proc.returncode == 4, proc.stderr
+        assert "DomainError" in proc.stderr
+        assert "underflows to 0" in proc.stderr
+
+
 class TestParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()

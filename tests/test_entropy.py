@@ -30,7 +30,7 @@ from entrodet import (
     von_neumann,
 )
 from entrodet import entropy, linalg
-from entrodet.entropy import ProbeResult, hu_ye_rows
+from entrodet.entropy import ProbeResult, _hu_ye_own_rows
 from entrodet.errors import (
     DimensionMismatch,
     DomainError,
@@ -648,21 +648,67 @@ def test_bare_non_psd_matrix_rejected(fn):
     ([0.5, 0.4], NotNormalized, "row 1: spectrum sums to 0.9, expected 1"),
 ])
 def test_hu_ye_rows_rejects_what_hu_ye_rejects(bad_row, error, message):
+    # the stack kernel of the X-state sweep admits its rows by hu_ye's policy
     with pytest.raises(error):
         hu_ye(bad_row, 2, 0.5)
     rows = np.array([[1.0, 0.0], bad_row, [0.5, 0.5]])
     with pytest.raises(error, match=message):
-        hu_ye_rows(rows, 2, 0.5)
-
-
-def test_hu_ye_rows_needs_a_stack():
-    with pytest.raises(DimensionMismatch, match=r"\(2,\)"):
-        hu_ye_rows(np.array([0.5, 0.5]), 2, 0.5)
+        _hu_ye_own_rows(rows, 2, 0.5)
 
 
 def test_hu_ye_rows_clamps_as_hu_ye():
     good = np.array([[1.0 + 5e-11, -5e-11], [0.5, 0.5]])
-    assert hu_ye_rows(good, 2, 0.5).tolist() == [hu_ye(row, 2, 0.5) for row in good]
+    assert _hu_ye_own_rows(good.copy(), 2, 0.5).tolist() == [hu_ye(row, 2, 0.5) for row in good]
+
+
+class TestPastTheFloatRange:
+    # the maximally mixed qubit: I_3 = 0.25, and I_2000 = 2^-1999 underflows to 0
+    QUBIT = [0.5, 0.5]
+
+    def test_overflowing_power_is_infinite(self):
+        # 0.25^-2000 = 2^4000 is past the float range; the stack path gives the same inf
+        assert hu_ye(self.QUBIT, 3, -2000) == math.inf
+        assert hy_fredholm(self.QUBIT, 3, -2000) == math.inf
+        with np.errstate(over="ignore"):
+            assert _hu_ye_own_rows(np.array([self.QUBIT]), 3, -2000).tolist() == [math.inf]
+        res = evaluate("hy", self.QUBIT, EntropyParams(r=3, s=-2000))
+        assert res.value == math.inf
+        assert res.divergent
+        assert res.diagnostics["trace_power"] == 0.25
+
+    def test_overflowing_bound_is_infinite(self):
+        assert hy_bound(10, 0.5, 1000) == math.inf
+        assert math.isfinite(hy_bound(10, 0.5, 100))
+
+    @pytest.mark.parametrize("s, alpha, want", [(1000, 2, math.inf), (1001, 2, -math.inf),
+                                                (300.5, 3, math.inf)])
+    def test_overflowing_renormalized_power_keeps_its_sign(self, s, alpha, want):
+        # log det_alpha of [5] at r = 1/2 is -6.13 for alpha = 2, where an odd power
+        # stays negative, and 28.8 for alpha = 3
+        assert hy_renormalized([5.0], 0.5, s, alpha) == want
+        assert evaluate("hy-ren", [5.0], EntropyParams(r=0.5, s=s, alpha=alpha)).divergent
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: renyi(x, 2000),
+        lambda x: renyi(x, 2000, log_base="2"),
+        lambda x: hu_ye(x, 2000, -1),
+        lambda x: hy_fredholm(x, 2000, -0.5),
+        lambda x: evaluate("renyi", x, EntropyParams(r=2000)),
+        lambda x: evaluate("hy", x, EntropyParams(r=2000, s=-1)),
+    ], ids=["renyi", "renyi-base", "hu_ye", "hy_fredholm", "evaluate-renyi", "evaluate-hy"])
+    def test_underflowing_power_sum_is_a_domain_error(self, fn):
+        with pytest.raises(DomainError, match="underflows to 0 at r = 2000"):
+            fn(self.QUBIT)
+
+    def test_underflowing_power_sum_keeps_finite_maps(self):
+        # Tsallis and s > 0 need no log and no negative power of I_r = 0
+        assert tsallis(self.QUBIT, 2000) == 1 / 1999
+        assert hu_ye(self.QUBIT, 2000, 1) == 1 / 1999
+        assert hu_ye(self.QUBIT, 2000, 0.5) == 1 / 999.5
+
+    def test_zero_log_det_to_a_negative_power_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="log det_ren = 0"):
+            hy_renormalized([0.0, 0.0], 0.5, -1)
 
 
 class TestDiagnostics:
@@ -987,7 +1033,7 @@ class TestParametersFirst:
         lambda x: hu_ye(x, 2, 0),
         lambda x: hy_fredholm(x, 0.5, 1),
         lambda x: hy_renormalized(x, 0.5, 0),
-        lambda x: hu_ye_rows(np.array([x]), 1, 1),
+        lambda x: _hu_ye_own_rows(np.array([x]), 1, 1),
     ], ids=["von_neumann", "tsallis", "renyi", "renyi-base", "hu_ye", "hy_fredholm",
             "hy_renormalized", "hu_ye_rows"])
     def test_public_entropies(self, fn):

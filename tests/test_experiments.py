@@ -23,7 +23,7 @@ from entrodet import (
     zeta_ratio_product,
     zeta_spectrum,
 )
-from entrodet.entropy import hu_ye_rows
+from entrodet.entropy import _hu_ye_own_rows
 from entrodet.errors import ConstraintViolation, DomainError
 from entrodet.experiments import (
     SCHEMA_VERSION,
@@ -107,13 +107,13 @@ class TestXStateExperiment:
            s=st.floats(-4.0, 4.0).filter(lambda s: s != 0.0))
     def test_stacked_reductions_equal_separate_calls(self, d, samples, seed, r, s):
         # one stack of both reductions gives, bit for bit, the values of one
-        # hu_ye_rows call per reduction
+        # stack-kernel call per reduction (x_eigvalsh returns a fresh stack)
         report = run_xstate_experiment([d], samples, r=r, s=s, seed=seed)
         a, c = states.x_states_random(d, seed, samples)
         (a_a, c_a), (a_b, c_b) = states.x_partial_traces(a, c, d)
-        full = hu_ye_rows(states.x_eigvalsh(a, c), r, s)
-        diff = np.abs(hu_ye_rows(states.x_eigvalsh(a_a, c_a), r, s)
-                      - hu_ye_rows(states.x_eigvalsh(a_b, c_b), r, s))
+        full = _hu_ye_own_rows(states.x_eigvalsh(a, c), r, s)
+        diff = np.abs(_hu_ye_own_rows(states.x_eigvalsh(a_a, c_a), r, s)
+                      - _hu_ye_own_rows(states.x_eigvalsh(a_b, c_b), r, s))
         assert report.columns["hy_full"].tobytes() == full.tobytes()
         assert report.columns["hy_diff"].tobytes() == diff.tobytes()
 

@@ -547,7 +547,6 @@ def test_prime_table_gives_the_prefix_at_every_call(ks):
 
 
 @pytest.mark.parametrize("call", [
-    lambda n: states.power_law_spectrum(0.5, n),
     lambda n: states.log_power_spectrum(1.5, n),
     lambda n: states.squeezed_schmidt_spectrum(1.0, n),
     lambda n: gauss_legendre(n, 0.0, 1.0),
@@ -558,7 +557,7 @@ def test_prime_table_gives_the_prefix_at_every_call(ks):
     lambda n: run_xstate_experiment([2], n),
     lambda n: run_gaussian_experiment([0.5], n_max=50, m=n),
     lambda n: run_gaussian_experiment([0.5], n_max=n),
-], ids=["power_law_spectrum", "log_power_spectrum", "squeezed_schmidt_spectrum", "gauss_legendre",
+], ids=["log_power_spectrum", "squeezed_schmidt_spectrum", "gauss_legendre",
         "fredholm_det", "log_det_ren", "hy_bound", "first_k_primes", "run_xstate_experiment",
         "run_gaussian_experiment-m", "run_gaussian_experiment-n_max"])
 def test_counts_are_integers(call):

@@ -1,6 +1,9 @@
-"""Packaging checks: declared runtime dependencies, the modules and functions that read shared constants, and the pinned public API."""
+"""Packaging checks: declared runtime dependencies, the modules and functions that read shared constants, the pinned public API, and the functions the benchmark traces."""
 
 import ast
+import functools
+import importlib
+import json
 import re
 import sys
 import tomllib
@@ -95,14 +98,13 @@ PUBLIC_NAMES = [
     "divergence_probe", "eig_hermitian", "evaluate", "f_r", "first_k_primes", "fredholm_det",
     "gauss_legendre", "gaussian_entropy_analytic", "hu_ye", "hy_bound", "hy_fredholm",
     "hy_renormalized", "load_matrix", "log_det_r", "log_det_ren", "log_euler_factors",
-    "log_fredholm_det", "log_power_spectrum", "matrix_function", "nystrom_matrix",
-    "partial_trace", "power_law_generator", "power_law_spectrum", "prime_tail_bound",
-    "random_density", "renyi", "run_gaussian_experiment", "run_quad_test",
-    "run_xstate_experiment", "run_zeta_check", "save_matrix", "schatten_norm", "spectrum_of",
-    "splice_spectrum", "squeezed_kernel", "squeezed_schmidt_spectrum", "trace_distance",
-    "trace_power", "tsallis", "validate_density", "vn_renormalized", "vn_via_fredholm",
-    "von_neumann", "x_state", "x_state_random", "zeta_ratio_product", "zeta_series",
-    "zeta_spectrum",
+    "log_fredholm_det", "log_power_spectrum", "nystrom_matrix", "partial_trace",
+    "power_law_generator", "prime_tail_bound", "random_density", "renyi",
+    "run_gaussian_experiment", "run_quad_test", "run_xstate_experiment", "run_zeta_check",
+    "save_matrix", "spectrum_of", "splice_spectrum", "squeezed_kernel",
+    "squeezed_schmidt_spectrum", "trace_distance", "trace_power", "tsallis", "validate_density",
+    "vn_renormalized", "vn_via_fredholm", "von_neumann", "x_state", "x_state_random",
+    "zeta_ratio_product", "zeta_series", "zeta_spectrum",
 ]
 
 
@@ -113,3 +115,22 @@ def test_public_names_are_pinned():
     exported = sorted(name for name, value in vars(entrodet).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
+
+
+def test_benchmark_layers_name_live_functions():
+    # the benchmark's tracer looks up the layer of each per-layer metric by name
+    # (fredholm.zeta_ratio_product of fredholm.zeta_ratio_product.self_ms), so a
+    # deleted or renamed function fails here rather than in a traced run; a name
+    # of two parts (trace.overhead_ratio) is a counter, not a layer
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    layers = [metric["name"].rpartition(".")[0] for metric in bench["per_layer"]
+              if metric["name"].count(".") >= 2]
+    assert "fredholm.zeta_ratio_product" in layers  # the scan sees the metrics at all
+    dead = []
+    for layer in layers:
+        module, *path = layer.split(".")
+        target = functools.reduce(lambda obj, name: getattr(obj, name, None), path,
+                                  importlib.import_module(f"entrodet.{module}"))
+        if not callable(target):
+            dead.append(layer)
+    assert not dead, f"per-layer metrics name no function: {sorted(set(dead))}"

@@ -20,7 +20,6 @@ from entrodet import (
     log_power_spectrum,
     partial_trace,
     power_law_generator,
-    power_law_spectrum,
     random_density,
     run_gaussian_experiment,
     splice_spectrum,
@@ -285,36 +284,19 @@ class TestXStatesBatched:
 
 
 class TestPowerLawSpectrum:
-    def test_single_entry(self):
-        assert power_law_spectrum(1.0, 1).values.tolist() == [1.0]
-
-    def test_leading_weight(self):
-        spec = power_law_spectrum(1.0, 10)
-        assert spec.values[0] == pytest.approx(0.64525798278641426, abs=1e-14)
-
-    def test_normalized(self, rng):
-        for eps, k in ((0.5, 17), (1.0, 100), (2.3, 1000)):
-            assert abs(power_law_spectrum(eps, k).values.sum() - 1.0) < 1e-12
-
     def test_generator_matches_infinite_normalizer(self):
         lam = power_law_generator(1.0)
         assert lam(np.array([1.0]))[0] == pytest.approx(6 / math.pi**2, rel=1e-10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            power_law_spectrum(0.0, 5)
-        with pytest.raises(DomainError):
-            power_law_spectrum(1.0, 0)
-        with pytest.raises(DomainError):
-            power_law_spectrum(math.nan, 10)
-        with pytest.raises(DomainError):
-            power_law_generator(math.nan)
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                power_law_generator(eps)
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_exponent(self):
         # every builder refuses eps = inf the same way, before any numerics
-        for build in (lambda: power_law_spectrum(math.inf, 5),
-                      lambda: power_law_generator(math.inf),
+        for build in (lambda: power_law_generator(math.inf),
                       lambda: splice_spectrum([1.0], math.inf, 0.1, 3.0),
                       lambda: log_power_spectrum(math.inf, 5)):
             with pytest.raises(DomainError, match="exponent must be finite"):
@@ -471,10 +453,9 @@ class TestLogPowerSpectrum:
     lambda: squeezed_schmidt_spectrum(0.0, 10),
     lambda: squeezed_schmidt_spectrum(1.0, 5000),  # trailing zeros take the sort
     lambda: squeezed_schmidt_spectrum(20.0, 50),
-    lambda: power_law_spectrum(0.5, 10**4),
     lambda: splice_spectrum([0.6, 0.4], eps=1.0, delta=0.1, threshold=3.0),
 ], ids=["log-power", "log-power short", "zeta", "zeta raw", "squeezed r=0", "squeezed",
-        "squeezed t=1", "power law", "splice"])
+        "squeezed t=1", "splice"])
 def test_builders_admit_in_place_as_the_copy_path(monkeypatch, build):
     # the builders hand their own buffer to _own_spectrum; admitting a copy of
     # it instead (what as_spectrum does) gives the same spectrum bit for bit
