@@ -368,7 +368,7 @@ def hy_bound(d: int, r: float, s: float) -> float:
     _check_unified_params(r, s)
     d = _check_count(d, "dimension")
     e = (1.0 - r) * s
-    return (_float_power(float(d), e) - 1.0) / e
+    return (_float_power(float(d), e) - 1.0) / e + 0.0  # +0.0 folds away -0.0
 
 
 def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:

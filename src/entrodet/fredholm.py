@@ -12,18 +12,18 @@ is similar to it and has the same determinant. ``fredholm_det`` and
 ``log_fredholm_det`` share one route. Adaptive cross approximation
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
 from a few kernel rows and columns; every entry of A is checked for
-finiteness and every entry of ``A - U V^T`` against a tolerance, on a
-grid of one block as one array, on a larger one by a bound from one pass
-of row blocks of kernel values (for a kernel the library builds
-symmetric, the squeezed, constant and exp-rank-one kernels, blocks of the
-upper triangle, each compared with both triangles of ``U V^T``), and a
-grid neither bound decides as one array, which the fallback reuses; then
-``det(1 + A) = det(I_k + V^T U)`` for the numerical rank k. Kernels with
-no low rank fall back to the LU of the dense matrix. Both accumulate the
-determinant in log space and never form the product, so the
-log-determinant stays usable where the determinant itself overflows: a
-k x k core that overflows is scaled by a power of two first, and only an
-entry of A that overflows raises ``DomainError``.
+finiteness and every entry of ``A - U V^T`` against ``1e-12 max(|A_ij|,
+1)``, the 1 for the identity in ``1 + A``, on a grid of one block as one
+array and on a larger one in one pass of row blocks of kernel values (for
+a kernel the library builds symmetric, the squeezed, constant and
+exp-rank-one kernels, blocks of the upper triangle, compared with both
+triangles of ``U V^T``); then ``det(1 + A) = det(I_k + V^T U)`` for the
+numerical rank k. Kernels with no low rank fall back to the dense LU,
+refused (``DomainError``) where its rounding ``m eps max|A|`` reaches 1.
+Both accumulate the determinant in log space and never form the product,
+so the log-determinant stays usable where the determinant itself
+overflows: a k x k core that overflows is scaled by a power of two
+first, and only an entry of A that overflows raises ``DomainError``.
 
 The prime and zeta helpers, built on the Euler factors of
 ``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
@@ -65,17 +65,13 @@ MAX_PRIMES = 10**8
 
 # low-rank route: ACA stops at crosses below _ACA_TOL of the Frobenius
 # estimate, a decade above the rounding floor of about 1e-15; the grid check
-# allows entries of A - U V^T up to _GRID_TOL of max|A|
+# allows each entry of A - U V^T up to _GRID_TOL times max(|A_ij|, 1)
 _ACA_TOL = 1e-14
 _GRID_TOL = 1e-12
-# kernel values per block of the grid check: 256 KiB per block. The check's
-# buffer is reused, but the kernel's values and temporaries (x + y, exp of it)
-# are fresh arrays each block, and glibc serves such sizes by mmap or trims
-# them off the heap, so every block can page-fault them in anew. On one vCPU of
-# a shared Xeon host, over two runs of 20-30 interleaved cycles of an earlier
-# two-buffer check, a fredholm-nystrom cycle took a median 135-145 ms (831-1,000
-# faults) at 32K values, 138-151 ms (551-718) at 16K, 149 ms (600) at 8K,
-# 149-157 ms (2,438-2,612) at 64K and 245-249 ms (about 33,600) at 128K
+# kernel values per block of the grid check: 256 KiB per block. The kernel's
+# values and temporaries are fresh arrays each block, which glibc may serve by
+# mmap and fault in anew: a fredholm-nystrom cycle took a median 135-151 ms at
+# 16K-32K values, 149-157 ms at 8K and 64K and 245 ms at 128K (shared Xeon vCPU)
 _BLOCK_VALUES = 1 << 15
 # a blocked grid check whose upper bound on max|A| reaches this is re-decided in
 # A's own units: far above any rounding gap, far below the float maximum
@@ -137,8 +133,8 @@ class KernelSpec:
     nodes (``x[i:j, None]``) and a row of column nodes (``x[None, :]``,
     ``x[None, i:]`` from the diagonal for a kernel the library marks
     symmetric, or ``x[None, j:j + 1]`` for one column), and its result
-    must broadcast to the block. ``nystrom_matrix``, a determinant whose
-    grid is one block, and a blocked grid check that neither pass decides,
+    must broadcast to the block. ``nystrom_matrix`` and every grid built
+    whole (of one block, factored dense, or not decided in kernel units)
     call it once on ``x[:, None]`` and ``x[None, :]``.
     """
 
@@ -404,23 +400,25 @@ def _aca(
 
 
 def _one_block_within_tolerance(amat: np.ndarray, u: np.ndarray, vt: np.ndarray) -> bool:
-    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` on a one-block grid ``amat``.
+    """Whether ``|A - u @ vt| <= _GRID_TOL max(|A|, 1)`` entrywise on a one-block grid ``amat``.
 
-    Two passes: the residual is formed in place, then it and A are reduced
-    by max and min; a residual that is not finite (inf or NaN) fails.
+    The residual, formed in place, passes at once if within ``_GRID_TOL``
+    everywhere; else entry by entry. One that is not finite fails.
     """
     r = (np.dot if len(vt) == 1 else np.matmul)(u, vt)  # matmul's k = 1 path is slow
     r -= amat
-    return bool(max(r.max(), -r.min()) <= _GRID_TOL * max(amat.max(), -amat.min()))
+    if max(r.max(), -r.min()) <= _GRID_TOL:
+        return True
+    return bool((np.abs(r, out=r) <= _GRID_TOL * np.maximum(np.abs(amat), 1.0)).all())
 
 
 def _within_tolerance(
     kernel: KernelLike, rule: QuadratureRule, z: float, sw: np.ndarray, u: np.ndarray,
     vt: np.ndarray,
 ) -> tuple[bool, np.ndarray | None]:
-    """Whether ``max|A - u @ vt| <= _GRID_TOL * max|A|`` on a blocked grid; and A, if built.
+    """Whether ``|A - u @ vt| <= _GRID_TOL max(|A|, 1)`` on a blocked grid; and A, if built.
 
-    A pass over the grid in row blocks of about ``_BLOCK_VALUES`` values
+    One pass over the grid in row blocks of about ``_BLOCK_VALUES`` values
     compares the factors, brought to kernel units once (``us_i = u_i / (z
     sqrt(w_i))``, ``vs_j = vt_j / sqrt(w_j)``, 0 where the divisor is 0),
     with the kernel values K: ``(A - u @ vt)_ij = -z sqrt(w_i w_j) R_ij``
@@ -430,16 +428,12 @@ def _within_tolerance(
     the pair ``(vs^T, us^T)`` checks the mirrored entries (j, i) too: ACA
     with partial pivoting gives a non-symmetric ``u @ vt`` for a symmetric A.
 
-    ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij|`` bounds row i's
-    residual and ``|(u @ vt)_ij| - worst_i`` at the peaks of u's first
-    column and vt's first row (for ACA, the peak of the first cross's
-    column) bounds ``max|A|`` below; the grid passes when ``max worst`` is
-    within the tolerance of that, and ``sum_l max|u_l| max|vt_l| + max
-    worst``, above ``max|A|``, is below ``_NEAR_MAX``. Failing on the
-    tolerance alone, it takes a second pass with R's columns times
-    ``sqrt(w_j)``, which makes ``worst_i`` row i's residual itself. Else
-    ``_weighted_block`` builds A, raising ``NonFiniteKernel`` or
-    ``DomainError`` as ``nystrom_matrix`` does, ``_one_block_within_tolerance``
+    Row i passes on ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij| <=
+    _GRID_TOL``, above its residual in A's units; a row above that is tested
+    entry by entry in its block, ``|R_ij| <= _GRID_TOL max(|K_ij|, 1 / (|z|
+    sqrt(w_i w_j)))``. Where ``sum_l max|u_l| max|vt_l| + max worst``, above
+    ``max|A|``, is not below ``_NEAR_MAX`` or not finite, ``_weighted_block``
+    builds A (raising as ``nystrom_matrix`` does), ``_one_block_within_tolerance``
     decides, and A is returned for the fallback to factor.
     """
     f = _evaluator(kernel)
@@ -452,34 +446,32 @@ def _within_tolerance(
     vs = np.divide(vt, sw, out=np.zeros_like(vt), where=sw != 0.0)
     pairs = [(us, vs), (vs.T, us.T)] if symmetric else [(us, vs)]
     res = np.empty(max(_BLOCK_VALUES, m))
-    ext = np.empty((2 * len(pairs), m))  # per row: max and min of each residual
-    i, j = (int(np.abs(u[:, 0]).argmax()), int(np.abs(vt[0]).argmax())) if len(vt) else (0, 0)
+    bound = np.abs(scale) * sw.max()
+    top, passed, s = 0.0, True, 0
+    while s < m:
+        lo = s if symmetric else 0
+        e = min(m, s + max(1, _BLOCK_VALUES // (m - lo)))
+        kvals = np.asarray(f(x[s:e, None], x[None, lo:]), dtype=float)
+        r = res[: (e - s) * (m - lo)].reshape(e - s, m - lo)
+        for left, right in pairs:
+            product(left[s:e], right[:, lo:], out=r)
+            r -= kvals
+            # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call
+            worst = np.maximum(np.maximum.reduce(r, axis=1), -np.minimum.reduce(r, axis=1))
+            worst *= bound[s:e]
+            top = np.maximum(top, worst.max())  # NaN sticks
+            failed = np.flatnonzero(~(worst <= _GRID_TOL))
+            if passed and len(failed):
+                # tol / (|z| sqrt(w_i w_j)) overflows only where no finite R_ij can exceed it
+                kabs = _GRID_TOL * np.abs(np.broadcast_to(kvals, r.shape)[failed])
+                limit = np.maximum(kabs, _GRID_TOL / (np.abs(scale[s + failed, None]) * sw[lo:]))
+                passed = bool((np.abs(r[failed]) <= limit).all())
+        del kvals  # before the next block's evaluator call: one block alive
+        s = e
     size = float(np.maximum(u.max(0), -u.min(0)) @ np.maximum(vt.max(1), -vt.min(1)))
-    for weighted in (False, True):
-        s = 0
-        while s < m:
-            lo = s if symmetric else 0
-            e = min(m, s + max(1, _BLOCK_VALUES // (m - lo)))
-            kvals = np.asarray(f(x[s:e, None], x[None, lo:]), dtype=float)
-            r = res[: (e - s) * (m - lo)].reshape(e - s, m - lo)
-            for p, (left, right) in enumerate(pairs):
-                product(left[s:e], right[:, lo:], out=r)
-                r -= kvals
-                if weighted:
-                    r *= sw[lo:]
-                # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call
-                np.maximum.reduce(r, axis=1, out=ext[2 * p, s:e])
-                np.minimum.reduce(r, axis=1, out=ext[2 * p + 1, s:e])
-            del kvals  # before the next block's evaluator call: one block alive
-            s = e
-        worst = np.maximum(ext[0::2], -ext[1::2]).max(axis=0)  # NaN sticks
-        worst *= np.abs(scale) if weighted else np.abs(scale) * sw.max()
-        top = float(worst.max())
-        if not size + top < _NEAR_MAX:  # not finite, or near the float maximum
-            break
-        if top <= _GRID_TOL * (abs(float(u[i] @ vt[:, j])) - float(worst[i])):
-            return True, None
-    every = slice(None)
+    if size + top < _NEAR_MAX:
+        return passed, None
+    every = slice(None)  # not finite, or near the float maximum: decided in A's units
     amat = _weighted_block(f, rule, z, sw, every, every)
     return _one_block_within_tolerance(amat, u, vt), amat
 
@@ -507,16 +499,16 @@ def _nystrom_logdet(
     """``(sign, log|det|, rank)`` of the m-node Nystrom matrix of ``det(1 + z K)``.
 
     ACA factors ``A = z W^1/2 K W^1/2 ~ U V^T`` from a few kernel rows and
-    columns. If every entry of ``A - U V^T`` is within the tolerance, the
-    rank is k and the determinant is ``_core_slogdet``'s; if not, or if ACA
-    reaches the rank cap, the rank is m and it is the dense ``slogdet``. A
-    grid of at most ``_BLOCK_VALUES`` values is evaluated once: ACA reads
+    columns. If every entry obeys ``|A - U V^T| <= _GRID_TOL max(|A|, 1)``,
+    the rank is k and the determinant is ``_core_slogdet``'s; if not, or if
+    ACA reaches the rank cap, the rank is m and it is the dense ``slogdet``.
+    A grid of at most ``_BLOCK_VALUES`` values is evaluated once: ACA reads
     it, ``_one_block_within_tolerance`` checks it and the fallback factors
     it in place. A larger grid is read by single rows and columns, checked
-    in row blocks by ``_within_tolerance`` (on the upper triangle for a
-    ``_SymmetricKernel``) and built whole at most once, by
-    ``_weighted_block``: where neither pass of that check decides, or where
-    ACA reaches the rank cap; the fallback factors that array in place.
+    in one pass of row blocks by ``_within_tolerance`` (on the upper
+    triangle for a ``_SymmetricKernel``) and built whole at most once, by
+    ``_weighted_block``: where that check's bounds near the float maximum,
+    or where it or ACA fails; the fallback factors that array in place.
 
     Raises
     ------
@@ -524,7 +516,8 @@ def _nystrom_logdet(
         If a kernel value is not finite.
     DomainError
         If an entry of A overflows: the determinant is then out of reach of
-        both routes, whose rounding is relative to the largest entry.
+        both routes, whose rounding is relative to the largest entry; or if
+        the dense LU's rounding, ``m eps max|A|``, buries the identity (>= 1).
     """
     _check_node_cap(m)
     rule = gauss_legendre(m, a, b)
@@ -550,6 +543,9 @@ def _nystrom_logdet(
             if passed:
                 return _core_slogdet(*factors)
             dense = _weighted_block(f, rule, z, sw, every, every) if dense is None else dense
+    if (noise := m * np.finfo(float).eps * max(dense.max(), -dense.min())) >= 1.0:
+        raise DomainError(f"the dense LU at z = {z} on ({a}, {b}), m = {m} is rounding noise: "
+                          f"m eps max|A| = {noise:.3g} buries the identity")
     dense.flat[:: m + 1] += 1.0  # nystrom_matrix's array
     sign, logdet = np.linalg.slogdet(dense)
     return float(sign), float(logdet), m
@@ -748,11 +744,12 @@ def _partial_zeta(s: float, k: float) -> float:
     The first omitted one, ``|B_10| / 10! (s)_9 N^(-s-9)``, is below 1e-30
     for every s > 0, so rounding sets the error: a few ulps, growing like
     ``log(k)`` ulps through the rounding of s in ``k^(1-s)``. ``k`` is a
-    count or, for s > 1, ``math.inf``, where every power of k is 0.
+    count or, for s > 1, ``math.inf``, where every power of k is 0. Once
+    ``N^-s`` underflows the head is returned (the rest is below its ulp).
     """
     n = min(k, _EM_HEAD)
     head = float((np.arange(1, n + 1, dtype=float) ** -s).sum())
-    if k <= _EM_HEAD:
+    if k <= _EM_HEAD or n**-s == 0.0:
         return head
     log_ratio = math.log(k / n)
     # int_N^k x^-s dx: for |u| > 1 the plain difference loses at most a factor

@@ -449,6 +449,8 @@ def gaussian_entropy_analytic(r: float, mode: str = "stable") -> float:
             # sinh^2 would overflow; the dropped 1/(2 sinh^2) term is ~e^-2r
             return 2.0 * r - 2.0 * math.log(2.0) + 1.0
         s2 = math.sinh(r) ** 2
+        if s2 == 0.0 or math.isinf(1.0 / s2):  # no reciprocal to overflow; 0 once s2 underflows
+            return (1.0 + s2) * math.log1p(s2) - s2 * math.log(s2) if s2 else 0.0
         return math.log1p(s2) + s2 * math.log1p(1.0 / s2)
     raise DomainError(f"mode must be 'naive' or 'stable', got {mode!r}")
 

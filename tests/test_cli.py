@@ -272,6 +272,20 @@ class TestExperimentCommands:
         report = json.loads(proc.stdout)
         assert report["summary"]["passed"] is True
 
+    @pytest.mark.parametrize("q", ["53", "60", "1000"])
+    def test_zeta_check_where_the_log_ratio_rounds_to_zero(self, tmp_path, q):
+        # from q = 53 on log(zeta(q) / zeta(2q)) rounds to 0.0 and rel_gap divided
+        # by it (ZeroDivisionError, exit 1); its cells are now empty, null in JSON
+        out = tmp_path / "z.csv"
+        proc = run_cli("zeta-check", "--q", q, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["summary"]["log_analytic"] == 0.0
+        assert all(record["rel_gap"] is None for record in report["records"])
+        header, *rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        col = header.split(",").index("rel_gap")
+        assert rows and all(row.split(",")[col] == "" for row in rows)
+
     def test_quad_test(self):
         proc = run_cli("quad-test", "--kernel", "constant", "--z", "-0.5",
                        "--interval", "0", "1", "--m", "1,2,5")
@@ -343,3 +357,16 @@ class TestExperimentCommands:
         assert proc.returncode == 4
         assert "DomainError" in proc.stderr
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta-check", "--q", q] for q in ("53", "60", "1000", "1e45", "1e300")
+] + [
+    ["gaussian-experiment", "--r", r] for r in ("1e-155", "1e-160", "1e-162", "1e-200")
+])
+def test_float_range_edges_exit_with_a_contract_code(argv, capsys):
+    # each of these raised ZeroDivisionError (exit 1, a traceback) or wrote NaN or
+    # inf; no exception may escape main, whose exit code is 0, 2, 3 or 4
+    assert cli.main(argv) in (0, 2, 3, 4)
+    body = capsys.readouterr().out
+    assert "nan" not in body and "inf" not in body

@@ -970,6 +970,12 @@ class TestPureStates:
         value = fn(values)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
+    @pytest.mark.parametrize("r, s", [(2.0, 1.0), (2.0, 0.5), (0.5, 2.0), (3.0, -1.0)])
+    def test_bound_on_rank_one(self, r, s):
+        # the maximum on rank-1 states is the pure state's entropy: +0.0
+        value = hy_bound(1, r, s)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 @st.composite
 def _product_pair(draw):

@@ -595,6 +595,12 @@ class TestZeta:
     def test_series_large_order(self):
         assert zeta_series(50) == pytest.approx(1.0000000000000009, abs=1e-15)
 
+    @pytest.mark.parametrize("q", [107.0, 108.0, 1e44, 1e45, 1e300])
+    def test_series_once_the_tail_underflows(self, q):
+        # once 1024^-q underflows the sum is its head, 1.0; from about q = 1e45 the
+        # B_2..B_8 terms were an overflowing rising factorial times 0, NaN
+        assert zeta_series(q) == 1.0
+
     def test_series_against_scipy(self):
         for q in (1.1, 1.5, 2.0, 3.0, 4.5, 8.0, 20.0):
             assert zeta_series(q) == pytest.approx(float(scipy.special.zeta(q)), abs=2e-12)
@@ -714,9 +720,10 @@ class TestLowRankDeterminant:
         )
 
     @pytest.mark.xfail(
-        reason="ACA stops at rank 1, the exp(x + y) part alone: the grid check is "
-        "relative to max|A| ~ e^600, so the exp(-|x - y|) part passes as residual, "
-        "and 594.4746 comes back with no error or warning",
+        raises=DomainError,
+        reason="ACA stops at rank 1, the exp(x + y) part alone; the entrywise grid check "
+        "rejects that (it gave 594.4746 when the check was relative to max|A| ~ e^600), "
+        "and the dense LU, whose rounding m eps max|A| buries the identity, is refused",
     )
     def test_steep_kernel_with_full_rank_part(self):
         # the dense LU gives 2778.31, the exact log det of the rounded float
@@ -733,6 +740,31 @@ class TestLowRankDeterminant:
             ))))
         assert want == pytest.approx(625.2982, abs=1e-4)
         assert log_fredholm_det(kernel, 1.0, a, b, m) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [10, 400])
+    def test_steep_kernel_with_full_rank_part_is_refused(self, m):
+        # the m = 10 grid is one block, the m = 400 grid many: on both the entrywise
+        # check rejects ACA's rank-one factors, and the dense LU, which gave 2778.31
+        # at m = 10, is rounding noise
+        kernel = KernelSpec(lambda x, y: np.exp(x + y) + np.exp(-np.abs(x - y)), "steep-kink")
+        for det in (fredholm_det, log_fredholm_det):
+            with pytest.raises(DomainError, match="rounding noise") as info:
+                det(kernel, 1.0, 0.0, 300.0, m)
+            assert not isinstance(info.value, (NonFiniteKernel, NonPositiveDeterminant))
+
+    @pytest.mark.parametrize("m", [40, 400])
+    def test_dense_route_refused_from_m_eps_max_a_of_one(self, m):
+        # exp(-|x - y|) is no low rank and peaks on the diagonal, at z max w; the
+        # refusal reads machine epsilon, not the grid tolerance
+        kink = KernelSpec(lambda x, y: np.exp(-np.abs(x - y)), "kink")
+        peak = m * np.finfo(float).eps * gauss_legendre(m, 0.0, 1.0).weights.max()
+        for ratio in (0.5, 0.99):
+            sign, logdet, rank = fredholm._nystrom_logdet(kink, ratio / peak, 0.0, 1.0, m)
+            assert rank == m
+            assert (sign, logdet) == tuple(map(float, dense_slogdet(kink, ratio / peak, 0.0, 1.0, m)))
+        for ratio in (1.01, 2.0):
+            with pytest.raises(DomainError, match="rounding noise"):
+                fredholm._nystrom_logdet(kink, ratio / peak, 0.0, 1.0, m)
 
     def test_no_low_rank_falls_back_to_dense(self):
         # exp(-|x - y|) has singular values decaying like n^-2: ACA reaches the cap
@@ -849,16 +881,14 @@ class TestLowRankDeterminant:
             assert fredholm_det(CONST, 1.0, 0.0, 1.0, 4) == sign * math.inf
 
 
-def two_pass_within_tolerance(amat, u, vt):
-    """The grid check as two passes over the whole of A: the fused check's oracle.
+def entrywise_within_tolerance(amat, u, vt):
+    """The grid check entry by entry over the whole of A: the checks' oracle.
 
-    ``max|A - u @ vt| <= _GRID_TOL * max|A|``; a residual that is not finite fails.
+    ``|A - u @ vt| <= _GRID_TOL max(|A|, 1)`` at every entry; a residual that
+    is not finite fails.
     """
-    peak = float(np.abs(amat).max())
-    residual = u @ vt
-    residual -= amat
-    worst = float(np.abs(residual).max())  # NaN sticks
-    return worst <= fredholm._GRID_TOL * peak
+    residual = np.abs(u @ vt - amat)
+    return bool((residual <= fredholm._GRID_TOL * np.maximum(np.abs(amat), 1.0)).all())
 
 
 def exact_factors(phis, z, rule):
@@ -869,7 +899,12 @@ def exact_factors(phis, z, rule):
 
 
 class TestGridCheck:
-    """The one-block and the blocked grid check against the two-pass formula."""
+    """The one-block and the blocked grid check against the entrywise rule.
+
+    The tests named ``..._agrees_with_two_pass`` compare each check with
+    ``entrywise_within_tolerance``, which forms the residual over the whole
+    of A and then compares it entry by entry.
+    """
 
     PHIS = {1: (np.exp,), 2: (np.exp, lambda x: 0.5 * np.sin(3.0 * x))}
 
@@ -909,15 +944,16 @@ class TestGridCheck:
 
     def decide(self, rank, z, m, row, col, t, marked=False, b=1.0):
         rule, sw, u, vt, smooth = self.smooth(rank, z, m, b)
-        # a spike of t times the tolerance, in A's units, at (row, col), and at
-        # (col, row) too for a marked kernel
-        delta = t * fredholm._GRID_TOL * np.abs(smooth).max() / (abs(z) * sw[row] * sw[col])
+        # a spike of t times the entry's tolerance, in A's units, at (row, col),
+        # and at (col, row) too for a marked kernel
+        limit = fredholm._GRID_TOL * max(abs(smooth[row, col]), 1.0)
+        delta = t * limit / (abs(z) * sw[row] * sw[col])
         kernel = self.bad_kernel(self.PHIS[rank], rule.nodes[row], rule.nodes[col], delta, marked)
         amat = smooth.copy()  # the spiked kernel's A, which differs at the spikes only
         for i, j in {(row, col), (col, row)} if marked else {(row, col)}:
             amat[i, j] = fredholm._weighted_block(
                 fredholm._evaluator(kernel), rule, z, sw, slice(i, i + 1), slice(j, j + 1))[0, 0]
-        want = two_pass_within_tolerance(amat, u, vt)
+        want = entrywise_within_tolerance(amat, u, vt)
         with np.errstate(all="ignore"):
             if m * m <= fredholm._BLOCK_VALUES:
                 got = fredholm._one_block_within_tolerance(amat, u, vt)
@@ -961,7 +997,7 @@ class TestGridCheck:
         bad = u.copy()
         bad[m // 2, 0] = math.inf
         assert not fredholm._one_block_within_tolerance(amat, bad, vt)
-        assert not two_pass_within_tolerance(amat, bad, vt)
+        assert not entrywise_within_tolerance(amat, bad, vt)
         aca = fredholm._aca
 
         def infinite_aca(*args):
@@ -981,7 +1017,7 @@ class TestGridCheck:
         assert fredholm_det(EXP1, 0.0, 0.0, 1.0, m) == 1.0
         rule, sw, u, vt, amat = self.smooth(1, 0.0, m)
         assert fredholm._one_block_within_tolerance(amat, u, vt)
-        assert two_pass_within_tolerance(amat, u, vt)
+        assert entrywise_within_tolerance(amat, u, vt)
 
     @pytest.mark.parametrize("check", ["_one_block_within_tolerance", "_within_tolerance"])
     def test_grid_shape_picks_the_check(self, monkeypatch, check):
@@ -1014,7 +1050,7 @@ class TestGridCheck:
             amat = fredholm._weighted_block(fredholm._evaluator(kernel), rule, z, sw, every, every)
             assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt)[0] is False
         assert np.abs(amat).max() > fredholm._NEAR_MAX
-        assert not two_pass_within_tolerance(amat, u, vt)
+        assert not entrywise_within_tolerance(amat, u, vt)
 
     @pytest.mark.parametrize("m", [400, 2000])
     def test_row_scale_near_the_float_maximum_is_redecided(self, m):
@@ -1089,19 +1125,20 @@ class TestGridCheck:
         # of U along a vector orthogonal to column m - 1 of V^T, or in column 0
         # of V^T along a vector orthogonal to row 0 of U; the upper triangle
         # (diagonal included) still passes, so both triangles must be read
+        # by 10 times the tolerance, which is _GRID_TOL itself where |A| < 1
         z = 0.8
         rule, sw, u, vt, amat = self.smooth(2, z, m)
         u, vt = u.copy(), vt.copy()
-        peak = np.abs(amat).max()
+        assert np.abs(amat).max() < 1.0
         if factor == "u":
             w = np.array([vt[1, -1], -vt[0, -1]])  # row m - 1 of U V^T moves by t (w @ vt)
-            u[-1] += 10.0 * fredholm._GRID_TOL * peak / np.abs(w @ vt).max() * w
+            u[-1] += 10.0 * fredholm._GRID_TOL / np.abs(w @ vt).max() * w
         else:
             e = np.array([u[0, 1], -u[0, 0]])  # column 0 of U V^T moves by t (u @ e)
-            vt[:, 0] += 10.0 * fredholm._GRID_TOL * peak / np.abs(u @ e).max() * e
+            vt[:, 0] += 10.0 * fredholm._GRID_TOL / np.abs(u @ e).max() * e
         residual = u @ vt - amat
-        assert np.abs(np.triu(residual)).max() <= fredholm._GRID_TOL * peak
-        assert not two_pass_within_tolerance(amat, u, vt)
+        assert np.abs(np.triu(residual)).max() <= fredholm._GRID_TOL
+        assert not entrywise_within_tolerance(amat, u, vt)
         f = self.spiked(self.PHIS[2], 0.0, 0.0, 0.0)
         for kernel in (fredholm._SymmetricKernel(f, "rank two"), f):
             assert fredholm._within_tolerance(kernel, rule, z, sw, u, vt)[0] is False
@@ -1161,10 +1198,15 @@ class TestBlockedPath:
             with pytest.raises(DomainError, match="overflows") as info:
                 det(spike, z, 0.0, 1.0, m)
             assert not isinstance(info.value, NonFiniteKernel)
-        # at z = 1e-3 every entry of A is finite, and the spike is no low rank:
-        # the dense LU decides
-        got = fredholm._nystrom_logdet(spike, 1e-3, 0.0, 1.0, m)
-        assert got == (*map(float, dense_slogdet(spike, 1e-3, 0.0, 1.0, m)), m)
+        # at z = 1e-3 every entry of A is finite, but the spike, about 2e302 in A,
+        # puts the dense LU's rounding m eps max|A| past the identity: refused
+        with pytest.raises(DomainError, match="rounding noise") as info:
+            fredholm._nystrom_logdet(spike, 1e-3, 0.0, 1.0, m)
+        assert not isinstance(info.value, NonFiniteKernel)
+        # at z = 1e-295 the spike is about 2e10 in A, no low rank, and the dense
+        # LU decides
+        got = fredholm._nystrom_logdet(spike, 1e-295, 0.0, 1.0, m)
+        assert got == (*map(float, dense_slogdet(spike, 1e-295, 0.0, 1.0, m)), m)
 
     def test_kernel_times_weight_overflows_but_a_does_not(self):
         # on (0, 1000) sqrt(w_j) > 1, so K sqrt(w_j) overflows at the spike while
@@ -1202,10 +1244,11 @@ class TestBlockedPath:
             assert rank < 30
             assert seen and ((m, 1), (1, m)) not in seen
 
-    def test_second_pass_decides_a_residual_near_the_tolerance(self):
+    def test_one_pass_decides_a_residual_near_the_tolerance(self):
         # a draw of the benchmark's: ACA stops at rank 13 with a residual of 0.45 of
-        # the tolerance, at an end column, where the first pass's max sqrt(w) puts
-        # it at 1.6; the weighted second pass accepts it, and the grid is never whole
+        # max|A| times the tolerance, at an end column, where the row bound's
+        # max sqrt(w) puts it at 1.6; the entrywise rule, whose tolerance there is
+        # _GRID_TOL itself, accepts it in the one pass, and the grid is never whole
         m, z, b = 2000, 1.0515762578728332, 1.1213942323531108
         rows = []
 
@@ -1217,7 +1260,7 @@ class TestBlockedPath:
 
         kernel = fredholm._SymmetricKernel(evaluator, "squeezed")
         assert fredholm._nystrom_logdet(kernel, z, 0.0, b, m)[2] == 13
-        assert sum(rows) == 2 * m  # every row block twice
+        assert sum(rows) == m  # every row block once
 
     @pytest.mark.parametrize("case", ["bump", "marked bump", "weight overflow"])
     def test_failed_check_evaluates_the_grid_once(self, case):

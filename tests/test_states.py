@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entrodet import (
+    ProbeResult,
     diag_state,
     divergence_probe,
     eig_hermitian,
@@ -293,6 +294,14 @@ class TestPowerLawSpectrum:
             with pytest.raises(DomainError):
                 power_law_generator(eps)
 
+    def test_generator_at_a_huge_exponent(self):
+        # zeta(1 + 1e50) was NaN, and with it every value, every power sum and the
+        # probe's partial sum
+        lam = power_law_generator(1e50)
+        assert np.array_equal(lam(np.arange(1.0, 5.0)), [1.0, 0.0, 0.0, 0.0])
+        assert lam.power_sum(2.0, 10**6) == 1.0
+        assert divergence_probe(lam, 1.0, 0.5, 1000) == ProbeResult(True, 1, 1.0)
+
     @pytest.mark.filterwarnings("error")
     def test_infinite_exponent(self):
         # every builder refuses eps = inf the same way, before any numerics
@@ -567,6 +576,15 @@ class TestGaussianEntropy:
     def test_stable_finite_far_beyond(self):
         for r in (50.0, 300.0, 1000.0):
             assert math.isfinite(gaussian_entropy_analytic(r, "stable"))
+
+    @pytest.mark.parametrize("r", [1e-150, 1e-155, 1e-157, 1e-160, 1e-161, 1e-162, 1e-200])
+    def test_stable_at_tiny_r(self, r):
+        # 1 / sinh^2 r overflowed from about r = 1e-155 (inf) and divided by zero once
+        # sinh^2 r underflowed (ZeroDivisionError from r = 1e-162). The entropy is
+        # r^2 (1 - 2 log r) to within r^4; a subnormal sinh^2 r carries an absolute
+        # error of half its spacing, about 2.5e-324, times 1 - log sinh^2 r < 750
+        got = gaussian_entropy_analytic(r, "stable")
+        assert got == pytest.approx(r * (1.0 - 2.0 * math.log(r)) * r, rel=1e-12, abs=2e-321)
 
     def test_mode_domain(self):
         with pytest.raises(DomainError):
