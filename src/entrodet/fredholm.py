@@ -429,12 +429,14 @@ def _within_tolerance(
     with partial pivoting gives a non-symmetric ``u @ vt`` for a symmetric A.
 
     Row i passes on ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij| <=
-    _GRID_TOL``, above its residual in A's units; a row above that is tested
-    entry by entry in its block, ``|R_ij| <= _GRID_TOL max(|K_ij|, 1 / (|z|
-    sqrt(w_i w_j)))``. Where ``sum_l max|u_l| max|vt_l| + max worst``, above
-    ``max|A|``, is not below ``_NEAR_MAX`` or not finite, ``_weighted_block``
-    builds A (raising as ``nystrom_matrix`` does), ``_one_block_within_tolerance``
-    decides, and A is returned for the fallback to factor.
+    _GRID_TOL``, above its residual in A's units, and a block whose largest
+    ``|R|`` passes for the row of largest ``sqrt(w_i)`` passes whole; a row
+    above its bound is tested entry by entry in its block, ``|R_ij| <=
+    _GRID_TOL max(|K_ij|, 1 / (|z| sqrt(w_i w_j)))``. Where ``sum_l
+    max|u_l| max|vt_l|`` plus that block bound, above ``max|A|``, is not
+    below ``_NEAR_MAX`` or not finite, ``_weighted_block`` builds A (raising
+    as ``nystrom_matrix`` does), ``_one_block_within_tolerance`` decides,
+    and A is returned for the fallback to factor.
     """
     f = _evaluator(kernel)
     symmetric = isinstance(kernel, _SymmetricKernel)
@@ -447,6 +449,7 @@ def _within_tolerance(
     pairs = [(us, vs), (vs.T, us.T)] if symmetric else [(us, vs)]
     res = np.empty(max(_BLOCK_VALUES, m))
     bound = np.abs(scale) * sw.max()
+    coarse = float(bound.max())
     top, passed, s = 0.0, True, 0
     while s < m:
         lo = s if symmetric else 0
@@ -457,11 +460,11 @@ def _within_tolerance(
             product(left[s:e], right[:, lo:], out=r)
             r -= kvals
             # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call
-            worst = np.maximum(np.maximum.reduce(r, axis=1), -np.minimum.reduce(r, axis=1))
-            worst *= bound[s:e]
-            top = np.maximum(top, worst.max())  # NaN sticks
-            failed = np.flatnonzero(~(worst <= _GRID_TOL))
-            if passed and len(failed):
+            peak = coarse * max(np.maximum.reduce(r, axis=None), -np.minimum.reduce(r, axis=None))
+            top = max(top, peak if peak == peak else math.inf)  # NaN (maybe 0 * inf) as inf
+            if passed and not peak <= _GRID_TOL:  # else every row's bound holds
+                worst = np.maximum(np.maximum.reduce(r, axis=1), -np.minimum.reduce(r, axis=1))
+                failed = np.flatnonzero(~(worst * bound[s:e] <= _GRID_TOL))
                 # tol / (|z| sqrt(w_i w_j)) overflows only where no finite R_ij can exceed it
                 kabs = _GRID_TOL * np.abs(np.broadcast_to(kvals, r.shape)[failed])
                 limit = np.maximum(kabs, _GRID_TOL / (np.abs(scale[s + failed, None]) * sw[lo:]))
