@@ -15,11 +15,10 @@ from a few kernel rows and columns; every entry of A is checked for
 finiteness and every entry of ``A - U V^T`` against ``1e-12 max(|A_ij|,
 1)``, the 1 for the identity in ``1 + A``, on a grid of one block as one
 array and on a larger one in one pass of row blocks of kernel values (for
-a kernel the library builds symmetric, the squeezed, constant and
-exp-rank-one kernels, blocks of the upper triangle, compared with both
-triangles of ``U V^T``); then ``det(1 + A) = det(I_k + V^T U)`` for the
-numerical rank k. Kernels with no low rank fall back to the dense LU,
-refused (``DomainError``) where its rounding ``m eps max|A|`` reaches 1.
+a kernel the library builds symmetric, blocks of the upper triangle,
+compared with both triangles of ``U V^T``); then ``det(1 + A) = det(I_k +
+V^T U)`` for the numerical rank k. A kernel with no low rank takes the
+dense LU, refused (``DomainError``) where ``m eps max|A|`` reaches 1.
 Both accumulate the determinant in log space and never form the product,
 so the log-determinant stays usable where the determinant itself
 overflows: a k x k core that overflows is scaled by a power of two
@@ -400,10 +399,10 @@ def _aca(
 
 
 def _one_block_within_tolerance(amat: np.ndarray, u: np.ndarray, vt: np.ndarray) -> bool:
-    """Whether ``|A - u @ vt| <= _GRID_TOL max(|A|, 1)`` entrywise on a one-block grid ``amat``.
+    """Whether ``|A - u @ vt| <= _GRID_TOL max(|A|, 1)`` on a one-block grid ``amat``.
 
-    The residual, formed in place, passes at once if within ``_GRID_TOL``
-    everywhere; else entry by entry. One that is not finite fails.
+    A residual (formed in place) within ``_GRID_TOL`` passes at once, any
+    other entry by entry; one that is not finite fails.
     """
     r = (np.dot if len(vt) == 1 else np.matmul)(u, vt)  # matmul's k = 1 path is slow
     r -= amat
@@ -422,21 +421,20 @@ def _within_tolerance(
     compares the factors, brought to kernel units once (``us_i = u_i / (z
     sqrt(w_i))``, ``vs_j = vt_j / sqrt(w_j)``, 0 where the divisor is 0),
     with the kernel values K: ``(A - u @ vt)_ij = -z sqrt(w_i w_j) R_ij``
-    for ``R = us @ vs - K``, formed in one reused buffer and reduced per
-    row by max and min. Row block ``s:e`` covers the columns ``lo:``: all,
+    for ``R = us @ vs - K``, formed in one reused buffer and reduced by
+    max and min. Row block ``s:e`` covers the columns ``lo:``: all,
     or for a ``_SymmetricKernel`` those from the diagonal, ``lo = s``, where
     the pair ``(vs^T, us^T)`` checks the mirrored entries (j, i) too: ACA
     with partial pivoting gives a non-symmetric ``u @ vt`` for a symmetric A.
 
     Row i passes on ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij| <=
-    _GRID_TOL``, above its residual in A's units, and a block whose largest
-    ``|R|`` passes for the row of largest ``sqrt(w_i)`` passes whole; a row
-    above its bound is tested entry by entry in its block, ``|R_ij| <=
-    _GRID_TOL max(|K_ij|, 1 / (|z| sqrt(w_i w_j)))``. Where ``sum_l
-    max|u_l| max|vt_l|`` plus that block bound, above ``max|A|``, is not
-    below ``_NEAR_MAX`` or not finite, ``_weighted_block`` builds A (raising
-    as ``nystrom_matrix`` does), ``_one_block_within_tolerance`` decides,
-    and A is returned for the fallback to factor.
+    _GRID_TOL``, above its residual in A's units, and a block on its largest
+    ``|R|`` at the largest ``sqrt(w_i)``; in a block that fails, a row above
+    its bound is tested entry by entry, ``|R_ij| <= _GRID_TOL max(|K_ij|, 1 /
+    (|z| sqrt(w_i w_j)))``. Where ``sum_l max|u_l| max|vt_l|`` plus the block
+    bound is not below ``_NEAR_MAX`` or not finite, ``_weighted_block`` builds
+    A (raising as ``nystrom_matrix`` does) and ``_one_block_within_tolerance``
+    decides; A is returned for the fallback to factor.
     """
     f = _evaluator(kernel)
     symmetric = isinstance(kernel, _SymmetricKernel)
@@ -448,8 +446,7 @@ def _within_tolerance(
     vs = np.divide(vt, sw, out=np.zeros_like(vt), where=sw != 0.0)
     pairs = [(us, vs), (vs.T, us.T)] if symmetric else [(us, vs)]
     res = np.empty(max(_BLOCK_VALUES, m))
-    bound = np.abs(scale) * sw.max()
-    coarse = float(bound.max())
+    coarse = abs(z) * float(sw.max()) ** 2  # the row bound's factor at the largest sqrt(w_i)
     top, passed, s = 0.0, True, 0
     while s < m:
         lo = s if symmetric else 0
@@ -464,7 +461,7 @@ def _within_tolerance(
             top = max(top, peak if peak == peak else math.inf)  # NaN (maybe 0 * inf) as inf
             if passed and not peak <= _GRID_TOL:  # else every row's bound holds
                 worst = np.maximum(np.maximum.reduce(r, axis=1), -np.minimum.reduce(r, axis=1))
-                failed = np.flatnonzero(~(worst * bound[s:e] <= _GRID_TOL))
+                failed = np.flatnonzero(~(worst * np.abs(scale[s:e]) * sw.max() <= _GRID_TOL))
                 # tol / (|z| sqrt(w_i w_j)) overflows only where no finite R_ij can exceed it
                 kabs = _GRID_TOL * np.abs(np.broadcast_to(kvals, r.shape)[failed])
                 limit = np.maximum(kabs, _GRID_TOL / (np.abs(scale[s + failed, None]) * sw[lo:]))
