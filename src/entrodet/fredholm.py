@@ -427,13 +427,12 @@ def _within_tolerance(
     the pair ``(vs^T, us^T)`` checks the mirrored entries (j, i) too: ACA
     with partial pivoting gives a non-symmetric ``u @ vt`` for a symmetric A.
 
-    Row i passes on ``worst_i = |z| sqrt(w_i) max sqrt(w) max_j |R_ij| <=
-    _GRID_TOL``, above its residual in A's units, and a block on its largest
-    ``|R|`` at the largest ``sqrt(w_i)``; in a block that fails, a row above
-    its bound is tested entry by entry, ``|R_ij| <= _GRID_TOL max(|K_ij|, 1 /
-    (|z| sqrt(w_i w_j)))``. Where ``sum_l max|u_l| max|vt_l|`` plus the block
-    bound is not below ``_NEAR_MAX`` or not finite, ``_weighted_block`` builds
-    A (raising as ``nystrom_matrix`` does) and ``_one_block_within_tolerance``
+    A block passes on ``|z| max sqrt(w)^2 max|R| <= _GRID_TOL``, a bound on
+    its residual in A's units; a block above it is tested entry by entry
+    while in hand, ``|R_ij| <= _GRID_TOL max(|K_ij|, 1 / (|z| sqrt(w_i
+    w_j)))``. Where ``sum_l max|u_l| max|vt_l|`` plus the largest block bound
+    is not below ``_NEAR_MAX`` or not finite, ``_weighted_block`` builds A
+    (raising as ``nystrom_matrix`` does) and ``_one_block_within_tolerance``
     decides; A is returned for the fallback to factor.
     """
     f = _evaluator(kernel)
@@ -446,7 +445,7 @@ def _within_tolerance(
     vs = np.divide(vt, sw, out=np.zeros_like(vt), where=sw != 0.0)
     pairs = [(us, vs), (vs.T, us.T)] if symmetric else [(us, vs)]
     res = np.empty(max(_BLOCK_VALUES, m))
-    coarse = abs(z) * float(sw.max()) ** 2  # the row bound's factor at the largest sqrt(w_i)
+    coarse = abs(z) * float(sw.max()) ** 2
     top, passed, s = 0.0, True, 0
     while s < m:
         lo = s if symmetric else 0
@@ -459,13 +458,11 @@ def _within_tolerance(
             # the ufuncs' own reduce: np.max's wrapper adds about 3 us a call
             peak = coarse * max(np.maximum.reduce(r, axis=None), -np.minimum.reduce(r, axis=None))
             top = max(top, peak if peak == peak else math.inf)  # NaN (maybe 0 * inf) as inf
-            if passed and not peak <= _GRID_TOL:  # else every row's bound holds
-                worst = np.maximum(np.maximum.reduce(r, axis=1), -np.minimum.reduce(r, axis=1))
-                failed = np.flatnonzero(~(worst * np.abs(scale[s:e]) * sw.max() <= _GRID_TOL))
+            if passed and not peak <= _GRID_TOL:
                 # tol / (|z| sqrt(w_i w_j)) overflows only where no finite R_ij can exceed it
-                kabs = _GRID_TOL * np.abs(np.broadcast_to(kvals, r.shape)[failed])
-                limit = np.maximum(kabs, _GRID_TOL / (np.abs(scale[s + failed, None]) * sw[lo:]))
-                passed = bool((np.abs(r[failed]) <= limit).all())
+                limit = _GRID_TOL / (np.abs(scale[s:e, None]) * sw[lo:])
+                np.maximum(limit, _GRID_TOL * np.abs(kvals), out=limit)
+                passed = bool((np.abs(r) <= limit).all())
         del kvals  # before the next block's evaluator call: one block alive
         s = e
     size = float(np.maximum(u.max(0), -u.min(0)) @ np.maximum(vt.max(1), -vt.min(1)))
