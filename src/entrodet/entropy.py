@@ -299,11 +299,32 @@ def _renyi(r: float, log_base: str) -> Callable[[float], float]:
     return value
 
 
+def _renyi_limit(r: float, s: float, at_zero: str) -> Callable:
+    """``(x^s - 1) / ((1 - r) s)`` for an s so small that ``(1 - r) s`` underflows to 0.
+
+    Then ``x^s - 1 = s log x`` to within ``(s log x)^2``, far below the float
+    precision, so the value is the s -> 0 (Renyi) limit ``log(x) / (1 - r)``;
+    the quotient itself would be 0 / 0. Elementwise on an array; at x = 0 it
+    is the signed infinity of that limit, and a scalar with s < 0 raises
+    ``DomainError(at_zero)`` as ``0^s`` does.
+    """
+    def value(x):
+        if s < 0 and not isinstance(x, np.ndarray) and x == 0:
+            raise DomainError(at_zero)
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            v = np.log(x) / (1.0 - r) + 0.0
+        return v if isinstance(x, np.ndarray) else float(v)
+
+    return value
+
+
 def _unified(r: float, s: float) -> Callable:
     # the unified entropy as a map of the power sum I_r (or of log det = I_r),
     # elementwise on an array of them; +0.0 folds away -0.0
     _check_unified_params(r, s)
     at_zero = _UNDERFLOW.format(f"I_r^s with s = {s} < 0", r)
+    if (1.0 - r) * s == 0:
+        return _renyi_limit(r, s, at_zero)
     return lambda p: (_float_power(p, s, at_zero) - 1.0) / ((1.0 - r) * s) + 0.0
 
 
@@ -322,6 +343,8 @@ def _unified_renormalized(r: float, s: float) -> Callable[[float], float]:
             raise FractionalPowerOfNegative(
                 f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
             )
+        if (1.0 - r) * s == 0:
+            return _renyi_limit(r, s, at_zero)(log_det)
         e = int(round(s)) if float(s) == round(s) else s
         return (_float_power(log_det, e, at_zero) - 1.0) / ((1.0 - r) * s)
 
@@ -368,6 +391,8 @@ def hy_bound(d: int, r: float, s: float) -> float:
     _check_unified_params(r, s)
     d = _check_count(d, "dimension")
     e = (1.0 - r) * s
+    if e == 0:  # (1 - r) s underflowed: the s -> 0 (Renyi) limit, log d
+        return math.log(d)
     return (_float_power(float(d), e) - 1.0) / e + 0.0  # +0.0 folds away -0.0
 
 

@@ -177,6 +177,17 @@ class TestHuYe:
         assert hu_ye(lam, 2, 1e-6) == pytest.approx(renyi(lam, 2), abs=1e-4)
         assert hu_ye(lam, 1 + 1e-6, 1.0) == pytest.approx(von_neumann(lam), abs=1e-4)
 
+    @pytest.mark.parametrize("r", [0.5, 1 - 2**-53, 1 + 2**-52])
+    @pytest.mark.parametrize("s", [5e-324, -5e-324])
+    def test_denominator_underflow(self, r, s):
+        # (1 - r) s rounds to 0: the quotient was 0 / 0, a ZeroDivisionError here
+        # and NaN on a stack. At such s the value is the s -> 0 limit, the Renyi
+        # entropy, to far below the float precision
+        lam = [0.7, 0.2, 0.1]
+        want = renyi(lam, r)
+        assert hu_ye(lam, r, s) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert _hu_ye_own_rows(np.array([lam, lam]), r, s) == pytest.approx([want] * 2, rel=1e-15)
+
 
 class TestHyBound:
     def test_rank_one(self):
@@ -194,6 +205,12 @@ class TestHyBound:
             lam = np.full(d, 1.0 / d)
             for r, s in ((2, 0.5), (0.5, 1.5), (3, 2)):
                 assert hu_ye(lam, r, s) == pytest.approx(hy_bound(d, r, s), rel=1e-13)
+
+    @pytest.mark.parametrize("r, s", [(0.5, 5e-324), (1 + 2**-52, -5e-324)])
+    def test_exponent_underflow(self, r, s):
+        # (1 - r) s rounds to 0: the bound is the s -> 0 limit log d, not 0 / 0
+        assert hy_bound(3, r, s) == math.log(3)
+        assert hy_bound(1, r, s) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

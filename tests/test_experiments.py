@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import entrodet
 from entrodet import (
@@ -105,6 +105,7 @@ class TestXStateExperiment:
     @given(d=st.integers(2, 8), samples=st.integers(0, 12), seed=st.integers(0, 2**63),
            r=st.floats(0.05, 6.0).filter(lambda r: r != 1.0),
            s=st.floats(-4.0, 4.0).filter(lambda s: s != 0.0))
+    @example(d=3, samples=4, seed=1, r=0.5, s=5e-324)  # (1 - r) s underflows to 0
     def test_stacked_reductions_equal_separate_calls(self, d, samples, seed, r, s):
         # one stack of both reductions gives, bit for bit, the values of one
         # stack-kernel call per reduction (x_eigvalsh returns a fresh stack)
