@@ -25,7 +25,12 @@ Each entropy is a scalar map of one spectral statistic: the power sum
 ``trace_power``, ``von_neumann``'s ``-sum lam log lam``, ``vn_renormalized``,
 or one of the log-determinants ``log_det_r`` and ``log_det_ren``.
 :func:`evaluate` computes that statistic once, reports it as the
-diagnostic and maps it to the entropy. Each statistic is summed by
+diagnostic and maps it to the entropy. One builder makes the map of the
+Tsallis, Renyi, unified, determinant and renormalized forms,
+``x -> (x^s - 1) / ((1 - r) s)`` of the statistic x: Tsallis is s = 1
+and Renyi the ``(1 - r) s = 0`` limit ``log(x) / (1 - r)``. Each public
+entropy is :func:`evaluate`'s route for its kind, so each statistic is
+paired with its map in one place. Each statistic is summed by
 :func:`~entrodet.linalg._blocked_sum`: in leaves that stay in cache, on
 NumPy's own pairwise summation tree, so its bits are those of the
 whole-array formula.
@@ -54,11 +59,11 @@ from .errors import (
     _check_count,
 )
 from .linalg import (
-    DensityMatrix,
     MatrixLike,
     SpectrumLike,
     _admit,
     _blocked_sum,
+    _is_matrix,
     _matrix_map,
     _positive_prefix,
     as_spectrum,
@@ -69,7 +74,6 @@ from .states import _PowerLaw
 
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
-_UNDERFLOW = "{} needs I_r > 0, but the power sum underflows to 0 at r = {}"
 # indices per call of a generator that divergence_probe scans: 8 MB per float array
 _PROBE_CHUNK = 1_000_000
 
@@ -87,19 +91,26 @@ def _check_order(r: float, what: str) -> None:
         raise DomainError(f"{what} must be positive and finite, got {r}")
 
 
-def _check_deformation(r: float, what: str) -> None:
+def _check_deformation(r: float, what: str) -> float:
     if not 0.0 < r < math.inf or r == 1:
         raise DomainError(f"{what} must be positive, finite and != 1, got {r}")
+    return r
 
 
-def _check_s(s: float) -> None:
+def _check_s(s: float) -> float:
     if not math.isfinite(s) or s == 0:
         raise DomainError(f"deformation order s must be finite and nonzero, got {s}")
+    return s
 
 
-def _check_unified_params(r: float, s: float) -> None:
-    _check_deformation(r, "deformation order r")
-    _check_s(s)
+def _check_unified_params(r: float, s: float) -> tuple[float, float]:
+    return _check_deformation(r, "deformation order r"), _check_s(s)
+
+
+def _check_determinant_order(r: float) -> float:
+    if not 1.0 < r < math.inf:
+        raise DomainError(f"determinant form requires finite r > 1, got {r}")
+    return r
 
 
 # the ufuncs that ``x ** r`` calls in place of ``power`` at these exponents
@@ -195,7 +206,7 @@ def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     is, with no ``log1p(expm1(.))`` round trip to overflow past ~709.
     """
     _check_order(r, "order r")
-    if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
+    if _is_matrix(x):
         return _log_det_one_plus(x, lambda lam: math.expm1(lam**r), "f_r(Q)")
     return _power_sum(spectrum_of(x).values, r)
 
@@ -234,8 +245,6 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     eigenvalue, the top term ``(-1)^(alpha-1) g^(alpha-1) / (alpha-1)``
     outgrows the float range and the result is ``(-1)^(alpha-1) inf``.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"renormalization applies to r in (0, 1), got {r}")
     alpha = _resolve_alpha(r, alpha)
     lam = _positive_prefix(spectrum_of(x).values)
     if len(lam):
@@ -263,7 +272,7 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 # the entropies: scalar maps of one statistic
 # ---------------------------------------------------------------------------
-# Each map is built by a function that checks its parameters and returns
+# Each map is built from parameters that its route checks first, and returns
 # statistic -> entropy, so callers check before any spectral work.
 
 
@@ -272,93 +281,59 @@ def _scaled(log_base: str) -> Callable[[float], float]:
     return lambda h: h * scale
 
 
-def _tsallis(r: float) -> Callable[[float], float]:
-    _check_deformation(r, "Tsallis order")
-    return lambda i_r: (i_r - 1.0) / (1.0 - r) + 0.0  # +0.0 folds away -0.0
-
-
-def _float_power(x, e: float, at_zero: str = "0 to a negative power"):
+def _float_power(x, e: float):
     """``x ** e``, with the signed inf that an array's power gives past the float range."""
     try:
         return x**e
     except OverflowError:  # only a negative x to an odd integer power is negative
         return -math.inf if x < 0 and e % 2 else math.inf
-    except ZeroDivisionError:  # 0 ** (e < 0)
-        raise DomainError(at_zero) from None
 
 
-def _renyi(r: float, log_base: str) -> Callable[[float], float]:
-    _check_deformation(r, "Renyi order")
+def _deformed(r: float, s: float, log_base: str = "e", stat: str = "I_r") -> Callable:
+    """The map ``x -> (x^s - 1) / ((1 - r) s)`` of checked r and s, elementwise on an array.
+
+    ``x`` is the statistic named ``stat``: the power sum ``I_r`` (which
+    ``log det_r`` equals) or ``log det_ren``. s = 1 gives Tsallis. Where ``(1 - r) s``
+    is 0, at s = 0 (Renyi) or where the product underflows, the map is the s -> 0
+    limit ``log(x) / (1 - r)`` in ``log_base`` units: then ``x^s - 1 = s log x`` to
+    within ``(s log x)^2``, far below the float precision, and the quotient itself
+    would be 0 / 0. A scalar 0 with ``s <= 0`` (log 0, or 0 to a negative power)
+    raises ``DomainError``, and a negative scalar (only ``log det_ren`` can be one)
+    to a fractional s raises ``FractionalPowerOfNegative``; an array gives NumPy's
+    infinities there. A power past the float range is its signed infinity, and
+    +0.0 folds away -0.0.
+    """
+    e = (1.0 - r) * s
     scale = _base_scale(log_base)
 
-    def value(i_r: float) -> float:
-        if i_r == 0:  # every lam^r of a state underflowed
-            raise DomainError(_UNDERFLOW.format("log I_r", r))
-        return math.log(i_r) / (1.0 - r) * scale + 0.0  # +0.0 folds away -0.0
-
-    return value
-
-
-def _renyi_limit(r: float, s: float, at_zero: str) -> Callable:
-    """``(x^s - 1) / ((1 - r) s)`` for an s so small that ``(1 - r) s`` underflows to 0.
-
-    Then ``x^s - 1 = s log x`` to within ``(s log x)^2``, far below the float
-    precision, so the value is the s -> 0 (Renyi) limit ``log(x) / (1 - r)``;
-    the quotient itself would be 0 / 0. Elementwise on an array; at x = 0 it
-    is the signed infinity of that limit, and a scalar with s < 0 raises
-    ``DomainError(at_zero)`` as ``0^s`` does.
-    """
     def value(x):
-        if s < 0 and not isinstance(x, np.ndarray) and x == 0:
-            raise DomainError(at_zero)
-        with np.errstate(divide="ignore"):  # log 0 = -inf
-            v = np.log(x) / (1.0 - r) + 0.0
-        return v if isinstance(x, np.ndarray) else float(v)
-
-    return value
-
-
-def _unified(r: float, s: float) -> Callable:
-    # the unified entropy as a map of the power sum I_r (or of log det = I_r),
-    # elementwise on an array of them; +0.0 folds away -0.0
-    _check_unified_params(r, s)
-    at_zero = _UNDERFLOW.format(f"I_r^s with s = {s} < 0", r)
-    if (1.0 - r) * s == 0:
-        return _renyi_limit(r, s, at_zero)
-    return lambda p: (_float_power(p, s, at_zero) - 1.0) / ((1.0 - r) * s) + 0.0
-
-
-def _unified_fredholm(r: float, s: float) -> Callable[[float], float]:
-    if not 1.0 < r < math.inf:
-        raise DomainError(f"determinant form requires finite r > 1, got {r}")
-    return _unified(r, s)
-
-
-def _unified_renormalized(r: float, s: float) -> Callable[[float], float]:
-    _check_s(s)
-    at_zero = f"(log det_ren)^s with log det_ren = 0 and s = {s} < 0"
-
-    def value(log_det: float) -> float:
-        if log_det < 0 and float(s) != round(s):
+        scalar = not isinstance(x, np.ndarray)
+        if scalar and x < 0 and s != round(s):
             raise FractionalPowerOfNegative(
-                f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
+                f"({stat})^s with {stat} = {x:.6g} < 0 and fractional s = {s}"
             )
-        if (1.0 - r) * s == 0:
-            return _renyi_limit(r, s, at_zero)(log_det)
-        e = int(round(s)) if float(s) == round(s) else s
-        return (_float_power(log_det, e, at_zero) - 1.0) / ((1.0 - r) * s)
+        if scalar and x == 0 and s <= 0:
+            power = f"log {stat}" if s == 0 else f"({stat})^s with s = {s} < 0"
+            raise DomainError(f"{power} is undefined at {stat} = 0: every term of {stat} "
+                              f"underflows to 0 at r = {r}, or there is none")
+        if e != 0:
+            return (_float_power(x, s) - 1.0) / e + 0.0
+        if scalar:  # math.log, not np.log: the two differ in the last bit on some doubles
+            return (math.log(x) if x else -math.inf) / (1.0 - r) * scale + 0.0
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            return np.log(x) / (1.0 - r) * scale + 0.0
 
     return value
 
 
 def tsallis(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """Tsallis entropy (I_r - 1) / (1 - r); the s = 1 unified member."""
-    return _tsallis(r)(trace_power(spectrum_of(x, normalized=True), r))
+    return evaluate("tsallis", x, EntropyParams(r=r)).value
 
 
 def renyi(x: Union[SpectrumLike, MatrixLike], r: float, log_base: str = "e") -> float:
     """Renyi entropy log(I_r) / (1 - r); the s -> 0 unified member."""
-    return _renyi(r, log_base)(trace_power(spectrum_of(x, normalized=True), r))
+    return evaluate("renyi", x, EntropyParams(r=r, log_base=log_base)).value
 
 
 def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
@@ -368,7 +343,7 @@ def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
     r -> 1 (at s = 1) the von Neumann entropy. Non-negative on states,
     bounded by :func:`hy_bound` of the dimension.
     """
-    return _unified(r, s)(trace_power(spectrum_of(x, normalized=True), r))
+    return evaluate("hy", x, EntropyParams(r=r, s=s)).value
 
 
 def _hu_ye_own_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
@@ -377,7 +352,7 @@ def _hu_ye_own_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     The stack is admitted in place, by :func:`hu_ye`'s policy, so its negative
     rounding values become 0; the first bad row is named.
     """
-    to_value = _unified(r, s)
+    to_value = _deformed(*_check_unified_params(r, s))
     _admit(lam, normalized=True)
     return to_value((lam**r).sum(axis=1))
 
@@ -402,7 +377,7 @@ def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float
     Valid for r > 1, where the determinant is finite on any state; equal
     to :func:`hu_ye` by the identity log det = I_r.
     """
-    return _unified_fredholm(r, s)(log_det_r(spectrum_of(x, normalized=True), r))
+    return evaluate("hy-fredholm", x, EntropyParams(r=r, s=s)).value
 
 
 def hy_renormalized(
@@ -416,7 +391,7 @@ def hy_renormalized(
     convention; the value itself may be negative (renormalization
     forfeits the lower bound of the plain entropy).
     """
-    return _unified_renormalized(r, s)(log_det_ren(x, r, alpha))
+    return evaluate("hy-ren", x, EntropyParams(r=r, s=s, alpha=alpha)).value
 
 
 @dataclass(frozen=True)
@@ -565,15 +540,18 @@ _ROUTES = {
     "vn-ren": ("renormalized", lambda spec, p: vn_renormalized(spec),
                lambda p: lambda h: h, None),
     "tsallis": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
-                lambda p: _tsallis(p.r), "trace_power"),
+                lambda p: _deformed(_check_deformation(p.r, "Tsallis order"), 1.0),
+                "trace_power"),
     "renyi": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
-              lambda p: _renyi(p.r, p.log_base), "trace_power"),
+              lambda p: _deformed(_check_deformation(p.r, "Renyi order"), 0.0, p.log_base),
+              "trace_power"),
     "hy": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
-           lambda p: _unified(p.r, p.s), "trace_power"),
+           lambda p: _deformed(*_check_unified_params(p.r, p.s)), "trace_power"),
     "hy-fredholm": ("fredholm", lambda spec, p: log_det_r(spec, p.r),
-                    lambda p: _unified_fredholm(p.r, p.s), "log_det"),
-    "hy-ren": ("renormalized", lambda spec, p: log_det_ren(spec, p.r, p.alpha),
-               lambda p: _unified_renormalized(p.r, p.s), "log_det"),
+                    lambda p: _deformed(_check_determinant_order(p.r), _check_s(p.s)),
+                    "log_det"),
+    "hy-ren": ("renormalized", lambda spec, p: log_det_ren(spec, p.r, p.alpha),  # _route checks r
+               lambda p: _deformed(p.r, _check_s(p.s), stat="log det_ren"), "log_det"),
 }
 KINDS = tuple(_ROUTES)
 

@@ -220,6 +220,11 @@ def _eigensolve(solver, m: np.ndarray):
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
+def _is_matrix(x) -> bool:
+    """Whether an input is read as a matrix: a :class:`DensityMatrix` or a 2-D array."""
+    return isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2)
+
+
 def spectrum_of(
     x: Union[SpectrumLike, MatrixLike], normalized: bool | None = None
 ) -> Spectrum:
@@ -238,7 +243,7 @@ def spectrum_of(
     NotPositive, NotNormalized
         As :func:`as_spectrum`.
     """
-    if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
+    if _is_matrix(x):
         x = _eigensolve(np.linalg.eigvalsh, _hermitian(x))
     return as_spectrum(x, normalized)
 

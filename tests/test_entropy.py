@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from entrodet import (
     alpha_star,
@@ -727,6 +727,11 @@ class TestPastTheFloatRange:
         with pytest.raises(DomainError, match="log det_ren = 0"):
             hy_renormalized([0.0, 0.0], 0.5, -1)
 
+    def test_renormalized_map_folds_negative_zero(self):
+        # (-1)^-2 = 1, so the quotient is 0 / ((1 - r) s) = 0 / -1 = -0.0 before the fold
+        value = entropy._route("hy-ren", EntropyParams(r=0.5, s=-2))[2](-1.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 class TestDiagnostics:
     LAM = np.array([0.5, 0.3, 0.15, 0.05])
@@ -1062,3 +1067,176 @@ class TestParametersFirst:
     def test_public_entropies(self, fn):
         with pytest.raises(DomainError):
             fn(self.BAD_SPECTRUM)
+
+
+# The six map builders that one builder replaced, as they read before the merge,
+# kept as oracles; the parameter checks are left out, since the tests draw valid
+# parameters. Two outputs differ by design: the renormalized map now folds -0.0
+# to +0.0 as every other map does, and where (1 - r) s underflows to 0 a scalar
+# takes math.log (as Renyi does) in place of np.log, which can move the last bit.
+
+
+def _oracle_float_power(x, e, at_zero="0 to a negative power"):
+    try:
+        return x**e
+    except OverflowError:
+        return -math.inf if x < 0 and e % 2 else math.inf
+    except ZeroDivisionError:
+        raise DomainError(at_zero) from None
+
+
+def _oracle_tsallis(r):
+    return lambda i_r: (i_r - 1.0) / (1.0 - r) + 0.0
+
+
+def _oracle_renyi(r, log_base):
+    scale = 1.0 if log_base == "e" else 1.0 / math.log(2.0)
+
+    def value(i_r):
+        if i_r == 0:
+            raise DomainError(
+                f"log I_r needs I_r > 0, but the power sum underflows to 0 at r = {r}"
+            )
+        return math.log(i_r) / (1.0 - r) * scale + 0.0
+
+    return value
+
+
+def _oracle_renyi_limit(r, s, at_zero):
+    def value(x):
+        if s < 0 and not isinstance(x, np.ndarray) and x == 0:
+            raise DomainError(at_zero)
+        with np.errstate(divide="ignore"):
+            v = np.log(x) / (1.0 - r) + 0.0
+        return v if isinstance(x, np.ndarray) else float(v)
+
+    return value
+
+
+def _oracle_unified(r, s):
+    at_zero = f"I_r^s with s = {s} < 0 needs I_r > 0, but the power sum underflows to 0 at r = {r}"
+    if (1.0 - r) * s == 0:
+        return _oracle_renyi_limit(r, s, at_zero)
+    return lambda p: (_oracle_float_power(p, s, at_zero) - 1.0) / ((1.0 - r) * s) + 0.0
+
+
+def _oracle_unified_fredholm(r, s):
+    return _oracle_unified(r, s)
+
+
+def _oracle_unified_renormalized(r, s):
+    at_zero = f"(log det_ren)^s with log det_ren = 0 and s = {s} < 0"
+
+    def value(log_det):
+        if log_det < 0 and float(s) != round(s):
+            raise FractionalPowerOfNegative(
+                f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
+            )
+        if (1.0 - r) * s == 0:
+            return _oracle_renyi_limit(r, s, at_zero)(log_det)
+        e = int(round(s)) if float(s) == round(s) else s
+        return (_oracle_float_power(log_det, e, at_zero) - 1.0) / ((1.0 - r) * s)
+
+    return value
+
+
+_ORACLE_MAPS = {
+    "tsallis": lambda p: _oracle_tsallis(p.r),
+    "renyi": lambda p: _oracle_renyi(p.r, p.log_base),
+    "hy": lambda p: _oracle_unified(p.r, p.s),
+    "hy-fredholm": lambda p: _oracle_unified_fredholm(p.r, p.s),
+    "hy-ren": lambda p: _oracle_unified_renormalized(p.r, p.s + 0.0),
+}
+_ORDERS = st.one_of(
+    st.floats(0.0, 5.0, exclude_min=True, exclude_max=True).filter(lambda r: r != 1),
+    st.sampled_from([1 - 2**-53, 1 + 2**-52]),
+)
+_DEFORMATIONS = st.one_of(
+    st.just(1.0),
+    st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310]),  # (1 - r) s may underflow
+    st.integers(-2000, 2000).filter(bool).map(float),
+    st.floats(-50.0, 50.0).filter(bool),
+)
+_STATISTICS = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(1e300, 1.7976931348623157e308),  # near the float maximum
+    st.floats(0.0, 10.0),
+)
+
+
+def _assert_same_outcome(got, want, kind, p, scalar):
+    """``got()`` has the bits of the oracle's ``want()``, or its refusal."""
+    try:
+        expected = want()
+    except DomainError as exc:  # FractionalPowerOfNegative is one too
+        with pytest.raises(type(exc)) as refused:
+            got()
+        if type(exc) is DomainError:  # log 0 or 0 to a negative power
+            statistic = "log det_ren = 0" if kind == "hy-ren" else f"underflows to 0 at r = {p.r}"
+            assert statistic in str(refused.value)
+        return
+    value = got()
+    if kind == "hy-ren":
+        expected = expected + 0.0  # the fold of -0.0 that the other maps had already
+    if scalar and kind != "renyi" and (1.0 - p.r) * p.s == 0:  # Tsallis has s = 1
+        assert value == pytest.approx(expected, rel=2**-51, abs=0.0)  # math.log, not np.log
+    else:
+        assert np.asarray(value, float).tobytes() == np.asarray(expected, float).tobytes()
+
+
+class TestOneDeformedMap:
+    # tsallis, renyi, hu_ye, hy_fredholm, hy_renormalized, evaluate and the X-state
+    # stack kernel map their statistic as the six builders before the merge did
+
+    # a pure state's I_r, 0, the smallest subnormal and the float maximum: at 1.0 a
+    # quotient can be -0.0, at 0 the map refuses or is infinite, past 1 it can overflow
+    EDGES = [1.0, 0.0, 5e-324, 1.7976931348623157e308]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(_ORACLE_MAPS)), _ORDERS, _DEFORMATIONS,
+           st.sampled_from(["e", "2"]), st.data())
+    def test_maps_of_a_statistic(self, kind, r, s, log_base, data):
+        assume(kind != "hy-fredholm" or r > 1)
+        assume(kind != "hy-ren" or r < 1)
+        p = EntropyParams(r=r, s=s, log_base=log_base)
+        to_value, oracle = entropy._ROUTES[kind][2](p), _ORACLE_MAPS[kind](p)
+        stats = [data.draw(_STATISTICS), *self.EDGES]
+        if kind == "hy-ren":  # only log det_ren can be negative
+            stats += [-x for x in stats]
+        for stat in stats:
+            _assert_same_outcome(lambda: to_value(stat), lambda: oracle(stat), kind, p,
+                                 scalar=True)
+        if kind == "hy":  # the stack kernel's elementwise branch
+            stats = np.array(data.draw(st.lists(_STATISTICS, max_size=6)) + self.EDGES)
+            with np.errstate(all="ignore"):
+                _assert_same_outcome(lambda: to_value(stats), lambda: oracle(stats), kind, p,
+                                     scalar=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(_ORACLE_MAPS)), _ORDERS, _DEFORMATIONS,
+           st.sampled_from(["e", "2"]), st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.integers(0, 3))
+    def test_public_entropies(self, kind, r, s, log_base, seed, n, zeros):
+        assume(kind != "hy-fredholm" or r > 1)
+        assume(kind != "hy-ren" or 0.05 <= r < 1)  # alpha = ceil(1 / r): few terms per value
+        lam = np.concatenate([random_spectrum_values(np.random.default_rng(seed), n),
+                              np.zeros(zeros)])
+        p = EntropyParams(r=r, s=s, log_base=log_base)
+        public = {
+            "tsallis": lambda: tsallis(lam, r),
+            "renyi": lambda: renyi(lam, r, log_base),
+            "hy": lambda: hu_ye(lam, r, s),
+            "hy-fredholm": lambda: hy_fredholm(lam, r, s),
+            "hy-ren": lambda: hy_renormalized(lam, r, s),
+        }[kind]
+        stat = {"hy-fredholm": log_det_r, "hy-ren": log_det_ren}.get(kind, trace_power)(lam, r)
+        want = lambda: _ORACLE_MAPS[kind](p)(stat)
+        _assert_same_outcome(public, want, kind, p, scalar=True)
+        _assert_same_outcome(lambda: evaluate(kind, lam, p).value, want, kind, p, scalar=True)
+        if kind == "hy":
+            rows = np.array([lam, lam[::-1]])
+            with np.errstate(all="ignore"):
+                _assert_same_outcome(lambda: _hu_ye_own_rows(rows.copy(), r, s),
+                                     lambda: _oracle_unified(r, s)((rows**r).sum(axis=1)),
+                                     kind, p, scalar=False)

@@ -75,6 +75,17 @@ def test_three_functions_read_the_grid_tolerance():
     assert readers == {"_aca", "_one_block_within_tolerance", "_within_tolerance"}, sorted(readers)
 
 
+def test_one_builder_maps_the_deformed_entropies():
+    # the Tsallis, Renyi, unified, determinant and renormalized forms are one map of
+    # their statistic, built by _deformed; hy_bound raises the dimension to the same
+    # power. A second copy of the map would read _float_power from another statement
+    readers = {(path.name, getattr(node, "name", type(node).__name__))
+               for path in (ROOT / "src" / "entrodet").glob("*.py")
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if any(names_used(inner) & {"_float_power"} for inner in ast.walk(node))}
+    assert readers == {("entropy.py", "_deformed"), ("entropy.py", "hy_bound")}, sorted(readers)
+
+
 def test_one_block_constant_for_long_spectra():
     # one leaf size for every long 1-D pass: the blocked sum of the statistics
     # and the log-power build read it, and no second constant is left over
