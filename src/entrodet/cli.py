@@ -149,12 +149,11 @@ def main(argv: list[str] | None = None) -> int:
             report = experiments.run_zeta_check(args.q, args.r, args.k)
             _emit_report(report, args.out)
             return EXIT_OK
-        if args.command == "quad-test":
-            a, b = args.interval
-            report = experiments.run_quad_test(args.kernel, args.z, a, b, args.m_list)
-            _emit_report(report, args.out)
-            return EXIT_OK
-        raise DomainError(f"unknown command {args.command!r}")
+        # quad-test: the required subparsers admit no other command
+        a, b = args.interval
+        report = experiments.run_quad_test(args.kernel, args.z, a, b, args.m_list)
+        _emit_report(report, args.out)
+        return EXIT_OK
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

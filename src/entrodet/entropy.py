@@ -52,11 +52,13 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    _MAX_COUNT,
     DimensionMismatch,
     DomainError,
     FractionalPowerOfNegative,
     NotPositive,
     _check_count,
+    _check_real,
 )
 from .linalg import (
     MatrixLike,
@@ -86,31 +88,22 @@ def _base_scale(log_base: str) -> float:
     raise DomainError(f"log base must be 'e' or '2', got {log_base!r}")
 
 
-def _check_order(r: float, what: str) -> None:
-    if not 0.0 < r < math.inf:  # NaN fails too
-        raise DomainError(f"{what} must be positive and finite, got {r}")
-
-
 def _check_deformation(r: float, what: str) -> float:
-    if not 0.0 < r < math.inf or r == 1:
-        raise DomainError(f"{what} must be positive, finite and != 1, got {r}")
+    r = _check_real(r, what, 0.0)
+    if r == 1:
+        raise DomainError(f"{what} must be != 1, got {r}")
     return r
 
 
 def _check_s(s: float) -> float:
-    if not math.isfinite(s) or s == 0:
-        raise DomainError(f"deformation order s must be finite and nonzero, got {s}")
+    s = _check_real(s, "deformation order s")
+    if s == 0:
+        raise DomainError(f"deformation order s must be nonzero, got {s}")
     return s
 
 
 def _check_unified_params(r: float, s: float) -> tuple[float, float]:
     return _check_deformation(r, "deformation order r"), _check_s(s)
-
-
-def _check_determinant_order(r: float) -> float:
-    if not 1.0 < r < math.inf:
-        raise DomainError(f"determinant form requires finite r > 1, got {r}")
-    return r
 
 
 # the ufuncs that ``x ** r`` calls in place of ``power`` at these exponents
@@ -145,7 +138,7 @@ def _vn_ren_terms(lam: np.ndarray, ent: np.ndarray, g: np.ndarray) -> np.ndarray
 
 def trace_power(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """Trace power sum I_r = sum_i lam_i^r of a spectrum (0 log-safe)."""
-    _check_order(r, "trace power order")
+    r = _check_real(r, "trace power order", 0.0)
     return _power_sum(spectrum_of(x).values, r)
 
 
@@ -193,7 +186,7 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
 
 def f_r(q: MatrixLike, r: float) -> np.ndarray:
     """The positive operator exp(Q^r) - 1 via the functional calculus."""
-    _check_order(r, "order r")
+    r = _check_real(r, "order r", 0.0)
     return _matrix_map(*eig_hermitian(q), lambda lam: math.expm1(lam**r))
 
 
@@ -205,7 +198,7 @@ def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     power sum ``I_r`` itself, returned directly: finite wherever ``I_r``
     is, with no ``log1p(expm1(.))`` round trip to overflow past ~709.
     """
-    _check_order(r, "order r")
+    r = _check_real(r, "order r", 0.0)
     if _is_matrix(x):
         return _log_det_one_plus(x, lambda lam: math.expm1(lam**r), "f_r(Q)")
     return _power_sum(spectrum_of(x).values, r)
@@ -213,21 +206,19 @@ def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
 
 def alpha_star(r: float) -> int:
     """Smallest integer alpha with alpha * r >= 1, for r in (0, 1)."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(
-            f"regularization order is defined for r in (0, 1), got {r}"
-        )
-    a = int(math.floor(1.0 / r))
-    if a * r < 1.0:
-        a += 1
-    return a
+    return _resolve_alpha(r, None)[1]
 
 
-def _resolve_alpha(r: float, alpha: int | None) -> int:
-    a_min = alpha_star(r)
+def _resolve_alpha(r: float, alpha: int | None) -> tuple[float, int]:
+    """``(r, alpha)`` checked: r a float in (0, 1) with ``1 / r`` finite, and alpha an int
+    from :func:`alpha_star` to 2**53, or :func:`alpha_star` itself for ``alpha=None``."""
+    r = _check_real(r, "deformation order r", 1.0 / sys.float_info.max, 1.0)
+    a_min = int(math.floor(1.0 / r))
+    if a_min * r < 1.0:
+        a_min += 1
     if alpha is None:
-        return a_min
-    return _check_count(alpha, "regularization order alpha", a_min)
+        return r, a_min
+    return r, _check_count(alpha, "regularization order alpha", a_min, _MAX_COUNT)
 
 
 def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
@@ -245,7 +236,7 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     eigenvalue, the top term ``(-1)^(alpha-1) g^(alpha-1) / (alpha-1)``
     outgrows the float range and the result is ``(-1)^(alpha-1) inf``.
     """
-    alpha = _resolve_alpha(r, alpha)
+    r, alpha = _resolve_alpha(r, alpha)
     lam = _positive_prefix(spectrum_of(x).values)
     if len(lam):
         top = float(lam[0]) ** r  # the largest eigenvalue comes first
@@ -352,7 +343,8 @@ def _hu_ye_own_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
     The stack is admitted in place, by :func:`hu_ye`'s policy, so its negative
     rounding values become 0; the first bad row is named.
     """
-    to_value = _deformed(*_check_unified_params(r, s))
+    r, s = _check_unified_params(r, s)
+    to_value = _deformed(r, s)
     _admit(lam, normalized=True)
     return to_value((lam**r).sum(axis=1))
 
@@ -363,12 +355,12 @@ def hy_bound(d: int, r: float, s: float) -> float:
     ``(d^((1-r)s) - 1) / ((1-r)s)``, attained exactly by the maximally
     mixed state of rank d.
     """
-    _check_unified_params(r, s)
+    r, s = _check_unified_params(r, s)
     d = _check_count(d, "dimension")
     e = (1.0 - r) * s
     if e == 0:  # (1 - r) s underflowed: the s -> 0 (Renyi) limit, log d
         return math.log(d)
-    return (_float_power(float(d), e) - 1.0) / e + 0.0  # +0.0 folds away -0.0
+    return (_float_power(_check_real(d, "dimension"), e) - 1.0) / e + 0.0  # +0.0 folds away -0.0
 
 
 def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
@@ -433,21 +425,16 @@ def divergence_probe(
     Raises
     ------
     DomainError
-        If r is not positive and finite, the threshold is NaN, or
-        ``k_max`` is not an integer >= 1 or exceeds 2**53.
+        If r is not positive and finite, the threshold is not finite, or ``k_max``
+        is not an integer in 1..2**53, past which indices are not exact doubles.
     DimensionMismatch
         If a scanned chunk of values does not have the shape of its indices.
     NotPositive
         If a scanned value is negative or not finite, naming its index.
     """
-    _check_order(r, "probe order")
-    k_max = _check_count(k_max, "probe length k_max")
-    if k_max > 2**53:  # no digits in the message: str() refuses ints past 4300 digits
-        raise DomainError(
-            "probe length k_max exceeds 2**53, past which indices are not exact doubles"
-        )
-    if math.isnan(threshold):
-        raise DomainError("threshold must not be NaN")
+    r = _check_real(r, "probe order", 0.0)
+    k_max = _check_count(k_max, "probe length k_max", high=_MAX_COUNT)
+    threshold = _check_real(threshold, "threshold")
     if isinstance(lam_of_k, _PowerLaw):
         return _bisect_probe(lambda k: lam_of_k.power_sum(r, k), threshold, k_max)
     total = 0.0
@@ -548,7 +535,8 @@ _ROUTES = {
     "hy": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
            lambda p: _deformed(*_check_unified_params(p.r, p.s)), "trace_power"),
     "hy-fredholm": ("fredholm", lambda spec, p: log_det_r(spec, p.r),
-                    lambda p: _deformed(_check_determinant_order(p.r), _check_s(p.s)),
+                    lambda p: _deformed(_check_real(p.r, "determinant order r", 1.0),
+                                        _check_s(p.s)),
                     "log_det"),
     "hy-ren": ("renormalized", lambda spec, p: log_det_ren(spec, p.r, p.alpha),  # _route checks r
                lambda p: _deformed(p.r, _check_s(p.s), stat="log det_ren"), "log_det"),
@@ -562,7 +550,8 @@ def _route(kind: str, params: EntropyParams):
         raise DomainError(f"unknown entropy kind {kind!r}; choose from {KINDS}")
     method, statistic, scalar_map, key = _ROUTES[kind]
     if kind == "hy-ren":
-        params = replace(params, alpha=_resolve_alpha(params.r, params.alpha))
+        r, alpha = _resolve_alpha(params.r, params.alpha)
+        params = replace(params, r=r, alpha=alpha)
     return method, statistic, scalar_map(params), key, params
 
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy, fredholm, linalg, states
-from .errors import DomainError, NonFiniteKernel, NonPositiveDeterminant, _check_count
+from .errors import (
+    _MAX_COUNT,
+    DomainError,
+    NonFiniteKernel,
+    NonPositiveDeterminant,
+    _check_count,
+    _check_real,
+)
 
 SCHEMA_VERSION = 1
 
@@ -110,7 +117,7 @@ def run_xstate_experiment(
     (the A rows, then the B rows), each admitted once and reduced row by
     row, so every value equals that of the sample on its own.
     """
-    samples = _check_count(samples, "sample count", 0)
+    samples = _check_count(samples, "sample count", 0, _MAX_COUNT)
     seed = _check_count(seed, "seed", 0)
     entropy._check_unified_params(r, s)
     if len(d_list) == 0:
@@ -178,13 +185,11 @@ def run_gaussian_experiment(
     """
     if len(r_grid) == 0:
         raise DomainError("r grid must be non-empty")
-    if not all(math.isfinite(r) for r in r_grid):
-        raise DomainError(f"squeezing grid must be finite, got {list(r_grid)}")
-    fredholm._check_coupling(z)
+    _check_real(z, "coupling z")
     if interval is not None:
         fredholm._check_interval(*interval)
-    fredholm._check_node_cap(m)
-    _check_count(n_max, "truncation order")
+    _check_count(m, "node count", high=fredholm.MAX_NODES)
+    _check_count(n_max, "truncation order", high=_MAX_COUNT)
     t0 = time.perf_counter()
     kernel = states.squeezed_kernel()
     naive = [states.gaussian_entropy_analytic(r, "naive") for r in r_grid]
@@ -246,7 +251,7 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     """
     analytic = fredholm.zeta_series(q) / fredholm.zeta_series(2.0 * q)
     log_analytic = math.log(analytic)
-    states._check_exponent(r, "deformation order", 1.0)
+    inv_r = 1.0 / _check_real(r, "deformation order", 1.0)
     t0 = time.perf_counter()
     primes = fredholm.first_k_primes(k)
     factors = fredholm.log_euler_factors(q, primes)
@@ -255,7 +260,7 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     product = [float(np.exp(factors[:kk].sum())) for kk in ks]
     # factors become the unnormalized zeta_spectrum in place, admitted once;
     # its values are non-increasing, so each checkpoint's spectrum is a prefix
-    factors **= 1.0 / r
+    factors **= inv_r
     lam = linalg._own_spectrum(factors, normalized=False).values
     log_det = [entropy.log_det_r(linalg.Spectrum(lam[:kk], False), r) for kk in ks]
     gap = [abs(v - log_analytic) for v in log_det]
@@ -326,13 +331,13 @@ def run_quad_test(
         raise DomainError(
             f"unknown kernel {kernel_name!r}; registry: {sorted(KERNELS)}"
         )
-    fredholm._check_coupling(z)
-    fredholm._check_interval(a, b)
+    # Python floats for the analytic reference; the report keeps the arguments as given
+    zab = (_check_real(z, "coupling z"), *fredholm._check_interval(a, b))
     if len(m_list) == 0:
         raise DomainError("m list must be non-empty")
     kernel, analytic_fn = KERNELS[kernel_name]
     try:
-        analytic = analytic_fn(z, a, b) if analytic_fn else None
+        analytic = analytic_fn(*zab) if analytic_fn else None
     except OverflowError as exc:
         raise DomainError(
             f"analytic determinant of {kernel_name!r} overflows on ({a}, {b})"

@@ -46,11 +46,13 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    _MAX_COUNT,
     ConvergenceFailure,
     DomainError,
     NonFiniteKernel,
     NonPositiveDeterminant,
     _check_count,
+    _check_real,
 )
 
 # the dense fallback (and nystrom_matrix) materializes the full m x m
@@ -209,11 +211,11 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     Raises
     ------
     DomainError
-        If the interval is not finite with a < b, an endpoint is an int
-        beyond the float range, or the width b - a overflows (then so would
-        the weights, which sum to it).
+        If m is not an integer from 1 to 2**53, the interval is not finite
+        with a < b, or the width b - a overflows (then so would the weights,
+        which sum to it).
     """
-    m = _check_count(m, "node count")
+    m = _check_count(m, "node count", high=_MAX_COUNT)
     a, b = _check_interval(a, b)  # Python floats overflow to inf without a warning
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     if math.isinf(mid):  # a + b overflows; halves of floats this large are exact
@@ -232,24 +234,12 @@ def _evaluator(kernel: KernelLike) -> Callable:
     return kernel.evaluator if isinstance(kernel, KernelSpec) else kernel
 
 
-def _check_node_cap(m: int) -> None:
-    if _check_count(m, "node count") > MAX_NODES:
-        raise DomainError(f"node count {m} exceeds the {MAX_NODES} materialization cap")
-
-
 def _check_interval(a: float, b: float) -> tuple[float, float]:
     """``(a, b)`` as Python floats, once checked finite with a < b."""
-    if not -math.inf < a < b < math.inf:  # NaN fails too
-        raise DomainError(f"interval endpoints must be finite with a < b, got ({a}, {b})")
-    try:
-        return float(a), float(b)
-    except OverflowError:  # an int past the float range: no digits, str() refuses 4300+
-        raise DomainError("interval endpoint is beyond the float range") from None
-
-
-def _check_coupling(z: float) -> None:
-    if not math.isfinite(z):
-        raise DomainError(f"coupling z must be finite, got {z}")
+    a, b = _check_real(a, "interval endpoint a"), _check_real(b, "interval endpoint b")
+    if not a < b:
+        raise DomainError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
+    return a, b
 
 
 def _weighted_block(
@@ -302,9 +292,8 @@ def nystrom_matrix(kernel: KernelLike, z: float, rule: QuadratureRule) -> np.nda
     DomainError
         If an entry overflows.
     """
-    m = rule.m
-    _check_node_cap(m)
-    _check_coupling(z)
+    m = _check_count(rule.m, "node count", high=MAX_NODES)
+    z = _check_real(z, "coupling z")
     every = slice(None)
     with np.errstate(all="ignore"):
         out = _weighted_block(_evaluator(kernel), rule, z, np.sqrt(rule.weights), every, every)
@@ -516,9 +505,9 @@ def _nystrom_logdet(
         both routes, whose rounding is relative to the largest entry; or if
         the dense LU's rounding, ``m eps max|A|``, buries the identity (>= 1).
     """
-    _check_node_cap(m)
+    m = _check_count(m, "node count", high=MAX_NODES)
     rule = gauss_legendre(m, a, b)
-    _check_coupling(z)
+    z = _check_real(z, "coupling z")
     f = _evaluator(kernel)
     sw = np.sqrt(rule.weights)
     every = slice(None)
@@ -685,9 +674,7 @@ def first_k_primes(k: int) -> np.ndarray:
         k > ``MAX_PRIMES``; all are checked before any sieving.
     """
     global _PRIMES
-    k = _check_count(k, "prime count")
-    if k > MAX_PRIMES:
-        raise DomainError(f"prime count {k} exceeds the {MAX_PRIMES} sieve cap")
+    k = _check_count(k, "prime count", high=MAX_PRIMES)
     primes = _PRIMES
     if len(primes) < k:
         limit = _prime_bound(k)
@@ -699,15 +686,9 @@ def first_k_primes(k: int) -> np.ndarray:
     return primes[:k]
 
 
-def _check_order(q: float, claim: str) -> None:
-    """Refuse q unless it is finite and above 1: ``DomainError("<claim> finite q > 1, got q")``."""
-    if not 1.0 < q < math.inf:  # NaN fails too
-        raise DomainError(f"{claim} finite q > 1, got {q}")
-
-
 def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
     """The log Euler factors log(1 + p^-q) of zeta(q)/zeta(2q), one per prime."""
-    _check_order(q, "product converges for")
+    q = _check_real(q, "zeta order q", 1.0)
     factors = primes.astype(float)
     np.power(factors, -q, out=factors)
     return np.log1p(factors, out=factors)
@@ -715,7 +696,7 @@ def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
 
 def _first_log_euler_factors(q: float, k: int) -> np.ndarray:
     """``log_euler_factors`` over the first k primes; q is checked before the sieve."""
-    _check_order(q, "product converges for")
+    _check_real(q, "zeta order q", 1.0)
     return log_euler_factors(q, first_k_primes(k))
 
 
@@ -769,7 +750,7 @@ def zeta_series(q: float) -> float:
 
     Within 4e-16 relative of 50-digit mpmath for q from 1.1 to 50.
     """
-    _check_order(q, "zeta series converges for")
+    q = _check_real(q, "zeta order q", 1.0)
     return _partial_zeta(q, math.inf)
 
 
@@ -784,6 +765,6 @@ def prime_tail_bound(q: float, p_last: int) -> float:
     DomainError
         If q is not finite and above 1, or ``p_last`` is not an integer >= 2.
     """
-    _check_order(q, "tail bound requires")
+    q = _check_real(q, "zeta order q", 1.0)
     p_last = _check_count(p_last, "last prime", 2)
-    return float(p_last) ** (1.0 - q) / (q - 1.0)
+    return _check_real(p_last, "last prime") ** (1.0 - q) / (q - 1.0)

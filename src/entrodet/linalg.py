@@ -17,6 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    _MAX_COUNT,
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,
@@ -309,8 +310,8 @@ def partial_trace(q: MatrixLike, d_a: int, d_b: int, keep: str = "A") -> Density
     bare array must pass :func:`validate_density` and raises its errors
     otherwise; a :class:`DensityMatrix` is taken as it is.
     """
-    d_a = _check_count(d_a, "subsystem dimension d_a")
-    d_b = _check_count(d_b, "subsystem dimension d_b")
+    d_a = _check_count(d_a, "subsystem dimension d_a", high=_MAX_COUNT)
+    d_b = _check_count(d_b, "subsystem dimension d_b", high=_MAX_COUNT)
     m = q.mat if isinstance(q, DensityMatrix) else validate_density(q).mat
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatch(

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, DomainError, TruncationInsufficient, _check_count
+from .errors import (
+    _MAX_COUNT,
+    ConstraintViolation,
+    DomainError,
+    TruncationInsufficient,
+    _check_count,
+    _check_real,
+)
 from .fredholm import (
     KernelSpec,
     _first_log_euler_factors,
@@ -115,13 +122,6 @@ def x_state(a: np.ndarray, c: np.ndarray) -> DensityMatrix:
     return validate_density(mat)
 
 
-def _check_dim(d) -> int:
-    d = _check_count(d, "subsystem dimension", 2)
-    if d > 8:
-        raise DomainError(f"subsystem dimension must be in 2..8, got {d}")
-    return d
-
-
 def _x_samples(d: int, seed, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     # samples first .. first + count - 1 of the (seed, d) stream; sample i reads
     # the w = n + 2 (n // 2) doubles from draw i w on: n uniforms for the diagonal's
@@ -150,7 +150,7 @@ def x_state_random(d: int, seed: int, index: int = 0) -> DensityMatrix:
     bit for bit. Versions before this layout keyed one generator per sample,
     so their X-state samples and CSV values differ.
     """
-    d = _check_dim(d)
+    d = _check_count(d, "subsystem dimension", 2, 8)
     a, c = _x_samples(d, seed, _check_count(index, "sample index", 0), 1)
     return x_state(a[0], c[0])
 
@@ -169,13 +169,13 @@ def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.nda
     Raises
     ------
     DomainError
-        If d is not an integer in 2..8, or samples or seed is not an
-        integer >= 0.
+        If d is not an integer in 2..8, samples not one in 0..2**53, or
+        seed not one >= 0.
     ConstraintViolation
         Naming the first sample that breaks a bound.
     """
-    d = _check_dim(d)
-    a, c = _x_samples(d, seed, 0, _check_count(samples, "sample count", 0))
+    d = _check_count(d, "subsystem dimension", 2, 8)
+    a, c = _x_samples(d, seed, 0, _check_count(samples, "sample count", 0, _MAX_COUNT))
     _check_x(a, c)
     return a, c
 
@@ -225,9 +225,9 @@ def diag_state(spec: SpectrumLike) -> DensityMatrix:
 def random_density(dim: int, seed: int) -> DensityMatrix:
     """A Haar-ish (Hilbert-Schmidt measure) random mixed state.
 
-    Raises :class:`DomainError` unless dim is an integer >= 1 and seed one >= 0.
+    Raises :class:`DomainError` unless dim is an integer, 1 <= dim^2 <= 2**53, and seed one >= 0.
     """
-    dim = _check_count(dim, "dimension")
+    dim = _check_count(dim, "dimension", high=math.isqrt(_MAX_COUNT))
     rng = np.random.default_rng(_check_count(seed, "seed", 0))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q = g @ g.conj().T
@@ -237,11 +237,6 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # truncated infinite-dimensional spectra
 # ---------------------------------------------------------------------------
-
-def _check_exponent(x: float, what: str, low: float = 0.0) -> None:
-    if not low < x < math.inf:  # NaN fails too
-        raise DomainError(f"{what} must be finite and exceed {low:g}, got {x}")
-
 
 @dataclass(frozen=True)
 class _PowerLaw:
@@ -272,7 +267,7 @@ def power_law_generator(eps: float) -> _PowerLaw:
     The probe uses the partial sums to find a crossing in O(log K) sums
     instead of scanning K values.
     """
-    _check_exponent(eps, "power-law exponent")
+    eps = _check_real(eps, "power-law exponent", 0.0)
     return _PowerLaw(1.0 + eps, zeta_series(1.0 + eps))
 
 
@@ -284,8 +279,8 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     (1, 2): the canonical example separating the plain and renormalized
     von Neumann entropies.
     """
-    _check_exponent(beta, "log-power exponent", 1.0)
-    k = _check_count(k, "truncation length")
+    beta = _check_real(beta, "log-power exponent", 1.0)
+    k = _check_count(k, "truncation length", high=_MAX_COUNT)
     # one buffer, filled with 1 / (n log^beta n) a cache-sized chunk at a time,
     # then normalized and admitted in place
     w = np.empty(k)
@@ -321,20 +316,16 @@ def splice_spectrum(
     Raises
     ------
     DomainError
-        Unless eps, delta and probe_r are positive (eps and probe_r finite),
-        threshold is finite and >= 0, and k_max is an integer >= 1.
+        Unless eps, delta and probe_r are positive and finite, threshold is
+        finite and >= 0, and k_max is an integer >= 1.
     TruncationInsufficient
         If no tail length within ``k_max`` entries reaches the threshold.
     """
     base = as_spectrum(spec, normalized=True)
-    _check_exponent(eps, "power-law exponent")
-    if not delta > 0:  # NaN fails too
-        raise DomainError(f"delta must be positive, got {delta}")
-    if not 0 <= threshold < math.inf:
-        raise DomainError(f"threshold must be finite and >= 0, got {threshold}")
-    if probe_r is None:
-        probe_r = 1.0 / (1.0 + eps)
-    _check_exponent(probe_r, "probe order")
+    eps = _check_real(eps, "power-law exponent", 0.0)
+    delta = _check_real(delta, "delta", 0.0)
+    threshold = _check_real(threshold, "threshold", math.nextafter(0.0, -1.0))
+    probe_r = _check_real(1.0 / (1.0 + eps) if probe_r is None else probe_r, "probe order", 0.0)
     k_max = _check_count(k_max, "maximum tail length")
     head_len = len(base)
     t = min(delta / 3.0, 0.9)
@@ -381,7 +372,7 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
     determinant log is then exactly sum_i log(1 + p_i^-q), which
     converges to log(zeta(q) / zeta(2q)) as k grows.
     """
-    _check_exponent(r, "deformation order", 1.0)
+    r = _check_real(r, "deformation order", 1.0)
     lam = _first_log_euler_factors(q, k)
     lam **= 1.0 / r
     if normalized:
@@ -402,9 +393,8 @@ def squeezed_schmidt_spectrum(r: float, n_max: int) -> Spectrum:
     the particle number; truncation at N <= n_max is renormalized so the
     result is an exact state.
     """
-    if not r >= 0:  # NaN fails too
-        raise DomainError(f"squeezing parameter must be >= 0, got {r}")
-    n_max = _check_count(n_max, "truncation order")
+    r = _check_real(r, "squeezing parameter", math.nextafter(0.0, -1.0))
+    n_max = _check_count(n_max, "truncation order", high=_MAX_COUNT)
     t = math.tanh(r) ** 2
     if t == 0.0:
         return _own_spectrum(np.array([1.0]))
@@ -432,10 +422,9 @@ def gaussian_entropy_analytic(r: float, mode: str = "stable") -> float:
     non-finite value. ``mode="stable"`` evaluates the same quantity as
     log1p(s2) + s2 * log1p(1/s2) over s2 = sinh^2 r, switching to the
     exact large-r asymptote once sinh^2 overflows; it is finite and
-    accurate for any non-negative r.
+    accurate for any finite r >= 0.
     """
-    if not r >= 0:  # NaN fails too
-        raise DomainError(f"squeezing parameter must be >= 0, got {r}")
+    r = _check_real(r, "squeezing parameter", math.nextafter(0.0, -1.0))
     if mode == "naive":
         t = np.tanh(r) ** 2
         if t == 0.0:

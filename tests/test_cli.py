@@ -132,6 +132,15 @@ class TestEntropyCommand:
             assert proc.returncode == 4
             assert "DomainError" in proc.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("--r", "5e-324"), ("--r", "0.5", "--alpha", "1" + "0" * 400),
+    ], ids=["reciprocal-overflows", "huge-alpha"])
+    def test_renormalized_order_out_of_float_range_exit_4(self, mixed_file, args):
+        # both escaped as OverflowError, a traceback and exit 1
+        proc = run_cli("entropy", mixed_file, "--kind", "hy-ren", *args)
+        assert proc.returncode == 4
+        assert "DomainError" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_unnormalized_state_exit_3(self, tmp_path):
         path = tmp_path / "twice.json"
         save_matrix(path, np.diag([1.4, 0.6]).astype(complex))
@@ -330,7 +339,7 @@ class TestExperimentCommands:
         # refused by the MAX_PRIMES cap before the sieve allocates anything
         proc = run_cli("zeta-check", "--k", "10000000000000")
         assert proc.returncode == 4
-        assert "DomainError" in proc.stderr and "sieve cap" in proc.stderr
+        assert "DomainError" in proc.stderr and "prime count must be <= 100000000" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -292,6 +293,17 @@ class TestAlphaStar:
         for r in (0.0, 1.0, 1.5, -0.3):
             with pytest.raises(DomainError):
                 alpha_star(r)
+
+    def test_order_whose_reciprocal_overflows(self):
+        # 1 / r is inf below 1 / (float max): it raised OverflowError from int(inf)
+        tiny = 1.0 / sys.float_info.max
+        for r in (5e-324, 1e-310, tiny):
+            with pytest.raises(DomainError, match="deformation order r"):
+                alpha_star(r)
+            with pytest.raises(DomainError, match="deformation order r"):
+                hy_renormalized([0.5, 0.5], r, 1.0)
+        above = math.nextafter(tiny, 1.0)
+        assert alpha_star(above) == math.ceil(1.0 / above)
 
 
 class TestDetRen:

@@ -128,6 +128,23 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC_NAMES
 
 
+CHECKERS = [
+    "entropy._check_deformation", "entropy._check_s", "entropy._check_unified_params",
+    "errors._check_count", "errors._check_real", "fredholm._check_interval",
+    "linalg._check_hermitian", "states._check_x",
+]
+
+
+def test_parameter_checkers_are_pinned():
+    # a scalar is admitted by errors._check_count or errors._check_real; the other
+    # checkers add a rule on top (r != 1, s != 0, a < b) or check arrays. An ad hoc
+    # checker that comes back shows up as a diff of this list
+    found = sorted(f"{path.stem}.{node.name}" for path in (ROOT / "src" / "entrodet").glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"))
+    assert found == CHECKERS
+
+
 def test_benchmark_layers_name_live_functions():
     # the benchmark's tracer looks up the layer of each per-layer metric by name
     # (fredholm.zeta_ratio_product of fredholm.zeta_ratio_product.self_ms), so a
