@@ -238,11 +238,12 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     """
     r, alpha = _resolve_alpha(r, alpha)
     lam = _positive_prefix(spectrum_of(x).values)
-    if len(lam):
-        top = float(lam[0]) ** r  # the largest eigenvalue comes first
-        # log g = top + log(1 - e^-top), exact where expm1(top) would overflow
-        if (alpha - 1) * (top + math.log(-math.expm1(-top))) > _LOG_MAX:
-            return math.copysign(math.inf, (-1) ** (alpha - 1))
+    if not len(lam):
+        return 0.0
+    top = float(lam[0]) ** r  # the largest eigenvalue comes first
+    # log g = top + log(1 - e^-top), exact where expm1(top) would overflow
+    if (alpha - 1) * (top + math.log(-math.expm1(-top))) > _LOG_MAX:
+        return math.copysign(math.inf, (-1) ** (alpha - 1))
 
     def terms(x, acc, g, *spare):
         # spare[0] holds g^j and spare[-1] the j-th term; with one spare
@@ -251,8 +252,14 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
         np.expm1(acc, out=g)
         acc -= g  # the j = 1 term: (-1) * g is exactly -g
         gj = g
+        # a rounded product of non-negative doubles is monotone in each factor, so
+        # g^j is largest where g is: once 0 there it is 0 everywhere, and the terms
+        # left would add only zeros to sums that are never -0.0
+        peak = g.argmax() if alpha > 2 else None
         for j in range(2, alpha):
             gj = np.multiply(gj, g, out=spare[0])
+            if gj[peak] == 0:
+                break
             acc += np.multiply(gj, (-1) ** j / j, out=spare[-1])
         return acc
 
@@ -549,6 +556,7 @@ def _route(kind: str, params: EntropyParams):
     if kind not in _ROUTES:
         raise DomainError(f"unknown entropy kind {kind!r}; choose from {KINDS}")
     method, statistic, scalar_map, key = _ROUTES[kind]
+    _base_scale(params.log_base)  # every kind refuses an unknown base; vn and renyi scale by it
     if kind == "hy-ren":
         r, alpha = _resolve_alpha(params.r, params.alpha)
         params = replace(params, r=r, alpha=alpha)

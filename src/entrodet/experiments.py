@@ -86,6 +86,18 @@ def _json_default(v):
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
+def _check_each(values, what: str, check) -> None:
+    """:class:`DomainError` unless ``values`` is a non-empty sequence that ``check`` admits item by item."""
+    try:
+        count = len(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a list, got {values!r}") from None
+    if count == 0:
+        raise DomainError(f"{what} must be non-empty")
+    for v in values:
+        check(v)
+
+
 def _csv_column(col) -> list[str]:
     """One column's CSV cells: true/false, empty for None, else ``str`` (a float's repr)."""
     values = col.tolist() if isinstance(col, np.ndarray) else col
@@ -120,8 +132,7 @@ def run_xstate_experiment(
     samples = _check_count(samples, "sample count", 0, _MAX_COUNT)
     seed = _check_count(seed, "seed", 0)
     entropy._check_unified_params(r, s)
-    if len(d_list) == 0:
-        raise DomainError("d list must be non-empty")
+    _check_each(d_list, "d list", lambda d: _check_count(d, "subsystem dimension", 2, 8))
     t0 = time.perf_counter()
     full, diff = [], []
     for d in d_list:
@@ -183,8 +194,8 @@ def run_gaussian_experiment(
     the given quadrature parameters. Determinant failures are recorded
     as flags; parameter errors raise :class:`DomainError` before any row.
     """
-    if len(r_grid) == 0:
-        raise DomainError("r grid must be non-empty")
+    _check_each(r_grid, "r grid",
+                lambda r: _check_real(r, "squeezing parameter", math.nextafter(0.0, -1.0)))
     _check_real(z, "coupling z")
     if interval is not None:
         fredholm._check_interval(*interval)
@@ -327,14 +338,13 @@ def run_quad_test(
     Records the determinant per m, successive differences, and the
     analytic reference for separable kernels.
     """
-    if kernel_name not in KERNELS:
+    if not isinstance(kernel_name, str) or kernel_name not in KERNELS:
         raise DomainError(
             f"unknown kernel {kernel_name!r}; registry: {sorted(KERNELS)}"
         )
     # Python floats for the analytic reference; the report keeps the arguments as given
     zab = (_check_real(z, "coupling z"), *fredholm._check_interval(a, b))
-    if len(m_list) == 0:
-        raise DomainError("m list must be non-empty")
+    _check_each(m_list, "m list", lambda m: _check_count(m, "node count", high=fredholm.MAX_NODES))
     kernel, analytic_fn = KERNELS[kernel_name]
     try:
         analytic = analytic_fn(*zab) if analytic_fn else None

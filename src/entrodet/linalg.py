@@ -44,7 +44,10 @@ class DensityMatrix:
     """A Hermitian, positive semidefinite, unit-trace complex matrix.
 
     Construct through :func:`validate_density`, which enforces all three
-    invariants and reports the measured defects on failure.
+    invariants and reports the measured defects on failure, or through
+    :func:`~entrodet.states.x_state`, whose matrix is Hermitian by
+    construction and whose closed-form spectrum passes the same admission
+    (:func:`_admit`) as the eigenvalues ``validate_density`` computes.
     """
 
     mat: np.ndarray

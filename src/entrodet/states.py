@@ -4,8 +4,8 @@ Finite-dimensional: X-shaped bipartite density matrices, each held as
 its diagonal ``a`` and anti-diagonal couplings ``c`` in one layout from
 the sampler to the sweep, with a positivity-guaranteeing sampler, the
 closed-form spectra and reductions of stacked X states, and embeddings
-of spectra as diagonal states. Stacks are checked against the X-state
-bounds only; their spectra are admitted where they are consumed.
+of spectra as diagonal states. Sampled stacks are states by construction;
+their spectra are admitted where they are consumed.
 
 Infinite-dimensional spectra: the power law ``k^-(1+eps)`` as an
 index map (divergent power sums for small orders), truncated log-power laws
@@ -27,6 +27,8 @@ from .errors import (
     _MAX_COUNT,
     ConstraintViolation,
     DomainError,
+    NotNormalized,
+    NotPositive,
     TruncationInsufficient,
     _check_count,
     _check_real,
@@ -43,7 +45,9 @@ from .linalg import (
     DensityMatrix,
     Spectrum,
     SpectrumLike,
+    _admit,
     _blocked_sum,
+    _freeze,
     _own_spectrum,
     _positive_prefix,
     as_spectrum,
@@ -55,53 +59,43 @@ from .linalg import (
 # couplings ``c`` (n // 2 entries), c[p] sitting at (p, n-1-p): the l = n // 4
 # outer couplings w come first and the l inner ones z after them; for odd n
 # the central diagonal entry is uncoupled. Stacks of S states have shapes
-# (S, n) and (S, n // 2). Positivity holds iff every coupling obeys its 2x2
-# Schur bound |c_p|^2 <= a_p a_{n-1-p}.
+# (S, n) and (S, n // 2). Positivity holds iff the diagonal is non-negative and
+# every coupling obeys its 2x2 Schur bound |c_p|^2 <= a_p a_{n-1-p}.
 
 
-def _check_x(a: np.ndarray, c: np.ndarray) -> None:
-    """x_state's bounds on stacked states; names the first offender.
-
-    Each bound is decided by one reduction over the whole stack; the
-    offender is looked up only after its bound has failed.
-    """
-    if not a.size:
-        return
-    n = a.shape[1]
-    l = n // 4
-
-    def where(s: int) -> str:
-        return f"sample {s}: " if len(a) > 1 else ""
-
-    neg = a < 0
-    if neg.any():
-        s, p = np.argwhere(neg)[0]
-        raise ConstraintViolation(f"{where(s)}diagonal entry a[{p}] = {a[s, p]:.3e} < 0")
-    sums = a.sum(axis=1)
-    ok = np.abs(sums - 1.0) <= 1e-10  # NaN fails too
-    if not ok.all():
-        s = np.flatnonzero(~ok)[0]
-        raise ConstraintViolation(f"{where(s)}diagonal sums to {sums[s]:.12g}, expected 1")
-    bound = a[:, : n // 2] * a[:, ::-1][:, : n // 2]
-    mag2 = np.abs(c) ** 2
-    ok = mag2 <= bound + 1e-12
-    if not ok.all():
-        s, p = np.argwhere(~ok)[0]
-        name, i = ("w", p + 1) if p < l else ("z", p - l + 1)
-        raise ConstraintViolation(
-            f"{where(s)}|{name}_{i}|^2 = {mag2[s, p]:.6g} exceeds "
-            f"Schur bound a_{p + 1} a_{n - p} = {bound[s, p]:.6g}"
-        )
+def _broken_x_bound(a: np.ndarray, c: np.ndarray, lam: np.ndarray) -> str:
+    """The X bound behind ``lam = x_eigvalsh(a, c)``, refused as negative or not finite:
+    that of its first NaN or lowest value, or the sum, if not finite or far from 1."""
+    n, h = len(a), len(c)
+    total = a.sum()
+    if np.isfinite(total):
+        k = np.argmin(lam)  # the first NaN, if any
+        if k >= 2 * h:  # the uncoupled centre entry is its own eigenvalue
+            return f"diagonal entry a[{h}] = {a[h]:.3e} < 0"
+        p = k % h  # pair p's eigenvalues sit at p and h + p
+        for i in (p, n - 1 - p):
+            if a[i] < 0:
+                return f"diagonal entry a[{i}] = {a[i]:.3e} < 0"
+        mag2, bound = abs(c[p]) ** 2, a[p] * a[n - 1 - p]
+        if not mag2 <= bound:  # NaN fails too
+            name, i = ("w", p + 1) if p < n // 4 else ("z", p - n // 4 + 1)
+            return (f"|{name}_{i}|^2 = {mag2:.6g} exceeds "
+                    f"Schur bound a_{p + 1} a_{n - p} = {bound:.6g}")
+    return f"diagonal sums to {total:.12g}, expected 1"
 
 
 def x_state(a: np.ndarray, c: np.ndarray) -> DensityMatrix:
-    """Assemble and validate one X-shaped density matrix from its ``(a, c)``.
+    """Assemble one X-shaped density matrix from its ``(a, c)``.
+
+    The matrix is Hermitian by construction, and a state if its closed-form
+    spectrum (:func:`x_eigvalsh`) passes the admission that every spectrum
+    takes (:func:`~entrodet.linalg.spectrum_of`), so no eigensolver runs.
 
     Raises
     ------
     ConstraintViolation
-        Naming the first violated bound (shape, a non-real diagonal entry,
-        negativity, diagonal normalization, or a Schur pair bound).
+        On a bad shape or a non-real diagonal entry, or naming the X bound
+        behind a refused spectrum: a negative ``a[p]``, the sum, or a Schur bound.
     """
     a = np.asarray(a)  # not yet float: the cast would drop an imaginary part
     c = np.asarray(c, dtype=complex)
@@ -114,12 +108,18 @@ def x_state(a: np.ndarray, c: np.ndarray) -> DensityMatrix:
         p = np.flatnonzero(a.imag)[0]
         raise ConstraintViolation(f"diagonal entry a[{p}] = {a[p]:.3e} is not real")
     a = np.asarray(a.real, dtype=float)
-    _check_x(a[np.newaxis], c[np.newaxis])
+    lam = x_eigvalsh(a, c)
+    try:
+        _admit(lam, normalized=True)
+    except NotNormalized:
+        raise ConstraintViolation(f"diagonal sums to {a.sum():.12g}, expected 1") from None
+    except NotPositive:
+        raise ConstraintViolation(_broken_x_bound(a, c, lam)) from None
     p = np.arange(len(c))
     mat = np.diag(a).astype(complex)
     mat[p, n - 1 - p] = c
     mat[n - 1 - p, p] = c.conj()
-    return validate_density(mat)
+    return DensityMatrix(_freeze(mat))
 
 
 def _x_samples(d: int, seed, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +162,8 @@ def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.nda
     (samples, d^2 // 2), with ``c[:, p]`` the entry at (p, d^2-1-p).
     Every sample comes from one draw of ``samples * w`` doubles off the
     stream described in :func:`x_state_random`, so row i equals
-    ``x_state_random(d, seed, i)`` bit for bit. The same bounds are checked
-    as in :func:`x_state`; no matrix is built, so the spectra
+    ``x_state_random(d, seed, i)`` bit for bit. Only the parameters are
+    checked, as the samples are states by construction; their spectra
     (:func:`x_eigvalsh`) are left to the caller to admit.
 
     Raises
@@ -171,13 +171,9 @@ def x_states_random(d: int, seed: int, samples: int) -> tuple[np.ndarray, np.nda
     DomainError
         If d is not an integer in 2..8, samples not one in 0..2**53, or
         seed not one >= 0.
-    ConstraintViolation
-        Naming the first sample that breaks a bound.
     """
     d = _check_count(d, "subsystem dimension", 2, 8)
-    a, c = _x_samples(d, seed, 0, _check_count(samples, "sample count", 0, _MAX_COUNT))
-    _check_x(a, c)
-    return a, c
+    return _x_samples(d, seed, 0, _check_count(samples, "sample count", 0, _MAX_COUNT))
 
 
 def x_eigvalsh(a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -358,6 +358,28 @@ class TestDetRen:
         assert res.diagnostics["log_det"] == math.inf
         assert res.diagnostics["alpha"] == 3
 
+    def test_terms_stop_once_g_power_is_zero(self, monkeypatch):
+        # g = expm1(1e-3 ** 0.5) = 0.032, whose powers reach 0 at j = 216: the loop
+        # stops there, and the value has not moved since alpha = 400
+        lam = np.full(1000, 1e-3)
+        multiply, calls = np.multiply, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", counting)
+        value = log_det_ren(lam, 0.5, 10**5)
+        assert len(calls) < 2 * 220  # g^j and the j-th term, per j
+        monkeypatch.undo()
+        assert _hex(value) == _hex(_oracle_log_det_ren(lam, 0.5, 400))
+
+    def test_stopped_leaves_keep_every_bit(self):
+        # the top leaf runs every term (g^199 of 0.28 is 1e-110), the tail's leaves
+        # stop early, after some 90 terms for values near 1e-6
+        spec = log_power_spectrum(1.5, 10**5)
+        assert _hex(log_det_ren(spec, 0.6, 200)) == _hex(_oracle_log_det_ren(spec.values, 0.6, 200))
+
     def test_consistency_with_plain_determinant(self, rng):
         # log det_alpha = log det + sum_j (-1)^j Tr(f_r^j) / j on finite spectra
         for _ in range(30):
@@ -1079,6 +1101,12 @@ class TestParametersFirst:
     def test_public_entropies(self, fn):
         with pytest.raises(DomainError):
             fn(self.BAD_SPECTRUM)
+
+    @pytest.mark.parametrize("kind", entropy.KINDS)
+    def test_every_kind_refuses_an_unknown_base(self, kind):
+        # only vn and renyi scale by the base, yet none returns a value for "10"
+        with pytest.raises(DomainError, match="log base must be 'e' or '2', got '10'"):
+            evaluate(kind, [0.5, 0.5], EntropyParams(r=0.5, log_base="10"))
 
 
 # The six map builders that one builder replaced, as they read before the merge,

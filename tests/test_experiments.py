@@ -24,7 +24,7 @@ from entrodet import (
     zeta_spectrum,
 )
 from entrodet.entropy import _hu_ye_own_rows
-from entrodet.errors import ConstraintViolation, DomainError
+from entrodet.errors import DomainError, NotPositive
 from entrodet.experiments import (
     SCHEMA_VERSION,
     TRIANGLE_SLACK,
@@ -55,6 +55,18 @@ class TestXStateExperiment:
         with pytest.raises(DomainError):
             run_xstate_experiment(samples=0, **kwargs)
 
+    @pytest.mark.parametrize("d_list, message", [
+        (5, "d list must be a list, got 5"), ([2, 9], "subsystem dimension must be <= 8"),
+        ([2, 2.0], "subsystem dimension must be an integer"),
+    ], ids=["int", "d-too-large", "d-float"])
+    def test_bad_d_list_refused_before_any_row(self, monkeypatch, d_list, message):
+        drawn = []
+        draw = states.x_states_random
+        monkeypatch.setattr(states, "x_states_random", lambda *args: drawn.append(args) or draw(*args))
+        with pytest.raises(DomainError, match=message):
+            run_xstate_experiment(d_list, 2)
+        assert drawn == []
+
     def test_deterministic_csv(self):
         a = run_xstate_experiment([2, 3], samples=10, seed=7).to_csv()
         b = run_xstate_experiment([2, 3], samples=10, seed=7).to_csv()
@@ -79,10 +91,13 @@ class TestXStateExperiment:
 
         def too_strong(d, seed, first, count):
             a, c = draw(d, seed, first, count)
-            return a, np.ones_like(c)  # |c|^2 = 1 > a_p a_q
+            c[2:] = 1.0  # |c|^2 = 1 > a_p a_q from sample 2 on
+            return a, c
 
+        # the sampler's stack is not checked again: the admission of the full
+        # states' spectra refuses it, naming the first bad row
         monkeypatch.setattr(states, "_x_samples", too_strong)
-        with pytest.raises(ConstraintViolation, match="Schur bound"):
+        with pytest.raises(NotPositive, match=r"^row 2: negative spectrum value -\d\.\d{3}e-01$"):
             run_xstate_experiment([3], samples=4, seed=1)
 
     def test_one_admission_per_spectrum_stack(self, monkeypatch):
@@ -191,6 +206,15 @@ class TestGaussianExperiment:
     def test_empty_grid(self):
         with pytest.raises(DomainError):
             run_gaussian_experiment([])
+
+    @pytest.mark.parametrize("r_grid, message", [
+        (0.5, "r grid must be a list, got 0.5"), ([0.5, -1.0], "squeezing parameter must be"),
+        ([0.5, "1"], "squeezing parameter must be a real number"),
+    ], ids=["float", "negative", "str"])
+    def test_bad_grid_refused_before_any_row(self, monkeypatch, r_grid, message):
+        monkeypatch.setattr(states, "gaussian_entropy_analytic", None)  # no row is started
+        with pytest.raises(DomainError, match=message):
+            run_gaussian_experiment(r_grid)
 
     @pytest.mark.parametrize("kwargs", [{"m": 0}, {"m": 20_000}, {"n_max": 0}],
                              ids=["m=0", "m>MAX_NODES", "n_max=0"])
@@ -324,6 +348,17 @@ class TestQuadTest:
     def test_unknown_kernel_lists_registry(self):
         with pytest.raises(DomainError, match="constant"):
             run_quad_test("gaussian-rbf", 1.0, 0.0, 1.0, [5])
+
+    @pytest.mark.parametrize("kernel, m_list, message", [
+        ("constant", 2, "m list must be a list, got 2"),
+        ([], [2], r"unknown kernel \[\]"),
+        ("constant", [2, 0], "node count must be >= 1"),
+        ("constant", [2, 10**6], "node count must be <= 10000"),
+    ], ids=["m-int", "kernel-list", "m-zero", "m-too-large"])
+    def test_bad_list_or_name_refused_before_any_row(self, monkeypatch, kernel, m_list, message):
+        monkeypatch.setattr(fredholm, "fredholm_det", None)  # no row is started
+        with pytest.raises(DomainError, match=message):
+            run_quad_test(kernel, 1.0, 0.0, 1.0, m_list)
 
     def test_analytic_overflow_is_domain_error(self):
         with pytest.raises(DomainError):

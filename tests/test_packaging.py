@@ -130,14 +130,14 @@ def test_public_names_are_pinned():
 
 CHECKERS = [
     "entropy._check_deformation", "entropy._check_s", "entropy._check_unified_params",
-    "errors._check_count", "errors._check_real", "fredholm._check_interval",
-    "linalg._check_hermitian", "states._check_x",
+    "errors._check_count", "errors._check_real", "experiments._check_each",
+    "fredholm._check_interval", "linalg._check_hermitian",
 ]
 
 
 def test_parameter_checkers_are_pinned():
     # a scalar is admitted by errors._check_count or errors._check_real; the other
-    # checkers add a rule on top (r != 1, s != 0, a < b) or check arrays. An ad hoc
+    # checkers add a rule on top (r != 1, s != 0, a < b) or check arrays or lists. An ad hoc
     # checker that comes back shows up as a diff of this list
     found = sorted(f"{path.stem}.{node.name}" for path in (ROOT / "src" / "entrodet").glob("*.py")
                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -106,6 +106,49 @@ class TestXState:
     def test_single_level(self):
         assert x_state(np.ones(1), np.zeros(0, complex)).dim == 1
 
+    @pytest.mark.parametrize("bound", ["negative", "sum", "schur"])
+    @pytest.mark.parametrize("pair", [1, 3])
+    def test_names_the_bound_at_a_later_pair(self, bound, pair):
+        # one bad bound on a 9-level state, at pair 1 (w_2) or 3 (z_2): it is the one named
+        a, c = (v[4].copy() for v in x_states_random(3, 2, 5))
+        if bound == "negative":
+            a[pair] -= 1.0
+            a[0] += 1.0
+            message = rf"^diagonal entry a\[{pair}\] = -\d\.\d+e-01 < 0$"
+        elif bound == "sum":
+            a[pair] += 0.5
+            message = r"^diagonal sums to 1\.5\d*, expected 1$"
+        else:
+            c[pair] = 1.0
+            name = {1: r"w_2\|\^2 = 1 exceeds Schur bound a_2 a_8",
+                    3: r"z_2\|\^2 = 1 exceeds Schur bound a_4 a_6"}[pair]
+            message = rf"^\|{name} = [0-9.e-]+$"
+        with pytest.raises(ConstraintViolation, match=message):
+            x_state(a, c)
+
+    def test_tiny_diagonal_names_its_coupling(self):
+        # |w_1|^2 exceeds a_1 a_4 = 1e-16 by 9e-13, less than the 1e-12 slack that a
+        # bound check of its own once allowed; the spectrum's -9.4e-7 is what admission
+        # refuses, and the bound behind it is named, not the eigenvalue
+        a = np.array([1e-8, 0.5 - 1e-8, 0.5 - 1e-8, 1e-8])
+        c = np.array([math.sqrt(1e-16 + 0.9e-12), 0j])
+        with pytest.raises(ConstraintViolation,
+                           match=r"^\|w_1\|\^2 = 9\.001e-13 exceeds Schur bound a_1 a_4 = 1e-16$"):
+            x_state(a, c)
+
+    def test_no_eigensolver(self, monkeypatch):
+        # the closed-form spectrum is admitted; no LAPACK call decides the state
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for d in range(2, 9):
+            q = x_state_random(d, 5, index=3)
+            assert q.dim == d * d
+        with pytest.raises(ConstraintViolation, match="w_1"):
+            x_state(np.array([0.5, 0, 0, 0.5]), np.array([0.51 + 0j, 0j]))
+
 
 class TestXStateRandom:
     def test_deterministic_in_seed(self):
@@ -272,24 +315,6 @@ class TestXStatesBatched:
                     dense = partial_trace(q, d, d, keep).mat
                     assert np.abs(_x_matrix(ai[i], ci[i]) - dense).max() < 1e-15
                 assert np.any(c_a[i]) == bool(d % 2)
-
-    @pytest.mark.parametrize("bound", ["negative", "sum", "schur"])
-    @pytest.mark.parametrize("sample", [1, 4])
-    def test_check_names_a_later_sample(self, bound, sample):
-        # one bad sample among good ones: its bound fails, and it is the one named
-        a, c = x_states_random(3, 2, 5)
-        if bound == "negative":
-            a[sample, 1] -= 1.0
-            a[sample, 0] += 1.0
-            message = rf"^sample {sample}: diagonal entry a\[1\] = -\d\.\d+e-01 < 0$"
-        elif bound == "sum":
-            a[sample] *= 1.5
-            message = rf"^sample {sample}: diagonal sums to 1\.5\d*, expected 1$"
-        else:
-            c[sample, 1] = 1.0
-            message = rf"^sample {sample}: \|w_2\|\^2 = 1 exceeds Schur bound a_2 a_8 = "
-        with pytest.raises(ConstraintViolation, match=message):
-            states._check_x(a, c)
 
     def test_empty_batch(self):
         a, c = x_states_random(3, 1, 0)
