@@ -87,7 +87,8 @@ def _json_default(v):
 
 
 def _check_each(values, what: str, check) -> None:
-    """:class:`DomainError` unless ``values`` is a non-empty sequence that ``check`` admits item by item."""
+    """Refuse ``values`` with :class:`DomainError` unless it is a non-empty
+    sequence whose every item ``check`` admits."""
     try:
         count = len(values)
     except TypeError:

@@ -60,9 +60,9 @@ class TestXStateExperiment:
         ([2, 2.0], "subsystem dimension must be an integer"),
     ], ids=["int", "d-too-large", "d-float"])
     def test_bad_d_list_refused_before_any_row(self, monkeypatch, d_list, message):
-        drawn = []
-        draw = states.x_states_random
-        monkeypatch.setattr(states, "x_states_random", lambda *args: drawn.append(args) or draw(*args))
+        drawn, draw = [], states.x_states_random
+        monkeypatch.setattr(states, "x_states_random",
+                            lambda *args: drawn.append(args) or draw(*args))
         with pytest.raises(DomainError, match=message):
             run_xstate_experiment(d_list, 2)
         assert drawn == []
