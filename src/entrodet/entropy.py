@@ -221,6 +221,12 @@ def _resolve_alpha(r: float, alpha: int | None) -> tuple[float, int]:
     return r, _check_count(alpha, "regularization order alpha", a_min, _MAX_COUNT)
 
 
+def _absorbed(acc, term):
+    """Whether ``acc + t`` rounds to ``acc`` for each t of magnitude at most ``|term|``."""
+    size = np.abs(term)
+    return ((acc + size) == acc) & ((acc - size) == acc)
+
+
 def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     """Log of the order-alpha regularized determinant det_alpha(1 + f_r(Q)).
 
@@ -252,15 +258,19 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
         np.expm1(acc, out=g)
         acc -= g  # the j = 1 term: (-1) * g is exactly -g
         gj = g
-        # a rounded product of non-negative doubles is monotone in each factor, so
-        # g^j is largest where g is: once 0 there it is 0 everywhere, and the terms
-        # left would add only zeros to sums that are never -0.0
+        # A rounded product of non-negative doubles is monotone in each factor, so
+        # where every g is at most 1 the rounded g^j and |j-th term| never grow with j,
+        # and are largest where g is. Rounded addition is monotone too: once adding
+        # either sign of each value's term leaves its sum as it is, no later term can
+        # move a bit, and the loop stops. The largest term is tried alone first.
         peak = g.argmax() if alpha > 2 else None
+        falling = alpha > 3 and g[peak] <= 1
         for j in range(2, alpha):
             gj = np.multiply(gj, g, out=spare[0])
-            if gj[peak] == 0:
+            term = np.multiply(gj, (-1) ** j / j, out=spare[-1])
+            if falling and _absorbed(acc[peak], term[peak]) and _absorbed(acc, term).all():
                 break
-            acc += np.multiply(gj, (-1) ** j / j, out=spare[-1])
+            acc += term
         return acc
 
     with np.errstate(over="ignore"):  # every term has the sign of (-1)^(alpha-1)
@@ -344,15 +354,17 @@ def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
     return evaluate("hy", x, EntropyParams(r=r, s=s)).value
 
 
-def _hu_ye_own_rows(lam: np.ndarray, r: float, s: float) -> np.ndarray:
+def _hu_ye_own_rows(
+    lam: np.ndarray, r: float, s: float, name: Callable[[int], str] | None = None
+) -> np.ndarray:
     """:func:`hu_ye` of each row of a fresh (S, n) float64 stack that the caller hands over.
 
     The stack is admitted in place, by :func:`hu_ye`'s policy, so its negative
-    rounding values become 0; the first bad row is named.
+    rounding values become 0; the first bad row i is named, as ``name(i)`` if given.
     """
     r, s = _check_unified_params(r, s)
     to_value = _deformed(r, s)
-    _admit(lam, normalized=True)
+    _admit(lam, normalized=True, name=name)
     return to_value((lam**r).sum(axis=1))
 
 

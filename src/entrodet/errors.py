@@ -3,7 +3,9 @@
 Validation failures name the violated invariant and carry the measured
 defect in the message; domain errors signal parameter values outside the
 mathematical domain of an operation, such as a count that is no integer.
-Every scalar parameter passes :func:`_check_count` or :func:`_check_real`.
+Every scalar parameter passes :func:`_check_count` or :func:`_check_real`,
+and a count inside its bounds whose arrays NumPy cannot allocate raises
+the :class:`DomainError` of :func:`_unallocatable`.
 """
 
 import math
@@ -106,3 +108,10 @@ def _check_real(value, what: str, low: float = -math.inf, high: float = math.inf
         lower = "[0" if math.nextafter(low, math.inf) == 0 else f"({low:g}"
         raise DomainError(f"{what} must be finite and in {lower}, {high:g}), got {x}")
     return x
+
+
+def _unallocatable(what: str, n: int) -> DomainError:
+    """The error for a count ``what`` = ``n`` inside its bounds whose arrays NumPy refuses:
+    with ``MemoryError`` where no memory holds them, with ``ValueError`` where their
+    byte size passes the address range. Callers catch both around the allocation only."""
+    return DomainError(f"{what} {n} needs more memory than NumPy can allocate")

@@ -53,6 +53,7 @@ from .errors import (
     NonPositiveDeterminant,
     _check_count,
     _check_real,
+    _unallocatable,
 )
 
 # the dense fallback (and nystrom_matrix) materializes the full m x m
@@ -176,7 +177,10 @@ def _reference_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
         x = np.array([0.0])
         w = np.array([2.0])
     else:
-        k = np.arange(1, m + 1)
+        try:
+            k = np.arange(1, m + 1)
+        except (MemoryError, ValueError):
+            raise _unallocatable("node count", m) from None
         x = np.cos(np.pi * (k - 0.25) / (m + 0.5))
         for _ in range(_NEWTON_MAX_ITER):
             p, dp = _legendre_and_derivative(x, m)

@@ -81,34 +81,39 @@ SpectrumLike = Union[Spectrum, np.ndarray, list, tuple]
 MatrixLike = Union[DensityMatrix, np.ndarray]
 
 
-def _admit(lam: np.ndarray, normalized: bool) -> np.ndarray:
+def _admit(
+    lam: np.ndarray, normalized: bool, name: Callable[[int], str] | None = None
+) -> np.ndarray:
     """Admit one spectrum, or each row of a stack, in place; return the unit-sum flags.
 
     Values in ``[-PSD_TOL, 0)`` become 0. A value below ``-PSD_TOL`` or a
     non-finite sum raises :class:`NotPositive`, and with ``normalized`` a sum
     off 1 by more than ``TRACE_TOL`` raises :class:`NotNormalized`, naming
-    the first bad row of a stack. Each bound is decided by one reduction
-    over the whole stack; the offending row is looked up only after its
-    bound has failed.
+    the first bad row i of a stack as ``name(i)``, or ``row i`` without a
+    ``name``. Each bound is decided by one reduction over the whole stack;
+    the offending row is looked up only after its bound has failed.
     """
     rows = lam if lam.ndim > 1 else lam[np.newaxis]
-    where = "row {}: " if lam.ndim > 1 else ""
+
+    def where(i):  # the prefix naming row i of a stack; one spectrum needs none
+        return "" if lam.ndim == 1 else f"{name(i) if name else f'row {i}'}: "
+
     low = rows.min(axis=1, initial=0.0)
     if (low < 0).any():  # the bound and the mask pass run only when some value is negative
         bad = np.flatnonzero(low < -PSD_TOL)
         if bad.size:
             i = bad[0]
-            raise NotPositive(f"{where.format(i)}negative spectrum value {low[i]:.3e}")
+            raise NotPositive(f"{where(i)}negative spectrum value {low[i]:.3e}")
         lam[lam < 0] = 0.0
     total = rows.sum(axis=1)
     finite = np.isfinite(total)
     if not finite.all():
         i = np.flatnonzero(~finite)[0]
-        raise NotPositive(f"{where.format(i)}spectrum has non-finite values (sum {total[i]})")
+        raise NotPositive(f"{where(i)}spectrum has non-finite values (sum {total[i]})")
     is_norm = np.abs(total - 1.0) <= TRACE_TOL
     if normalized and not is_norm.all():
         i = np.flatnonzero(~is_norm)[0]
-        raise NotNormalized(f"{where.format(i)}spectrum sums to {total[i]:.12g}, expected 1")
+        raise NotNormalized(f"{where(i)}spectrum sums to {total[i]:.12g}, expected 1")
     return is_norm
 
 

@@ -32,6 +32,7 @@ from .errors import (
     TruncationInsufficient,
     _check_count,
     _check_real,
+    _unallocatable,
 )
 from .fredholm import (
     KernelSpec,
@@ -128,7 +129,10 @@ def _x_samples(d: int, seed, first: int, count: int) -> tuple[np.ndarray, np.nda
     # exponentials, then one (magnitude, phase) pair per coupling, outer block first
     n, h = d * d, d * d // 2
     bits = np.random.PCG64(np.random.SeedSequence([_check_count(seed, "seed", 0), d]))
-    u = np.random.Generator(bits.advance(first * (n + 2 * h))).random((count, n + 2 * h))
+    try:
+        u = np.random.Generator(bits.advance(first * (n + 2 * h))).random((count, n + 2 * h))
+    except (MemoryError, ValueError):
+        raise _unallocatable("sample count", count) from None
     e = -np.log1p(-u[:, :n])
     a = e / e.sum(axis=1, keepdims=True)
     pairs = u[:, n:].reshape(count, h, 2)
@@ -225,7 +229,10 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     """
     dim = _check_count(dim, "dimension", high=math.isqrt(_MAX_COUNT))
     rng = np.random.default_rng(_check_count(seed, "seed", 0))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    try:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    except (MemoryError, ValueError):
+        raise _unallocatable("dimension", dim) from None
     q = g @ g.conj().T
     return validate_density(q / q.trace().real)
 
@@ -279,7 +286,10 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     k = _check_count(k, "truncation length", high=_MAX_COUNT)
     # one buffer, filled with 1 / (n log^beta n) a cache-sized chunk at a time,
     # then normalized and admitted in place
-    w = np.empty(k)
+    try:
+        w = np.empty(k)
+    except (MemoryError, ValueError):
+        raise _unallocatable("truncation length", k) from None
     for lo in range(0, k, _BLOCK):
         chunk = w[lo : lo + _BLOCK]
         n = np.arange(lo + 2, lo + 2 + len(chunk), dtype=float)
@@ -296,7 +306,6 @@ def splice_spectrum(
     eps: float,
     delta: float,
     threshold: float,
-    probe_r: float | None = None,
     k_max: int = 10_000_000,
 ) -> Spectrum:
     """Splice a power-law tail onto a spectrum's head.
@@ -304,16 +313,16 @@ def splice_spectrum(
     Keeps the given normalized spectrum scaled by (1 - t) and appends a
     power-law tail ``~ j^-(1+eps)`` carrying mass t = delta/3, so the
     trace distance to the original state is 2t < delta. The tail length
-    is grown until the order-``probe_r`` power sum of the spliced
-    spectrum exceeds ``threshold`` (default probe order 1/(1+eps), where
-    the tail's power sum grows without bound). Both properties are
-    verified on the constructed spectrum, not assumed.
+    is grown until the power sum of the spliced spectrum at the order
+    1/(1+eps), where the tail's power sum grows without bound, exceeds
+    ``threshold``. Both properties are verified on the constructed
+    spectrum, not assumed.
 
     Raises
     ------
     DomainError
-        Unless eps, delta and probe_r are positive and finite, threshold is
-        finite and >= 0, and k_max is an integer >= 1.
+        Unless eps and delta are positive and finite, threshold is finite
+        and >= 0, and k_max is an integer >= 1.
     TruncationInsufficient
         If no tail length within ``k_max`` entries reaches the threshold.
     """
@@ -321,7 +330,7 @@ def splice_spectrum(
     eps = _check_real(eps, "power-law exponent", 0.0)
     delta = _check_real(delta, "delta", 0.0)
     threshold = _check_real(threshold, "threshold", math.nextafter(0.0, -1.0))
-    probe_r = _check_real(1.0 / (1.0 + eps) if probe_r is None else probe_r, "probe order", 0.0)
+    probe_r = 1.0 / (1.0 + eps)
     k_max = _check_count(k_max, "maximum tail length")
     head_len = len(base)
     t = min(delta / 3.0, 0.9)
@@ -394,14 +403,18 @@ def squeezed_schmidt_spectrum(r: float, n_max: int) -> Spectrum:
     t = math.tanh(r) ** 2
     if t == 0.0:
         return _own_spectrum(np.array([1.0]))
+    try:
+        p = np.zeros(n_max + 1)
+    except (MemoryError, ValueError):
+        raise _unallocatable("truncation order", n_max) from None
     if t == 1.0:
         # t rounds up to 1 in double precision (r above ~19); the
         # renormalized truncation converges to the uniform window there
-        return _own_spectrum(np.full(n_max + 1, 1.0 / (n_max + 1)))
+        p += 1.0 / (n_max + 1)
+        return _own_spectrum(p)
     # t**n rounds to exactly 0 once t**n < 2^-1075, i.e. for n > 1075 ln 2 / -ln t;
     # evaluating pow on that underflowing tail is slow, so it is left as zeros
     live = min(n_max + 1, math.ceil(1075 * math.log(2) / -math.log(t)) + 2)
-    p = np.zeros(n_max + 1)
     p[:live] = (1.0 - t) * t ** np.arange(live, dtype=float)
     p /= p.sum()
     return _own_spectrum(p)

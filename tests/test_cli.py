@@ -274,6 +274,19 @@ class TestExperimentCommands:
         lines = [ln for ln in body.splitlines() if not ln.startswith("#")]
         assert len(lines) == 4  # header + 3 rows
 
+    def test_gaussian_interval_is_no_option(self):
+        proc = run_cli("gaussian-experiment", "--r", "0.5", "--interval", "0", "1")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --interval 0 1" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_xstate_rows_past_the_float_range_exit_0(self):
+        proc = run_cli("xstate-experiment", "--d", "2", "--samples", "2", "--r", "2000",
+                       "--s", "-1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "2,1,inf,,"
+        assert "nan" not in proc.stdout and "Warning" not in proc.stderr
+
     def test_zeta_check(self, tmp_path):
         out = tmp_path / "z.csv"
         proc = run_cli("zeta-check", "--q", "2", "--r", "2", "--k", "1000", "--out", str(out))
@@ -349,7 +362,9 @@ class TestExperimentCommands:
         ("zeta-check", "--q", "nan"),
         ("zeta-check", "--r", "nan"),
         ("gaussian-experiment", "--r", "inf"),
-        ("gaussian-experiment", "--interval", "nan", "1"),
+        # counts inside their bounds whose arrays no machine holds: exit 1 and a traceback
+        ("gaussian-experiment", "--r", "1", "--nmax", "9007199254740992"),
+        ("xstate-experiment", "--d", "8", "--samples", "9007199254740992"),
         ("gaussian-experiment", "--m", "0"),
         ("gaussian-experiment", "--m", "20000"),  # above MAX_NODES
         ("xstate-experiment", "--seed", "-1"),

@@ -358,10 +358,9 @@ class TestDetRen:
         assert res.diagnostics["log_det"] == math.inf
         assert res.diagnostics["alpha"] == 3
 
-    def test_terms_stop_once_g_power_is_zero(self, monkeypatch):
-        # g = expm1(1e-3 ** 0.5) = 0.032, whose powers reach 0 at j = 216: the loop
-        # stops there, and the value has not moved since alpha = 400
-        lam = np.full(1000, 1e-3)
+    @staticmethod
+    def count_terms(monkeypatch, call):
+        """``call()`` and the number of ``np.multiply`` calls it made."""
         multiply, calls = np.multiply, []
 
         def counting(*args, **kwargs):
@@ -369,10 +368,34 @@ class TestDetRen:
             return multiply(*args, **kwargs)
 
         monkeypatch.setattr(np, "multiply", counting)
-        value = log_det_ren(lam, 0.5, 10**5)
-        assert len(calls) < 2 * 220  # g^j and the j-th term, per j
+        value = call()
         monkeypatch.undo()
+        return value, len(calls)
+
+    def test_terms_stop_once_g_power_is_zero(self, monkeypatch):
+        # g = expm1(1e-3 ** 0.5) = 0.032, whose powers reach 0 at j = 216: the loop
+        # stops by then, and the value has not moved since alpha = 400
+        lam = np.full(1000, 1e-3)
+        value, calls = self.count_terms(monkeypatch, lambda: log_det_ren(lam, 0.5, 10**5))
+        assert calls < 2 * 220  # g^j and the j-th term, per j
         assert _hex(value) == _hex(_oracle_log_det_ren(lam, 0.5, 400))
+
+    def test_terms_stop_where_g_power_sticks_at_the_least_subnormal(self, monkeypatch):
+        # g = expm1(0.4 ** 0.9) = 0.55 > 1/2, so g^j rounds back up to 5e-324 and
+        # never reaches 0; every term is far below its sum's last bit long before
+        lam = np.array([0.4, 0.3, 0.3])
+        value, calls = self.count_terms(monkeypatch, lambda: log_det_ren(lam, 0.9, 10**5))
+        assert calls < 2 * 200
+        assert _hex(value) == _hex(_oracle_log_det_ren(lam, 0.9, 10**5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.floats(0.003, 1.0, exclude_max=True))
+    def test_early_stop_keeps_every_bit(self, data, r):
+        # the loop stops once no term left can move a bit of a sum; the loop over
+        # every one of the alpha - 1 terms gives the same double
+        alpha = data.draw(st.integers(max(3, alpha_star(r)), 399), label="alpha")
+        lam = as_spectrum(data.draw(_admitted_values())).values
+        assert _hex(log_det_ren(lam, r, alpha)) == _hex(_oracle_log_det_ren(lam, r, alpha))
 
     def test_stopped_leaves_keep_every_bit(self):
         # the top leaf runs every term (g^199 of 0.28 is 1e-110), the tail's leaves

@@ -95,10 +95,36 @@ class TestXStateExperiment:
             return a, c
 
         # the sampler's stack is not checked again: the admission of the full
-        # states' spectra refuses it, naming the first bad row
+        # states' spectra refuses it, naming the first bad sample
         monkeypatch.setattr(states, "_x_samples", too_strong)
-        with pytest.raises(NotPositive, match=r"^row 2: negative spectrum value -\d\.\d{3}e-01$"):
+        with pytest.raises(NotPositive, match=r"^d = 3, sample 2, full state: "
+                                              r"negative spectrum value -\d\.\d{3}e-01$"):
             run_xstate_experiment([3], samples=4, seed=1)
+
+    def test_refusal_names_d_sample_and_part(self, monkeypatch):
+        # a fault at d = 3 after a good d = 2 was named by its row in a stack
+        draw, traces = states._x_samples, states.x_partial_traces
+
+        def too_strong(d, seed, first, count):
+            a, c = draw(d, seed, first, count)
+            if d == 3:
+                c[2:] = 1.0
+            return a, c
+
+        monkeypatch.setattr(states, "_x_samples", too_strong)
+        with pytest.raises(NotPositive, match=r"^d = 3, sample 2, full state: negative "):
+            run_xstate_experiment([2, 3], samples=4, seed=1)
+        monkeypatch.undo()
+
+        def bad_b(a, c, d):  # sample 2's B reduction gets a negative diagonal entry
+            (a_a, c_a), (a_b, c_b) = traces(a, c, d)
+            if d == 3:
+                a_b[2, :2] += [0.5, -0.5]
+            return (a_a, c_a), (a_b, c_b)
+
+        monkeypatch.setattr(states, "x_partial_traces", bad_b)
+        with pytest.raises(NotPositive, match=r"^d = 3, sample 2, B reduction: negative "):
+            run_xstate_experiment([2, 3], samples=4, seed=1)
 
     def test_one_admission_per_spectrum_stack(self, monkeypatch):
         # per d: the full states' spectra, then those of both reductions in one
@@ -106,9 +132,9 @@ class TestXStateExperiment:
         admit = linalg._admit
         calls = []
 
-        def counting(lam, normalized):
+        def counting(lam, normalized, name=None):
             calls.append(lam.shape)
-            return admit(lam, normalized)
+            return admit(lam, normalized, name)
 
         for module in vars(entrodet).values():
             if getattr(module, "_admit", None) is admit:
@@ -132,6 +158,26 @@ class TestXStateExperiment:
                       - _hu_ye_own_rows(states.x_eigvalsh(a_b, c_b), r, s))
         assert report.columns["hy_full"].tobytes() == full.tobytes()
         assert report.columns["hy_diff"].tobytes() == diff.tobytes()
+
+    def test_rows_past_the_float_range_are_flagged(self):
+        # I_2000 of sample 1's full state underflows to 0, and 0^-1 is inf: such a
+        # row was written as hy_diff = nan and a triangle failure
+        report = run_xstate_experiment([2], samples=2, r=2000, s=-1, seed=42)
+        first, second = report.records
+        assert first["pass"] is True and math.isfinite(first["hy_diff"])
+        assert second["hy_full"] == math.inf
+        assert second["hy_diff"] is None and second["pass"] is None
+        assert report.summary == {"total": 2, "passed": 1, "past_float_range": 1,
+                                  "max_violation": first["hy_diff"] - first["hy_full"]}
+        assert report.to_csv().splitlines()[-1] == "2,1,inf,,"
+        check_against_row_writer(report)
+
+    def test_every_row_past_the_float_range(self):
+        report = run_xstate_experiment([2], samples=3, r=5000, s=-1, seed=1)
+        assert [row["pass"] for row in report.records] == [None] * 3
+        assert report.summary == {"total": 3, "passed": 0, "past_float_range": 3,
+                                  "max_violation": 0.0}
+        check_against_row_writer(report)
 
     def test_record_columns(self):
         report = run_xstate_experiment([2], samples=2, seed=3)
@@ -172,8 +218,8 @@ class TestGaussianExperiment:
         assert row["schmidt"] == pytest.approx(row["stable"], rel=1e-10)
 
     def test_determinant_failure_is_flagged_not_fatal(self):
-        # z = -2 on (0, 1) drives the Nystrom determinant negative
-        report = run_gaussian_experiment([0.5, 1.0], n_max=50, z=-2.0, interval=(0.0, 1.0))
+        # z = -2 on (0, 1) and (0, 2) drives the Nystrom determinant negative
+        report = run_gaussian_experiment([1.0, 2.0], n_max=50, z=-2.0)
         assert all(not row["logdet_ok"] for row in report.records)
         assert all(row["logdet"] is None for row in report.records)
 
@@ -187,21 +233,11 @@ class TestGaussianExperiment:
             with pytest.raises(DomainError):
                 run_gaussian_experiment([0.5, r], n_max=50)
 
-    def test_bad_interval_rejected(self):
-        for interval in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0),
-                         (2.0, 1.0)):
-            with pytest.raises(DomainError):
-                run_gaussian_experiment([0.5], n_max=50, interval=interval)
-
     def test_default_interval_follows_r(self):
-        report = run_gaussian_experiment([0.5, 2.0], n_max=50)
-        assert [row["b"] for row in report.records] == [0.5, 2.0]
-        assert report.params["calibrated_profile"]
-
-    def test_fixed_interval_respected(self):
-        report = run_gaussian_experiment([0.5, 2.0], n_max=50, interval=(0.0, 3.0))
-        assert {row["b"] for row in report.records} == {3.0}
-        assert not report.params["calibrated_profile"]
+        report = run_gaussian_experiment([0.1, 0.5, 2.0], n_max=50)
+        assert [(row["a"], row["b"]) for row in report.records] == [
+            (0.0, 0.25), (0.0, 0.5), (0.0, 2.0)]
+        assert report.params == {"r_grid": [0.1, 0.5, 2.0], "n_max": 50, "m": 40, "z": 1.0}
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
@@ -474,7 +510,7 @@ class TestColumnarReport:
 
     @pytest.mark.parametrize("make", [
         lambda: run_xstate_experiment(range(2, 9), 200, seed=7),
-        lambda: run_gaussian_experiment([0.5, 1, 25.0], n_max=50, z=-2.0, interval=(0.0, 1.0)),
+        lambda: run_gaussian_experiment([1, 2.0, 25.0], n_max=50, z=-2.0),
         lambda: run_quad_test("squeezed", 0.5, 0.0, 2.0, [4, 8, 16]),
         lambda: run_quad_test("constant", -0.5, 0.0, 1.0, [1]),
     ], ids=["xstate-200", "gaussian-logdet-none", "quad-analytic-none", "quad-one-row"])
@@ -482,7 +518,7 @@ class TestColumnarReport:
         check_against_row_writer(make())
 
     def test_none_cells(self):
-        gaussian = run_gaussian_experiment([0.5], n_max=50, z=-2.0, interval=(0.0, 1.0))
+        gaussian = run_gaussian_experiment([1.0], n_max=50, z=-2.0)
         assert gaussian.records[0]["logdet"] is None
         assert gaussian.to_csv().splitlines()[-1].split(",")[6] == ""
         quad = run_quad_test("squeezed", 0.5, 0.0, 2.0, [4, 8])

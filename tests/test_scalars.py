@@ -79,7 +79,6 @@ REALS = {
     "splice_spectrum.eps": (lambda v: ed.splice_spectrum(SPEC, v, 0.1, 1.5), 1.0),
     "splice_spectrum.delta": (lambda v: ed.splice_spectrum(SPEC, 1.0, v, 1.5), 0.1),
     "splice_spectrum.threshold": (lambda v: ed.splice_spectrum(SPEC, 1.0, 0.1, v), 0.0),
-    "splice_spectrum.probe_r": (lambda v: ed.splice_spectrum(SPEC, 1.0, 0.1, 1.5, v), 0.5),
     "zeta_spectrum.q": (lambda v: ed.zeta_spectrum(v, 2.0, 5), 2.5),
     "zeta_spectrum.r": (lambda v: ed.zeta_spectrum(2.0, v, 5), 2.5),
     "squeezed_schmidt_spectrum.r": (lambda v: ed.squeezed_schmidt_spectrum(v, 5), 0.0),
@@ -88,10 +87,6 @@ REALS = {
     "run_xstate_experiment.s": (lambda v: ed.run_xstate_experiment([2], 2, s=v), 0.5),
     "run_gaussian_experiment.r_grid": (lambda v: ed.run_gaussian_experiment([0.5, v], 5), 0.0),
     "run_gaussian_experiment.z": (lambda v: ed.run_gaussian_experiment([0.5], 5, z=v), 0.5),
-    "run_gaussian_experiment.a": (lambda v: ed.run_gaussian_experiment([0.5], 5, 4, 1.0, (v, 1.0)),
-                                  0.5),
-    "run_gaussian_experiment.b": (lambda v: ed.run_gaussian_experiment([0.5], 5, 4, 1.0, (0.0, v)),
-                                  0.5),
     "run_zeta_check.q": (lambda v: ed.run_zeta_check(v, 2.0, 5), 2.5),
     "run_zeta_check.r": (lambda v: ed.run_zeta_check(2.0, v, 5), 2.5),
     "run_quad_test.z": (lambda v: ed.run_quad_test("constant", v, 0.0, 1.0, [2]), 0.5),
@@ -118,7 +113,7 @@ COUNTS = {
     "random_density.dim": (lambda v: ed.random_density(v, 1), 2),
     "random_density.seed": (lambda v: ed.random_density(2, v), 0),
     "log_power_spectrum.k": (lambda v: ed.log_power_spectrum(1.5, v), 5),
-    "splice_spectrum.k_max": (lambda v: ed.splice_spectrum(SPEC, 1.0, 0.1, 1.5, None, v), 4096),
+    "splice_spectrum.k_max": (lambda v: ed.splice_spectrum(SPEC, 1.0, 0.1, 1.5, v), 4096),
     "zeta_spectrum.k": (lambda v: ed.zeta_spectrum(2.0, 2.0, v), 5),
     "squeezed_schmidt_spectrum.n_max": (lambda v: ed.squeezed_schmidt_spectrum(1.0, v), 5),
     "run_xstate_experiment.d_list": (lambda v: ed.run_xstate_experiment([v], 2), 2),
@@ -131,12 +126,12 @@ COUNTS = {
 }
 # values of the lists above that a parameter admits: seeds, a stream index and a
 # tail length that the splice grows only as far as it needs take any integer from
-# their lower bound up, and None is the default of the probe order and of alpha
+# their lower bound up, and None is the default of alpha
 ADMITTED = {
     **dict.fromkeys(["x_state_random.seed", "x_state_random.index", "random_density.seed",
                      "splice_spectrum.k_max", "run_xstate_experiment.seed"], "huge"),
-    **dict.fromkeys(["splice_spectrum.probe_r", "log_det_ren.alpha", "hy_renormalized.alpha",
-                     "evaluate[hy-ren].alpha"], "None"),
+    **dict.fromkeys(["log_det_ren.alpha", "hy_renormalized.alpha", "evaluate[hy-ren].alpha"],
+                    "None"),
 }
 
 
@@ -153,6 +148,23 @@ def _refusals():
 def test_inadmissible_scalar_is_a_domain_error(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+# counts inside their bounds whose arrays pass the 2**47-byte address space, so NumPy
+# refuses them at once: each asked for 64 PiB or more and raised an untyped MemoryError
+@pytest.mark.parametrize("call", [
+    lambda: ed.random_density(94906265, 1),  # the largest dim with dim^2 <= 2**53
+    lambda: ed.gauss_legendre(2**53, 0.0, 1.0),
+    lambda: ed.log_power_spectrum(1.5, 2**53),
+    lambda: ed.squeezed_schmidt_spectrum(1.0, 2**53),
+    lambda: ed.run_gaussian_experiment([0.5], 2**53),
+    lambda: ed.run_xstate_experiment([2], 2**53),
+    lambda: ed.run_xstate_experiment([8], 2**53),  # bytes past 2**63: NumPy's ValueError
+], ids=["random_density", "gauss_legendre", "log_power_spectrum", "squeezed_schmidt_spectrum",
+        "run_gaussian_experiment", "run_xstate_experiment-d2", "run_xstate_experiment-d8"])
+def test_count_no_machine_holds_is_a_domain_error(call):
+    with pytest.raises(DomainError, match=r" \d+ needs more memory than NumPy can allocate$"):
+        call()
 
 
 @pytest.mark.parametrize("name", [*REALS, *COUNTS])

@@ -378,7 +378,7 @@ class TestSpliceSpectrum:
             splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=50.0, k_max=10)
 
     @staticmethod
-    def concatenating_splice(spec, eps, delta, threshold, probe_r, k_max):
+    def concatenating_splice(spec, eps, delta, threshold, k_max):
         """The splice rebuilt and concatenated whole per tail length: the oracle.
 
         Returns the spectrum's values, or the ``TruncationInsufficient`` message.
@@ -393,7 +393,7 @@ class TestSpliceSpectrum:
                 raw = j ** -(1.0 + eps)
                 tail = raw * (t / raw.sum())
                 spliced = np.concatenate([head, tail])
-                power = float((spliced[spliced > 0] ** probe_r).sum())
+                power = float((spliced[spliced > 0] ** (1.0 / (1.0 + eps))).sum())
                 if power > threshold:
                     break
                 if tail_len >= k_max:
@@ -404,30 +404,28 @@ class TestSpliceSpectrum:
             return f"trace distance {l1:.6g} not below delta = {delta}"
         return linalg.as_spectrum(spliced).values
 
-    @pytest.mark.parametrize("spec, eps, delta, threshold, probe_r, k_max", [
-        ([0.5, 0.3, 0.2], 1.0, 0.1, 3.0, None, 10**7),
-        ([0.5, 0.3, 0.2], 0.3, 0.5, 5.0, 0.5, 10**5),
-        ([0.6, 0.4, 0.0, 0.0], 1.0, 0.1, 4.0, None, 10**6),  # zeros in the head
-        ([0.6, 0.4, 0.0], 2.5, 0.05, 1.2, 2.0, 5000),
-        ([0.6, 0.4], 1.0, 3.0, 1.5, 1.0, 3000),
-        ([1.0 - 1e-300, 1e-300, 5e-324], 1.0, 3.0, 2.0, None, 10**5),  # 0.1 * 5e-324 is 0
-        ([1.0], 1e-3, 0.3, 40.0, 0.37, 2**15 + 3),
-        ([0.5, 0.3, 0.2], 700.0, 0.1, 0.0, None, 4096),  # the tail underflows, then NaN
-        ([0.5, 0.3, 0.2], 150.0, 0.5, 1.0, 0.5, 4096),  # the tail ends in zeros
-        ([1.0], 1.0, 0.1, 50.0, None, 10),
-        ([0.7, 0.2, 0.1], 1.0, 0.1, 50.0, None, 2**17),
+    @pytest.mark.parametrize("spec, eps, delta, threshold, k_max", [
+        ([0.5, 0.3, 0.2], 1.0, 0.1, 3.0, 10**7),
+        ([0.5, 0.3, 0.2], 0.3, 0.5, 5.0, 10**5),
+        ([0.6, 0.4, 0.0, 0.0], 1.0, 0.1, 4.0, 10**6),  # zeros in the head
+        ([0.6, 0.4, 0.0], 2.5, 0.05, 1.2, 5000),
+        ([0.6, 0.4], 1.0, 3.0, 1.5, 3000),
+        ([1.0 - 1e-300, 1e-300, 5e-324], 1.0, 3.0, 2.0, 10**5),  # 0.1 * 5e-324 is 0
+        ([1.0], 1e-3, 0.3, 40.0, 2**15 + 3),
+        ([0.5, 0.3, 0.2], 700.0, 0.1, 0.0, 4096),  # the tail underflows, then NaN
+        ([0.5, 0.3, 0.2], 150.0, 0.5, 1.0, 4096),  # the tail ends in zeros
+        ([1.0], 1.0, 0.1, 50.0, 10),
+        ([0.7, 0.2, 0.1], 1.0, 0.1, 50.0, 2**17),
     ])
-    def test_bit_identical_to_the_concatenating_splice(self, spec, eps, delta, threshold,
-                                                       probe_r, k_max):
-        probe = 1.0 / (1.0 + eps) if probe_r is None else probe_r
-        want = self.concatenating_splice(spec, eps, delta, threshold, probe, k_max)
+    def test_bit_identical_to_the_concatenating_splice(self, spec, eps, delta, threshold, k_max):
+        want = self.concatenating_splice(spec, eps, delta, threshold, k_max)
         with np.errstate(all="ignore"):
             if isinstance(want, str):
                 with pytest.raises(TruncationInsufficient) as info:
-                    splice_spectrum(spec, eps, delta, threshold, probe_r, k_max)
+                    splice_spectrum(spec, eps, delta, threshold, k_max)
                 assert str(info.value) == want
             else:
-                got = splice_spectrum(spec, eps, delta, threshold, probe_r, k_max).values
+                got = splice_spectrum(spec, eps, delta, threshold, k_max).values
                 assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_is_about_one_buffer(self):
@@ -448,9 +446,8 @@ class TestSpliceSpectrum:
 
     def test_domain(self):
         for kw in ({"eps": 0.0}, {"delta": -1.0}, {"threshold": -1.0}, {"eps": math.nan},
-                   {"delta": math.nan}, {"threshold": math.nan}, {"probe_r": math.nan},
-                   {"threshold": math.inf}, {"probe_r": -1.0}, {"probe_r": 0.0},
-                   {"probe_r": math.inf}, {"k_max": 0}, {"k_max": 2000.5}):
+                   {"delta": math.nan}, {"threshold": math.nan}, {"threshold": math.inf},
+                   {"k_max": 0}, {"k_max": 2000.5}):
             args = {"eps": 1.0, "delta": 0.1, "threshold": 3.0, "k_max": 4096, **kw}
             with pytest.raises(DomainError):
                 splice_spectrum([1.0], **args)
