@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from . import entropy, fredholm, linalg, states
 from .errors import (
@@ -100,11 +101,39 @@ def _check_each(values, what: str, check) -> None:
 
 
 def _csv_column(col) -> list[str]:
-    """One column's CSV cells: true/false, empty for None, else ``str`` (a float's repr)."""
-    values = col.tolist() if isinstance(col, np.ndarray) else col
-    if next((type(v) for v in values if v is not None), None) is bool:
-        return ["" if v is None else "true" if v else "false" for v in values]
-    return ["" if v is None else str(v) for v in values]
+    """One column's CSV cells: true/false, empty for None, else ``str`` (a float's repr).
+
+    One orjson call writes the column. Its text equals ``str``'s for an int
+    and for a float that is 0 or has 1e-4 <= |v| < 1e16 (shortest round-trip
+    digits), but not for None, inf and nan (``null``), other floats (``1e16``,
+    ``0.00001``) or other types, so those cells are rewritten with ``str``.
+    """
+    # orjson reads native integer and float64 arrays itself; it misreads a
+    # byte-swapped array and would write a float32 array's own shortest
+    # digits, not those of the floats tolist() gives
+    if isinstance(col, np.ndarray) and (
+        col.dtype == np.float64 or col.dtype.kind in "iu" and col.dtype.isnative
+    ):
+        values = np.ascontiguousarray(col)
+        redo = []
+        if values.dtype.kind == "f":
+            mag = np.abs(values)
+            redo = np.flatnonzero(~((mag == 0.0) | (mag >= 1e-4) & (mag < 1e16))).tolist()
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    else:
+        values = col.tolist() if isinstance(col, np.ndarray) else col
+        if next((type(v) for v in values if v is not None), None) is bool:
+            return ["" if v is None else "true" if v else "false" for v in values]
+        # orjson sees only the cells it writes as str does; the rest go in as None
+        plain = [v if type(v) is int or type(v) is float and (v == 0.0 or 1e-4 <= abs(v) < 1e16)
+                 else None for v in values]
+        redo = [i for i, v in enumerate(plain) if v is None]
+        text = orjson.dumps(plain)
+    cells = text[1:-1].decode().split(",") if len(values) else []
+    for i in redo:
+        v = values[i]  # a NumPy float64's str is its float's repr
+        cells[i] = "" if v is None else str(v)
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from typing import Union
 import numpy as np
 import orjson
 
+from .linalg import MatrixLike, _as_matrix
+
 PathLike = Union[str, Path]
 
 # orjson 3.8 parses nested arrays and objects by recursion and overflows the
@@ -31,12 +33,17 @@ _MAX_DIM = 4998
 _MAX_OPEN_BRACKETS = 2 * _MAX_DIM + 3
 
 
-def save_matrix(path: PathLike, mat: np.ndarray) -> None:
-    m = np.asarray(mat, dtype=complex)
+def save_matrix(path: PathLike, mat: MatrixLike) -> None:
+    """Write a square array or :class:`~entrodet.linalg.DensityMatrix` as a matrix file.
+
+    Raises ``ValueError``, and writes nothing, for a matrix that is not square,
+    whose dim is outside 1..4998, or that has a non-finite entry.
+    """
+    m = _as_matrix(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > _MAX_DIM:
-        raise ValueError(f"dim {m.shape[0]} is above the matrix file limit {_MAX_DIM}")
+    if not 1 <= m.shape[0] <= _MAX_DIM:  # load_matrix refuses dim 0
+        raise ValueError(f"dim {m.shape[0]} is outside the matrix file limits 1..{_MAX_DIM}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries, which JSON cannot hold")
     payload = {

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import entrodet
 from entrodet import (
@@ -30,6 +31,7 @@ from entrodet.experiments import (
     TRIANGLE_SLACK,
     ZETA_SLACK,
     ExperimentReport,
+    _csv_column,
     _json_default,
 )
 
@@ -513,7 +515,18 @@ class TestColumnarReport:
         lambda: run_gaussian_experiment([1, 2.0, 25.0], n_max=50, z=-2.0),
         lambda: run_quad_test("squeezed", 0.5, 0.0, 2.0, [4, 8, 16]),
         lambda: run_quad_test("constant", -0.5, 0.0, 1.0, [1]),
-    ], ids=["xstate-200", "gaussian-logdet-none", "quad-analytic-none", "quad-one-row"])
+        # NumPy scalars and arrays as arguments: list columns keep them as given
+        lambda: run_xstate_experiment([np.int64(2), np.int64(5)], np.int64(6), np.float64(2),
+                                      np.float64(0.5), np.int64(7)),
+        lambda: run_gaussian_experiment(np.array([0.0, 0.1, 1.0, 25.0]), n_max=np.int64(50),
+                                        m=np.int64(8), z=np.float64(-2.0)),
+        lambda: run_zeta_check(np.float64(2.0), np.float64(3.0), np.int64(1000)),
+        lambda: run_quad_test("constant", np.float64(1), 0.0, 1.0, [np.int64(2), 5]),
+        lambda: run_quad_test("exp-rank-one", np.float64(0.5), np.float64(-1.0), np.int64(1),
+                              np.arange(2, 6)),
+    ], ids=["xstate-200", "gaussian-logdet-none", "quad-analytic-none", "quad-one-row",
+            "xstate-numpy-args", "gaussian-ndarray-grid", "zeta-numpy-args",
+            "quad-numpy-args", "quad-ndarray-m-list"])
     def test_csv_and_json_equal_the_row_writer(self, make):
         check_against_row_writer(make())
 
@@ -543,3 +556,78 @@ class TestColumnarReport:
         assert report.records[0]["pass"] is True
         with pytest.raises(AttributeError):
             report.records = []
+
+
+def str_column(col) -> list[str]:
+    """The reference cell writer: true/false, empty for None, else ``str`` of each value."""
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    if next((type(v) for v in values if v is not None), None) is bool:
+        return ["" if v is None else "true" if v else "false" for v in values]
+    return ["" if v is None else str(v) for v in values]
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+# Raw float64 bit patterns: any sign, exponent and mantissa (so subnormals, the
+# infinities and NaNs too), plus the cells where str and orjson part ways and
+# their neighbours drawn often: +-0, the smallest and largest subnormals, +-max,
+# +-inf, NaN, and 1e-4 and 1e16 with the floats on either side of them.
+_EDGES = [0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308, np.inf, np.nan,
+          *(np.nextafter(x, toward) for x in (1e-4, 1e16) for toward in (0.0, x, np.inf))]
+_FLOAT_BITS = st.one_of(
+    st.sampled_from([_bits(x) | sign for x in _EDGES for sign in (0, 1 << 63)]),
+    st.integers(0, (1 << 64) - 1),
+)
+_FLOAT64_ARRAYS = arrays(np.uint64, st.integers(0, 40), elements=_FLOAT_BITS).map(
+    lambda a: a.view(np.float64))
+_PY_FLOATS = _FLOAT_BITS.map(lambda b: float(np.uint64(b).view(np.float64)))
+_INTS = st.integers(-(1 << 63), (1 << 63) - 1)
+_MIXED_CELLS = st.one_of(
+    st.none(), _PY_FLOATS, _INTS,
+    _PY_FLOATS.map(np.float64), _INTS.map(np.int64),
+    st.integers(0, (1 << 32) - 1).map(lambda b: np.uint32(b).view(np.float32)),
+)
+
+
+class TestCsvColumn:
+    """``_csv_column`` writes every cell as :func:`str_column` does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(col=_FLOAT64_ARRAYS)
+    def test_float64_arrays(self, col):
+        assert _csv_column(col) == str_column(col)
+
+    @settings(max_examples=200, deadline=None)
+    @given(col=_FLOAT64_ARRAYS, kind=st.sampled_from(["list", "object", "strided"]))
+    def test_floats_in_other_containers(self, col, kind):
+        if kind == "list":
+            col = col.tolist()
+        elif kind == "object":
+            col = col.astype(object)
+        else:
+            col = np.repeat(col, 2)[::2]
+        assert _csv_column(col) == str_column(col)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(_MIXED_CELLS, max_size=30), as_array=st.booleans())
+    def test_mixed_lists_and_object_arrays(self, cells, as_array):
+        col = np.array(cells + [None], dtype=object)[:-1] if as_array else cells
+        assert _csv_column(col) == str_column(col)
+
+    @settings(max_examples=100, deadline=None)
+    @given(col=st.one_of(
+        arrays(st.sampled_from([np.int64, np.int32, np.uint8, np.uint64, np.float32]),
+               st.integers(0, 20)),
+        arrays(st.sampled_from([np.bool_, np.dtype(">f8"), np.dtype(">i8")]), st.integers(0, 20)),
+    ))
+    def test_other_dtypes(self, col):
+        assert _csv_column(col) == str_column(col)
+
+    @pytest.mark.parametrize("col", [
+        [], np.array([]), np.array([], dtype=np.int64), np.array([], dtype=object),
+        [None], [None, None], np.array([None], dtype=object), [None, True, False],
+    ], ids=["list", "float64", "int64", "object", "none", "nones", "object-none", "bools"])
+    def test_empty_and_none_columns(self, col):
+        assert _csv_column(col) == str_column(col)

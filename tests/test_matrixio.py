@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entrodet import load_matrix, matrixio, save_matrix
+from entrodet import load_matrix, matrixio, save_matrix, states, validate_density
 
 
 def json_save(path, mat):
@@ -72,6 +72,26 @@ def test_save_rejects_non_finite(tmp_path, bad):
     path = tmp_path / "bad.json"
     with pytest.raises(ValueError, match="non-finite"):
         save_matrix(path, m)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: states.random_density(6, 3),
+    lambda: validate_density(np.diag([0.75, 0.25])),
+    lambda: states.x_state(np.array([0.4, 0.1, 0.2, 0.3]), np.array([0.1 + 0.2j, -0.05])),
+    lambda: states.diag_state([0.5, 0.3, 0.2]),
+], ids=["random_density", "validate_density", "x_state", "diag_state"])
+def test_round_trip_density_matrix(tmp_path, make):
+    state = make()
+    path = tmp_path / "state.json"
+    save_matrix(path, state)
+    assert np.array_equal(load_matrix(path).view(np.int64), state.mat.view(np.int64))
+
+
+def test_save_rejects_empty_matrix(tmp_path):
+    path = tmp_path / "empty.json"
+    with pytest.raises(ValueError, match="dim 0 is outside"):
+        save_matrix(path, np.zeros((0, 0)))
     assert not path.exists()
 
 
