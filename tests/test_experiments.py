@@ -613,7 +613,7 @@ class TestCsvColumn:
     @settings(max_examples=200, deadline=None)
     @given(cells=st.lists(_MIXED_CELLS, max_size=30), as_array=st.booleans())
     def test_mixed_lists_and_object_arrays(self, cells, as_array):
-        col = np.array(cells + [None], dtype=object)[:-1] if as_array else cells
+        col = np.array(cells, dtype=object) if as_array else cells
         assert _csv_column(col) == str_column(col)
 
     @settings(max_examples=100, deadline=None)
