@@ -25,9 +25,11 @@ Each entropy is a scalar map of one spectral statistic: the power sum
 ``trace_power``, ``von_neumann``'s ``-sum lam log lam``, ``vn_renormalized``,
 or one of the log-determinants ``log_det_r`` and ``log_det_ren``.
 :func:`evaluate` computes that statistic once, reports it as the
-diagnostic and maps it to the entropy. One builder makes the map of the
-Tsallis, Renyi, unified, determinant and renormalized forms,
-``x -> (x^s - 1) / ((1 - r) s)`` of the statistic x: Tsallis is s = 1
+diagnostic and maps it to the entropy. A :class:`~entrodet.linalg.Spectrum`
+with read-only values keeps the last order of each statistic, so Tsallis,
+Renyi and both unified forms of one spectrum at one r share one power sum.
+One builder makes the map of the Tsallis, Renyi, unified, determinant
+and renormalized forms, ``x -> (x^s - 1) / ((1 - r) s)`` of the statistic x: Tsallis is s = 1
 and Renyi the ``(1 - r) s = 0`` limit ``log(x) / (1 - r)``. Each public
 entropy is :func:`evaluate`'s route for its kind, so each statistic is
 paired with its map in one place. Each statistic is summed by
@@ -67,6 +69,7 @@ from .linalg import (
     _blocked_sum,
     _is_matrix,
     _matrix_map,
+    _memoized,
     _positive_prefix,
     as_spectrum,
     eig_hermitian,
@@ -120,6 +123,12 @@ def _power_sum(lam: np.ndarray, r: float) -> float:
     return _blocked_sum(_positive_prefix(lam), lambda x, out: _power(x, r, out))
 
 
+def _i_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
+    """The power sum I_r of checked r, once per spectrum: shared by trace_power and log_det_r."""
+    spec = spectrum_of(x)
+    return _memoized(spec, "I_r", r, lambda: _power_sum(spec.values, r))
+
+
 def _lam_log_lam(lam: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.log(lam, out=out)
     out *= lam
@@ -138,15 +147,15 @@ def _vn_ren_terms(lam: np.ndarray, ent: np.ndarray, g: np.ndarray) -> np.ndarray
 
 def trace_power(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """Trace power sum I_r = sum_i lam_i^r of a spectrum (0 log-safe)."""
-    r = _check_real(r, "trace power order", 0.0)
-    return _power_sum(spectrum_of(x).values, r)
+    return _i_r(x, _check_real(r, "trace power order", 0.0))
 
 
 def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> float:
     """Entropy -sum lam log lam with the 0 log 0 = 0 convention."""
     scale = _base_scale(log_base)
-    lam = _positive_prefix(spectrum_of(x, normalized=True).values)
-    h = _blocked_sum(lam, _lam_log_lam)
+    spec = spectrum_of(x, normalized=True)
+    h = _memoized(spec, "vn", None,
+                  lambda: _blocked_sum(_positive_prefix(spec.values), _lam_log_lam))
     # clip spectral-noise negatives: the exact value is >= 0; +0.0 folds away -0.0
     return max(-h, 0.0) * scale + 0.0
 
@@ -181,7 +190,9 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
     of second order in ``-lam log lam``, which keeps the sum finite on
     truncated spectra whose plain entropy grows without bound.
     """
-    return _blocked_sum(_positive_prefix(spectrum_of(x).values), _vn_ren_terms, buffers=2)
+    spec = spectrum_of(x)
+    return _memoized(spec, "vn-ren", None, lambda: _blocked_sum(
+        _positive_prefix(spec.values), _vn_ren_terms, buffers=2))
 
 
 def f_r(q: MatrixLike, r: float) -> np.ndarray:
@@ -201,7 +212,7 @@ def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     r = _check_real(r, "order r", 0.0)
     if _is_matrix(x):
         return _log_det_one_plus(x, lambda lam: math.expm1(lam**r), "f_r(Q)")
-    return _power_sum(spectrum_of(x).values, r)
+    return _i_r(x, r)
 
 
 def alpha_star(r: float) -> int:
@@ -243,7 +254,8 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     outgrows the float range and the result is ``(-1)^(alpha-1) inf``.
     """
     r, alpha = _resolve_alpha(r, alpha)
-    lam = _positive_prefix(spectrum_of(x).values)
+    spec = spectrum_of(x)
+    lam = _positive_prefix(spec.values)
     if not len(lam):
         return 0.0
     top = float(lam[0]) ** r  # the largest eigenvalue comes first
@@ -274,7 +286,8 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
         return acc
 
     with np.errstate(over="ignore"):  # every term has the sign of (-1)^(alpha-1)
-        return _blocked_sum(lam, terms, buffers=min(alpha, 4))
+        return _memoized(spec, "log_det_ren", (r, alpha),
+                         lambda: _blocked_sum(lam, terms, buffers=min(alpha, 4)))
 
 
 # ---------------------------------------------------------------------------

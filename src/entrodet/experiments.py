@@ -87,17 +87,17 @@ def _json_default(v):
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
-def _check_each(values, what: str, check) -> None:
-    """Refuse ``values`` with :class:`DomainError` unless it is a non-empty
-    sequence whose every item ``check`` admits."""
+def _check_each(values, what: str, check) -> list:
+    """The list of ``check(v)`` for each item of ``values``: a report column of Python
+    scalars. :class:`DomainError` unless ``values`` is a non-empty sequence whose every
+    item ``check`` admits."""
     try:
         count = len(values)
     except TypeError:
         raise DomainError(f"{what} must be a list, got {values!r}") from None
     if count == 0:
         raise DomainError(f"{what} must be non-empty")
-    for v in values:
-        check(v)
+    return [check(v) for v in values]
 
 
 def _csv_column(col) -> list[str]:
@@ -167,7 +167,7 @@ def run_xstate_experiment(
     samples = _check_count(samples, "sample count", 0, _MAX_COUNT)
     seed = _check_count(seed, "seed", 0)
     entropy._check_unified_params(r, s)
-    _check_each(d_list, "d list", lambda d: _check_count(d, "subsystem dimension", 2, 8))
+    d_list = _check_each(d_list, "d list", lambda d: _check_count(d, "subsystem dimension", 2, 8))
     t0 = time.perf_counter()
     full, diff = [], []
     # an entropy past the float range is inf, and the gap of two such is NaN
@@ -206,7 +206,7 @@ def run_xstate_experiment(
     return ExperimentReport(
         "xstate-triangle",
         {
-            "d_list": list(d_list),
+            "d_list": d_list,
             "samples": samples,
             "r": r,
             "s": s,
@@ -239,8 +239,11 @@ def run_gaussian_experiment(
     the ``a`` and ``b`` columns. Determinant failures are recorded as
     flags; parameter errors raise :class:`DomainError` before any row.
     """
-    _check_each(r_grid, "r grid",
-                lambda r: _check_real(r, "squeezing parameter", math.nextafter(0.0, -1.0)))
+    def admit(r):  # a Python int stays one: the CLI's default grid ends 1, 2, ..., 20
+        x = _check_real(r, "squeezing parameter", math.nextafter(0.0, -1.0))
+        return r if type(r) is int else x
+
+    r_grid = _check_each(r_grid, "r grid", admit)
     _check_real(z, "coupling z")
     _check_count(m, "node count", high=fredholm.MAX_NODES)
     _check_count(n_max, "truncation order", high=_MAX_COUNT)
@@ -260,7 +263,7 @@ def run_gaussian_experiment(
         except (NonFiniteKernel, NonPositiveDeterminant):
             logdet.append(None)
     columns = {
-        "r": list(r_grid),
+        "r": r_grid,
         "naive": naive,
         "naive_overflow": [not math.isfinite(v) for v in naive],
         "stable": stable,
@@ -382,7 +385,8 @@ def run_quad_test(
         )
     # Python floats for the analytic reference; the report keeps the arguments as given
     zab = (_check_real(z, "coupling z"), *fredholm._check_interval(a, b))
-    _check_each(m_list, "m list", lambda m: _check_count(m, "node count", high=fredholm.MAX_NODES))
+    m_list = _check_each(m_list, "m list",
+                         lambda m: _check_count(m, "node count", high=fredholm.MAX_NODES))
     kernel, analytic_fn = KERNELS[kernel_name]
     try:
         analytic = analytic_fn(*zab) if analytic_fn else None
@@ -394,7 +398,7 @@ def run_quad_test(
     det = [fredholm.fredholm_det(kernel, z, a, b, m) for m in m_list]
     abs_err = [None if analytic is None else abs(x - analytic) for x in det]
     columns = {
-        "m": list(m_list),
+        "m": m_list,
         "det": det,
         "diff_prev": [None] + [x - prev for prev, x in zip(det, det[1:])],
         "analytic": [analytic] * len(det),

@@ -11,7 +11,7 @@ be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -39,7 +39,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, positive semidefinite, unit-trace complex matrix.
 
@@ -57,7 +57,7 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of a positive operator, sorted non-increasing.
 
@@ -68,13 +68,32 @@ class Spectrum:
     and admit the values. The entropy kernels read the positive values as
     the prefix of that order, so a ``Spectrum`` constructed directly from
     unsorted or negative values voids the invariant and gives wrong sums.
+
+    Each statistic of read-only values is summed once (:func:`_memoized`);
+    equality and hashing are by identity.
     """
 
     values: np.ndarray
     is_normalized: bool
+    # statistic name -> (order, value): the last order summed of each statistic
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _memoized(spec: Spectrum, name: str, order, compute: Callable[[], float]) -> float:
+    """``compute()``, the statistic ``name`` of ``spec`` at ``order``, summed once per spectrum.
+
+    A repeated request at the same order returns the stored float. Writeable
+    values may change under the spectrum, so their statistics are not stored.
+    """
+    if spec.values.flags.writeable:
+        return compute()
+    hit = spec._memo.get(name)
+    if hit is None or hit[0] != order:
+        hit = spec._memo[name] = (order, compute())
+    return hit[1]
 
 
 SpectrumLike = Union[Spectrum, np.ndarray, list, tuple]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -989,20 +990,25 @@ class TestBlockedKernels:
         values[::7] = 0.0  # zeros sort to a tail that the kernels skip
         return as_spectrum(values / values.sum(), normalized=True)
 
+    # the spectrum is shared by the class, and a Spectrum sums each statistic
+    # once: each kernel call gets a copy with an empty memo, so every call sums
+
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.3])
     def test_power_sums(self, spectrum, r):
         want = _hex(_oracle_power_sum(spectrum.values, r))
-        assert _hex(trace_power(spectrum, r)) == want
-        assert _hex(log_det_r(spectrum, r)) == want
+        assert _hex(trace_power(dataclasses.replace(spectrum), r)) == want
+        assert _hex(log_det_r(dataclasses.replace(spectrum), r)) == want
 
     @pytest.mark.parametrize("alpha", [2, 3, 5])
     def test_log_det_ren(self, spectrum, alpha):
-        assert (_hex(log_det_ren(spectrum, 0.6, alpha))
+        assert (_hex(log_det_ren(dataclasses.replace(spectrum), 0.6, alpha))
                 == _hex(_oracle_log_det_ren(spectrum.values, 0.6, alpha)))
 
     def test_entropies(self, spectrum):
-        assert _hex(von_neumann(spectrum)) == _hex(_oracle_von_neumann(spectrum.values))
-        assert _hex(vn_renormalized(spectrum)) == _hex(_oracle_vn_renormalized(spectrum.values))
+        assert (_hex(von_neumann(dataclasses.replace(spectrum)))
+                == _hex(_oracle_von_neumann(spectrum.values)))
+        assert (_hex(vn_renormalized(dataclasses.replace(spectrum)))
+                == _hex(_oracle_vn_renormalized(spectrum.values)))
 
     @pytest.mark.parametrize("statistic", [
         lambda spec: trace_power(spec, 0.5),
@@ -1303,3 +1309,116 @@ class TestOneDeformedMap:
                 _assert_same_outcome(lambda: _hu_ye_own_rows(rows.copy(), r, s),
                                      lambda: _oracle_unified(r, s)((rows**r).sum(axis=1)),
                                      kind, p, scalar=False)
+
+
+def _outcome(call):
+    """An evaluate result as bits: value, diagnostics and flag, or the type of its refusal."""
+    try:
+        res = call()
+    except DomainError as exc:
+        return type(exc)
+    return (_hex(res.value), {k: _hex(v) for k, v in res.diagnostics.items()}, res.divergent)
+
+
+def _count_passes(patch):
+    """Count the entropy kernels' summing passes from here on, in a one-item list."""
+    passes = [0]
+
+    def counting(*args, **kwargs):
+        passes[0] += 1
+        return linalg._blocked_sum(*args, **kwargs)
+
+    patch.setattr(entropy, "_blocked_sum", counting)
+    return passes
+
+
+class TestStatisticMemo:
+    # a Spectrum with read-only values sums each statistic once per order;
+    # every kernel sums through entropy._blocked_sum, which _power_sum calls too
+    STATISTICS = {"I_r", "vn", "vn-ren", "log_det_ren"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(entropy.KINDS), _ORDERS, _DEFORMATIONS,
+           st.sampled_from(["e", "2"]), st.data())
+    def test_second_evaluate_reads_the_first(self, kind, r, s, log_base, data):
+        assume(kind != "hy-ren" or 0.05 <= r < 1)  # alpha = ceil(1 / r): few terms per value
+        values = data.draw(_admitted_values(normalized=True))
+        p = EntropyParams(r=r, s=s, log_base=log_base)
+        fresh = _outcome(lambda: evaluate(kind, as_spectrum(values), p))
+        spec = as_spectrum(values)
+        with pytest.MonkeyPatch.context() as patch:
+            passes = _count_passes(patch)
+            first = _outcome(lambda: evaluate(kind, spec, p))
+            summed = passes[0]
+            second = _outcome(lambda: evaluate(kind, spec, p))
+        assert first == second == fresh
+        assert summed <= 1 and passes[0] == summed
+
+    def test_power_sum_kinds_share_one_pass(self):
+        # tsallis, renyi, hy and hy-fredholm all read I_r at one r, as trace_power does
+        spec = log_power_spectrum(1.5, 1000)
+        p = EntropyParams(r=2.5, s=0.5)
+        with pytest.MonkeyPatch.context() as patch:
+            passes = _count_passes(patch)
+            stats = [evaluate(kind, spec, p).diagnostics for kind in ("tsallis", "renyi", "hy")]
+            stats.append({"trace_power": evaluate("hy-fredholm", spec, p).diagnostics["log_det"]})
+            stats.append({"trace_power": trace_power(spec, 2.5)})
+        assert passes[0] == 1
+        assert len({_hex(d["trace_power"]) for d in stats}) == 1
+
+    def test_writeable_values_are_never_memoized(self):
+        raw = np.array([0.5, 0.5])
+        spec = Spectrum(raw, True)
+        stats = [lambda: trace_power(spec, 2), lambda: von_neumann(spec),
+                 lambda: vn_renormalized(spec), lambda: log_det_ren(spec, 0.5, 2)]
+        before = [stat() for stat in stats]
+        raw[:] = [1.0, 0.0]
+        after = [stat() for stat in stats]
+        want = [_oracle(raw) for _oracle in (lambda v: _oracle_power_sum(v, 2),
+                                             _oracle_von_neumann, _oracle_vn_renormalized,
+                                             lambda v: _oracle_log_det_ren(v, 0.5, 2))]
+        assert [_hex(v) for v in after] == [_hex(v) for v in want]
+        assert all(a != b for a, b in zip(before, after))
+        assert spec._memo == {}
+
+    @pytest.mark.parametrize("x", [np.array([0.7, 0.2, 0.1]), np.diag([0.7, 0.2, 0.1])],
+                             ids=["values", "matrix"])
+    def test_array_inputs_sum_on_each_call(self, x):
+        with pytest.MonkeyPatch.context() as patch:
+            passes = _count_passes(patch)
+            for _ in range(3):
+                evaluate("hy", x, EntropyParams(r=2.0, s=0.5))
+        assert passes[0] == 3
+
+    def test_order_sweep_keeps_one_entry_per_statistic(self):
+        # hy-ren takes r in (0, 1), hy-fredholm r > 1
+        spec = log_power_spectrum(1.5, 1000)
+        orders = [(1.5 + i / 100, 0.55 + i / 250) for i in range(100)]
+        for r, r_small in orders:
+            for kind in entropy.KINDS:
+                evaluate(kind, spec, EntropyParams(r=r_small if kind == "hy-ren" else r))
+        assert set(spec._memo) == self.STATISTICS
+        r, r_small = orders[-1]
+        assert spec._memo["I_r"] == (r, trace_power(as_spectrum(spec.values), r))
+        assert spec._memo["log_det_ren"][0] == (r_small, alpha_star(r_small))
+
+    def test_replace_starts_an_empty_memo(self):
+        spec = log_power_spectrum(1.5, 1000)
+        want = trace_power(spec, 2.0)
+        copy = dataclasses.replace(spec)
+        assert copy.values is spec.values and copy._memo == {} and spec._memo
+        with pytest.MonkeyPatch.context() as patch:
+            passes = _count_passes(patch)
+            assert _hex(trace_power(copy, 2.0)) == _hex(want)
+        assert passes[0] == 1
+
+    def test_threads_sharing_a_spectrum_read_the_same_bits(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        spec = log_power_spectrum(1.5, 10**5)
+        want = {kind: _outcome(lambda kind=kind: evaluate(kind, as_spectrum(spec.values)))
+                for kind in entropy.KINDS}
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda kind: (kind, _outcome(lambda: evaluate(kind, spec))),
+                                list(entropy.KINDS) * 8))
+        assert all(outcome == want[kind] for kind, outcome in got)

@@ -515,7 +515,7 @@ class TestColumnarReport:
         lambda: run_gaussian_experiment([1, 2.0, 25.0], n_max=50, z=-2.0),
         lambda: run_quad_test("squeezed", 0.5, 0.0, 2.0, [4, 8, 16]),
         lambda: run_quad_test("constant", -0.5, 0.0, 1.0, [1]),
-        # NumPy scalars and arrays as arguments: list columns keep them as given
+        # NumPy scalars and arrays as arguments: list columns hold the Python scalars
         lambda: run_xstate_experiment([np.int64(2), np.int64(5)], np.int64(6), np.float64(2),
                                       np.float64(0.5), np.int64(7)),
         lambda: run_gaussian_experiment(np.array([0.0, 0.1, 1.0, 25.0]), n_max=np.int64(50),
@@ -529,6 +529,22 @@ class TestColumnarReport:
             "quad-numpy-args", "quad-ndarray-m-list"])
     def test_csv_and_json_equal_the_row_writer(self, make):
         check_against_row_writer(make())
+
+    def test_list_columns_hold_python_scalars(self):
+        # a list column kept the arguments as given: a float32 r was written to the
+        # CSV as 0.1 and to the JSON as the double the sweep computed with
+        gaussian = run_gaussian_experiment([np.float32(0.1)], n_max=50)
+        csv_r = gaussian.to_csv().splitlines()[-1].split(",")[0]
+        json_r = json.loads(gaussian.to_json())["records"][0]["r"]
+        assert float(csv_r) == json_r == float(np.float32(0.1))
+        assert type(gaussian.records[0]["r"]) is float and gaussian.params["r_grid"] == [json_r]
+        # a Python int stays one, as the CLI's default grid writes it
+        assert run_gaussian_experiment([1, np.int64(2)], n_max=50).columns["r"] == [1, 2.0]
+        quad = run_quad_test("constant", np.float64(1), 0.0, 1.0, [np.int64(2), 5])
+        assert [type(rec["m"]) for rec in quad.records] == [int, int]
+        assert [type(m) for m in quad.params["m_list"]] == [int, int]
+        xstate = run_xstate_experiment(np.array([2, 3]), 2)
+        assert [type(d) for d in xstate.params["d_list"]] == [int, int]
 
     def test_none_cells(self):
         gaussian = run_gaussian_experiment([1.0], n_max=50, z=-2.0)

@@ -282,6 +282,16 @@ class TestSpectrum:
             assert np.abs(sa[:k] - sb[:k]).max() < 1e-10
 
 
+@pytest.mark.parametrize("make", [lambda: as_spectrum([0.5, 0.5]),
+                                  lambda: validate_density(np.eye(2) / 2)],
+                         ids=["Spectrum", "DensityMatrix"])
+def test_equality_and_hash_are_by_identity(make):
+    # a generated __eq__ compared the arrays, so == raised ValueError and hash TypeError
+    a, b = make(), make()
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def sorted_coercion_reference(values):
     """The coercion that always sorts: negate, sort ascending, negate, clamp."""
     arr = np.negative(np.asarray(values, dtype=float).ravel())

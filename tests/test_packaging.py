@@ -6,7 +6,6 @@ import importlib
 import json
 import re
 import sys
-import tomllib
 import types
 from pathlib import Path
 
@@ -25,10 +24,19 @@ def imported_packages() -> set[str]:
     return names
 
 
+def declared_dependencies() -> list[str]:
+    """``[project].dependencies`` of pyproject.toml, read as a Python literal.
+
+    tomllib is Python 3.11 and later; the package supports 3.10.
+    """
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)[1]
+    return ast.literal_eval(re.search(r"^dependencies\s*=\s*(\[.*?\])", project, re.M | re.S)[1])
+
+
 def test_third_party_imports_are_declared():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower().replace("-", "_")
-                for dep in project["dependencies"]}
+                for dep in declared_dependencies()}
     third_party = imported_packages() - set(sys.stdlib_module_names) - {"entrodet"}
     assert "numpy" in third_party  # the scan sees imports at all
     assert third_party <= declared, f"undeclared runtime dependencies: {sorted(third_party - declared)}"
