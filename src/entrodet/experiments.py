@@ -383,7 +383,7 @@ def run_quad_test(
         raise DomainError(
             f"unknown kernel {kernel_name!r}; registry: {sorted(KERNELS)}"
         )
-    # Python floats for the analytic reference; the report keeps the arguments as given
+    # Python floats for the analytic reference; the report keeps z, a and b as given
     zab = (_check_real(z, "coupling z"), *fredholm._check_interval(a, b))
     m_list = _check_each(m_list, "m list",
                          lambda m: _check_count(m, "node count", high=fredholm.MAX_NODES))

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -1413,8 +1414,6 @@ class TestStatisticMemo:
         assert passes[0] == 1
 
     def test_threads_sharing_a_spectrum_read_the_same_bits(self):
-        from concurrent.futures import ThreadPoolExecutor
-
         spec = log_power_spectrum(1.5, 10**5)
         want = {kind: _outcome(lambda kind=kind: evaluate(kind, as_spectrum(spec.values)))
                 for kind in entropy.KINDS}
