@@ -233,11 +233,16 @@ def run_gaussian_experiment(
     """Sweep the squeezed-vacuum entropy over a grid of squeezing values.
 
     Per r: the closed form in naive and stable evaluation (with an
-    overflow flag for the naive one), the truncated Schmidt-series
-    entropy with its tail diagnostic, and the kernel log-determinant with
-    m nodes on the calibrated interval ``[0, max(r, 0.25)]``, written to
-    the ``a`` and ``b`` columns. Determinant failures are recorded as
-    flags; parameter errors raise :class:`DomainError` before any row.
+    overflow flag for the naive one), the entropy of the Schmidt series
+    truncated at n <= n_max and renormalized, with the mass the truncation
+    drops (``schmidt_tail``), and the kernel log-determinant with m nodes
+    on the calibrated interval ``[0, max(r, 0.25)]``, written to the ``a``
+    and ``b`` columns. The truncated entropy is a closed form in the
+    truncation order, within 1e-15 relative of a high-precision evaluation
+    wherever tanh^2 r is a normal double; no spectrum is built, so n_max is
+    limited by its admission (at most 2^53), not by memory. Determinant
+    failures are recorded as flags; parameter errors raise
+    :class:`DomainError` before any row.
     """
     def admit(r):  # a Python int stays one: the CLI's default grid ends 1, 2, ..., 20
         x = _check_real(r, "squeezing parameter", math.nextafter(0.0, -1.0))
@@ -251,10 +256,9 @@ def run_gaussian_experiment(
     kernel = states.squeezed_kernel()
     naive = [states.gaussian_entropy_analytic(r, "naive") for r in r_grid]
     stable = [states.gaussian_entropy_analytic(r, "stable") for r in r_grid]
-    schmidt = [
-        entropy.von_neumann(states.squeezed_schmidt_spectrum(r, n_max)) if r > 0 else 0.0
-        for r in r_grid
-    ]
+    schmidt, schmidt_tail = map(
+        list, zip(*(states._squeezed_schmidt_entropy(r, n_max) for r in r_grid))
+    )
     ends = [max(r, 0.25) for r in r_grid]
     logdet = []
     for b in ends:
@@ -268,7 +272,7 @@ def run_gaussian_experiment(
         "naive_overflow": [not math.isfinite(v) for v in naive],
         "stable": stable,
         "schmidt": schmidt,
-        "schmidt_tail": [(math.tanh(r) ** 2) ** (n_max + 1) for r in r_grid],
+        "schmidt_tail": schmidt_tail,
         "logdet": logdet,
         "logdet_ok": [v is not None for v in logdet],
         "a": [0.0] * len(ends),

@@ -85,11 +85,15 @@ class Spectrum:
 def _memoized(spec: Spectrum, name: str, order, compute: Callable[[], float]) -> float:
     """``compute()``, the statistic ``name`` of ``spec`` at ``order``, summed once per spectrum.
 
-    A repeated request at the same order returns the stored float. Writeable
-    values may change under the spectrum, so their statistics are not stored.
+    A repeated request at the same order returns the stored float. Values that
+    are writeable, or view a writeable array, may change under the spectrum,
+    so their statistics are not stored.
     """
-    if spec.values.flags.writeable:
-        return compute()
+    arr = spec.values
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return compute()
+        arr = arr.base
     hit = spec._memo.get(name)
     if hit is None or hit[0] != order:
         hit = spec._memo[name] = (order, compute())
@@ -160,9 +164,9 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
 def _own_spectrum(arr: np.ndarray, normalized: bool | None = None) -> Spectrum:
     """:func:`as_spectrum` of a fresh 1-D float64 buffer, sorted and admitted in place.
 
-    The caller hands ``arr`` over: it is reordered, clamped and frozen, and
-    becomes the spectrum's values, bit for bit those of
-    ``as_spectrum(arr, normalized)`` on a copy.
+    The caller hands ``arr`` over, with any array it views: it is reordered,
+    clamped and frozen, its bases frozen too, and becomes the spectrum's
+    values, bit for bit those of ``as_spectrum(arr, normalized)`` on a copy.
     """
     # A positive, non-increasing buffer is already sorted. Anything else
     # (NaN fails both tests) is sorted in place: negate, sort ascending,
@@ -173,6 +177,9 @@ def _own_spectrum(arr: np.ndarray, normalized: bool | None = None) -> Spectrum:
         arr.sort()
         np.negative(arr, out=arr)
     is_norm = bool(_admit(arr, bool(normalized))[0]) and normalized is not False
+    base = arr.base  # as_spectrum's ravel views its copy: freeze both, for _memoized
+    while isinstance(base, np.ndarray):
+        base = _freeze(base).base
     return Spectrum(_freeze(arr), is_norm)
 
 

@@ -274,6 +274,17 @@ class TestExperimentCommands:
         lines = [ln for ln in body.splitlines() if not ln.startswith("#")]
         assert len(lines) == 4  # header + 3 rows
 
+    def test_gaussian_largest_truncation_order(self):
+        # the Schmidt column is a closed form in --nmax: the cap 2^53 allocates nothing,
+        # and with no mass left past the truncation it is the full entropy
+        proc = run_cli("gaussian-experiment", "--r", "1", "--nmax", "9007199254740992",
+                       "--m", "4")
+        assert proc.returncode == 0
+        lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["schmidt_tail"] == "0.0"
+        assert abs(float(row["schmidt"]) - float(row["stable"])) <= 1e-14 * float(row["stable"])
+
     def test_gaussian_interval_is_no_option(self):
         proc = run_cli("gaussian-experiment", "--r", "0.5", "--interval", "0", "1")
         assert proc.returncode == 2
@@ -362,8 +373,8 @@ class TestExperimentCommands:
         ("zeta-check", "--q", "nan"),
         ("zeta-check", "--r", "nan"),
         ("gaussian-experiment", "--r", "inf"),
-        # counts inside their bounds whose arrays no machine holds: exit 1 and a traceback
-        ("gaussian-experiment", "--r", "1", "--nmax", "9007199254740992"),
+        ("gaussian-experiment", "--r", "1", "--nmax", "9007199254740993"),  # above 2^53
+        # a count inside its bound whose arrays no machine holds: exit 1 and a traceback
         ("xstate-experiment", "--d", "8", "--samples", "9007199254740992"),
         ("gaussian-experiment", "--m", "0"),
         ("gaussian-experiment", "--m", "20000"),  # above MAX_NODES

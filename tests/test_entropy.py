@@ -1382,6 +1382,23 @@ class TestStatisticMemo:
         assert all(a != b for a, b in zip(before, after))
         assert spec._memo == {}
 
+    def test_read_only_view_of_writeable_values_is_never_memoized(self):
+        # the view cannot be written, but its base can, under the spectrum
+        base = np.array([0.5, 0.5])
+        view = base.view()
+        view.setflags(write=False)
+        spec = Spectrum(view, True)
+        assert trace_power(spec, 2) == 0.5
+        base[:] = [1.0, 0.0]
+        assert trace_power(spec, 2) == 1.0
+        assert spec._memo == {}
+
+    def test_frozen_prefix_of_frozen_values_is_memoized(self):
+        # the zeta check's prefixes Spectrum(lam[:k], False) of one frozen buffer
+        spec = Spectrum(as_spectrum([0.5, 0.3, 0.2]).values[:2], False)
+        assert trace_power(spec, 2) == 0.5**2 + 0.3**2
+        assert set(spec._memo) == {"I_r"}
+
     @pytest.mark.parametrize("x", [np.array([0.7, 0.2, 0.1]), np.diag([0.7, 0.2, 0.1])],
                              ids=["values", "matrix"])
     def test_array_inputs_sum_on_each_call(self, x):

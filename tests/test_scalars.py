@@ -157,14 +157,20 @@ def test_inadmissible_scalar_is_a_domain_error(call, value):
     lambda: ed.gauss_legendre(2**53, 0.0, 1.0),
     lambda: ed.log_power_spectrum(1.5, 2**53),
     lambda: ed.squeezed_schmidt_spectrum(1.0, 2**53),
-    lambda: ed.run_gaussian_experiment([0.5], 2**53),
     lambda: ed.run_xstate_experiment([2], 2**53),
     lambda: ed.run_xstate_experiment([8], 2**53),  # bytes past 2**63: NumPy's ValueError
 ], ids=["random_density", "gauss_legendre", "log_power_spectrum", "squeezed_schmidt_spectrum",
-        "run_gaussian_experiment", "run_xstate_experiment-d2", "run_xstate_experiment-d8"])
+        "run_xstate_experiment-d2", "run_xstate_experiment-d8"])
 def test_count_no_machine_holds_is_a_domain_error(call):
     with pytest.raises(DomainError, match=r" \d+ needs more memory than NumPy can allocate$"):
         call()
+
+
+def test_gaussian_sweep_at_the_count_cap():
+    # the sweep's Schmidt entropy is a closed form in n_max: no array, so 2**53 is admitted
+    row = ed.run_gaussian_experiment([0.5], 2**53, m=4).records[0]
+    assert row["schmidt_tail"] == 0.0
+    assert row["schmidt"] == pytest.approx(row["stable"], rel=1e-14)
 
 
 @pytest.mark.parametrize("name", [*REALS, *COUNTS])

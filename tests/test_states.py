@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -40,6 +41,8 @@ from entrodet.errors import (
     TruncationInsufficient,
 )
 from entrodet.states import x_eigvalsh, x_partial_traces, x_states_random
+
+import oracles
 
 
 class TestXState:
@@ -573,6 +576,68 @@ class TestSqueezedSchmidt:
             squeezed_schmidt_spectrum(math.nan, 10)
         with pytest.raises(DomainError):
             squeezed_schmidt_spectrum(1.0, 0)
+
+
+# the squeezing and truncation grid of the Schmidt closed form: both sides of
+# t = 1/2 (r = 0.8814), of 1 - t rounding to 0 (r ~ 19), of cosh^2 r overflowing
+# (r ~ 355) and of e^-2r underflowing (r ~ 373); t is subnormal below r ~ 1.5e-154
+SCHMIDT_R = [1e-200, 1e-155, 1e-9, 1e-8, 1e-3, 0.1, 0.5, 0.8813, 1, 5, 10, 19, 19.5, 20,
+             25, 100, 354, 356, 711, 1e3]
+SCHMIDT_N = [1, 2, 50, 20000, 10**9, 2**53]
+
+
+def _assert_tail(tail, r, n_max, rel):
+    # e^-L carries the rounding of L = (N + 1) a: relative error about L ulps
+    want = oracles.geometric_tail_mass(r, n_max)
+    if want >= sys.float_info.min:
+        assert abs(tail - want) <= rel * want, r
+    else:
+        assert 0.0 <= tail < sys.float_info.min, r
+
+
+class TestSchmidtClosedForm:
+    @pytest.mark.parametrize("n_max", SCHMIDT_N)
+    @pytest.mark.parametrize("r", SCHMIDT_R)
+    def test_matches_the_oracle(self, r, n_max):
+        got, tail = states._squeezed_schmidt_entropy(r, n_max)
+        want = oracles.truncated_geometric_entropy(r, n_max)
+        if math.tanh(r) ** 2 >= sys.float_info.min:
+            assert abs(got - want) <= 1e-14 * want
+        else:
+            assert math.isfinite(got) and got >= 0.0
+        _assert_tail(tail, r, n_max, 1e-12)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 50])
+    @pytest.mark.parametrize("r", [1e-8, 0.1, 1, 5, 25])
+    def test_oracle_is_the_direct_sum(self, r, n_max):
+        closed = oracles.truncated_geometric_entropy(r, n_max)
+        direct = oracles.truncated_geometric_entropy_sum(r, n_max)
+        assert abs(closed - direct) <= 1e-30 * direct
+
+    @pytest.mark.parametrize("n_max", [1, 2, 50, 20000])
+    @pytest.mark.parametrize("r", [r for r in SCHMIDT_R if r >= 0.1])
+    def test_matches_the_spectrum(self, r, n_max):
+        got, tail = states._squeezed_schmidt_entropy(r, n_max)
+        spec = squeezed_schmidt_spectrum(r, n_max)
+        assert got == pytest.approx(von_neumann(spec), rel=1e-13)
+
+    def test_no_squeezing(self):
+        assert states._squeezed_schmidt_entropy(0.0, 10) == (0.0, 0.0)
+        assert states._squeezed_schmidt_entropy(0, 2**53) == (0.0, 0.0)
+
+    def test_uniform_limit(self):
+        # e^-2r underflows: every kept level has weight 1 / (N + 1), and none is dropped
+        assert states._squeezed_schmidt_entropy(1e3, 20000) == (math.log(20001), 1.0)
+
+    def test_sweep_reads_the_closed_form(self, monkeypatch):
+        monkeypatch.setattr(states, "squeezed_schmidt_spectrum", None)  # no spectrum is built
+        grid = [round(0.1 * i, 10) for i in range(1, 10)] + list(range(1, 21)) + [1e-9]
+        report = run_gaussian_experiment(grid, m=4)
+        for rec in report.records:
+            want = oracles.truncated_geometric_entropy(rec["r"], 20000)
+            bound = 1e-15 if rec["r"] == 1e-9 else 1e-14
+            assert abs(rec["schmidt"] - want) <= bound * want, rec["r"]
+            _assert_tail(rec["schmidt_tail"], rec["r"], 20000, 1e-13)
 
 
 # closed-form entropy values, frozen from a 60-digit evaluation
