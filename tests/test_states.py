@@ -579,8 +579,9 @@ class TestSqueezedSchmidt:
 
 
 # the squeezing and truncation grid of the Schmidt closed form: both sides of
-# t = 1/2 (r = 0.8814), of 1 - t rounding to 0 (r ~ 19), of cosh^2 r overflowing
-# (r ~ 355) and of e^-2r underflowing (r ~ 373); t is subnormal below r ~ 1.5e-154
+# t = 1/2 (r = 0.8814), of 1 - t rounding to 0 (r ~ 19), of e^-2r turning subnormal
+# (r ~ 354.2, where cosh^2 r overflows) and of 0 (r ~ 372.6); t is subnormal below
+# r ~ 1.5e-154
 SCHMIDT_R = [1e-200, 1e-155, 1e-9, 1e-8, 1e-3, 0.1, 0.5, 0.8813, 1, 5, 10, 19, 19.5, 20,
              25, 100, 354, 356, 711, 1e3]
 SCHMIDT_N = [1, 2, 50, 20000, 10**9, 2**53]
@@ -617,7 +618,7 @@ class TestSchmidtClosedForm:
     @pytest.mark.parametrize("n_max", [1, 2, 50, 20000])
     @pytest.mark.parametrize("r", [r for r in SCHMIDT_R if r >= 0.1])
     def test_matches_the_spectrum(self, r, n_max):
-        got, tail = states._squeezed_schmidt_entropy(r, n_max)
+        got, _ = states._squeezed_schmidt_entropy(r, n_max)
         spec = squeezed_schmidt_spectrum(r, n_max)
         assert got == pytest.approx(von_neumann(spec), rel=1e-13)
 
