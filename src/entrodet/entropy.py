@@ -55,10 +55,8 @@ import numpy as np
 
 from .errors import (
     _MAX_COUNT,
-    DimensionMismatch,
     DomainError,
     FractionalPowerOfNegative,
-    NotPositive,
     _check_count,
     _check_real,
 )
@@ -79,8 +77,6 @@ from .states import _PowerLaw
 
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
-# indices per call of a generator that divergence_probe scans: 8 MB per float array
-_PROBE_CHUNK = 1_000_000
 
 
 def _base_scale(log_base: str) -> float:
@@ -440,79 +436,38 @@ def divergence_probe(
 ) -> ProbeResult:
     """Find the first K with partial sum sum_{k<=K} lam_k^r above a threshold.
 
-    ``lam_of_k`` maps an array of 1-based indices to eigenvalues. For
-    spectra whose power sum diverges the crossing arrives at finite K;
-    for convergent sums the probe reports ``reached=False`` at ``k_max``.
-    The probe takes one of two routes:
-
-    * A :func:`~entrodet.states.power_law_generator` knows its partial
-      sums in closed form (1024 terms summed directly plus an
-      Euler-Maclaurin remainder, within a few ulps of the exact sum).
-      The probe evaluates the sum at ``k_max`` once and, if that
-      crosses, doubles from K = 1 and bisects to the first crossing:
-      O(log k_max) sums and no index arrays.
-    * Any other callable is scanned: it is called on ``_PROBE_CHUNK``
-      indices at a time and its values are accumulated by ``cumsum``.
+    ``lam_of_k`` is a :func:`~entrodet.states.power_law_generator`, which
+    knows its partial sums in closed form (1024 terms summed directly plus
+    an Euler-Maclaurin remainder, within a few ulps of the exact sum) at
+    the same cost for every K. For spectra whose power sum diverges the
+    crossing arrives at finite K; for convergent sums the probe reports
+    ``reached=False`` at ``k_max``. The probe evaluates the sum at
+    ``k_max`` once and, if that crosses, bisects ``[0, k_max]`` to the
+    first crossing: at most ``ceil(log2 k_max) + 1`` sums and no index arrays.
 
     Raises
     ------
     DomainError
-        If r is not positive and finite, the threshold is not finite, or ``k_max``
-        is not an integer in 1..2**53, past which indices are not exact doubles.
-    DimensionMismatch
-        If a scanned chunk of values does not have the shape of its indices.
-    NotPositive
-        If a scanned value is negative or not finite, naming its index.
+        If ``lam_of_k`` is not a ``power_law_generator`` sequence, r is not
+        positive and finite, the threshold is not finite, or ``k_max`` is
+        not an integer in 1..2**53, past which indices are not exact doubles.
     """
+    if not isinstance(lam_of_k, _PowerLaw):
+        raise DomainError(
+            f"divergence_probe needs a power_law_generator sequence, got {type(lam_of_k).__name__}"
+        )
     r = _check_real(r, "probe order", 0.0)
     k_max = _check_count(k_max, "probe length k_max", high=_MAX_COUNT)
     threshold = _check_real(threshold, "threshold")
-    if isinstance(lam_of_k, _PowerLaw):
-        return _bisect_probe(lambda k: lam_of_k.power_sum(r, k), threshold, k_max)
-    total = 0.0
-    start = 1
-    while start <= k_max:
-        stop = min(start + _PROBE_CHUNK - 1, k_max)
-        ks = np.arange(start, stop + 1, dtype=float)
-        vals = np.asarray(lam_of_k(ks), dtype=float)
-        if vals.shape != ks.shape:
-            raise DimensionMismatch(
-                f"generator returned shape {vals.shape} for indices {start}..{stop}"
-            )
-        if not (vals.min() >= 0 and vals.max() < math.inf):  # NaN fails too
-            i = int(np.argmax(~((vals >= 0) & (vals < math.inf))))
-            raise NotPositive(
-                f"generator value lam_{start + i} = {vals[i]:.6g} is negative or not finite"
-            )
-        partial = vals**r
-        np.cumsum(partial, out=partial)
-        partial += total
-        i = int((partial > threshold).argmax())  # 0 when nothing crosses
-        if partial[i] > threshold:
-            return ProbeResult(True, start + i, float(partial[i]))
-        total = float(partial[-1])
-        start = stop + 1
-    return ProbeResult(False, k_max, total)
-
-
-def _bisect_probe(
-    partial_sum: Callable[[int], float], threshold: float, k_max: int
-) -> ProbeResult:
-    """divergence_probe on a nondecreasing partial sum known at any K."""
-    total = partial_sum(k_max)
+    total = lam_of_k.power_sum(r, k_max)
     if not total > threshold:
         return ProbeResult(False, k_max, total)
-    # invariant: partial_sum(lo) <= threshold < partial_sum(hi) = total
-    lo, hi = 0, 1
-    while hi < k_max:
-        s = partial_sum(hi)
-        if s > threshold:
-            total = s
-            break
-        lo, hi = hi, min(2 * hi, k_max)
+    # the partial sums do not decrease: the sum at hi (total) crosses and none
+    # at 1 <= K <= lo does; K = 0 is never summed, so hi ends at 1 or more
+    lo, hi = 0, k_max
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        s = partial_sum(mid)
+        s = lam_of_k.power_sum(r, mid)
         if s > threshold:
             hi, total = mid, s
         else:

@@ -267,10 +267,10 @@ def power_law_generator(eps: float) -> _PowerLaw:
     sum (3e-16 relative against mpmath for r (1+eps) in [0.5, 2.5] and
     K up to 1e12). The normalizer ``zeta(1+eps)`` is the same sum taken
     to K = inf, so the values and their partial sums agree to rounding.
-    The probe uses the partial sums to find a crossing in O(log K) sums
-    instead of scanning K values.
+    The probe uses the partial sums to find a crossing in O(log K) sums.
+    An eps at or below 2**-53 is refused, as ``1 + eps`` rounds to 1.
     """
-    eps = _check_real(eps, "power-law exponent", 0.0)
+    eps = _check_real(eps, "power-law exponent", 2.0**-53)
     return _PowerLaw(1.0 + eps, zeta_series(1.0 + eps))
 
 

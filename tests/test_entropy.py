@@ -33,9 +33,8 @@ from entrodet import (
     von_neumann,
 )
 from entrodet import entropy, linalg
-from entrodet.entropy import ProbeResult, _hu_ye_own_rows
+from entrodet.entropy import _hu_ye_own_rows
 from entrodet.errors import (
-    DimensionMismatch,
     DomainError,
     FractionalPowerOfNegative,
     NotNormalized,
@@ -489,36 +488,6 @@ class TestDivergenceProbe:
         # p-series bound: the full sum is zeta(1.8)/zeta(2)^0.9 < 2
         assert probe.partial_sum < 2.0
 
-    @pytest.mark.parametrize("threshold", [1.0, 7.0, 1e9])
-    @pytest.mark.parametrize("chunk", [1000, 1_000_000])
-    def test_equal_to_reference_loop(self, monkeypatch, threshold, chunk):
-        # with chunk = 1000 the thresholds cross in the first chunk, in a
-        # later one, and never; the reference is the loop this one replaced
-        def reference(lam_of_k, r, threshold, k_max, chunk):
-            total = 0.0
-            start = 1
-            while start <= k_max:
-                stop = min(start + chunk - 1, k_max)
-                vals = np.asarray(lam_of_k(np.arange(start, stop + 1, dtype=float)), dtype=float)
-                partial = total + np.cumsum(vals**r)
-                hits = np.nonzero(partial > threshold)[0]
-                if hits.size:
-                    i = int(hits[0])
-                    return ProbeResult(True, start + i, float(partial[i]))
-                total = float(partial[-1])
-                start = stop + 1
-            return ProbeResult(False, k_max, total)
-
-        lam = power_law_generator(1.0)
-        scan = lambda ks: lam(ks)  # a black box, so the probe takes the scan route
-        want = reference(scan, 0.5, threshold, 50_000, chunk)
-        monkeypatch.setattr(entropy, "_PROBE_CHUNK", chunk)
-        got = divergence_probe(scan, 0.5, threshold, k_max=50_000)
-        assert got == want
-        if chunk == 1000:
-            assert (got.reached, got.index > chunk) == {1.0: (True, False), 7.0: (True, True),
-                                                        1e9: (False, True)}[threshold]
-
     def test_domain(self):
         for r in (0.0, math.nan):
             with pytest.raises(DomainError):
@@ -526,19 +495,29 @@ class TestDivergenceProbe:
         with pytest.raises(DomainError):
             divergence_probe(power_law_generator(1.0), 0.5, math.nan)
 
-    @pytest.mark.parametrize("route", ["closed-form", "scan"])
     @pytest.mark.parametrize("counts", [{"k_max": 2.5}, {"k_max": math.nan}, {"k_max": 0},
                                         {"k_max": -5},
                                         # integer-valued floats are not integers
                                         {"k_max": 3.0}, {"k_max": np.float64(100.0)},
                                         # past 2**53 indices are not exact doubles
                                         {"k_max": 2**53 + 1}, {"k_max": 10**400}])
-    def test_counts_checked_before_any_work(self, route, counts):
+    def test_counts_checked_before_any_work(self, monkeypatch, counts):
+        calls = []
+        monkeypatch.setattr(_PowerLaw, "power_sum", lambda self, r, k: calls.append(k) or 0.0)
+        with pytest.raises(DomainError):
+            divergence_probe(power_law_generator(1.0), 0.5, 1.0, **counts)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["lambda", "ndarray", "Spectrum", "None"])
+    def test_refuses_all_but_a_power_law_generator(self, kind):
         lam = power_law_generator(1.0)
         calls = []
-        gen = lam if route == "closed-form" else lambda ks: calls.append(ks) or lam(ks)
-        with pytest.raises(DomainError):
-            divergence_probe(gen, 0.5, 1.0, **counts)
+        gen = {"lambda": lambda ks: calls.append(ks) or lam(ks),
+               "ndarray": lam(np.arange(1.0, 101.0)),
+               "Spectrum": as_spectrum(lam(np.arange(1.0, 101.0))),
+               "None": None}[kind]
+        with pytest.raises(DomainError, match="needs a power_law_generator sequence"):
+            divergence_probe(gen, 0.5, 1.0, k_max=100)
         assert calls == []
 
     def test_integer_like_counts_accepted(self):
@@ -546,26 +525,9 @@ class TestDivergenceProbe:
         assert got == divergence_probe(power_law_generator(1.0), 0.5, 3.0, k_max=100)
         assert type(got.index) is int
 
-    @pytest.mark.parametrize("bad, error", [
-        (lambda ks: np.where(ks == 40, math.nan, 1.0 / ks**2), NotPositive),
-        (lambda ks: np.where(ks == 40, math.inf, 1.0 / ks**2), NotPositive),
-        (lambda ks: -1.0 / ks**2, NotPositive),
-        (lambda ks: 1.0 / ks[:3] ** 2, DimensionMismatch),
-    ], ids=["nan", "inf", "negative", "short-chunk"])
-    def test_scan_refuses_bad_generator_output(self, monkeypatch, bad, error):
-        monkeypatch.setattr(entropy, "_PROBE_CHUNK", 60)
-        with pytest.raises(error):
-            divergence_probe(bad, 0.5, 1e9, k_max=100)
-
-    def test_scan_names_the_bad_index(self, monkeypatch):
-        monkeypatch.setattr(entropy, "_PROBE_CHUNK", 60)
-        with pytest.raises(NotPositive, match="lam_70 = nan"):
-            divergence_probe(lambda ks: np.where(ks == 70, math.nan, 1.0 / ks**2), 0.5, 1e9,
-                             k_max=100)
-
 
 class TestPowerLawPartialSums:
-    """The closed-form route of divergence_probe on power_law_generator."""
+    """The closed-form partial sums of power_law_generator, which divergence_probe bisects."""
 
     @pytest.mark.parametrize("eps", [0.3, 1.0, 2.5])
     def test_values_unchanged(self, eps):
@@ -597,7 +559,12 @@ class TestPowerLawPartialSums:
         lam = power_law_generator(eps)
         k_max = 10**6
         sums = np.cumsum(lam(np.arange(1, k_max + 1, dtype=float)) ** r)
-        for t in thresholds:
+        # thresholds midway between the sums at K - 1 and K cross first at K = 1, 2,
+        # just past a power of two and k_max, where the bisection's interval ends;
+        # the last is just above the sum at k_max
+        mids = [sums[0] / 2, *((sums[k - 2] + sums[k - 1]) / 2 for k in (2, 2**17 + 1, k_max)),
+                sums[-1] + (sums[-1] - sums[-2]) / 2]
+        for t in [*thresholds, *mids]:
             got = divergence_probe(lam, r, t, k_max=k_max)
             crossed = np.flatnonzero(sums > t)
             if crossed.size:
@@ -612,25 +579,25 @@ class TestPowerLawPartialSums:
            k_max=st.integers(1, 30_000))
     def test_closed_form_agrees_with_scan(self, eps, r, threshold, k_max):
         lam = power_law_generator(eps)
-        fast = divergence_probe(lam, r, threshold, k_max=k_max)
-        scan = divergence_probe(lambda ks: lam(ks), r, threshold, k_max=k_max)
-        if (fast.reached, fast.index) != (scan.reached, scan.index):
-            # the routes round differently, so they may part only where a scan
-            # partial sum (one chunk here: a plain cumsum) lies within rounding
-            # of the threshold
-            k = min(fast.index, scan.index)
-            near = np.cumsum(lam(np.arange(1, k + 1, dtype=float)) ** r)[-1]
-            event("routes part at a partial sum within rounding of the threshold")
-            assert abs(near - threshold) <= 1e-12 * threshold
+        got = divergence_probe(lam, r, threshold, k_max=k_max)
+        sums = np.cumsum(lam(np.arange(1, k_max + 1, dtype=float)) ** r)
+        crossed = np.flatnonzero(sums > threshold)
+        want = (True, int(crossed[0]) + 1) if crossed.size else (False, k_max)
+        if (got.reached, got.index) != want:
+            # the closed form and the running sum round differently, so they may
+            # part only where a partial sum lies within rounding of the threshold
+            k = min(got.index, want[1])
+            event("closed form and cumsum part at a sum within rounding of the threshold")
+            assert abs(sums[k - 1] - threshold) <= 1e-12 * threshold
         else:
             # a running sum of k positive terms is off by at most about k ulps
-            assert fast.partial_sum == pytest.approx(scan.partial_sum,
-                                                     rel=(k_max + 8) * np.finfo(float).eps)
+            assert got.partial_sum == pytest.approx(sums[got.index - 1],
+                                                    rel=(k_max + 8) * np.finfo(float).eps)
 
     @pytest.mark.parametrize("threshold", [20.0, 1e9])  # crossing near 1e11, and none
     def test_probe_to_1e12_takes_log_many_sums(self, monkeypatch, threshold):
         k_max = 10**12
-        budget = 2 * math.ceil(math.log2(k_max)) + 2
+        budget = math.ceil(math.log2(k_max)) + 1
         sums = []
         power_sum = _PowerLaw.power_sum
 

@@ -135,18 +135,28 @@ ADMITTED = {
 }
 
 
+# values of a parameter's own domain edge, refused by a message that names it
+EDGES = {
+    # 1 + eps rounds to 1, which zeta_series refused as a zeta order q the caller never passed
+    "power_law_generator.eps": {"1e-17": (1e-17, r"^power-law exponent must be finite and in "
+                                                 r"\(1\.11022e-16, inf\), got 1e-17$")},
+}
+
+
 def _refusals():
     for table, bad in ((REALS, BAD_REALS), (COUNTS, BAD_COUNTS)):
         for name, (call, _) in table.items():
             for label, value in bad.items():
                 if ADMITTED.get(name) != label:
-                    yield pytest.param(call, value, id=f"{name}-{label}")
+                    yield pytest.param(call, value, None, id=f"{name}-{label}")
+            for label, (value, match) in EDGES.get(name, {}).items():
+                yield pytest.param(call, value, match, id=f"{name}-{label}")
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call,value", _refusals())
-def test_inadmissible_scalar_is_a_domain_error(call, value):
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("call,value,match", _refusals())
+def test_inadmissible_scalar_is_a_domain_error(call, value, match):
+    with pytest.raises(DomainError, match=match):
         call(value)
 
 
