@@ -495,17 +495,22 @@ class TestDivergenceProbe:
         with pytest.raises(DomainError):
             divergence_probe(power_law_generator(1.0), 0.5, math.nan)
 
+    @pytest.mark.parametrize("route", ["closed-form", "scan"])
     @pytest.mark.parametrize("counts", [{"k_max": 2.5}, {"k_max": math.nan}, {"k_max": 0},
                                         {"k_max": -5},
                                         # integer-valued floats are not integers
                                         {"k_max": 3.0}, {"k_max": np.float64(100.0)},
                                         # past 2**53 indices are not exact doubles
                                         {"k_max": 2**53 + 1}, {"k_max": 10**400}])
-    def test_counts_checked_before_any_work(self, monkeypatch, counts):
+    def test_counts_checked_before_any_work(self, monkeypatch, route, counts):
+        # a bad count is refused with no partial sum taken, and a black-box
+        # callable, which has no closed-form partial sums, with no call made
         calls = []
         monkeypatch.setattr(_PowerLaw, "power_sum", lambda self, r, k: calls.append(k) or 0.0)
+        lam = power_law_generator(1.0)
+        gen = lam if route == "closed-form" else lambda ks: calls.append(ks) or lam(ks)
         with pytest.raises(DomainError):
-            divergence_probe(power_law_generator(1.0), 0.5, 1.0, **counts)
+            divergence_probe(gen, 0.5, 1.0, **counts)
         assert calls == []
 
     @pytest.mark.parametrize("kind", ["lambda", "ndarray", "Spectrum", "None"])
