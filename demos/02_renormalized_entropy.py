@@ -4,7 +4,8 @@
 Two witnesses:
 
 * the spectrum lam_k ~ k^-2 has a divergent power sum at order 1/2;
-  a probe watches the partial sums cross any threshold you pick;
+  a probe watches the partial sums cross any threshold you pick, also
+  for that spectrum mixed with weight t into a pure state, 2t away;
 * the spectrum lam_n ~ 1/(n log^1.5 n) is summable, but its entropy
   -sum lam log lam diverges. Doubling the truncation keeps pushing the
   plain entropy up, while the order-2 regularized (Carleman) value
@@ -21,7 +22,6 @@ from entrodet import (
     log_det_ren,
     log_power_spectrum,
     power_law_generator,
-    splice_spectrum,
     vn_renormalized,
     von_neumann,
 )
@@ -42,11 +42,13 @@ for k in (1_000, 10_000, 100_000, 1_000_000):
     print(f"{k:>9}       {von_neumann(spec):12.6f}     {vn_renormalized(spec):14.10f}")
 
 print("\nany state can be pushed arbitrarily close to divergence:")
-spliced = splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=3.0)
-head = spliced.values.max()
-power = float((spliced.values ** 0.5).sum())
-print(f"  spliced pure state: {len(spliced)} eigenvalues, largest {head:.4f},")
-print(f"  trace distance to pure < 0.1, yet order-1/2 power sum = {power:.3f}")
+# (1 - t)|0><0| + t sum_k lam_k |k><k| is exactly 2t from |0><0| in trace norm;
+# its order-1/2 partial power sum (1 - t)^(1/2) + t^(1/2) S(K) passes T where S(K),
+# the probe's sum over lam, passes the shifted threshold (T - (1 - t)^(1/2)) / t^(1/2)
+t, T = 0.1 / 3, 3.0
+probe = divergence_probe(lam, r=0.5, threshold=(T - (1 - t) ** 0.5) / t**0.5)
+print(f"  (1 - t)|0><0| + t sum_k lam_k |k><k| at t = {t:.4f} lies 2t = {2 * t:.4f} from |0><0|,")
+print(f"  yet its order-1/2 partial power sum passes {T} at K = {probe.index}")
 
 print("\nrenormalized unified entropy at r = 0.4 (minimal admissible order"
       f" alpha = {alpha_star(0.4)}):")

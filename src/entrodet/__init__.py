@@ -58,7 +58,6 @@ from .states import (
     log_power_spectrum,
     power_law_generator,
     random_density,
-    splice_spectrum,
     squeezed_kernel,
     squeezed_schmidt_spectrum,
     x_state,

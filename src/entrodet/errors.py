@@ -65,10 +65,6 @@ class NonPositiveDeterminant(DomainError):
     """Log-determinant requested for a matrix with determinant <= 0."""
 
 
-class TruncationInsufficient(RuntimeError):
-    """No truncation within the allowed budget satisfies the requested bounds."""
-
-
 def _check_count(value, what: str, low: int = 1, high: int | float = math.inf) -> int:
     """``value`` as an int; :class:`DomainError` unless it is an integer in ``low..high``.
 

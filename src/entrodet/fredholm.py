@@ -698,19 +698,14 @@ def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
     return np.log1p(factors, out=factors)
 
 
-def _first_log_euler_factors(q: float, k: int) -> np.ndarray:
-    """``log_euler_factors`` over the first k primes; q is checked before the sieve."""
-    _check_real(q, "zeta order q", 1.0)
-    return log_euler_factors(q, first_k_primes(k))
-
-
 def zeta_ratio_product(q: float, k: int) -> float:
     """Truncated Euler-type product prod_{i<=k} (1 + p_i^-q).
 
     Increases monotonically in k and converges to zeta(q) / zeta(2q)
     for q > 1.
     """
-    return float(np.exp(_first_log_euler_factors(q, k).sum()))
+    q = _check_real(q, "zeta order q", 1.0)  # before the sieve
+    return float(np.exp(log_euler_factors(q, first_k_primes(k)).sum()))
 
 
 _EM_HEAD = 1024

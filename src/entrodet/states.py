@@ -19,6 +19,7 @@ evaluation, and the entropy of its renormalized truncation in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +30,16 @@ from .errors import (
     DomainError,
     NotNormalized,
     NotPositive,
-    TruncationInsufficient,
     _check_count,
     _check_real,
     _unallocatable,
 )
 from .fredholm import (
     KernelSpec,
-    _first_log_euler_factors,
     _partial_zeta,
     _SymmetricKernel,
+    first_k_primes,
+    log_euler_factors,
     zeta_series,
 )
 from .linalg import (
@@ -47,10 +48,8 @@ from .linalg import (
     Spectrum,
     SpectrumLike,
     _admit,
-    _blocked_sum,
     _freeze,
     _own_spectrum,
-    _positive_prefix,
     as_spectrum,
     validate_density,
 )
@@ -285,7 +284,12 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
     beta = _check_real(beta, "log-power exponent", 1.0)
     k = _check_count(k, "truncation length", high=_MAX_COUNT)
     # one buffer, filled with 1 / (n log^beta n) a cache-sized chunk at a time,
-    # then normalized and admitted in place
+    # then normalized and admitted in place. Where log(2)^beta is below the normal
+    # range or (k + 1) log(k + 1)^beta overflows (beta past 315 at k = 10^4, never
+    # below 186), it holds the ratios to the first value, (2 / n) (log 2 / log n)^beta
+    ratio = (beta * math.log(math.log(2.0)) < math.log(sys.float_info.min) + 1.0
+             or math.log(k + 1) + beta * math.log(math.log(k + 1))
+             > math.log(sys.float_info.max) - 1.0)
     try:
         w = np.empty(k)
     except (MemoryError, ValueError):
@@ -294,80 +298,17 @@ def log_power_spectrum(beta: float, k: int) -> Spectrum:
         chunk = w[lo : lo + _BLOCK]
         n = np.arange(lo + 2, lo + 2 + len(chunk), dtype=float)
         np.log(n, out=chunk)
-        chunk **= beta
-        chunk *= n
-        np.reciprocal(chunk, out=chunk)
+        if ratio:
+            np.divide(math.log(2.0), chunk, out=chunk)
+            chunk **= beta
+            chunk *= 2.0
+            chunk /= n
+        else:
+            chunk **= beta
+            chunk *= n
+            np.reciprocal(chunk, out=chunk)
     w /= w.sum()
     return _own_spectrum(w)
-
-
-def splice_spectrum(
-    spec: SpectrumLike,
-    eps: float,
-    delta: float,
-    threshold: float,
-    k_max: int = 10_000_000,
-) -> Spectrum:
-    """Splice a power-law tail onto a spectrum's head.
-
-    Keeps the given normalized spectrum scaled by (1 - t) and appends a
-    power-law tail ``~ j^-(1+eps)`` carrying mass t = delta/3, so the
-    trace distance to the original state is 2t < delta. The tail length
-    is grown until the power sum of the spliced spectrum at the order
-    1/(1+eps), where the tail's power sum grows without bound, exceeds
-    ``threshold``. Both properties are verified on the constructed
-    spectrum, not assumed.
-
-    Raises
-    ------
-    DomainError
-        Unless eps and delta are positive and finite, threshold is finite
-        and >= 0, and k_max is an integer >= 1.
-    TruncationInsufficient
-        If no tail length within ``k_max`` entries reaches the threshold.
-    """
-    base = as_spectrum(spec, normalized=True)
-    eps = _check_real(eps, "power-law exponent", 0.0)
-    delta = _check_real(delta, "delta", 0.0)
-    threshold = _check_real(threshold, "threshold", math.nextafter(0.0, -1.0))
-    probe_r = 1.0 / (1.0 + eps)
-    k_max = _check_count(k_max, "maximum tail length")
-    head_len = len(base)
-    t = min(delta / 3.0, 0.9)
-    head = (1.0 - t) * base.values
-    n_pos = len(_positive_prefix(head))  # head is non-increasing, as base is
-
-    tail_len = min(1024, k_max)
-    while True:
-        # one buffer per length: the head's positive values, the tail, the head's
-        # zeros, so the values the probe sums are one run; the tail's slots start
-        # as j = head_len + 1, ..., head_len + tail_len
-        first = head_len + 1 - n_pos
-        spliced = np.arange(first, first + head_len + tail_len, dtype=float)
-        spliced[:n_pos] = head[:n_pos]
-        spliced[n_pos + tail_len :] = 0.0
-        tail = spliced[n_pos : n_pos + tail_len]
-        tail **= -(1.0 + eps)
-        tail *= t / tail.sum()
-        # j ** -(1 + eps) falls as j grows, so the tail's positive values lead it
-        # (a NaN, 0 times an overflowing scale, is not positive and trails too)
-        positive = spliced[: n_pos + np.count_nonzero(tail > 0)]
-        power = _blocked_sum(positive, lambda x: x ** probe_r, 0)
-        if power > threshold:
-            break
-        if tail_len >= k_max:
-            raise TruncationInsufficient(
-                f"power sum {power:.6g} <= {threshold} at tail length {tail_len}"
-            )
-        tail_len = min(2 * tail_len, k_max)
-
-    # distance is evaluated in construction order, where head aligns with base
-    l1 = float(np.abs(head - base.values).sum() + tail.sum())
-    if not l1 < delta:
-        raise TruncationInsufficient(
-            f"trace distance {l1:.6g} not below delta = {delta}"
-        )
-    return _own_spectrum(spliced)
 
 
 def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectrum:
@@ -375,15 +316,29 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
 
     With ``normalized=False`` the raw values are returned; their order-r
     determinant log is then exactly sum_i log(1 + p_i^-q), which
-    converges to log(zeta(q) / zeta(2q)) as k grows.
+    converges to log(zeta(q) / zeta(2q)) as k grows. Normalized, every value
+    that is a double is kept, also where raw ones are not (q past about 1000).
     """
     r = _check_real(r, "deformation order", 1.0)
-    lam = _first_log_euler_factors(q, k)
-    lam **= 1.0 / r
-    if normalized:
-        lam /= lam.sum()
-        return _own_spectrum(lam)
-    return _own_spectrum(lam, normalized=False)
+    q = _check_real(q, "zeta order q", 1.0)
+    primes = first_k_primes(k)
+    lam = log_euler_factors(q, primes)
+    if normalized and lam[-1] < sys.float_info.min:
+        # the last factors f = log1p(p^-q) are subnormal or 0, and their powers would
+        # lose values: there log f = -q log p to rounding, so each log f is held as
+        # log f + q log 2 = -q log(p / 2), and lam_i / lam_1 = exp((log f_i - log f_1) / r)
+        log_f = np.log(primes / 2.0)
+        with np.errstate(over="ignore"):  # -inf past the float range: a value of 0
+            log_f *= -q
+        normal = lam >= sys.float_info.min
+        log_f[normal] = np.log(lam[normal]) + q * math.log(2.0)
+        lam = np.exp((log_f - log_f[0]) / r, out=lam)
+    else:
+        lam **= 1.0 / r
+    if not normalized:
+        return _own_spectrum(lam, normalized=False)
+    lam /= lam.sum()
+    return _own_spectrum(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -68,3 +68,37 @@ def geometric_tail_mass(r, n_max):
         _, a = _geometric(mp.mpf(r))
         q = mp.exp(-(n_max + 1) * a)
     return q
+
+
+def _first_primes(k):
+    """The first k primes, by trial division: for the small k of the tests."""
+    primes = []
+    n = 2
+    while len(primes) < k:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _normalized(w):
+    total = mp.fsum(w)
+    return [x / total for x in w]
+
+
+def zeta_spectrum(q, r, k):
+    """The normalized values log1p(p_i^-q)^(1/r) over the first k primes.
+
+    mpmath's exponents are unbounded, so values far below the double range,
+    the first factors included, come out exact too.
+    """
+    with mp.workdps(_GUARD_DIGITS):
+        q, r = mp.mpf(q), mp.mpf(r)
+        return _normalized([mp.log1p(mp.mpf(p) ** -q) ** (1 / r) for p in _first_primes(k)])
+
+
+def log_power_spectrum(beta, k):
+    """The normalized values 1 / (n log^beta n), n = 2..k + 1."""
+    with mp.workdps(_GUARD_DIGITS):
+        beta = mp.mpf(beta)
+        return _normalized([1 / (n * mp.log(n) ** beta) for n in range(2, k + 2)])

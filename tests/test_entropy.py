@@ -481,6 +481,18 @@ class TestDivergenceProbe:
         assert sums[-1] > 5.0
         assert np.all(sums[:-1] <= 5.0)
 
+    def test_mixed_into_a_pure_state(self):
+        # demo 02's discontinuity witness: (1 - t)|0><0| + t sum_k lam_k |k><k| is 2t
+        # from |0><0| in trace norm, and its order-1/2 partial power sum passes T first
+        # at the K where the probe's sum passes (T - (1 - t)^(1/2)) / t^(1/2)
+        lam, t, T = power_law_generator(1.0), 0.1 / 3, 3.0
+        probe = divergence_probe(lam, 0.5, (T - (1 - t) ** 0.5) / t**0.5)
+        assert probe.reached and probe.index == 798497
+        mix = np.concatenate([[1 - t], t * lam(np.arange(1.0, probe.index + 1))])
+        sums = np.cumsum(mix**0.5)
+        assert sums[-1] > T >= sums[-2]
+        assert t + t * lam.power_sum(1.0, math.inf) == pytest.approx(2 * t, rel=1e-15)
+
     def test_convergent_sum_not_reached(self):
         probe = divergence_probe(power_law_generator(1.0), 0.9, 10.0, k_max=10**7)
         assert not probe.reached
@@ -1065,6 +1077,26 @@ class TestCompositionLaws:
         a, b = pair
         product = np.outer(a, b).ravel()
         assert von_neumann(product) == pytest.approx(von_neumann(a) + von_neumann(b), rel=1e-12)
+
+
+class TestSchurConcavity:
+    # a T-transform y of x, y_i = a x_i + (1 - a) x_j and y_j = a x_j + (1 - a) x_i,
+    # is majorized by x, so no Schur-concave entropy is smaller on y than on x
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 64), st.integers(0, 3), st.data(),
+           st.floats(0.0, 1.0), st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 10.0)),
+           st.sampled_from([-1.0, 1.0]), st.floats(0.5, 3.0))
+    def test_t_transform_raises_every_entropy(self, seed, n, zeros, data, a, r, sign, s):
+        x = np.concatenate([random_spectrum_values(np.random.default_rng(seed), n),
+                            np.zeros(zeros)])
+        i, j = data.draw(st.lists(st.integers(0, len(x) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        y = x.copy()
+        y[i], y[j] = a * x[i] + (1 - a) * x[j], a * x[j] + (1 - a) * x[i]
+        for h in (lambda v: tsallis(v, r), lambda v: renyi(v, r),
+                  lambda v: hu_ye(v, r, sign * s), von_neumann):
+            h_x = h(x)
+            assert h(y) >= h_x - 1e-13 * max(1.0, abs(h_x))
 
 
 class TestParametersFirst:

@@ -120,10 +120,10 @@ PUBLIC_NAMES = [
     "log_fredholm_det", "log_power_spectrum", "nystrom_matrix", "partial_trace",
     "power_law_generator", "prime_tail_bound", "random_density", "renyi",
     "run_gaussian_experiment", "run_quad_test", "run_xstate_experiment", "run_zeta_check",
-    "save_matrix", "spectrum_of", "splice_spectrum", "squeezed_kernel",
-    "squeezed_schmidt_spectrum", "trace_distance", "trace_power", "tsallis", "validate_density",
-    "vn_renormalized", "vn_via_fredholm", "von_neumann", "x_state", "x_state_random",
-    "zeta_ratio_product", "zeta_series", "zeta_spectrum",
+    "save_matrix", "spectrum_of", "squeezed_kernel", "squeezed_schmidt_spectrum",
+    "trace_distance", "trace_power", "tsallis", "validate_density", "vn_renormalized",
+    "vn_via_fredholm", "von_neumann", "x_state", "x_state_random", "zeta_ratio_product",
+    "zeta_series", "zeta_spectrum",
 ]
 
 

@@ -76,9 +76,6 @@ REALS = {
     "prime_tail_bound.q": (lambda v: ed.prime_tail_bound(v, 11), 2.5),
     "power_law_generator.eps": (ed.power_law_generator, 0.5),
     "log_power_spectrum.beta": (lambda v: ed.log_power_spectrum(v, 5), 1.5),
-    "splice_spectrum.eps": (lambda v: ed.splice_spectrum(SPEC, v, 0.1, 1.5), 1.0),
-    "splice_spectrum.delta": (lambda v: ed.splice_spectrum(SPEC, 1.0, v, 1.5), 0.1),
-    "splice_spectrum.threshold": (lambda v: ed.splice_spectrum(SPEC, 1.0, 0.1, v), 0.0),
     "zeta_spectrum.q": (lambda v: ed.zeta_spectrum(v, 2.0, 5), 2.5),
     "zeta_spectrum.r": (lambda v: ed.zeta_spectrum(2.0, v, 5), 2.5),
     "squeezed_schmidt_spectrum.r": (lambda v: ed.squeezed_schmidt_spectrum(v, 5), 0.0),
@@ -113,7 +110,6 @@ COUNTS = {
     "random_density.dim": (lambda v: ed.random_density(v, 1), 2),
     "random_density.seed": (lambda v: ed.random_density(2, v), 0),
     "log_power_spectrum.k": (lambda v: ed.log_power_spectrum(1.5, v), 5),
-    "splice_spectrum.k_max": (lambda v: ed.splice_spectrum(SPEC, 1.0, 0.1, 1.5, v), 4096),
     "zeta_spectrum.k": (lambda v: ed.zeta_spectrum(2.0, 2.0, v), 5),
     "squeezed_schmidt_spectrum.n_max": (lambda v: ed.squeezed_schmidt_spectrum(1.0, v), 5),
     "run_xstate_experiment.d_list": (lambda v: ed.run_xstate_experiment([v], 2), 2),
@@ -124,12 +120,11 @@ COUNTS = {
     "run_zeta_check.k": (lambda v: ed.run_zeta_check(2.0, 2.0, v), 5),
     "run_quad_test.m_list": (lambda v: ed.run_quad_test("constant", 1.0, 0.0, 1.0, [v]), 2),
 }
-# values of the lists above that a parameter admits: seeds, a stream index and a
-# tail length that the splice grows only as far as it needs take any integer from
-# their lower bound up, and None is the default of alpha
+# values of the lists above that a parameter admits: seeds and a stream index take
+# any integer from their lower bound up, and None is the default of alpha
 ADMITTED = {
     **dict.fromkeys(["x_state_random.seed", "x_state_random.index", "random_density.seed",
-                     "splice_spectrum.k_max", "run_xstate_experiment.seed"], "huge"),
+                     "run_xstate_experiment.seed"], "huge"),
     **dict.fromkeys(["log_det_ren.alpha", "hy_renormalized.alpha", "evaluate[hy-ren].alpha"],
                     "None"),
 }

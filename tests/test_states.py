@@ -1,8 +1,8 @@
 import math
 import sys
 import time
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,6 +14,7 @@ from entrodet import (
     diag_state,
     divergence_probe,
     eig_hermitian,
+    first_k_primes,
     gauss_legendre,
     gaussian_entropy_analytic,
     hu_ye,
@@ -24,7 +25,6 @@ from entrodet import (
     power_law_generator,
     random_density,
     run_gaussian_experiment,
-    splice_spectrum,
     squeezed_kernel,
     squeezed_schmidt_spectrum,
     states,
@@ -38,7 +38,6 @@ from entrodet.errors import (
     ConstraintViolation,
     DomainError,
     NotNormalized,
-    TruncationInsufficient,
 )
 from entrodet.states import x_eigvalsh, x_partial_traces, x_states_random
 
@@ -346,114 +345,19 @@ class TestPowerLawSpectrum:
     def test_infinite_exponent(self):
         # every builder refuses eps = inf the same way, before any numerics
         for build in (lambda: power_law_generator(math.inf),
-                      lambda: splice_spectrum([1.0], math.inf, 0.1, 3.0),
                       lambda: log_power_spectrum(math.inf, 5)):
             with pytest.raises(DomainError, match="exponent must be finite"):
                 build()
 
 
-class TestSpliceSpectrum:
-    def test_pure_state_splice(self):
-        spliced = splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=3.0)
-        # verified properties: close to the original in trace distance...
-        head = spliced.values.max()
-        assert abs(head - (1 - 0.1 / 3)) < 1e-12
-        assert spliced.values.sum() == pytest.approx(1.0, abs=1e-10)
-        # ...yet with a power sum beyond the threshold at order 1/(1+eps)
-        assert float((spliced.values ** 0.5).sum()) > 3.0
-
-    def test_probe_oracle_agrees(self):
-        spliced = splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=3.0)
-        sums = np.cumsum(np.sort(spliced.values)[::-1] ** 0.5)
-        crossed = np.flatnonzero(sums > 3.0)
-        # the first crossing lies in the tail, past the one head entry
-        assert crossed.size and crossed[0] >= 1
-
-    def test_threshold_zero_trivial(self):
-        spliced = splice_spectrum([0.6, 0.4], eps=1.0, delta=0.5, threshold=0.0)
-        assert spliced.values.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_truncation_insufficient(self):
-        with pytest.raises(TruncationInsufficient):
-            splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=50.0, k_max=4096)
-        # a cap below the first tail length of 1024 is kept too
-        with pytest.raises(TruncationInsufficient, match="at tail length 10$"):
-            splice_spectrum([1.0], eps=1.0, delta=0.1, threshold=50.0, k_max=10)
-
-    @staticmethod
-    def concatenating_splice(spec, eps, delta, threshold, k_max):
-        """The splice rebuilt and concatenated whole per tail length: the oracle.
-
-        Returns the spectrum's values, or the ``TruncationInsufficient`` message.
-        """
-        base = linalg.as_spectrum(spec, normalized=True).values
-        t = min(delta / 3.0, 0.9)
-        head = (1.0 - t) * base
-        tail_len = min(1024, k_max)
-        with np.errstate(all="ignore"):
-            while True:
-                j = np.arange(len(base) + 1, len(base) + tail_len + 1, dtype=float)
-                raw = j ** -(1.0 + eps)
-                tail = raw * (t / raw.sum())
-                spliced = np.concatenate([head, tail])
-                power = float((spliced[spliced > 0] ** (1.0 / (1.0 + eps))).sum())
-                if power > threshold:
-                    break
-                if tail_len >= k_max:
-                    return f"power sum {power:.6g} <= {threshold} at tail length {tail_len}"
-                tail_len = min(2 * tail_len, k_max)
-        l1 = float(np.abs(head - base).sum() + tail.sum())
-        if not l1 < delta:
-            return f"trace distance {l1:.6g} not below delta = {delta}"
-        return linalg.as_spectrum(spliced).values
-
-    @pytest.mark.parametrize("spec, eps, delta, threshold, k_max", [
-        ([0.5, 0.3, 0.2], 1.0, 0.1, 3.0, 10**7),
-        ([0.5, 0.3, 0.2], 0.3, 0.5, 5.0, 10**5),
-        ([0.6, 0.4, 0.0, 0.0], 1.0, 0.1, 4.0, 10**6),  # zeros in the head
-        ([0.6, 0.4, 0.0], 2.5, 0.05, 1.2, 5000),
-        ([0.6, 0.4], 1.0, 3.0, 1.5, 3000),
-        ([1.0 - 1e-300, 1e-300, 5e-324], 1.0, 3.0, 2.0, 10**5),  # 0.1 * 5e-324 is 0
-        ([1.0], 1e-3, 0.3, 40.0, 2**15 + 3),
-        ([0.5, 0.3, 0.2], 700.0, 0.1, 0.0, 4096),  # the tail underflows, then NaN
-        ([0.5, 0.3, 0.2], 150.0, 0.5, 1.0, 4096),  # the tail ends in zeros
-        ([1.0], 1.0, 0.1, 50.0, 10),
-        ([0.7, 0.2, 0.1], 1.0, 0.1, 50.0, 2**17),
-    ])
-    def test_bit_identical_to_the_concatenating_splice(self, spec, eps, delta, threshold, k_max):
-        want = self.concatenating_splice(spec, eps, delta, threshold, k_max)
-        with np.errstate(all="ignore"):
-            if isinstance(want, str):
-                with pytest.raises(TruncationInsufficient) as info:
-                    splice_spectrum(spec, eps, delta, threshold, k_max)
-                assert str(info.value) == want
-            else:
-                got = splice_spectrum(spec, eps, delta, threshold, k_max).values
-                assert got.tobytes() == want.tobytes()
-
-    def test_peak_memory_is_about_one_buffer(self):
-        # the tail grows to 2**21 values (16 MiB) without reaching the threshold;
-        # rebuilding five tail-length arrays per length peaked at 82 MiB
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncationInsufficient, match="at tail length 2097152$"):
-                splice_spectrum([0.5, 0.3, 0.2], eps=1.0, delta=0.1, threshold=50.0, k_max=2**21)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 40 * 2**20
-
-    def test_large_delta_admits_any_tail(self):
-        spliced = splice_spectrum([1.0], eps=1.0, delta=2.0, threshold=1.0)
-        assert spliced.values.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_domain(self):
-        for kw in ({"eps": 0.0}, {"delta": -1.0}, {"threshold": -1.0}, {"eps": math.nan},
-                   {"delta": math.nan}, {"threshold": math.nan}, {"threshold": math.inf},
-                   {"k_max": 0}, {"k_max": 2000.5}):
-            args = {"eps": 1.0, "delta": 0.1, "threshold": 3.0, "k_max": 4096, **kw}
-            with pytest.raises(DomainError):
-                splice_spectrum([1.0], **args)
+def _assert_matches_oracle(got, want):
+    # a value v = exp(x) carries the rounding of its exponent x = log v, so its
+    # relative error is a few ulps times 1 + |log v|; a subnormal one is also off
+    # by up to its last place
+    eps = np.finfo(float).eps
+    assert len(got) == len(want)
+    for g, w in zip(got.tolist(), want):
+        assert abs(g - w) <= 4 * eps * (1 + abs(mpmath.log(w))) * w + 2.0**-1074
 
 
 class TestLogPowerSpectrum:
@@ -473,6 +377,14 @@ class TestLogPowerSpectrum:
         want = log_power_spectrum(1.7, 1000).values
         monkeypatch.setattr(states, "_BLOCK", chunk)
         assert log_power_spectrum(1.7, 1000).values.tobytes() == want.tobytes()
+
+    # log(2)^beta underflows at beta = 1e4 and log(k + 1)^beta overflows at 1100;
+    # k = 10^4 leaves the plain form between beta 315 and 316
+    @pytest.mark.parametrize("beta, k", [(1100.0, 10), (1100.0, 10**4), (1e4, 10), (1e4, 10**4),
+                                         (315.0, 10**4), (316.0, 10**4), (1.5, 10)])
+    def test_past_the_float_range_against_mpmath(self, beta, k):
+        _assert_matches_oracle(log_power_spectrum(beta, k).values,
+                               oracles.log_power_spectrum(beta, k))
 
     def test_two_entries_oracle(self):
         spec = log_power_spectrum(1.5, 2)
@@ -496,12 +408,13 @@ class TestLogPowerSpectrum:
     lambda: log_power_spectrum(1.2, 3),
     lambda: zeta_spectrum(2.0, 2.0, 10**5),
     lambda: zeta_spectrum(3.0, 1.5, 54_321, normalized=False),
+    lambda: zeta_spectrum(80.0, 1.1, 1000),  # factors below the normal range
+    lambda: log_power_spectrum(1e4, 100),  # ratios to the first value
     lambda: squeezed_schmidt_spectrum(0.0, 10),
     lambda: squeezed_schmidt_spectrum(1.0, 5000),  # trailing zeros take the sort
     lambda: squeezed_schmidt_spectrum(20.0, 50),
-    lambda: splice_spectrum([0.6, 0.4], eps=1.0, delta=0.1, threshold=3.0),
-], ids=["log-power", "log-power short", "zeta", "zeta raw", "squeezed r=0", "squeezed",
-        "squeezed t=1", "splice"])
+], ids=["log-power", "log-power short", "zeta", "zeta raw", "zeta subnormal", "log-power ratio",
+        "squeezed r=0", "squeezed", "squeezed t=1"])
 def test_builders_admit_in_place_as_the_copy_path(monkeypatch, build):
     # the builders hand their own buffer to _own_spectrum; admitting a copy of
     # it instead (what as_spectrum does) gives the same spectrum bit for bit
@@ -532,6 +445,22 @@ class TestZetaSpectrum:
         assert log_det > primes_part  # grows with more primes
         ratio = math.log(15 / math.pi**2)
         assert abs(log_det - ratio) < 2e-4
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 50.0])
+    def test_bit_identical_to_the_formula(self, q):
+        # where every factor is a normal double the values are its plain powers, normalized
+        lam = np.log1p(first_k_primes(1000).astype(float) ** -q) ** (1 / 1.5)
+        want = lam / lam.sum()
+        assert zeta_spectrum(q, 1.5, 1000).values.tobytes() == want.tobytes()
+
+    # the last factor is subnormal (q = 900 on 5 primes) or 0, from q = 1075 on so is
+    # every factor, at q = 80 most of 1000 are normal, and q = 1e308 puts -q log p
+    # past the float range
+    @pytest.mark.parametrize("q, r, k", [(900.0, 2.0, 5), (1000.0, 2.0, 5), (1100.0, 2.0, 5),
+                                         (1022.0, 2.0, 3), (1060.0, 7.0, 50), (1100.0, 1.5, 100),
+                                         (80.0, 1.1, 1000), (1e4, 2.0, 5), (1e308, 2.0, 5)])
+    def test_below_the_normal_range_against_mpmath(self, q, r, k):
+        _assert_matches_oracle(zeta_spectrum(q, r, k).values, oracles.zeta_spectrum(q, r, k))
 
     def test_normalized_flag(self):
         assert zeta_spectrum(2, 2, 10).is_normalized
