@@ -14,7 +14,6 @@ from .entropy import (
     alpha_star,
     divergence_probe,
     evaluate,
-    f_r,
     hu_ye,
     hy_bound,
     hy_fredholm,
@@ -34,10 +33,8 @@ from .fredholm import (
     first_k_primes,
     fredholm_det,
     gauss_legendre,
-    log_euler_factors,
     log_fredholm_det,
     nystrom_matrix,
-    prime_tail_bound,
     zeta_ratio_product,
     zeta_series,
 )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import experiments, matrixio
@@ -122,7 +121,7 @@ def _cmd_entropy(args) -> int:
         "diagnostics": result.diagnostics,
         "divergent": result.divergent,
     }
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(experiments._strict_json(payload) + "\n")
     return EXIT_OK
 
 

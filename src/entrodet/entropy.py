@@ -65,8 +65,6 @@ from .linalg import (
     SpectrumLike,
     _admit,
     _blocked_sum,
-    _is_matrix,
-    _matrix_map,
     _memoized,
     _positive_prefix,
     as_spectrum,
@@ -156,26 +154,20 @@ def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> floa
     return max(-h, 0.0) * scale + 0.0
 
 
-def _log_det_one_plus(
-    q: MatrixLike, g: Callable[[float], float], name: str, normalized: bool | None = None
-) -> float:
-    """log det(1 + g(Q)) by the dense ``slogdet``, after one eigensolve of Q."""
-    spec, u = eig_hermitian(q)
-    gq = _matrix_map(as_spectrum(spec, normalized), u, g)
-    sign, logdet = np.linalg.slogdet(np.eye(len(gq)) + gq)
-    if sign <= 0:
-        raise DomainError(f"det(1 + {name}) is not positive")
-    return float(logdet)
-
-
 def vn_via_fredholm(q: MatrixLike) -> float:
     """von Neumann entropy as log det(1 + f(Q)) with f(Q) = Q^-Q - 1.
 
     Goes through the actual matrix determinant rather than the spectral
     sum, so it cross-checks the direct formula on finite states. Like
-    :func:`von_neumann` it requires a normalized state.
+    :func:`von_neumann` it requires a normalized state. ``0**-0`` is 1, so
+    a zero eigenvalue maps to 0: the ``0 log 0 = 0`` convention.
     """
-    return _log_det_one_plus(q, lambda lam: lam ** (-lam) - 1.0, "f(Q)", normalized=True)
+    spec, u = eig_hermitian(q)
+    lam = as_spectrum(spec, normalized=True).values
+    sign, logdet = np.linalg.slogdet(np.eye(len(lam)) + (u * (lam**-lam - 1.0)) @ u.conj().T)
+    if sign <= 0:
+        raise DomainError("det(1 + f(Q)) is not positive")
+    return float(logdet)
 
 
 def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
@@ -191,24 +183,16 @@ def vn_renormalized(x: Union[SpectrumLike, MatrixLike]) -> float:
         _positive_prefix(spec.values), _vn_ren_terms, buffers=2))
 
 
-def f_r(q: MatrixLike, r: float) -> np.ndarray:
-    """The positive operator exp(Q^r) - 1 via the functional calculus."""
-    r = _check_real(r, "order r", 0.0)
-    return _matrix_map(*eig_hermitian(q), lambda lam: math.expm1(lam**r))
-
-
 def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """log det(1 + f_r(Q)) for f_r(Q) = exp(Q^r) - 1.
 
-    A matrix input goes through the dense log-determinant. On a spectrum
-    the determinant is the product of ``exp(lam^r)``, so its log is the
-    power sum ``I_r`` itself, returned directly: finite wherever ``I_r``
-    is, with no ``log1p(expm1(.))`` round trip to overflow past ~709.
+    The determinant is the product of ``exp(lam^r)`` over the spectrum, so
+    its log is the power sum ``I_r`` itself, returned directly for every
+    input, a matrix reduced by :func:`~entrodet.linalg.spectrum_of` like any
+    other: finite wherever ``I_r`` is, with no ``log1p(expm1(.))`` round trip
+    to overflow past ~709.
     """
-    r = _check_real(r, "order r", 0.0)
-    if _is_matrix(x):
-        return _log_det_one_plus(x, lambda lam: math.expm1(lam**r), "f_r(Q)")
-    return _i_r(x, r)
+    return _i_r(x, _check_real(r, "order r", 0.0))
 
 
 def alpha_star(r: float) -> int:

@@ -66,25 +66,34 @@ class ExperimentReport:
             "records": self.records,
             "wall_time_s": self.wall_time_s,
         }
-        return json.dumps(payload, default=_json_default)
+        return _strict_json(payload)
 
     def to_csv(self) -> str:
         lines = [
             f"# schema_version={SCHEMA_VERSION}",
             f"# experiment={self.experiment}",
-            f"# params={json.dumps(self.params, default=_json_default)}",
+            f"# params={json.dumps(_jsonable(self.params))}",
             ",".join(self.columns),
             *map(",".join, zip(*map(_csv_column, self.columns.values()))),
         ]
         return "\n".join(lines) + "\n"
 
 
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON-serializable: {type(v)}")
+def _jsonable(v):
+    """``v`` in plain JSON types: NumPy values as Python ones, and each non-finite float
+    as its CSV cell text, ``"inf"``, ``"-inf"`` or ``"nan"``, which strict parsers read."""
+    if isinstance(v, (np.ndarray, np.generic)):
+        v = v.tolist()
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _strict_json(payload) -> str:
+    """The one JSON writer of reports and results: finite payloads keep their bytes."""
+    return json.dumps(_jsonable(payload), allow_nan=False)
 
 
 def _check_each(values, what: str, check) -> list:
@@ -310,7 +319,7 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     inv_r = 1.0 / _check_real(r, "deformation order", 1.0)
     t0 = time.perf_counter()
     primes = fredholm.first_k_primes(k)
-    factors = fredholm.log_euler_factors(q, primes)
+    factors = fredholm._log_euler_factors(q, primes)
     ks = sorted({min(10**i, k) for i in range(12)})
     p_k = [int(primes[kk - 1]) for kk in ks]
     product = [float(np.exp(factors[:kk].sum())) for kk in ks]
@@ -320,7 +329,7 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     lam = linalg._own_spectrum(factors, normalized=False).values
     log_det = [entropy.log_det_r(linalg.Spectrum(lam[:kk], False), r) for kk in ks]
     gap = [abs(v - log_analytic) for v in log_det]
-    bound = [fredholm.prime_tail_bound(q, p) for p in p_k]
+    bound = [fredholm._prime_tail_bound(q, p) for p in p_k]
     columns = {
         "k": ks,
         "p_k": p_k,

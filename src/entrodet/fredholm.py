@@ -25,7 +25,7 @@ overflows: a k x k core that overflows is scaled by a power of two
 first, and only an entry of A that overflows raises ``DomainError``.
 
 The prime and zeta helpers, built on the Euler factors of
-``log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
+``_log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
 ``first_k_primes`` returns a read-only view of one per-process table of
 primes, sieved again only when a larger k asks for it; the table keeps at
 most 16 MiB of primes, and a count above ``MAX_PRIMES`` is refused.
@@ -690,7 +690,7 @@ def first_k_primes(k: int) -> np.ndarray:
     return primes[:k]
 
 
-def log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
+def _log_euler_factors(q: float, primes: np.ndarray) -> np.ndarray:
     """The log Euler factors log(1 + p^-q) of zeta(q)/zeta(2q), one per prime."""
     q = _check_real(q, "zeta order q", 1.0)
     factors = primes.astype(float)
@@ -705,7 +705,7 @@ def zeta_ratio_product(q: float, k: int) -> float:
     for q > 1.
     """
     q = _check_real(q, "zeta order q", 1.0)  # before the sieve
-    return float(np.exp(log_euler_factors(q, first_k_primes(k)).sum()))
+    return float(np.exp(_log_euler_factors(q, first_k_primes(k)).sum()))
 
 
 _EM_HEAD = 1024
@@ -753,7 +753,7 @@ def zeta_series(q: float) -> float:
     return _partial_zeta(q, math.inf)
 
 
-def prime_tail_bound(q: float, p_last: int) -> float:
+def _prime_tail_bound(q: float, p_last: int) -> float:
     """Upper bound on sum_{p > p_last} log(1 + p^-q) over primes.
 
     log(1+x) <= x and primes thin out inside the integers, so the tail

@@ -322,20 +322,6 @@ def eig_hermitian(q: MatrixLike) -> tuple[Spectrum, np.ndarray]:
     return as_spectrum(lam[::-1]), _freeze(u[:, ::-1].copy())
 
 
-def _matrix_map(spec: Spectrum, u: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """``U diag(f(lam_i)) U^dag`` from the output of :func:`eig_hermitian`.
-
-    ``f`` encodes its own lam -> 0+ limit at zero (``lam**-lam - 1`` is 0 at
-    lam = 0, the entropy convention); a value that is not finite raises
-    :class:`DomainError`.
-    """
-    vals = np.array([float(f(x)) for x in spec.values])
-    if not np.all(np.isfinite(vals)):
-        bad = spec.values[~np.isfinite(vals)][0]
-        raise DomainError(f"scalar map is not finite at eigenvalue {bad!r}")
-    return (u * vals) @ u.conj().T
-
-
 def partial_trace(q: MatrixLike, d_a: int, d_b: int, keep: str = "A") -> DensityMatrix:
     """Trace out one factor of a bipartite state on C^dA (x) C^dB.
 

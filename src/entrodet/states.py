@@ -36,10 +36,10 @@ from .errors import (
 )
 from .fredholm import (
     KernelSpec,
+    _log_euler_factors,
     _partial_zeta,
     _SymmetricKernel,
     first_k_primes,
-    log_euler_factors,
     zeta_series,
 )
 from .linalg import (
@@ -322,7 +322,7 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
     r = _check_real(r, "deformation order", 1.0)
     q = _check_real(q, "zeta order q", 1.0)
     primes = first_k_primes(k)
-    lam = log_euler_factors(q, primes)
+    lam = _log_euler_factors(q, primes)
     if normalized and lam[-1] < sys.float_info.min:
         # the last factors f = log1p(p^-q) are subnormal or 0, and their powers would
         # lose values: there log f = -q log p to rounding, so each log f is held as

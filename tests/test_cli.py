@@ -35,6 +35,13 @@ def run_cli(*args):
     )
 
 
+def strict_loads(text):
+    """``json.loads`` that refuses the non-standard ``NaN``, ``Infinity`` and ``-Infinity``."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def mixed_file(tmp_path):
     path = tmp_path / "mixed.json"
@@ -182,13 +189,13 @@ class TestEntropyCommand:
 
 
     def test_overflowing_value_is_divergent(self, tmp_path):
-        # I_3^s = 0.25^-2000 is past the float range: +inf, flagged, exit 0
+        # I_3^s = 0.25^-2000 is past the float range: +inf, written "inf", flagged, exit 0
         path = tmp_path / "mm.json"
         save_matrix(path, np.eye(2) / 2)
         proc = run_cli("entropy", str(path), "--kind", "hy", "--r", "3", "--s", "-2000")
         assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
-        assert payload["value"] == math.inf
+        payload = strict_loads(proc.stdout)
+        assert payload["value"] == "inf"
         assert payload["divergent"] is True
 
     @pytest.mark.parametrize("args", [("--kind", "renyi", "--r", "2000"),
@@ -202,6 +209,41 @@ class TestEntropyCommand:
         assert proc.returncode == 4, proc.stderr
         assert "DomainError" in proc.stderr
         assert "underflows to 0" in proc.stderr
+
+
+class TestStrictJson:
+    """Every JSON output parses strictly; a non-finite value is its CSV cell text."""
+
+    @pytest.mark.parametrize("argv,column,cells", [
+        (["gaussian-experiment"], "naive", ["nan", "nan"]),
+        (["xstate-experiment", "--d", "2", "--samples", "2", "--r", "2000", "--s", "-1"],
+         "hy_full", ["inf"]),
+        (["zeta-check", "--q", "60", "--k", "1000"], "rel_gap", []),
+        (["quad-test", "--kernel", "exp-rank-one", "--interval", "0", "354"], "det", []),
+    ], ids=["gaussian-defaults", "xstate-past-float-range", "zeta-q60", "quad"])
+    def test_experiment_report(self, tmp_path, capsys, argv, column, cells):
+        out = tmp_path / "report.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        report = strict_loads(capsys.readouterr().out)
+        assert [rec[column] for rec in report["records"] if isinstance(rec[column], str)] == cells
+        header, *rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        col = header.split(",").index(column)
+        assert [row.split(",")[col] for row in rows if row.split(",")[col] in cells] == cells
+
+    @pytest.mark.parametrize("kind,args,value", [
+        ("hy", ["--r", "3", "--s", "-2000"], "inf"),
+        ("hy-ren", ["--r", "0.5", "--s", "-2000"], "-inf"),
+        ("vn", [], None),
+    ])
+    def test_entropy_result(self, tmp_path, capsys, kind, args, value):
+        path = tmp_path / "mm.json"
+        save_matrix(path, np.eye(2) / 2)
+        assert cli.main(["entropy", str(path), "--kind", kind, *args]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        if value is None:
+            assert math.isfinite(payload["value"]) and payload["divergent"] is False
+        else:
+            assert payload["value"] == value and payload["divergent"] is True
 
 
 class TestParser:

@@ -32,7 +32,8 @@ from entrodet.experiments import (
     ZETA_SLACK,
     ExperimentReport,
     _csv_column,
-    _json_default,
+    _jsonable,
+    _strict_json,
 )
 
 
@@ -339,7 +340,7 @@ class TestZetaCheck:
         analytic = report.summary["analytic_ratio"]
         gap = [abs(v - math.log(analytic)) for v in log_det]
         p_k = [int(fredholm.first_k_primes(kk)[-1]) for kk in ks]
-        bound = [fredholm.prime_tail_bound(q, p) for p in p_k]
+        bound = [fredholm._prime_tail_bound(q, p) for p in p_k]
         columns = {
             "k": ks,
             "p_k": p_k,
@@ -459,6 +460,17 @@ class TestReportSerialization:
         assert a == b
 
 
+def test_strict_json_writes_non_finite_floats_as_their_csv_cells():
+    payload = {"a": [np.float64(np.inf), -math.inf, np.float32("nan")],
+               "b": (1, np.int64(2), np.bool_(True)), "c": np.array([0.5, -np.inf])}
+    assert _strict_json(payload) == (
+        '{"a": ["inf", "-inf", "nan"], "b": [1, 2, true], "c": [0.5, "-inf"]}')
+    assert [_csv_column(np.array([v]))[0] for v in (np.inf, -np.inf, np.nan)] == [
+        "inf", "-inf", "nan"]
+    finite = {"x": [0.1, 1e300, -0.0, np.float64(2.5)], "y": None, "z": (True, "s")}
+    assert _strict_json(finite) == json.dumps(finite)
+
+
 def old_csv(experiment: str, params: dict, records: list[dict]) -> str:
     """The row-by-row writer that formatted each cell through ``_csv_cell``."""
 
@@ -474,7 +486,7 @@ def old_csv(experiment: str, params: dict, records: list[dict]) -> str:
     out = io.StringIO()
     out.write(f"# schema_version={SCHEMA_VERSION}\n")
     out.write(f"# experiment={experiment}\n")
-    out.write(f"# params={json.dumps(params, default=_json_default)}\n")
+    out.write(f"# params={json.dumps(_jsonable(params))}\n")
     if records:
         cols = list(records[0].keys())
         out.write(",".join(cols) + "\n")

@@ -13,10 +13,8 @@ from entrodet import (
     first_k_primes,
     fredholm_det,
     gauss_legendre,
-    log_euler_factors,
     log_fredholm_det,
     nystrom_matrix,
-    prime_tail_bound,
     zeta_ratio_product,
     zeta_series,
 )
@@ -579,7 +577,7 @@ class TestZeta:
 
     def test_log_euler_factors(self):
         primes = first_k_primes(3)
-        got = log_euler_factors(2.0, primes)
+        got = fredholm._log_euler_factors(2.0, primes)
         assert got == pytest.approx([math.log1p(0.25), math.log1p(1 / 9), math.log1p(1 / 25)],
                                     rel=1e-15)
         assert zeta_ratio_product(2.0, 3) == float(np.exp(got.sum()))
@@ -609,7 +607,7 @@ class TestZeta:
         # actual prime tail at k = 100 is below the integral bound
         primes = first_k_primes(5000).astype(float)
         tail = float(np.log1p(primes[100:] ** -2.0).sum())
-        assert tail < prime_tail_bound(2.0, int(primes[99]))
+        assert tail < fredholm._prime_tail_bound(2.0, int(primes[99]))
 
     @pytest.mark.parametrize("q", [0.5, 1.0, math.nan, math.inf])
     def test_bad_order_rejected_before_sieve(self, monkeypatch, q):
@@ -628,15 +626,16 @@ class TestZeta:
             assert abs((mpmath.mpf(zeta_series(q)) - want) / want) < 1e-15
 
     def test_domain(self):
+        tail, factors = fredholm._prime_tail_bound, fredholm._log_euler_factors
         for fn in (lambda: zeta_series(1.0), lambda: zeta_ratio_product(0.5, 3),
-                   lambda: prime_tail_bound(1.0, 10),
+                   lambda: tail(1.0, 10),
                    lambda: zeta_series(math.nan), lambda: zeta_series(math.inf),
-                   lambda: zeta_ratio_product(math.nan, 3), lambda: prime_tail_bound(math.nan, 10),
-                   lambda: prime_tail_bound(2.0, 0), lambda: prime_tail_bound(2.0, -3),
-                   lambda: prime_tail_bound(2.0, 2.5),
-                   lambda: log_euler_factors(1.0, first_k_primes(3)),
-                   lambda: log_euler_factors(math.nan, first_k_primes(3)),
-                   lambda: log_euler_factors(math.inf, first_k_primes(3))):
+                   lambda: zeta_ratio_product(math.nan, 3), lambda: tail(math.nan, 10),
+                   lambda: tail(2.0, 0), lambda: tail(2.0, -3),
+                   lambda: tail(2.0, 2.5),
+                   lambda: factors(1.0, first_k_primes(3)),
+                   lambda: factors(math.nan, first_k_primes(3)),
+                   lambda: factors(math.inf, first_k_primes(3))):
             with pytest.raises(DomainError):
                 fn()
 

@@ -120,44 +120,6 @@ class TestEigHermitian:
         assert np.abs(u.conj().T @ u - np.eye(6)).max() < 1e-10
 
 
-class TestMatrixFunction:
-    # U diag(f(lam)) U^dag from one eigendecomposition, the path of f_r and vn_via_fredholm
-    @staticmethod
-    def apply(q, f):
-        return linalg._matrix_map(*eig_hermitian(q), f)
-
-    def test_identity_map(self, rng):
-        q = ginibre_density(rng, 5)
-        out = self.apply(q, lambda x: x)
-        assert np.abs(out - q.mat).max() < 1e-12
-
-    def test_zero_limit_convention(self):
-        # lam^-lam - 1 evaluates to 0 at both lam = 1 and lam = 0
-        out = self.apply(np.diag([1.0, 0.0]).astype(complex),
-                         lambda lam: lam ** (-lam) - 1.0)
-        assert np.abs(out).max() < 1e-14
-
-    def test_scalar_oracle(self):
-        out = self.apply(np.diag([0.7, 0.3]).astype(complex),
-                         lambda lam: np.expm1(lam**2))
-        got = np.sort(np.diag(out).real)
-        assert np.allclose(got, [0.094174283705210358, 0.63231621995537897],
-                           rtol=0, atol=1e-14)
-
-    def test_commutes_with_conjugation(self, rng):
-        f = lambda lam: np.expm1(lam**2)
-        for _ in range(10):
-            q = ginibre_density(rng, 5)
-            u = haar_unitary(rng, 5)
-            lhs = self.apply(u @ q.mat @ u.conj().T, f)
-            rhs = u @ self.apply(q, f) @ u.conj().T
-            assert np.abs(lhs - rhs).max() < 1e-10
-
-    def test_non_finite_map(self):
-        with np.errstate(divide="ignore"), pytest.raises(DomainError):
-            self.apply(np.diag([0.5, 0.5]).astype(complex), lambda lam: 1.0 / (lam - 0.5))
-
-
 class TestPartialTrace:
     def test_product_state(self, rng):
         qa = ginibre_density(rng, 3).mat

@@ -114,16 +114,15 @@ def test_one_block_constant_for_long_spectra():
 PUBLIC_NAMES = [
     "DensityMatrix", "EntropyParams", "EntropyResult", "ExperimentReport", "KernelSpec",
     "ProbeResult", "QuadratureRule", "Spectrum", "alpha_star", "as_spectrum", "diag_state",
-    "divergence_probe", "eig_hermitian", "evaluate", "f_r", "first_k_primes", "fredholm_det",
+    "divergence_probe", "eig_hermitian", "evaluate", "first_k_primes", "fredholm_det",
     "gauss_legendre", "gaussian_entropy_analytic", "hu_ye", "hy_bound", "hy_fredholm",
-    "hy_renormalized", "load_matrix", "log_det_r", "log_det_ren", "log_euler_factors",
-    "log_fredholm_det", "log_power_spectrum", "nystrom_matrix", "partial_trace",
-    "power_law_generator", "prime_tail_bound", "random_density", "renyi",
-    "run_gaussian_experiment", "run_quad_test", "run_xstate_experiment", "run_zeta_check",
-    "save_matrix", "spectrum_of", "squeezed_kernel", "squeezed_schmidt_spectrum",
-    "trace_distance", "trace_power", "tsallis", "validate_density", "vn_renormalized",
-    "vn_via_fredholm", "von_neumann", "x_state", "x_state_random", "zeta_ratio_product",
-    "zeta_series", "zeta_spectrum",
+    "hy_renormalized", "load_matrix", "log_det_r", "log_det_ren", "log_fredholm_det",
+    "log_power_spectrum", "nystrom_matrix", "partial_trace", "power_law_generator",
+    "random_density", "renyi", "run_gaussian_experiment", "run_quad_test",
+    "run_xstate_experiment", "run_zeta_check", "save_matrix", "spectrum_of", "squeezed_kernel",
+    "squeezed_schmidt_spectrum", "trace_distance", "trace_power", "tsallis", "validate_density",
+    "vn_renormalized", "vn_via_fredholm", "von_neumann", "x_state", "x_state_random",
+    "zeta_ratio_product", "zeta_series", "zeta_spectrum",
 ]
 
 

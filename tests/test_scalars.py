@@ -1,4 +1,4 @@
-"""Scalar admission: every scalar parameter of the public API.
+"""Scalar admission: every scalar parameter of the public API, and of the zeta check's helpers.
 
 A count is whatever ``operator.index`` accepts, a real whatever ``float()``
 converts except a string, bytes or a complex number; both are computed with
@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import entrodet as ed
+from entrodet import fredholm
 from entrodet.errors import DomainError
 
 SPEC = [0.7, 0.2, 0.1]
-Q = np.diag(SPEC)
 KERNEL = ed.squeezed_kernel()
 RULE = ed.gauss_legendre(4, 0.0, 1.0)
 PROBE = ed.power_law_generator(1.0)
@@ -37,7 +37,6 @@ def _evaluate(kind, **params):
 # parameter -> (call of its value with admissible other arguments, an admissible value)
 REALS = {
     "trace_power.r": (lambda v: ed.trace_power(SPEC, v), 2.5),
-    "f_r.r": (lambda v: ed.f_r(Q, v), 2.5),
     "log_det_r.r": (lambda v: ed.log_det_r(SPEC, v), 2.5),
     "alpha_star.r": (ed.alpha_star, 0.5),
     "log_det_ren.r": (lambda v: ed.log_det_ren(SPEC, v), 0.5),
@@ -70,10 +69,11 @@ REALS = {
     "log_fredholm_det.z": (lambda v: ed.log_fredholm_det(KERNEL, v, 0.0, 1.0, 4), 0.5),
     "log_fredholm_det.a": (lambda v: ed.log_fredholm_det(KERNEL, 1.0, v, 1.0, 4), 0.5),
     "log_fredholm_det.b": (lambda v: ed.log_fredholm_det(KERNEL, 1.0, 0.0, v, 4), 0.5),
-    "log_euler_factors.q": (lambda v: ed.log_euler_factors(v, ed.first_k_primes(5)), 2.5),
+    "log_euler_factors.q": (lambda v: fredholm._log_euler_factors(v, ed.first_k_primes(5)),
+                            2.5),
     "zeta_ratio_product.q": (lambda v: ed.zeta_ratio_product(v, 5), 2.5),
     "zeta_series.q": (ed.zeta_series, 2.5),
-    "prime_tail_bound.q": (lambda v: ed.prime_tail_bound(v, 11), 2.5),
+    "prime_tail_bound.q": (lambda v: fredholm._prime_tail_bound(v, 11), 2.5),
     "power_law_generator.eps": (ed.power_law_generator, 0.5),
     "log_power_spectrum.beta": (lambda v: ed.log_power_spectrum(v, 5), 1.5),
     "zeta_spectrum.q": (lambda v: ed.zeta_spectrum(v, 2.0, 5), 2.5),
@@ -103,7 +103,7 @@ COUNTS = {
     "log_fredholm_det.m": (lambda v: ed.log_fredholm_det(KERNEL, 1.0, 0.0, 1.0, v), 4),
     "first_k_primes.k": (ed.first_k_primes, 5),
     "zeta_ratio_product.k": (lambda v: ed.zeta_ratio_product(2.0, v), 5),
-    "prime_tail_bound.p_last": (lambda v: ed.prime_tail_bound(2.0, v), 11),
+    "prime_tail_bound.p_last": (lambda v: fredholm._prime_tail_bound(2.0, v), 11),
     "x_state_random.d": (lambda v: ed.x_state_random(v, 1), 2),
     "x_state_random.seed": (lambda v: ed.x_state_random(2, v), 0),
     "x_state_random.index": (lambda v: ed.x_state_random(2, 1, v), 0),
@@ -190,7 +190,6 @@ def test_each_table_call_admits_its_value(name):
 # name -> (call of the order, a float exact in float32, an int order or None)
 ORDERS = {
     "trace_power": (lambda v: ed.trace_power(SPEC, v), 2.5, 3),
-    "f_r": (lambda v: ed.f_r(Q, v).tobytes(), 2.5, 3),
     "log_det_r": (lambda v: ed.log_det_r(SPEC, v), 2.5, 3),
     "alpha_star": (ed.alpha_star, 0.375, None),
     "log_det_ren": (lambda v: ed.log_det_ren(SPEC, v), 0.375, None),
@@ -209,9 +208,9 @@ ORDERS = {
     "divergence_probe": (lambda v: ed.divergence_probe(PROBE, v, 3.0, 10**6), 0.625, None),
     "zeta_series": (ed.zeta_series, 2.5, 3),
     "zeta_ratio_product": (lambda v: ed.zeta_ratio_product(v, 50), 2.5, 3),
-    "prime_tail_bound": (lambda v: ed.prime_tail_bound(v, 229), 2.5, 3),
-    "log_euler_factors": (lambda v: ed.log_euler_factors(v, ed.first_k_primes(50)).tobytes(),
-                          2.5, 3),
+    "prime_tail_bound": (lambda v: fredholm._prime_tail_bound(v, 229), 2.5, 3),
+    "log_euler_factors": (
+        lambda v: fredholm._log_euler_factors(v, ed.first_k_primes(50)).tobytes(), 2.5, 3),
     "zeta_spectrum": (lambda v: ed.zeta_spectrum(2.5, v, 50).values.tobytes(), 2.5, 3),
     "power_law_generator": (lambda v: ed.power_law_generator(v)(np.arange(1.0, 9.0)).tobytes(),
                             0.625, 2),
