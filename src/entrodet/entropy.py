@@ -144,14 +144,27 @@ def trace_power(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     return _i_r(x, _check_real(r, "trace power order", 0.0))
 
 
+def _vn_sum(lam: np.ndarray) -> float:
+    """``-sum lam log lam`` of positive values in one pass, the top term in complement form."""
+    if not (len(lam) and lam[0] > 0.5):
+        return -_blocked_sum(lam, _lam_log_lam)
+    top, rest = float(lam[0]), lam[1:]
+    s, t = _blocked_sum(rest, lambda x, out: np.stack((_lam_log_lam(x, out), x)))
+    return top * math.log1p(t / top) - s
+
+
 def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> float:
-    """Entropy -sum lam log lam with the 0 log 0 = 0 convention."""
+    """Entropy -sum lam log lam with the 0 log 0 = 0 convention.
+
+    A top value lam_0 above 1/2 enters as ``lam_0 log1p(t / lam_0)``, t the
+    sum of the others: on a unit sum that is ``-lam_0 log lam_0``, and it
+    keeps the relative accuracy that ``log lam_0`` rounds away near 1.
+    """
     scale = _base_scale(log_base)
     spec = spectrum_of(x, normalized=True)
-    h = _memoized(spec, "vn", None,
-                  lambda: _blocked_sum(_positive_prefix(spec.values), _lam_log_lam))
+    h = _memoized(spec, "vn", None, lambda: _vn_sum(_positive_prefix(spec.values)))
     # clip spectral-noise negatives: the exact value is >= 0; +0.0 folds away -0.0
-    return max(-h, 0.0) * scale + 0.0
+    return max(h, 0.0) * scale + 0.0
 
 
 def vn_via_fredholm(q: MatrixLike) -> float:

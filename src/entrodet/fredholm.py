@@ -11,18 +11,19 @@ converges (spectrally fast for analytic kernels) to det(1 + z K)
 is similar to it and has the same determinant. ``fredholm_det`` and
 ``log_fredholm_det`` share one route. Adaptive cross approximation
 (Bebendorf, Numer. Math. 2000) factors ``A = z W^1/2 K W^1/2 ~ U V^T``
-from a few kernel rows and columns; every entry of A is checked for
-finiteness and every entry of ``A - U V^T`` against ``1e-12 max(|A_ij|,
-1)``, the 1 for the identity in ``1 + A``, on a grid of one block as one
-array and on a larger one in one pass of row blocks of kernel values (for
-a kernel the library builds symmetric, blocks of the upper triangle,
-compared with both triangles of ``U V^T``); then ``det(1 + A) = det(I_k +
-V^T U)`` for the numerical rank k. A kernel with no low rank takes the
-dense LU, refused (``DomainError``) where ``m eps max|A|`` reaches 1.
-Both accumulate the determinant in log space and never form the product,
-so the log-determinant stays usable where the determinant itself
-overflows: a k x k core that overflows is scaled by a power of two
-first, and only an entry of A that overflows raises ``DomainError``.
+from a few kernel rows and columns, dropping as rounding noise, at every
+rank, a cross at most 1e-12 of the largest cross so far; every entry of A
+is checked for finiteness and every entry of ``A - U V^T`` against ``1e-12
+max(|A_ij|, 1)``, the 1 for the identity in ``1 + A``, on a grid of one
+block as one array and on a larger one in one pass of row blocks of kernel
+values (for a kernel the library builds symmetric, blocks of the upper
+triangle, compared with both triangles of ``U V^T``); then ``det(1 + A) =
+det(I_k + V^T U)`` for the numerical rank k. A kernel with no low rank
+takes the dense LU, refused (``DomainError``) where ``m eps max|A|``
+reaches 1. Both accumulate the determinant in log space and never form
+the product, so the log-determinant stays usable where the determinant
+itself overflows: a k x k core that overflows is scaled by a power of
+two first, and only an entry of A that overflows raises ``DomainError``.
 
 The prime and zeta helpers, built on the Euler factors of
 ``_log_euler_factors``, give the zeta-ratio closed forms of prime spectra.
@@ -65,10 +66,9 @@ MAX_NODES = 10_000
 # the size of MAX_NODES' dense matrix
 MAX_PRIMES = 10**8
 
-# low-rank route: ACA stops at crosses below _ACA_TOL of the Frobenius
-# estimate, a decade above the rounding floor of about 1e-15; the grid check
-# allows each entry of A - U V^T up to _GRID_TOL times max(|A_ij|, 1)
-_ACA_TOL = 1e-14
+# low-rank route: ACA drops a cross at most _GRID_TOL of the largest cross so
+# far, and the grid check allows each entry of A - U V^T up to _GRID_TOL times
+# max(|A_ij|, 1)
 _GRID_TOL = 1e-12
 # kernel values per block of the grid check: 256 KiB per block. The kernel's
 # values and temporaries are fresh arrays each block, which glibc may serve by
@@ -321,25 +321,23 @@ def _aca(
 
     Returns ``(u, vt)`` with ``A ~ u @ vt`` from the rows and columns of A
     that ``row(i)`` and ``col(j)`` give, or None when ``cap`` crosses
-    are not enough. It stops before a cross whose Frobenius norm is below
-    ``_ACA_TOL`` times the running estimate of ``||u @ vt||_F``, so a
-    rounding-noise cross of a huge exact-rank matrix is never added. The
-    cross that would reach ``cap`` is taken for noise, and dropped, when
-    it is below ``_GRID_TOL`` times the estimate; the caller's grid check
-    then decides whether the crosses before it suffice.
+    are not enough. One rule stops it, at every rank: a cross whose
+    Frobenius norm is at most ``_GRID_TOL`` times the largest cross so far
+    is taken for rounding noise and dropped, so no noise cross of a steep
+    or huge exact-rank matrix enters the determinant; the caller's grid
+    check then decides whether the crosses before it suffice.
 
     Cross l is ``peaks[l]`` times the outer product of ``ut[l]``, the
     residual column over its largest entry, and ``vt[l]``, the residual
-    row over its pivot. Norms and inner products are taken of those
-    unit-peak vectors, norms are kept in units of the first peak, and the
-    estimate is updated relative to the larger of two norms, so neither a
-    norm of entries near the float maximum nor a square overflows.
+    row over its pivot. Norms are taken of those unit-peak vectors and
+    kept in units of the first peak, so neither a norm of entries near
+    the float maximum nor a square overflows.
     """
     ut = np.empty((min(cap, 4), m))
     vt = np.empty_like(ut)
     peaks = np.empty(len(ut))
     used: list[int] = []
-    frob = 0.0
+    largest = 0.0
     k = i = 0
     while True:
         used.append(i)
@@ -360,20 +358,10 @@ def _aca(
         if not k:
             unit = peak
         size = peak / unit * math.sqrt((c @ c) * (r @ r))
-        if k:
-            # ||S + t||^2 = ||S||^2 + 2 <S, t> + ||t||^2, all over scale^2
-            scale = max(frob, size)
-            rel = peaks[:k] / unit / scale
-            cross = (ut[:k] @ c) * rel @ (vt[:k] @ r) * (peak / unit / scale)
-            frob2 = (frob / scale) ** 2 + 2.0 * cross + (size / scale) ** 2
-            frob = scale * math.sqrt(max(0.0, frob2))
-            if size <= _ACA_TOL * frob:
-                break
-        else:
-            frob = size
+        largest = max(largest, size)
+        if size <= _GRID_TOL * largest:  # rounding noise: the grid check decides
+            break
         if k + 1 == cap:
-            if size <= _GRID_TOL * frob:  # rounding noise at the cap: the grid check decides
-                break
             return None
         if k == len(peaks):  # double the buffers: a rank-one kernel never holds cap x m
             grown = min(2 * k, cap) - k

@@ -198,7 +198,9 @@ def _positive_prefix(lam: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 15
 
 
-def _blocked_sum(x: np.ndarray, transform: Callable[..., np.ndarray], buffers: int = 1) -> float:
+def _blocked_sum(
+    x: np.ndarray, transform: Callable[..., np.ndarray], buffers: int = 1
+) -> float | list[float]:
     """``float(transform(x).sum())`` in leaves of at most ``_BLOCK`` values, bit for bit.
 
     NumPy sums a contiguous float64 array pairwise: a run of more than 128
@@ -208,18 +210,20 @@ def _blocked_sum(x: np.ndarray, transform: Callable[..., np.ndarray], buffers: i
     ``np.add.reduce`` adds the same values in the same order, while every
     pass over a run stays in cache. ``transform(run, *scratch)`` gets
     ``buffers`` scratch arrays of the run's length, allocated once per call,
-    and returns the array to reduce; it must map each value on its own.
+    and returns the array to reduce; it must map each value on its own. It
+    may return a stack of such arrays instead, one per row, for one pass to
+    give the list of their sums, each bit for bit its row's own.
     """
     scratch = np.empty((buffers, min(len(x), _BLOCK)))
 
     def tree(lo: int, hi: int):
         n = hi - lo
         if n <= _BLOCK:
-            return np.add.reduce(transform(x[lo:hi], *scratch[:, :n]))
+            return np.add.reduce(transform(x[lo:hi], *scratch[:, :n]), axis=-1)
         half = lo + n // 2 - n // 2 % 8
         return tree(lo, half) + tree(half, hi)
 
-    total = float(tree(0, len(x)))
+    total = tree(0, len(x)).tolist()  # a float, or a list of one per row
     # tree refers to itself, so until a garbage collection the cycle would hold
     # the scratch, and the next call would write fresh pages: break it now
     del tree

@@ -379,6 +379,19 @@ class TestExperimentCommands:
         assert all(math.isfinite(float(row[2])) for row in rows[1:])
         assert math.log(float(rows[0][1])) == pytest.approx(563.558, abs=1e-3)
 
+    def test_quad_steep_kernel_past_the_rank_cap(self):
+        # from m = 247 the rank cap exceeds 2, and a rounding-noise cross that ACA
+        # kept printed det = inf, -inf, -inf here for m = 250, 300, 1000, with exit 0
+        proc = run_cli("quad-test", "--kernel", "exp-rank-one", "--interval", "0", "300",
+                       "--m", "100,250,300,1000")
+        assert proc.returncode == 0, proc.stderr
+        header, *lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+        assert [int(row["m"]) for row in rows] == [100, 250, 300, 1000]
+        for row in rows:
+            det, analytic = float(row["det"]), float(row["analytic"])
+            assert math.isfinite(det) and abs(det - analytic) <= 1e-12 * analytic
+
     def test_quad_unknown_kernel_exit_4(self):
         proc = run_cli("quad-test", "--kernel", "nope")
         assert proc.returncode == 4

@@ -827,8 +827,13 @@ def _oracle_power_sum(lam, r):
 
 
 def _oracle_von_neumann(lam):
+    # a top value above 1/2 in complement form: lam_0 log1p(t / lam_0), t the rest's sum
     lam = lam[lam > 0]
-    return max(float(-(lam * np.log(lam)).sum()), 0.0) + 0.0  # +0.0 folds away -0.0
+    if not (len(lam) and lam[0] > 0.5):
+        return max(float(-(lam * np.log(lam)).sum()), 0.0) + 0.0  # +0.0 folds away -0.0
+    top, rest = float(lam[0]), lam[1:]
+    h = top * math.log1p(float(rest.sum()) / top) - float((rest * np.log(rest)).sum())
+    return max(h, 0.0) + 0.0
 
 
 def _oracle_vn_renormalized(lam):
@@ -1441,7 +1446,8 @@ class TestStatisticMemo:
 
 # A near-pure state: at orders near 1 its power sum rounds to 1 - 2^-53 or to 1,
 # and the map divides that rounding by |1 - r|. Each cell asserts what the
-# entropy of a state must be, non-negative and accurate; each fails while item 1 is open.
+# entropy of a state must be, non-negative and accurate; each Renyi and unified cell
+# fails while item 1 is open. von_neumann's complement form holds its cell.
 NEAR_PURE = [1 - 2e-9, 1e-9, 1e-9]
 
 
@@ -1461,7 +1467,6 @@ def _item_1(what):
       for r, label in ((1 - 1e-9, "1-1e-9"), (1 - 1e-10, "1-1e-10"), (1 + 1e-12, "1+1e-12"))),
     pytest.param(von_neumann, squeezed_schmidt_spectrum(1e-9, 20000),
                  lambda: oracles.truncated_geometric_entropy(1e-9, 20000),
-                 marks=_item_1("von_neumann, before its complement form,"),
                  id="von_neumann-schmidt-1e-9"),
 ])
 def test_near_pure_entropy_is_accurate(fn, lam, want):
@@ -1469,3 +1474,52 @@ def test_near_pure_entropy_is_accurate(fn, lam, want):
     assert value >= 0
     assert abs((mpmath.mpf(value) - exact) / exact) <= 1e-12
 
+
+
+def _thermal_entropy(energy):
+    """``g(E) = (E + 1) log1p(E) - E log E``, g(0) = 0: the entropy of the thermal
+    state of mean occupation E, the largest of any state with that mean (Winter,
+    Commun. Math. Phys. 347, 2016). Summed as ``log1p(E) + E log((E + 1) / E)``,
+    whose two terms are non-negative, with ``1 / E`` formed only where it is finite."""
+    if energy == 0.0:
+        return 0.0
+    ratio = math.log1p(1.0 / energy) if energy >= 1.0 else math.log1p(energy) - math.log(energy)
+    return math.log1p(energy) + energy * ratio
+
+
+def _energy(lam):
+    """``E = sum_n n lam_n``, n from 0, of values sorted non-increasing."""
+    return math.fsum(np.arange(len(lam)) * lam)
+
+
+# the slack of the energy bound: 8 ulps of g, and one subnormal step per value,
+# which a subnormal value's term lam log lam may round by
+_BOUND_ULPS = 8
+
+
+class TestEnergyConstraint:
+    """The von Neumann entropy at mean occupation E is at most the thermal g(E)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_entropy_is_at_most_the_thermal_value(self, data):
+        lam = as_spectrum(data.draw(_admitted_values(normalized=True)), normalized=True).values
+        bound = _thermal_entropy(_energy(lam))
+        slack = _BOUND_ULPS * np.finfo(float).eps * bound + len(lam) * 5e-324
+        assert von_neumann(lam) <= bound + slack
+
+    @pytest.mark.parametrize("values", [[1 - 2**-53], [1.0, 1e-20], NEAR_PURE],
+                             ids=["one-value", "two-values", "near-pure"])
+    def test_near_pure_states_meet_the_bound(self, values):
+        lam = as_spectrum(values, normalized=True).values
+        bound = _thermal_entropy(_energy(lam))
+        assert von_neumann(lam) <= bound * (1.0 + _BOUND_ULPS * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0])
+    def test_thermal_states_reach_the_bound(self, r):
+        # the Schmidt spectrum of the two-mode squeezed vacuum is thermal with E = sinh^2 r
+        lam = squeezed_schmidt_spectrum(r, 20000)
+        bound = _thermal_entropy(_energy(lam.values))
+        h = von_neumann(lam)
+        assert abs(h - bound) <= 1e-12 * bound
+        assert h <= bound * (1.0 + _BOUND_ULPS * np.finfo(float).eps)

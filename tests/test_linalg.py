@@ -436,6 +436,14 @@ class TestBlockedSum:
         for x in self._arrays(block, 60, 20 * block):
             assert linalg._blocked_sum(x, lambda v, out: v).hex() == float(x.sum()).hex()
 
+    @pytest.mark.parametrize("block", [128, 200])
+    def test_a_stack_gives_each_row_its_own_sum(self, monkeypatch, block):
+        # one pass, two sums: each bit for bit the sum of its row alone
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        for x in self._arrays(block + 1, 30, 10 * block):
+            got = linalg._blocked_sum(x, lambda v, out: np.stack((v, np.square(v, out=out))))
+            assert [g.hex() for g in got] == [float(x.sum()).hex(), float(np.square(x).sum()).hex()]
+
     def test_long_arrays_at_the_default_block(self):
         for x in self._arrays(0, 6, 3 * 10**6):
             want = float(np.square(x).sum()).hex()

@@ -75,7 +75,7 @@ def test_only_fredholm_reads_the_euler_maclaurin_weights():
 def test_three_functions_read_the_grid_tolerance():
     # the tolerance decision of the grid check is written once per grid shape: the
     # one-block check and the blocked one, which serves every kernel. ACA reads the
-    # tolerance only to drop a noise cross at its rank cap, leaving the decision to them
+    # tolerance only to drop a noise cross, at any rank, leaving the decision to them
     readers = {node.name for path in (ROOT / "src" / "entrodet").glob("*.py")
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef)
