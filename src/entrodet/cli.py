@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-entropy              evaluate one entropy kind on a matrix file (JSON out)
+entropy              evaluate one entropy kind, in nats, on a matrix file (JSON out)
 xstate-experiment    triangle-inequality sweep over random X states (CSV)
 gaussian-experiment  squeezed-vacuum entropy sweep (CSV)
 zeta-check           prime-spectrum determinant vs zeta ratio (CSV)
@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--alpha", type=int, default=None,
                    help="regularization order (default: smallest admissible)")
-    p.add_argument("--base", choices=["e", "2"], default="e")
 
     p = sub.add_parser("xstate-experiment", help="triangle inequality on random X states")
     p.add_argument("--d", type=_int_list, default=(2, 3, 4, 5),
@@ -111,7 +110,7 @@ def _emit_report(report: experiments.ExperimentReport, out: str | None) -> None:
 
 
 def _cmd_entropy(args) -> int:
-    params = EntropyParams(r=args.r, s=args.s, alpha=args.alpha, log_base=args.base)
+    params = EntropyParams(r=args.r, s=args.s, alpha=args.alpha)
     _route(args.kind, params)  # a bad parameter exits 4 before the file is read
     spec = spectrum_of(matrixio.load_matrix(args.input), normalized=True)
     result = evaluate(args.kind, spec, params)

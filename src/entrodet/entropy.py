@@ -21,6 +21,9 @@ subtracts exactly the divergent part. ``vn_renormalized`` is
 to the unified entropy for deformation orders r in (0, 1), where the
 plain power sum may diverge.
 
+Every value is in nats, as the natural-log statistics give it; a caller
+who wants bits divides by ``log 2``.
+
 Each entropy is a scalar map of one spectral statistic: the power sum
 ``trace_power``, ``von_neumann``'s ``-sum lam log lam``, ``vn_renormalized``,
 or one of the log-determinants ``log_det_r`` and ``log_det_ren``.
@@ -73,16 +76,8 @@ from .linalg import (
 )
 from .states import _PowerLaw
 
-_LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
-
-
-def _base_scale(log_base: str) -> float:
-    if log_base == "e":
-        return 1.0
-    if log_base == "2":
-        return 1.0 / _LN2
-    raise DomainError(f"log base must be 'e' or '2', got {log_base!r}")
+_LOG_LOG3 = math.log(math.log(3.0))
 
 
 def _check_deformation(r: float, what: str) -> float:
@@ -153,18 +148,17 @@ def _vn_sum(lam: np.ndarray) -> float:
     return top * math.log1p(t / top) - s
 
 
-def von_neumann(x: Union[SpectrumLike, MatrixLike], log_base: str = "e") -> float:
-    """Entropy -sum lam log lam with the 0 log 0 = 0 convention.
+def von_neumann(x: Union[SpectrumLike, MatrixLike]) -> float:
+    """Entropy -sum lam log lam in nats, with the 0 log 0 = 0 convention.
 
     A top value lam_0 above 1/2 enters as ``lam_0 log1p(t / lam_0)``, t the
     sum of the others: on a unit sum that is ``-lam_0 log lam_0``, and it
     keeps the relative accuracy that ``log lam_0`` rounds away near 1.
     """
-    scale = _base_scale(log_base)
     spec = spectrum_of(x, normalized=True)
     h = _memoized(spec, "vn", None, lambda: _vn_sum(_positive_prefix(spec.values)))
     # clip spectral-noise negatives: the exact value is >= 0; +0.0 folds away -0.0
-    return max(h, 0.0) * scale + 0.0
+    return max(h, 0.0) + 0.0
 
 
 def vn_via_fredholm(q: MatrixLike) -> float:
@@ -225,26 +219,22 @@ def _resolve_alpha(r: float, alpha: int | None) -> tuple[float, int]:
     return r, _check_count(alpha, "regularization order alpha", a_min, _MAX_COUNT)
 
 
-def _absorbed(acc, term):
-    """Whether ``acc + t`` rounds to ``acc`` for each t of magnitude at most ``|term|``."""
-    size = np.abs(term)
-    return ((acc + size) == acc) & ((acc - size) == acc)
-
-
 def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     """Log of the order-alpha regularized determinant det_alpha(1 + f_r(Q)).
 
-    Per eigenvalue, with g = exp(lam^r) - 1:
+    Per eigenvalue, with g = exp(lam^r) - 1 and n = alpha - 1:
 
-        log(1 + g) + sum_{j=1}^{alpha-1} (-1)^j g^j / j
+        log(1 + g) + sum_{j=1}^{n} (-1)^j g^j / j  =  (-1)^n int_0^g t^n / (1 + t) dt
 
-    where ``log(1 + g)`` is ``lam^r`` exactly. For alpha = 2 every
-    summand is <= 0 (it is log(1+g) - g), so the result is non-positive.
-    ``alpha=None`` resolves to the smallest admissible order
-    :func:`alpha_star`. The spectrum need not be normalized, only
-    non-negative. Where ``g^(alpha-1)`` overflows at the largest
-    eigenvalue, the top term ``(-1)^(alpha-1) g^(alpha-1) / (alpha-1)``
-    outgrows the float range and the result is ``(-1)^(alpha-1) inf``.
+    where ``log(1 + g)`` is ``lam^r`` exactly: at alpha = 2 that is ``lam^r - g <= 0``.
+    Past it the sum cancels to far below ``lam^r``, so where g <= 2 the integral is
+    summed instead, as ``(-1)^n g^n y / (n + 1) sum_k c_k y^k`` with ``y = 1 - e^-lam^r``,
+    ``c_0 = 1`` and ``c_{k+1} = c_k (k + 1) / (n + 2 + k)``: positive terms that fall by
+    ``y <= 2/3`` or faster. Where g > 2 the terms grow with j and are summed as written.
+    ``alpha=None`` resolves to the smallest admissible order :func:`alpha_star`. The
+    spectrum need not be normalized, only non-negative. Where ``g^n`` overflows at the
+    largest eigenvalue, the top term ``(-1)^n g^n / n`` outgrows the float range and the
+    result is ``(-1)^n inf``.
     """
     r, alpha = _resolve_alpha(r, alpha)
     spec = spectrum_of(x)
@@ -255,32 +245,37 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     # log g = top + log(1 - e^-top), exact where expm1(top) would overflow
     if (alpha - 1) * (top + math.log(-math.expm1(-top))) > _LOG_MAX:
         return math.copysign(math.inf, (-1) ** (alpha - 1))
+    n, e = alpha - 1, _LOG_LOG3 / r  # lam above e^e has lam^r > log 3: g > 2
+    cut = math.exp(e) if e < _LOG_MAX else math.inf
+    # one coefficient list per call, from a bound on every y, so no value's bits depend on its leaf
+    coeffs, y_top = [1.0], min(2 / 3, -math.expm1(-top))
+    while alpha > 2 and coeffs[-1] * y_top ** (len(coeffs) - 1) > 2**-56:
+        coeffs.append(coeffs[-1] * len(coeffs) / (n + 1 + len(coeffs)))
 
-    def terms(x, acc, g, *spare):
-        # spare[0] holds g^j and spare[-1] the j-th term; with one spare
-        # (alpha = 3) the term overwrites g^j, which the last j no longer needs
-        _power(x, r, acc)
+    def terms(v, acc, g, h=None):
+        _power(v, r, acc)
         np.expm1(acc, out=g)
-        acc -= g  # the j = 1 term: (-1) * g is exactly -g
-        gj = g
-        # A rounded product of non-negative doubles is monotone in each factor, so
-        # where every g is at most 1 the rounded g^j and |j-th term| never grow with j,
-        # and are largest where g is. Rounded addition is monotone too: once adding
-        # either sign of each value's term leaves its sum as it is, no later term can
-        # move a bit, and the loop stops. The largest term is tried alone first.
-        peak = g.argmax() if alpha > 2 else None
-        falling = alpha > 3 and g[peak] <= 1
-        for j in range(2, alpha):
-            gj = np.multiply(gj, g, out=spare[0])
-            term = np.multiply(gj, (-1) ** j / j, out=spare[-1])
-            if falling and _absorbed(acc[peak], term[peak]) and _absorbed(acc, term).all():
-                break
-            acc += term
+        if alpha == 2:
+            return np.subtract(acc, g, out=acc)
+        p = len(v) - np.searchsorted(v[::-1], cut, side="right")  # the values with g > 2
+        for j in range(1, n + 1 if p else 1):  # (-1) * g is exactly -g
+            gj = g[:p] if j == 1 else np.multiply(gj, g[:p], out=h[:p])
+            acc[:p] += gj * ((-1) ** j / j)
+        y, gn, s = acc[p:], g[p:], h[p:]
+        _power(gn, n, gn)
+        np.negative(np.expm1(np.negative(y, out=y), out=y), out=y)  # y = -expm1(-lam^r)
+        s.fill(coeffs[-1])
+        for c in coeffs[-2::-1]:  # Horner
+            s *= y
+            s += c
+        s *= y
+        s *= (-1) ** n / (n + 1)
+        np.multiply(s, gn, out=y)
         return acc
 
     with np.errstate(over="ignore"):  # every term has the sign of (-1)^(alpha-1)
         return _memoized(spec, "log_det_ren", (r, alpha),
-                         lambda: _blocked_sum(lam, terms, buffers=min(alpha, 4)))
+                         lambda: _blocked_sum(lam, terms, buffers=min(alpha, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +283,6 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Each map is built from parameters that its route checks first, and returns
 # statistic -> entropy, so callers check before any spectral work.
-
-
-def _scaled(log_base: str) -> Callable[[float], float]:
-    scale = _base_scale(log_base)
-    return lambda h: h * scale
 
 
 def _float_power(x, e: float):
@@ -303,13 +293,13 @@ def _float_power(x, e: float):
         return -math.inf if x < 0 and e % 2 else math.inf
 
 
-def _deformed(r: float, s: float, log_base: str = "e", stat: str = "I_r") -> Callable:
+def _deformed(r: float, s: float, stat: str = "I_r") -> Callable:
     """The map ``x -> (x^s - 1) / ((1 - r) s)`` of checked r and s, elementwise on an array.
 
     ``x`` is the statistic named ``stat``: the power sum ``I_r`` (which
     ``log det_r`` equals) or ``log det_ren``. s = 1 gives Tsallis. Where ``(1 - r) s``
     is 0, at s = 0 (Renyi) or where the product underflows, the map is the s -> 0
-    limit ``log(x) / (1 - r)`` in ``log_base`` units: then ``x^s - 1 = s log x`` to
+    limit ``log(x) / (1 - r)``, in nats: then ``x^s - 1 = s log x`` to
     within ``(s log x)^2``, far below the float precision, and the quotient itself
     would be 0 / 0. A scalar 0 with ``s <= 0`` (log 0, or 0 to a negative power)
     raises ``DomainError``, and a negative scalar (only ``log det_ren`` can be one)
@@ -318,7 +308,6 @@ def _deformed(r: float, s: float, log_base: str = "e", stat: str = "I_r") -> Cal
     +0.0 folds away -0.0.
     """
     e = (1.0 - r) * s
-    scale = _base_scale(log_base)
 
     def value(x):
         scalar = not isinstance(x, np.ndarray)
@@ -333,9 +322,9 @@ def _deformed(r: float, s: float, log_base: str = "e", stat: str = "I_r") -> Cal
         if e != 0:
             return (_float_power(x, s) - 1.0) / e + 0.0
         if scalar:  # math.log, not np.log: the two differ in the last bit on some doubles
-            return (math.log(x) if x else -math.inf) / (1.0 - r) * scale + 0.0
+            return (math.log(x) if x else -math.inf) / (1.0 - r) + 0.0
         with np.errstate(divide="ignore"):  # log 0 = -inf
-            return np.log(x) / (1.0 - r) * scale + 0.0
+            return np.log(x) / (1.0 - r) + 0.0
 
     return value
 
@@ -345,9 +334,9 @@ def tsallis(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     return evaluate("tsallis", x, EntropyParams(r=r)).value
 
 
-def renyi(x: Union[SpectrumLike, MatrixLike], r: float, log_base: str = "e") -> float:
-    """Renyi entropy log(I_r) / (1 - r); the s -> 0 unified member."""
-    return evaluate("renyi", x, EntropyParams(r=r, log_base=log_base)).value
+def renyi(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
+    """Renyi entropy log(I_r) / (1 - r) in nats; the s -> 0 unified member."""
+    return evaluate("renyi", x, EntropyParams(r=r)).value
 
 
 def hu_ye(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
@@ -482,13 +471,13 @@ class EntropyParams:
     """Deformation parameters shared by the unified-entropy family.
 
     ``alpha=None`` means the regularization order is resolved to the
-    smallest admissible value for the given r.
+    smallest admissible value for the given r. There is no log base:
+    every entropy is in nats.
     """
 
     r: float = 2.0
     s: float = 1.0
     alpha: int | None = None
-    log_base: str = "e"
 
 
 @dataclass(frozen=True)
@@ -506,15 +495,14 @@ class EntropyResult:
 # The entries call the kernels through their module-global names, so a
 # wrapper installed on the module sees every call.
 _ROUTES = {
-    "vn": ("direct-spectral", lambda spec, p: von_neumann(spec),
-           lambda p: _scaled(p.log_base), None),
+    "vn": ("direct-spectral", lambda spec, p: von_neumann(spec), lambda p: lambda h: h, None),
     "vn-ren": ("renormalized", lambda spec, p: vn_renormalized(spec),
                lambda p: lambda h: h, None),
     "tsallis": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
                 lambda p: _deformed(_check_deformation(p.r, "Tsallis order"), 1.0),
                 "trace_power"),
     "renyi": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
-              lambda p: _deformed(_check_deformation(p.r, "Renyi order"), 0.0, p.log_base),
+              lambda p: _deformed(_check_deformation(p.r, "Renyi order"), 0.0),
               "trace_power"),
     "hy": ("direct-spectral", lambda spec, p: trace_power(spec, p.r),
            lambda p: _deformed(*_check_unified_params(p.r, p.s)), "trace_power"),
@@ -533,7 +521,6 @@ def _route(kind: str, params: EntropyParams):
     if kind not in _ROUTES:
         raise DomainError(f"unknown entropy kind {kind!r}; choose from {KINDS}")
     method, statistic, scalar_map, key = _ROUTES[kind]
-    _base_scale(params.log_base)  # every kind refuses an unknown base; vn and renyi scale by it
     if kind == "hy-ren":
         r, alpha = _resolve_alpha(params.r, params.alpha)
         params = replace(params, r=r, alpha=alpha)
@@ -548,11 +535,12 @@ def evaluate(
     """Evaluate one entropy kind with shared diagnostics.
 
     ``kind`` is one of ``vn, vn-ren, tsallis, renyi, hy, hy-fredholm,
-    hy-ren``. The kind's parameters (r, s, alpha, log base) are checked
+    hy-ren``. The kind's parameters (r, s, alpha) are checked
     first; then the input is reduced to its spectrum once and the kind's
     statistic is computed once. The diagnostics carry the dimension,
     that statistic (the trace power sum or the log-determinant) and, on
-    the renormalized routes, the regularization order used.
+    the renormalized routes, the regularization order used. The value is
+    in nats.
     """
     method, statistic, to_value, key, params = _route(kind, params)
     # the renormalized routes take any positive spectrum, the others a state

@@ -173,32 +173,28 @@ def _reference_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     Cached by m: every interval reuses the O(m^2) Newton refinement.
     At ``MAX_NODES`` the 64 entries hold at most about 10 MB.
     """
-    if m == 1:
-        x = np.array([0.0])
-        w = np.array([2.0])
+    try:
+        k = np.arange(1, m + 1)
+    except (MemoryError, ValueError):
+        raise _unallocatable("node count", m) from None
+    x = np.cos(np.pi * (k - 0.25) / (m + 0.5))
+    for _ in range(_NEWTON_MAX_ITER):
+        p, dp = _legendre_and_derivative(x, m)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < _NEWTON_TOL:
+            break
     else:
-        try:
-            k = np.arange(1, m + 1)
-        except (MemoryError, ValueError):
-            raise _unallocatable("node count", m) from None
-        x = np.cos(np.pi * (k - 0.25) / (m + 0.5))
-        for _ in range(_NEWTON_MAX_ITER):
-            p, dp = _legendre_and_derivative(x, m)
-            dx = p / dp
-            x -= dx
-            if np.max(np.abs(dx)) < _NEWTON_TOL:
-                break
-        else:
-            raise ConvergenceFailure(
-                f"Legendre root refinement did not reach {_NEWTON_TOL:g} "
-                f"in {_NEWTON_MAX_ITER} iterations (m = {m})"
-            )
-        _, dp = _legendre_and_derivative(x, m)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        x = x[::-1].copy()
-        w = w[::-1].copy()
-        x = 0.5 * (x - x[::-1])
-        w = 0.5 * (w + w[::-1])
+        raise ConvergenceFailure(
+            f"Legendre root refinement did not reach {_NEWTON_TOL:g} "
+            f"in {_NEWTON_MAX_ITER} iterations (m = {m})"
+        )
+    _, dp = _legendre_and_derivative(x, m)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = x[::-1].copy()
+    w = w[::-1].copy()
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

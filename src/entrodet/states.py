@@ -216,9 +216,9 @@ def x_partial_traces(
 
 
 def diag_state(spec: SpectrumLike) -> DensityMatrix:
-    """Embed a normalized spectrum as a diagonal density matrix."""
-    s = as_spectrum(spec, normalized=True)
-    return validate_density(np.diag(s.values.astype(complex)))
+    """Embed a normalized spectrum as a diagonal density matrix; no eigensolver runs."""
+    lam = as_spectrum(spec, normalized=True).values
+    return DensityMatrix(_freeze(np.diag(lam.astype(complex))))
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:

@@ -120,3 +120,30 @@ def deformed_entropy(lam, r, s=1):
         log_i = mp.log(mp.fsum(m**r for m in mu))
         h = log_i / (1 - r) if s == 0 else mp.expm1(s * log_i) / ((1 - r) * s)
     return h
+
+
+def regularized_log_det(lam, r, alpha):
+    """log det_alpha(1 + f_r) of the values lam, from its definition.
+
+    Each value contributes ``x + sum_{j=1}^{alpha-1} (-1)^j g^j / j`` with
+    x = lam^r and g = e^x - 1. That sum is at least ``g^n y / (n + 1)`` in
+    size, n = alpha - 1 and y = g / (1 + g), while its partial sums reach
+    ``x + g + g^n``: the working precision covers the digits it cancels, the
+    digits of the alpha rounded terms, and the guard digits.
+    """
+    n, total = alpha - 1, mp.mpf(0)
+    for v in lam:
+        if not v:
+            continue
+        with mp.workdps(20):
+            x = mp.mpf(v) ** r
+            g = mp.expm1(x)
+            lost = mp.log10((x + g + g**n) * (n + 1) * (1 + g) / g ** (n + 1))
+        with mp.workdps(_GUARD_DIGITS + max(0, math.ceil(lost)) + len(str(alpha))):
+            x = mp.mpf(v) ** r
+            g, gj, terms = mp.expm1(x), mp.mpf(1), [x]
+            for j in range(1, alpha):
+                gj *= g
+                terms.append((-1) ** j * gj / j)
+            total += mp.fsum(terms)
+    return total

@@ -73,12 +73,6 @@ class TestEntropyCommand:
             0.47684537882721834, abs=1e-12
         )
 
-    def test_base_two(self, tmp_path):
-        path = tmp_path / "mm.json"
-        save_matrix(path, np.eye(2) / 2)
-        proc = run_cli("entropy", str(path), "--kind", "vn", "--base", "2")
-        assert json.loads(proc.stdout)["value"] == pytest.approx(1.0, abs=1e-12)
-
     def test_missing_file_exit_2(self):
         proc = run_cli("entropy", "/nonexistent/m.json", "--kind", "vn")
         assert proc.returncode == 2
@@ -173,11 +167,10 @@ class TestEntropyCommand:
         path = tmp_path / "pure.json"
         save_matrix(path, np.ones((1, 1), dtype=complex))
         for kind in ("vn", "vn-ren", "tsallis", "renyi", "hy", "hy-fredholm"):
-            for base in ("e", "2"):
-                assert cli.main(["entropy", str(path), "--kind", kind, "--base", base]) == 0
-                out = capsys.readouterr().out
-                assert '"value": 0.0,' in out, (kind, base, out)
-                assert math.copysign(1.0, json.loads(out)["value"]) == 1.0
+            assert cli.main(["entropy", str(path), "--kind", kind]) == 0
+            out = capsys.readouterr().out
+            assert '"value": 0.0,' in out, (kind, out)
+            assert math.copysign(1.0, json.loads(out)["value"]) == 1.0
         proc = run_cli("entropy", str(path), "--kind", "vn")
         assert proc.returncode == 0
         assert proc.stdout.startswith('{"value": 0.0, ')
@@ -187,6 +180,15 @@ class TestEntropyCommand:
         assert proc.returncode == 4
         assert "FractionalPowerOfNegative" in proc.stderr
 
+    def test_negative_log_det_at_high_alpha_exit_4(self, tmp_path):
+        # log det_200 of diag(0.4, 0.3, 0.3) at r = 0.9 is -4.1e-55, so its power 0.5 is
+        # refused, as at alpha = 40; the alternating sum cancelled to +7.5e-18 and exited 0
+        path = tmp_path / "diag.json"
+        save_matrix(path, np.diag([0.4, 0.3, 0.3]))
+        proc = run_cli("entropy", str(path), "--kind", "hy-ren", "--r", "0.9", "--s", "0.5",
+                       "--alpha", "200")
+        assert proc.returncode == 4
+        assert "FractionalPowerOfNegative" in proc.stderr
 
     def test_overflowing_value_is_divergent(self, tmp_path):
         # I_3^s = 0.25^-2000 is past the float range: +inf, written "inf", flagged, exit 0

@@ -60,14 +60,6 @@ class TestVonNeumann:
     def test_scalar_oracle(self):
         assert von_neumann([0.7, 0.3]) == pytest.approx(0.61086430205489346, abs=1e-15)
 
-    def test_base_two(self):
-        assert von_neumann([0.5, 0.5], log_base="2") == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("base", ["natural", "two"])
-    def test_only_bases_e_and_2(self, base):
-        with pytest.raises(DomainError):
-            von_neumann([0.5, 0.5], log_base=base)
-
     def test_requires_normalization(self):
         with pytest.raises(NotNormalized):
             von_neumann([0.5, 0.4])
@@ -354,49 +346,51 @@ class TestDetRen:
         assert res.diagnostics["alpha"] == 3
 
     @staticmethod
-    def count_terms(monkeypatch, call):
-        """``call()`` and the number of ``np.multiply`` calls it made."""
-        multiply, calls = np.multiply, []
+    def lines_run(call):
+        """``call()`` and the number of lines it ran in ``entropy.py``: its work, counted."""
+        lines = [0]
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return multiply(*args, **kwargs)
+        def local(frame, event, arg):
+            lines[0] += event == "line"
+            return local
 
-        monkeypatch.setattr(np, "multiply", counting)
-        value = call()
-        monkeypatch.undo()
-        return value, len(calls)
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     local if frame.f_code.co_filename == entropy.__file__ else None)
+        try:
+            value = call()
+        finally:
+            sys.settrace(previous)
+        return value, lines[0]
 
-    def test_terms_stop_once_g_power_is_zero(self, monkeypatch):
-        # g = expm1(1e-3 ** 0.5) = 0.032, whose powers reach 0 at j = 216: the loop
-        # stops by then, and the value has not moved since alpha = 400
-        lam = np.full(1000, 1e-3)
-        value, calls = self.count_terms(monkeypatch, lambda: log_det_ren(lam, 0.5, 10**5))
-        assert calls < 2 * 220  # g^j and the j-th term, per j
-        assert _hex(value) == _hex(_oracle_log_det_ren(lam, 0.5, 400))
+    # x0^0.999 = log 2 - 1e-6, so g = e^(x0^0.999) - 1 is just below 1: the terms
+    # g^j / j of the alternating sum fall so slowly that no early stop fired
+    NEAR_ONE = [math.exp(math.log(math.log(2) - 1e-6) / 0.999)]
+    NEAR_ONE.append(1 - NEAR_ONE[0])
 
-    def test_terms_stop_where_g_power_sticks_at_the_least_subnormal(self, monkeypatch):
-        # g = expm1(0.4 ** 0.9) = 0.55 > 1/2, so g^j rounds back up to 5e-324 and
-        # never reaches 0; every term is far below its sum's last bit long before
-        lam = np.array([0.4, 0.3, 0.3])
-        value, calls = self.count_terms(monkeypatch, lambda: log_det_ren(lam, 0.9, 10**5))
-        assert calls < 2 * 200
-        assert _hex(value) == _hex(_oracle_log_det_ren(lam, 0.9, 10**5))
+    @pytest.mark.parametrize("lam, r, alpha", [(NEAR_ONE, 0.999, 10**7),
+                                               ([0.4, 0.3, 0.3], 0.9, 10**5)],
+                             ids=["near-one", "falling"])
+    def test_work_does_not_grow_with_alpha(self, lam, r, alpha):
+        # a few coefficients of the remainder series, where the alternating sum ran
+        # all alpha - 1 terms near one, or until they stopped moving a bit
+        value, lines = self.lines_run(lambda: log_det_ren(lam, r, alpha))
+        assert lines < 200
+        assert value <= 0.0  # alpha - 1 is odd
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.floats(0.003, 1.0, exclude_max=True))
-    def test_early_stop_keeps_every_bit(self, data, r):
-        # the loop stops once no term left can move a bit of a sum; the loop over
-        # every one of the alpha - 1 terms gives the same double
-        alpha = data.draw(st.integers(max(3, alpha_star(r)), 399), label="alpha")
-        lam = as_spectrum(data.draw(_admitted_values())).values
-        assert _hex(log_det_ren(lam, r, alpha)) == _hex(_oracle_log_det_ren(lam, r, alpha))
-
-    def test_stopped_leaves_keep_every_bit(self):
-        # the top leaf runs every term (g^199 of 0.28 is 1e-110), the tail's leaves
-        # stop early, after some 90 terms for values near 1e-6
-        spec = log_power_spectrum(1.5, 10**5)
-        assert _hex(log_det_ren(spec, 0.6, 200)) == _hex(_oracle_log_det_ren(spec.values, 0.6, 200))
+    @pytest.mark.parametrize("lam, r, alpha", [
+        ([0.4, 0.3, 0.3], 0.9, 40),
+        ([0.4, 0.3, 0.3], 0.9, 200),  # -4.1e-55, where the alternating sum gave +7.5e-18
+        ([1e-3] * 1000, 0.9, 3),
+        ([1e-3] * 1000, 0.9, 5),
+        ([3.0, 1.0, 0.5], 0.5, 3),  # 3^0.5 > log 3: g > 2, summed term by term
+        (NEAR_ONE, 0.999, 10**4),
+    ], ids=["alpha-40", "alpha-200", "small-alpha-3", "small-alpha-5", "g-above-2", "near-one"])
+    def test_against_the_definition(self, lam, r, alpha):
+        want = oracles.regularized_log_det(lam, r, alpha)
+        # near one the value moves about n ulp per ulp of g, which the kernel rounds
+        bound = max(1e-12, (alpha - 1) * 2**-52)
+        assert abs((log_det_ren(lam, r, alpha) - want) / want) < bound
 
     def test_consistency_with_plain_determinant(self, rng):
         # log det_alpha = log det + sum_j (-1)^j Tr(f_r^j) / j on finite spectra
@@ -743,12 +737,11 @@ class TestPastTheFloatRange:
 
     @pytest.mark.parametrize("fn", [
         lambda x: renyi(x, 2000),
-        lambda x: renyi(x, 2000, log_base="2"),
         lambda x: hu_ye(x, 2000, -1),
         lambda x: hy_fredholm(x, 2000, -0.5),
         lambda x: evaluate("renyi", x, EntropyParams(r=2000)),
         lambda x: evaluate("hy", x, EntropyParams(r=2000, s=-1)),
-    ], ids=["renyi", "renyi-base", "hu_ye", "hy_fredholm", "evaluate-renyi", "evaluate-hy"])
+    ], ids=["renyi", "hu_ye", "hy_fredholm", "evaluate-renyi", "evaluate-hy"])
     def test_underflowing_power_sum_is_a_domain_error(self, fn):
         with pytest.raises(DomainError, match="underflows to 0 at r = 2000"):
             fn(self.QUBIT)
@@ -796,10 +789,10 @@ class TestDiagnostics:
     def test_values_match_public_functions(self):
         lam = self.LAM
         cases = [
-            ("vn", EntropyParams(log_base="2"), von_neumann(lam, "2")),
+            ("vn", EntropyParams(), von_neumann(lam)),
             ("vn-ren", EntropyParams(), vn_renormalized(lam)),
             ("tsallis", EntropyParams(r=2.5), tsallis(lam, 2.5)),
-            ("renyi", EntropyParams(r=0.5, log_base="2"), renyi(lam, 0.5, "2")),
+            ("renyi", EntropyParams(r=0.5), renyi(lam, 0.5)),
             ("hy", EntropyParams(r=3, s=0.5), hu_ye(lam, 3, 0.5)),
             ("hy-fredholm", EntropyParams(r=2, s=0.5), hy_fredholm(lam, 2, 0.5)),
             ("hy-ren", EntropyParams(r=0.4, s=2), hy_renormalized(lam, 0.4, 2)),
@@ -843,13 +836,30 @@ def _oracle_vn_renormalized(lam):
 
 
 def _oracle_log_det_ren(lam, r, alpha):
-    acc = lam[lam > 0] ** r
-    g = np.expm1(acc)
-    gj = np.ones_like(g)
+    # x - g at alpha = 2; above it, where g > 2, the alternating sum term by term,
+    # and elsewhere its remainder series in y, with one coefficient list per call
+    lam = lam[lam > 0]
+    x = lam**r
+    g = np.expm1(x)
+    if alpha == 2:
+        return float((x - g).sum())
+    n = alpha - 1
+    e = math.log(math.log(3.0)) / r
+    big = lam > (math.exp(e) if e < math.log(sys.float_info.max) else math.inf)
+    coeffs, y_top = [1.0], min(2 / 3, -math.expm1(-float(lam[0]) ** r)) if len(lam) else 0.0
+    while coeffs[-1] * y_top ** (len(coeffs) - 1) > 2**-56:
+        coeffs.append(coeffs[-1] * len(coeffs) / (n + 1 + len(coeffs)))
+    terms = x.copy()
+    gj = g[big]
     for j in range(1, alpha):
-        gj = gj * g
-        acc = acc + ((-1) ** j / j) * gj
-    return float(acc.sum())
+        gj = gj if j == 1 else gj * g[big]
+        terms[big] = terms[big] + gj * ((-1) ** j / j)
+    y = -np.expm1(-x[~big])
+    s = np.full(len(y), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        s = s * y + c
+    terms[~big] = s * y * ((-1) ** n / (n + 1)) * g[~big] ** n
+    return float(terms.sum())
 
 
 @st.composite
@@ -896,10 +906,12 @@ class _PrefixOracles:
         assert _hex(log_det_r(lam, r)) == want
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.sampled_from([(0.5, 2), (0.4, 3), (0.3, 4), (0.15, 7)]))
-    def test_log_det_ren(self, data, order):
+    @given(st.data(), st.sampled_from([(0.5, 2), (0.4, 3), (0.3, 4), (0.15, 7)]),
+           st.sampled_from([1.0, 8.0]))
+    def test_log_det_ren(self, data, order, scale):
+        # scaled by 8, most values have g > 2, where the terms are summed as written
         r, alpha = order
-        lam = as_spectrum(data.draw(_admitted_values(stretch=self.STRETCH))).values
+        lam = as_spectrum(data.draw(_admitted_values(stretch=self.STRETCH))).values * scale
         assert _hex(log_det_ren(lam, r, alpha)) == _hex(_oracle_log_det_ren(lam, r, alpha))
 
     @settings(max_examples=200, deadline=None)
@@ -1018,23 +1030,21 @@ class TestBlockedKernels:
 class TestPureStates:
     # a pure state has entropy +0.0 in every kind whose value there is zero
     @pytest.mark.parametrize("kind", ["vn", "vn-ren", "tsallis", "renyi", "hy", "hy-fredholm"])
-    @pytest.mark.parametrize("log_base", ["e", "2"])
-    def test_evaluate(self, kind, log_base):
-        value = evaluate(kind, [1.0], EntropyParams(r=2.0, s=0.5, log_base=log_base)).value
+    @pytest.mark.parametrize("r", [math.e, 2.0], ids=["e", "2"])
+    def test_evaluate(self, kind, r):
+        value = evaluate(kind, [1.0], EntropyParams(r=r, s=0.5)).value
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("fn", [
         von_neumann,
-        lambda x: von_neumann(x, log_base="2"),
         vn_renormalized,
         lambda x: tsallis(x, 2),
         lambda x: tsallis(x, 0.5),
         lambda x: renyi(x, 2),
-        lambda x: renyi(x, 2, log_base="2"),
         lambda x: hu_ye(x, 2, 0.5),
         lambda x: hy_fredholm(x, 2, 0.5),
-    ], ids=["von_neumann", "von_neumann-base2", "vn_renormalized", "tsallis", "tsallis-half",
-            "renyi", "renyi-base2", "hu_ye", "hy_fredholm"])
+    ], ids=["von_neumann", "vn_renormalized", "tsallis", "tsallis-half", "renyi", "hu_ye",
+            "hy_fredholm"])
     @pytest.mark.parametrize("values", [[1.0], [1.0, 0.0, 0.0]], ids=["dim1", "dim3"])
     def test_public_entropies(self, fn, values):
         value = fn(values)
@@ -1105,11 +1115,11 @@ class TestParametersFirst:
     BAD_SPECTRUM = [1.5, -0.5]
 
     @pytest.mark.parametrize("kind,params", [
-        ("vn", EntropyParams(log_base="10")),
+        ("hy-ren", EntropyParams(r=0.5, alpha=2**53 + 1)),
         ("tsallis", EntropyParams(r=1)),
         ("tsallis", EntropyParams(r=-1)),
         ("renyi", EntropyParams(r=1)),
-        ("renyi", EntropyParams(r=2, log_base="10")),
+        ("renyi", EntropyParams(r=math.inf)),
         ("hy", EntropyParams(r=2, s=0)),
         ("hy", EntropyParams(r=math.nan)),
         ("hy-fredholm", EntropyParams(r=0.5)),
@@ -1122,25 +1132,16 @@ class TestParametersFirst:
             evaluate(kind, self.BAD_SPECTRUM, params)
 
     @pytest.mark.parametrize("fn", [
-        lambda x: von_neumann(x, log_base="10"),
         lambda x: tsallis(x, 1),
         lambda x: renyi(x, 1),
-        lambda x: renyi(x, 2, log_base="10"),
         lambda x: hu_ye(x, 2, 0),
         lambda x: hy_fredholm(x, 0.5, 1),
         lambda x: hy_renormalized(x, 0.5, 0),
         lambda x: _hu_ye_own_rows(np.array([x]), 1, 1),
-    ], ids=["von_neumann", "tsallis", "renyi", "renyi-base", "hu_ye", "hy_fredholm",
-            "hy_renormalized", "hu_ye_rows"])
+    ], ids=["tsallis", "renyi", "hu_ye", "hy_fredholm", "hy_renormalized", "hu_ye_rows"])
     def test_public_entropies(self, fn):
         with pytest.raises(DomainError):
             fn(self.BAD_SPECTRUM)
-
-    @pytest.mark.parametrize("kind", entropy.KINDS)
-    def test_every_kind_refuses_an_unknown_base(self, kind):
-        # only vn and renyi scale by the base, yet none returns a value for "10"
-        with pytest.raises(DomainError, match="log base must be 'e' or '2', got '10'"):
-            evaluate(kind, [0.5, 0.5], EntropyParams(r=0.5, log_base="10"))
 
 
 # The six map builders that one builder replaced, as they read before the merge,
@@ -1163,15 +1164,13 @@ def _oracle_tsallis(r):
     return lambda i_r: (i_r - 1.0) / (1.0 - r) + 0.0
 
 
-def _oracle_renyi(r, log_base):
-    scale = 1.0 if log_base == "e" else 1.0 / math.log(2.0)
-
+def _oracle_renyi(r):
     def value(i_r):
         if i_r == 0:
             raise DomainError(
                 f"log I_r needs I_r > 0, but the power sum underflows to 0 at r = {r}"
             )
-        return math.log(i_r) / (1.0 - r) * scale + 0.0
+        return math.log(i_r) / (1.0 - r) + 0.0
 
     return value
 
@@ -1216,7 +1215,7 @@ def _oracle_unified_renormalized(r, s):
 
 _ORACLE_MAPS = {
     "tsallis": lambda p: _oracle_tsallis(p.r),
-    "renyi": lambda p: _oracle_renyi(p.r, p.log_base),
+    "renyi": lambda p: _oracle_renyi(p.r),
     "hy": lambda p: _oracle_unified(p.r, p.s),
     "hy-fredholm": lambda p: _oracle_unified_fredholm(p.r, p.s),
     "hy-ren": lambda p: _oracle_unified_renormalized(p.r, p.s + 0.0),
@@ -1268,12 +1267,11 @@ class TestOneDeformedMap:
     EDGES = [1.0, 0.0, 5e-324, 1.7976931348623157e308]
 
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from(sorted(_ORACLE_MAPS)), _ORDERS, _DEFORMATIONS,
-           st.sampled_from(["e", "2"]), st.data())
-    def test_maps_of_a_statistic(self, kind, r, s, log_base, data):
+    @given(st.sampled_from(sorted(_ORACLE_MAPS)), _ORDERS, _DEFORMATIONS, st.data())
+    def test_maps_of_a_statistic(self, kind, r, s, data):
         assume(kind != "hy-fredholm" or r > 1)
         assume(kind != "hy-ren" or r < 1)
-        p = EntropyParams(r=r, s=s, log_base=log_base)
+        p = EntropyParams(r=r, s=s)
         to_value, oracle = entropy._ROUTES[kind][2](p), _ORACLE_MAPS[kind](p)
         stats = [data.draw(_STATISTICS), *self.EDGES]
         if kind == "hy-ren":  # only log det_ren can be negative
@@ -1289,17 +1287,16 @@ class TestOneDeformedMap:
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(_ORACLE_MAPS)), _ORDERS, _DEFORMATIONS,
-           st.sampled_from(["e", "2"]), st.integers(0, 2**32 - 1), st.integers(1, 40),
-           st.integers(0, 3))
-    def test_public_entropies(self, kind, r, s, log_base, seed, n, zeros):
+           st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 3))
+    def test_public_entropies(self, kind, r, s, seed, n, zeros):
         assume(kind != "hy-fredholm" or r > 1)
         assume(kind != "hy-ren" or 0.05 <= r < 1)  # alpha = ceil(1 / r): few terms per value
         lam = np.concatenate([random_spectrum_values(np.random.default_rng(seed), n),
                               np.zeros(zeros)])
-        p = EntropyParams(r=r, s=s, log_base=log_base)
+        p = EntropyParams(r=r, s=s)
         public = {
             "tsallis": lambda: tsallis(lam, r),
-            "renyi": lambda: renyi(lam, r, log_base),
+            "renyi": lambda: renyi(lam, r),
             "hy": lambda: hu_ye(lam, r, s),
             "hy-fredholm": lambda: hy_fredholm(lam, r, s),
             "hy-ren": lambda: hy_renormalized(lam, r, s),
@@ -1343,12 +1340,11 @@ class TestStatisticMemo:
     STATISTICS = {"I_r", "vn", "vn-ren", "log_det_ren"}
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(entropy.KINDS), _ORDERS, _DEFORMATIONS,
-           st.sampled_from(["e", "2"]), st.data())
-    def test_second_evaluate_reads_the_first(self, kind, r, s, log_base, data):
+    @given(st.sampled_from(entropy.KINDS), _ORDERS, _DEFORMATIONS, st.data())
+    def test_second_evaluate_reads_the_first(self, kind, r, s, data):
         assume(kind != "hy-ren" or 0.05 <= r < 1)  # alpha = ceil(1 / r): few terms per value
         values = data.draw(_admitted_values(normalized=True))
-        p = EntropyParams(r=r, s=s, log_base=log_base)
+        p = EntropyParams(r=r, s=s)
         fresh = _outcome(lambda: evaluate(kind, as_spectrum(values), p))
         spec = as_spectrum(values)
         with pytest.MonkeyPatch.context() as patch:

@@ -1,13 +1,18 @@
-"""Packaging checks: declared runtime dependencies, the modules and functions that read shared constants, the pinned public API, and the functions the benchmark traces."""
+"""Packaging checks: declared runtime dependencies, the modules and functions that read shared constants, the pinned public API and entropy options, and the functions the benchmark traces."""
 
+import argparse
 import ast
+import dataclasses
 import functools
 import importlib
+import inspect
 import json
 import re
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,6 +138,24 @@ def test_public_names_are_pinned():
     exported = sorted(name for name, value in vars(entrodet).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
+
+
+def test_entropy_options_are_pinned():
+    # every entropy is in nats: no log base on the parameters, the public entropies or
+    # the CLI. A knob that comes back shows up as a diff here
+    from entrodet import EntropyParams, cli, renyi, von_neumann
+
+    assert [field.name for field in dataclasses.fields(EntropyParams)] == ["r", "s", "alpha"]
+    assert list(inspect.signature(von_neumann).parameters) == ["x"]
+    assert list(inspect.signature(renyi).parameters) == ["x", "r"]
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = sorted(option for action in commands.choices["entropy"]._actions
+                     for option in action.option_strings or [action.dest])
+    assert options == ["--alpha", "--help", "--kind", "--r", "--s", "-h", "input"]
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["entropy", "rho.json", "--kind", "vn", "--base", "2"])
+    assert refused.value.code == 2
 
 
 CHECKERS = [

@@ -195,7 +195,6 @@ ORDERS = {
     "log_det_ren": (lambda v: ed.log_det_ren(SPEC, v), 0.375, None),
     "tsallis": (lambda v: ed.tsallis(SPEC, v), 2.5, 2),
     "renyi": (lambda v: ed.renyi(SPEC, v), 2.5, 2),
-    "renyi-base-2": (lambda v: ed.renyi(SPEC, v, "2"), 0.75, 3),
     "hu_ye.r": (lambda v: ed.hu_ye(SPEC, v, 0.5), 2.5, 3),
     "hu_ye.s": (lambda v: ed.hu_ye(SPEC, 2.5, v), 0.75, -2),
     "hy_bound.r": (lambda v: ed.hy_bound(3, v, 0.5), 2.5, 3),

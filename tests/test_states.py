@@ -675,6 +675,23 @@ class TestDiagState:
         with pytest.raises(NotNormalized):
             diag_state([0.7, 0.2])
 
+    @pytest.mark.parametrize("n", [1, 16, 1000])
+    def test_admitted_diagonal_without_an_eigensolver(self, monkeypatch, n):
+        # the admitted values are the eigenvalues: the matrix has the bits that
+        # validate_density gives it, and no LAPACK call decides the state
+        w = np.random.default_rng(n).exponential(size=n)
+        lam = np.concatenate([w / w.sum(), [0.0, -1e-13]])  # -1e-13 is admitted as 0
+        want = validate_density(np.diag(np.sort(np.maximum(lam, 0.0))[::-1].astype(complex)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        got = diag_state(lam)
+        assert got.mat.dtype == want.mat.dtype and got.mat.tobytes() == want.mat.tobytes()
+        assert not got.mat.flags.writeable
+
 
 def test_random_density_valid():
     for seed in range(10):
