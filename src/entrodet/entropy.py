@@ -108,14 +108,11 @@ def _power(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
     return shortcut(x, out=out) if shortcut else np.power(x, r, out=out)
 
 
-def _power_sum(lam: np.ndarray, r: float) -> float:
-    return _blocked_sum(_positive_prefix(lam), lambda x, out: _power(x, r, out))
-
-
 def _i_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
     """The power sum I_r of checked r, once per spectrum: shared by trace_power and log_det_r."""
     spec = spectrum_of(x)
-    return _memoized(spec, "I_r", r, lambda: _power_sum(spec.values, r))
+    return _memoized(spec, "I_r", r, lambda: _blocked_sum(
+        _positive_prefix(spec.values), lambda v, out: _power(v, r, out)))
 
 
 def _lam_log_lam(lam: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -234,7 +231,8 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     ``alpha=None`` resolves to the smallest admissible order :func:`alpha_star`. The
     spectrum need not be normalized, only non-negative. Where ``g^n`` overflows at the
     largest eigenvalue, the top term ``(-1)^n g^n / n`` outgrows the float range and the
-    result is ``(-1)^n inf``.
+    result is ``(-1)^n inf``. Where every term underflows the result is a zero of that
+    same sign: -0.0 at even alpha, +0.0 at odd alpha.
     """
     r, alpha = _resolve_alpha(r, alpha)
     spec = spectrum_of(x)
@@ -273,9 +271,11 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
         np.multiply(s, gn, out=y)
         return acc
 
-    with np.errstate(over="ignore"):  # every term has the sign of (-1)^(alpha-1)
-        return _memoized(spec, "log_det_ren", (r, alpha),
-                         lambda: _blocked_sum(lam, terms, buffers=min(alpha, 3)))
+    # every term has the sign of (-1)^(alpha-1), and so has the sum, a zero one too,
+    # though NumPy sums underflowed terms to +0.0
+    with np.errstate(over="ignore"):
+        return _memoized(spec, "log_det_ren", (r, alpha), lambda: math.copysign(
+            _blocked_sum(lam, terms, buffers=min(alpha, 3)), (-1) ** (alpha - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +302,16 @@ def _deformed(r: float, s: float, stat: str = "I_r") -> Callable:
     limit ``log(x) / (1 - r)``, in nats: then ``x^s - 1 = s log x`` to
     within ``(s log x)^2``, far below the float precision, and the quotient itself
     would be 0 / 0. A scalar 0 with ``s <= 0`` (log 0, or 0 to a negative power)
-    raises ``DomainError``, and a negative scalar (only ``log det_ren`` can be one)
-    to a fractional s raises ``FractionalPowerOfNegative``; an array gives NumPy's
-    infinities there. A power past the float range is its signed infinity, and
-    +0.0 folds away -0.0.
+    raises ``DomainError``, and a scalar whose sign bit is set (only ``log det_ren``
+    can have one, -0.0 where its negative terms underflow) to a fractional s raises
+    ``FractionalPowerOfNegative``; an array gives NumPy's infinities there. A power
+    past the float range is its signed infinity, and +0.0 folds away -0.0.
     """
     e = (1.0 - r) * s
 
     def value(x):
         scalar = not isinstance(x, np.ndarray)
-        if scalar and x < 0 and s != round(s):
+        if scalar and math.copysign(1.0, x) < 0 and s != round(s):
             raise FractionalPowerOfNegative(
                 f"({stat})^s with {stat} = {x:.6g} < 0 and fractional s = {s}"
             )
@@ -366,15 +366,13 @@ def _hu_ye_own_rows(
 def hy_bound(d: int, r: float, s: float) -> float:
     """Maximum of the unified entropy on rank-d states.
 
-    ``(d^((1-r)s) - 1) / ((1-r)s)``, attained exactly by the maximally
-    mixed state of rank d.
+    ``(d^e - 1) / e`` with ``e = (1-r)s``, attained exactly by the maximally
+    mixed state of rank d: the unified map of the statistic d at order 0 and
+    power e, so ``log d`` where the product e underflows to 0.
     """
     r, s = _check_unified_params(r, s)
-    d = _check_count(d, "dimension")
-    e = (1.0 - r) * s
-    if e == 0:  # (1 - r) s underflowed: the s -> 0 (Renyi) limit, log d
-        return math.log(d)
-    return (_float_power(_check_real(d, "dimension"), e) - 1.0) / e + 0.0  # +0.0 folds away -0.0
+    d = _check_real(_check_count(d, "dimension"), "dimension")
+    return _deformed(0.0, (1.0 - r) * s)(d)
 
 
 def hy_fredholm(x: Union[SpectrumLike, MatrixLike], r: float, s: float) -> float:
@@ -415,7 +413,7 @@ class ProbeResult:
 
 
 def divergence_probe(
-    lam_of_k: Callable[[np.ndarray], np.ndarray],
+    lam_of_k: _PowerLaw,
     r: float,
     threshold: float,
     k_max: int = 10_000_000,
@@ -544,7 +542,7 @@ def evaluate(
     """
     method, statistic, to_value, key, params = _route(kind, params)
     # the renormalized routes take any positive spectrum, the others a state
-    spec = spectrum_of(x, normalized=None if method == "renormalized" else True)
+    spec = spectrum_of(x, normalized=method != "renormalized")
     stat = statistic(spec, params)
     value = to_value(stat)
     diagnostics: dict = {"dim": len(spec)}

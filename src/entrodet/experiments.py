@@ -326,7 +326,7 @@ def run_zeta_check(q: float, r: float, k: int) -> ExperimentReport:
     # factors become the unnormalized zeta_spectrum in place, admitted once;
     # its values are non-increasing, so each checkpoint's spectrum is a prefix
     factors **= inv_r
-    lam = linalg._own_spectrum(factors, normalized=False).values
+    lam = linalg._own_spectrum(factors).values
     log_det = [entropy.log_det_r(linalg.Spectrum(lam[:kk], False), r) for kk in ks]
     gap = [abs(v - log_analytic) for v in log_det]
     bound = [fredholm._prime_tail_bound(q, p) for p in p_k]

@@ -61,8 +61,9 @@ class DensityMatrix:
 class Spectrum:
     """Eigenvalues of a positive operator, sorted non-increasing.
 
-    ``is_normalized`` records whether the values sum to 1; unnormalized
-    positive spectra are legal (some determinant identities require them).
+    ``is_normalized`` records whether the values sum to 1 within ``TRACE_TOL``,
+    as measured on admission; unnormalized positive spectra are legal (some
+    determinant identities require them).
 
     Build one with :func:`as_spectrum` or :func:`spectrum_of`, which sort
     and admit the values. The entropy kernels read the positive values as
@@ -140,15 +141,14 @@ def _admit(
     return is_norm
 
 
-def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectrum:
+def as_spectrum(values: SpectrumLike, normalized: bool = False) -> Spectrum:
     """Coerce a value sequence into a :class:`Spectrum`.
 
     Values are sorted non-increasing; entries in ``[-PSD_TOL, 0)`` are
     clamped to zero, anything more negative, NaN or infinite raises
-    :class:`NotPositive`.
-    With ``normalized=None`` the flag is detected from the sum; passing
-    ``True`` demands normalization and raises :class:`NotNormalized`
-    otherwise.
+    :class:`NotPositive`. The unit-sum flag is always measured from the
+    sum; ``normalized=True`` only demands it, raising :class:`NotNormalized`
+    where the sum is off 1.
     """
     if isinstance(values, Spectrum):
         spec = values
@@ -161,12 +161,13 @@ def as_spectrum(values: SpectrumLike, normalized: bool | None = None) -> Spectru
     return _own_spectrum(arr, normalized)
 
 
-def _own_spectrum(arr: np.ndarray, normalized: bool | None = None) -> Spectrum:
+def _own_spectrum(arr: np.ndarray, normalized: bool = False) -> Spectrum:
     """:func:`as_spectrum` of a fresh 1-D float64 buffer, sorted and admitted in place.
 
     The caller hands ``arr`` over, with any array it views: it is reordered,
     clamped and frozen, its bases frozen too, and becomes the spectrum's
-    values, bit for bit those of ``as_spectrum(arr, normalized)`` on a copy.
+    values, bit for bit those of ``as_spectrum(arr, normalized)`` on a copy,
+    with the unit-sum flag measured (and demanded by ``normalized=True``).
     """
     # A positive, non-increasing buffer is already sorted. Anything else
     # (NaN fails both tests) is sorted in place: negate, sort ascending,
@@ -176,7 +177,7 @@ def _own_spectrum(arr: np.ndarray, normalized: bool | None = None) -> Spectrum:
         np.negative(arr, out=arr)
         arr.sort()
         np.negative(arr, out=arr)
-    is_norm = bool(_admit(arr, bool(normalized))[0]) and normalized is not False
+    is_norm = bool(_admit(arr, normalized)[0])
     base = arr.base  # as_spectrum's ravel views its copy: freeze both, for _memoized
     while isinstance(base, np.ndarray):
         base = _freeze(base).base
@@ -259,21 +260,15 @@ def _eigensolve(solver, m: np.ndarray):
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
-def _is_matrix(x) -> bool:
-    """Whether an input is read as a matrix: a :class:`DensityMatrix` or a 2-D array."""
-    return isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2)
-
-
-def spectrum_of(
-    x: Union[SpectrumLike, MatrixLike], normalized: bool | None = None
-) -> Spectrum:
+def spectrum_of(x: Union[SpectrumLike, MatrixLike], normalized: bool = False) -> Spectrum:
     """Reduce any input to its :class:`Spectrum`; the one path every entropy takes.
 
     A :class:`Spectrum` or a 1-D value sequence goes to :func:`as_spectrum`.
     A :class:`DensityMatrix` or a 2-D array is diagonalized by one
     ``eigvalsh`` (no eigenvectors), after the Hermiticity check for bare
     arrays, and its eigenvalues then get the same clamping, positivity,
-    finiteness, sorting and ``normalized`` handling as any value sequence.
+    finiteness, sorting and unit-sum measurement as any value sequence;
+    ``normalized=True`` demands a unit sum.
 
     Raises
     ------
@@ -282,7 +277,7 @@ def spectrum_of(
     NotPositive, NotNormalized
         As :func:`as_spectrum`.
     """
-    if _is_matrix(x):
+    if isinstance(x, DensityMatrix) or (isinstance(x, np.ndarray) and x.ndim == 2):
         x = _eigensolve(np.linalg.eigvalsh, _hermitian(x))
     return as_spectrum(x, normalized)
 

@@ -335,9 +335,8 @@ def zeta_spectrum(q: float, r: float, k: int, normalized: bool = True) -> Spectr
         lam = np.exp((log_f - log_f[0]) / r, out=lam)
     else:
         lam **= 1.0 / r
-    if not normalized:
-        return _own_spectrum(lam, normalized=False)
-    lam /= lam.sum()
+    if normalized:
+        lam /= lam.sum()
     return _own_spectrum(lam)
 
 
@@ -429,8 +428,6 @@ def gaussian_entropy_analytic(r: float, mode: str = "stable") -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(-np.log(1.0 - t) - t / (1.0 - t) * np.log(t))
     if mode == "stable":
-        if r == 0.0:
-            return 0.0
         if r > 350.0:
             # sinh^2 would overflow; the dropped 1/(2 sinh^2) term is ~e^-2r
             return 2.0 * r - 2.0 * math.log(2.0) + 1.0

@@ -190,6 +190,22 @@ class TestEntropyCommand:
         assert proc.returncode == 4
         assert "FractionalPowerOfNegative" in proc.stderr
 
+    def test_underflowed_log_det_keeps_its_sign_exit_4(self, tmp_path):
+        # at alpha = 1e5 every term of log det_ren underflows, so it is -0.0, the sign of
+        # its exact value (about -1e-25960): its power 0.5 is refused, as at alpha = 200,
+        # where a +0.0 sum printed -20 and exited 0. An integer power takes -0.0 as 0
+        path = tmp_path / "diag.json"
+        save_matrix(path, np.diag([0.4, 0.3, 0.3]))
+        args = ("entropy", str(path), "--kind", "hy-ren", "--r", "0.9", "--alpha", "100000")
+        proc = run_cli(*args, "--s", "0.5")
+        assert proc.returncode == 4
+        assert "FractionalPowerOfNegative" in proc.stderr
+        proc = run_cli(*args, "--s", "1")
+        assert proc.returncode == 0, proc.stderr
+        payload = strict_loads(proc.stdout)
+        assert payload["value"] == -10.000000000000002
+        assert '"log_det": -0.0' in proc.stdout
+
     def test_overflowing_value_is_divergent(self, tmp_path):
         # I_3^s = 0.25^-2000 is past the float range: +inf, written "inf", flagged, exit 0
         path = tmp_path / "mm.json"

@@ -752,6 +752,19 @@ class TestPastTheFloatRange:
         assert hu_ye(self.QUBIT, 2000, 1) == 1 / 1999
         assert hu_ye(self.QUBIT, 2000, 0.5) == 1 / 999.5
 
+    @pytest.mark.parametrize("alpha", [10**5, 10**5 + 1])
+    def test_underflowed_log_det_keeps_its_sign(self, alpha):
+        # every term of log det_alpha of diag(0.4, 0.3, 0.3) at r = 0.9 underflows (the
+        # exact value is about -1e-25960 at alpha = 1e5): a zero of sign (-1)^(alpha-1),
+        # where NumPy's sum gave +0.0 and a fractional power of it passed as 0
+        value = log_det_ren([0.4, 0.3, 0.3], 0.9, alpha)
+        assert value == 0.0 and math.copysign(1.0, value) == (-1) ** (alpha - 1)
+        if alpha % 2:
+            assert hy_renormalized([0.4, 0.3, 0.3], 0.9, 0.5, alpha) == -20.000000000000004
+        else:
+            with pytest.raises(FractionalPowerOfNegative, match="log det_ren = -0 < 0"):
+                hy_renormalized([0.4, 0.3, 0.3], 0.9, 0.5, alpha)
+
     def test_zero_log_det_to_a_negative_power_is_a_domain_error(self):
         with pytest.raises(DomainError, match="log det_ren = 0"):
             hy_renormalized([0.0, 0.0], 0.5, -1)
@@ -837,16 +850,19 @@ def _oracle_vn_renormalized(lam):
 
 def _oracle_log_det_ren(lam, r, alpha):
     # x - g at alpha = 2; above it, where g > 2, the alternating sum term by term,
-    # and elsewhere its remainder series in y, with one coefficient list per call
+    # and elsewhere its remainder series in y, with one coefficient list per call.
+    # Every term has the sign of (-1)^(alpha-1), and so has their sum, a zero one too
     lam = lam[lam > 0]
+    if not len(lam):
+        return 0.0  # no term: the log of the empty product
     x = lam**r
     g = np.expm1(x)
     if alpha == 2:
-        return float((x - g).sum())
+        return math.copysign(float((x - g).sum()), -1.0)
     n = alpha - 1
     e = math.log(math.log(3.0)) / r
     big = lam > (math.exp(e) if e < math.log(sys.float_info.max) else math.inf)
-    coeffs, y_top = [1.0], min(2 / 3, -math.expm1(-float(lam[0]) ** r)) if len(lam) else 0.0
+    coeffs, y_top = [1.0], min(2 / 3, -math.expm1(-float(lam[0]) ** r))
     while coeffs[-1] * y_top ** (len(coeffs) - 1) > 2**-56:
         coeffs.append(coeffs[-1] * len(coeffs) / (n + 1 + len(coeffs)))
     terms = x.copy()
@@ -859,7 +875,7 @@ def _oracle_log_det_ren(lam, r, alpha):
     for c in coeffs[-2::-1]:
         s = s * y + c
     terms[~big] = s * y * ((-1) ** n / (n + 1)) * g[~big] ** n
-    return float(terms.sum())
+    return math.copysign(float(terms.sum()), (-1) ** n)
 
 
 @st.composite
@@ -1201,7 +1217,7 @@ def _oracle_unified_renormalized(r, s):
     at_zero = f"(log det_ren)^s with log det_ren = 0 and s = {s} < 0"
 
     def value(log_det):
-        if log_det < 0 and float(s) != round(s):
+        if math.copysign(1.0, log_det) < 0 and float(s) != round(s):  # -0.0 too
             raise FractionalPowerOfNegative(
                 f"(log det_ren)^s with log det_ren = {log_det:.6g} < 0 and fractional s = {s}"
             )
@@ -1336,7 +1352,7 @@ def _count_passes(patch):
 
 class TestStatisticMemo:
     # a Spectrum with read-only values sums each statistic once per order;
-    # every kernel sums through entropy._blocked_sum, which _power_sum calls too
+    # every kernel sums through entropy._blocked_sum, the power sum of _i_r too
     STATISTICS = {"I_r", "vn", "vn-ren", "log_det_ren"}
 
     @settings(max_examples=300, deadline=None)
@@ -1470,6 +1486,33 @@ def test_near_pure_entropy_is_accurate(fn, lam, want):
     assert value >= 0
     assert abs((mpmath.mpf(value) - exact) / exact) <= 1e-12
 
+
+
+# mixed states away from purity, where the power-sum kinds are accurate today
+_MIXED = {
+    "dirichlet-64": np.random.default_rng(64).dirichlet(np.ones(64)),
+    "dirichlet-16": np.random.default_rng(16).dirichlet(np.ones(16)),
+    "qubit": np.array([0.7, 0.3]),
+    "geometric-40": 2.0 ** -np.arange(40) / (2.0 - 2.0**-39),
+    "with-zeros": np.array([0.5, 0.25, 0.25, 0.0, 0.0]),
+}
+_MIXED_ORDERS = [1e-3, 0.1, 0.5, 0.9, 1.1, 1.5, 2, 3, 10, 100]
+
+
+def test_power_sum_kinds_are_accurate_on_mixed_states():
+    # Tsallis, Renyi, unified and determinant unified against mpmath: 440 cells
+    worst = (0.0, None)
+    for label, lam in _MIXED.items():
+        for r in _MIXED_ORDERS:
+            cells = [("tsallis", 1), ("renyi", 0), *(("hy", s) for s in (0.5, -0.5, -2, 1, 3))]
+            if r > 1:
+                cells += [("hy-fredholm", s) for s in (0.5, -2, 3)]
+            for kind, s in cells:
+                exact = oracles.deformed_entropy(lam, r, s)
+                value = evaluate(kind, lam, EntropyParams(r=r, s=s)).value
+                err = abs((mpmath.mpf(value) - exact) / exact)
+                worst = max(worst, (err, (label, kind, r, s)), key=lambda w: w[0])
+    assert worst[0] <= 1e-12, worst
 
 
 def _thermal_entropy(energy):

@@ -233,6 +233,15 @@ class TestSpectrum:
         s = as_spectrum([0.5, 0.4])
         assert not s.is_normalized
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_unit_sum_flag_is_measured(self, normalized):
+        # normalized=False waives the demand only: it marked [0.5, 0.5] unnormalized,
+        # and von_neumann then refused it with "spectrum sums to 1, expected 1"
+        spec = as_spectrum([0.5, 0.5], normalized=normalized)
+        assert spec.is_normalized
+        assert spectrum_of(np.eye(2) / 2, normalized=normalized).is_normalized
+        assert von_neumann(spec) == pytest.approx(np.log(2), abs=1e-15)
+
     def test_pure_bipartite_schmidt_symmetry(self, rng):
         # nonzero spectra of the two reductions of a pure state coincide
         for _ in range(10):

@@ -89,14 +89,14 @@ def test_three_functions_read_the_grid_tolerance():
 
 
 def test_one_builder_maps_the_deformed_entropies():
-    # the Tsallis, Renyi, unified, determinant and renormalized forms are one map of
-    # their statistic, built by _deformed; hy_bound raises the dimension to the same
-    # power. A second copy of the map would read _float_power from another statement
+    # the Tsallis, Renyi, unified, determinant and renormalized forms and hy_bound are
+    # one map of their statistic, built by _deformed. A second copy of the map would
+    # read _float_power from another statement
     readers = {(path.name, getattr(node, "name", type(node).__name__))
                for path in (ROOT / "src" / "entrodet").glob("*.py")
                for node in ast.parse(path.read_text(encoding="utf-8")).body
                if any(names_used(inner) & {"_float_power"} for inner in ast.walk(node))}
-    assert readers == {("entropy.py", "_deformed"), ("entropy.py", "hy_bound")}, sorted(readers)
+    assert readers == {("entropy.py", "_deformed")}, sorted(readers)
 
 
 def test_one_block_constant_for_long_spectra():
