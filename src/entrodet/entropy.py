@@ -200,7 +200,8 @@ def log_det_r(x: Union[SpectrumLike, MatrixLike], r: float) -> float:
 
 
 def alpha_star(r: float) -> int:
-    """Smallest integer alpha with alpha * r >= 1, for r in (0, 1)."""
+    """Smallest integer alpha with alpha * r >= 1, for r in [2**-53, 1); like an explicit
+    order it is at most 2**53, so a smaller r raises :class:`DomainError`."""
     return _resolve_alpha(r, None)[1]
 
 
@@ -211,8 +212,7 @@ def _resolve_alpha(r: float, alpha: int | None) -> tuple[float, int]:
     a_min = int(math.floor(1.0 / r))
     if a_min * r < 1.0:
         a_min += 1
-    if alpha is None:
-        return r, a_min
+    alpha = a_min if alpha is None else alpha
     return r, _check_count(alpha, "regularization order alpha", a_min, _MAX_COUNT)
 
 
@@ -228,11 +228,12 @@ def log_det_ren(x: SpectrumLike, r: float, alpha: int | None = None) -> float:
     summed instead, as ``(-1)^n g^n y / (n + 1) sum_k c_k y^k`` with ``y = 1 - e^-lam^r``,
     ``c_0 = 1`` and ``c_{k+1} = c_k (k + 1) / (n + 2 + k)``: positive terms that fall by
     ``y <= 2/3`` or faster. Where g > 2 the terms grow with j and are summed as written.
-    ``alpha=None`` resolves to the smallest admissible order :func:`alpha_star`. The
-    spectrum need not be normalized, only non-negative. Where ``g^n`` overflows at the
-    largest eigenvalue, the top term ``(-1)^n g^n / n`` outgrows the float range and the
-    result is ``(-1)^n inf``. Where every term underflows the result is a zero of that
-    same sign: -0.0 at even alpha, +0.0 at odd alpha.
+    ``alpha=None`` resolves to the smallest admissible order :func:`alpha_star`, which
+    like an explicit order must be at most 2**53. The spectrum need not be normalized,
+    only non-negative. Where ``g^n`` overflows at the largest eigenvalue, the top term
+    ``(-1)^n g^n / n`` outgrows the float range and the result is ``(-1)^n inf``. Where
+    every term underflows the result is a zero of that same sign: -0.0 at even alpha,
+    +0.0 at odd alpha.
     """
     r, alpha = _resolve_alpha(r, alpha)
     spec = spectrum_of(x)

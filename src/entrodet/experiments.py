@@ -25,8 +25,6 @@ from . import entropy, fredholm, linalg, states
 from .errors import (
     _MAX_COUNT,
     DomainError,
-    NonFiniteKernel,
-    NonPositiveDeterminant,
     _check_count,
     _check_real,
 )
@@ -249,8 +247,10 @@ def run_gaussian_experiment(
     and ``b`` columns. The truncated entropy is a closed form in the
     truncation order, within 1e-15 relative of a high-precision evaluation
     wherever tanh^2 r is a normal double; no spectrum is built, so n_max is
-    limited by its admission (at most 2^53), not by memory. Determinant
-    failures are recorded as flags; parameter errors raise
+    limited by its admission (at most 2^53), not by memory. A determinant
+    the kernel route refuses (a non-finite or overflowing entry, a dense LU
+    buried in rounding noise, a sign that is not positive) leaves that
+    row's ``logdet`` empty with ``logdet_ok`` false; parameter errors raise
     :class:`DomainError` before any row.
     """
     def admit(r):  # a Python int stays one: the CLI's default grid ends 1, 2, ..., 20
@@ -273,7 +273,7 @@ def run_gaussian_experiment(
     for b in ends:
         try:
             logdet.append(fredholm.log_fredholm_det(kernel, z, 0.0, b, m))
-        except (NonFiniteKernel, NonPositiveDeterminant):
+        except DomainError:  # every parameter is checked above: a refused determinant
             logdet.append(None)
     columns = {
         "r": r_grid,

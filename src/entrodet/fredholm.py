@@ -92,22 +92,6 @@ _PRIMES_KEPT = 1 << 21
 _PRIMES = np.empty(0, dtype=np.int64)
 _PRIMES.setflags(write=False)
 
-# the wheel: slot i stands for the odd number 2 i + 1, True unless it is a
-# multiple of 3, 5, 7, 11 or 13; the pattern repeats every 15015 odd numbers
-_WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL_SLOTS = 15015
-
-
-def _wheel_pattern() -> np.ndarray:
-    wheel = np.ones(_WHEEL_SLOTS, dtype=bool)
-    for p in _WHEEL_PRIMES:
-        wheel[p // 2 :: p] = False  # odd multiples of p are p slots apart
-    wheel.setflags(write=False)
-    return wheel
-
-
-_WHEEL = _wheel_pattern()
-
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-15
 
@@ -576,48 +560,31 @@ def _prime_bound(k: int) -> int:
     return int(k * (lk + math.log(lk) - shift)) + 3
 
 
-def _wheel_fill(block: np.ndarray, lo: int) -> None:
-    """Copy the wheel pattern of slots ``lo .. lo + len(block) - 1`` into ``block``."""
-    n = len(block)
-    off = lo % _WHEEL_SLOTS
-    head = min(n, _WHEEL_SLOTS - off)
-    block[:head] = _WHEEL[off : off + head]
-    rows = (n - head) // _WHEEL_SLOTS
-    body = block[head : head + rows * _WHEEL_SLOTS]
-    body.reshape(rows, _WHEEL_SLOTS)[...] = _WHEEL
-    tail = head + len(body)
-    block[tail:] = _WHEEL[: n - tail]
-
-
 def _primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as a C-contiguous int64 array.
 
     Slot i of the sieve stands for the odd number 2 i + 1. One buffer of
-    ``_SIEVE_BLOCK`` slots is reused block after block: it starts from the
-    wheel pattern, which has struck the multiples of 3, 5, 7, 11 and 13
-    (the wheel primes themselves are put back), then the odd base primes
-    from 17 up to isqrt(limit) (found by the same routine) strike it, each
-    carrying its next strike offset from block to block, and its primes
-    are read off while it is still in cache. They go into one array sized
-    by Rosser and Schoenfeld's ``pi(x) < 1.25506 x / ln x``, whose unused
-    end is never written and is cut off in place at the end, so the result
-    owns exactly its primes. Slot 0 (the number 1) becomes the prime 2.
+    ``_SIEVE_BLOCK`` slots is reused block after block: it starts all True,
+    then the odd base primes from 3 up to isqrt(limit) (found by the same
+    routine) strike it from the slot of p^2 on, each carrying its next
+    strike offset from block to block, and its primes are read off while
+    it is still in cache. They go into one array sized by Rosser and
+    Schoenfeld's ``pi(x) < 1.25506 x / ln x``, whose unused end is never
+    written and is cut off in place at the end, so the result owns exactly
+    its primes. Slot 0 (the number 1) becomes the prime 2.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     n_slots = (limit + 1) // 2
     primes = np.empty(int(1.25506 * limit / math.log(limit)) + 2, dtype=np.int64)
     buf = np.empty(min(_SIEVE_BLOCK, n_slots), dtype=bool)
-    base = [p for p in _primes_up_to(math.isqrt(limit)).tolist() if p > _WHEEL_PRIMES[-1]]
+    base = _primes_up_to(math.isqrt(limit)).tolist()[1:]  # the odd ones
     nxt = [(p * p) // 2 for p in base]  # slot of p^2, the first multiple to strike
     active = count = 0
     for lo in range(0, n_slots, _SIEVE_BLOCK):
         hi = min(lo + _SIEVE_BLOCK, n_slots)
         block = buf[: hi - lo]
-        _wheel_fill(block, lo)
-        for p in _WHEEL_PRIMES:
-            if lo <= p // 2 < hi:
-                block[p // 2 - lo] = True
+        block.fill(True)
         while active < len(base) and nxt[active] < hi:
             active += 1
         for j in range(active):
@@ -647,13 +614,11 @@ def first_k_primes(k: int) -> np.ndarray:
     more than ``1 << 21`` primes (16 MiB) is returned but not kept, so the
     table never holds more than that.
 
-    A segmented sieve of Eratosthenes over odd numbers only, started from
-    a wheel that has already struck the multiples of 3 to 13, and run in
-    one cache-sized buffer reused block after block (see
-    ``_primes_up_to``). The sieve bound is ``_prime_bound``'s: Dusart's
-    bound for k >= 39017, so the sieve to the millionth prime stops at
-    15.49M. The bound is doubled (never needed in practice) if the sieve
-    comes up short.
+    A segmented sieve of Eratosthenes over odd numbers only, run in one
+    cache-sized buffer reused block after block (see ``_primes_up_to``).
+    The sieve bound is ``_prime_bound``'s: Dusart's bound for k >= 39017,
+    so the sieve to the millionth prime stops at 15.49M. The bound is
+    doubled (never needed in practice) if the sieve comes up short.
 
     Raises
     ------

@@ -345,6 +345,16 @@ class TestExperimentCommands:
         assert row["schmidt_tail"] == "0.0"
         assert abs(float(row["schmidt"]) - float(row["stable"])) <= 1e-14 * float(row["stable"])
 
+    def test_gaussian_refused_determinant_exit_0(self):
+        # the dense LU on (0, 1e308) is rounding noise: that DomainError exited 4
+        # with no CSV; the row is flagged and the r = 1 row keeps its bytes
+        proc = run_cli("gaussian-experiment", "--r", "1,1e308")
+        assert proc.returncode == 0, proc.stderr
+        *_, row_1, row_big = proc.stdout.splitlines()
+        assert row_big.split(",")[6:8] == ["", "false"]
+        alone = run_cli("gaussian-experiment", "--r", "1")
+        assert alone.stdout.splitlines()[-1] == row_1
+
     def test_gaussian_interval_is_no_option(self):
         proc = run_cli("gaussian-experiment", "--r", "0.5", "--interval", "0", "1")
         assert proc.returncode == 2

@@ -289,8 +289,24 @@ class TestAlphaStar:
                 alpha_star(r)
             with pytest.raises(DomainError, match="deformation order r"):
                 hy_renormalized([0.5, 0.5], r, 1.0)
-        above = math.nextafter(tiny, 1.0)
-        assert alpha_star(above) == math.ceil(1.0 / above)
+        # a finite 1 / r past 2**53 is an order that no explicit alpha may take
+        with pytest.raises(DomainError, match="regularization order alpha"):
+            alpha_star(math.nextafter(tiny, 1.0))
+
+    def test_default_order_has_the_explicit_bound(self):
+        # the default alpha_star(r) passed unchecked: below r = 2**-53 log_det_ren
+        # returned -inf where hy_renormalized refused the same order
+        edge = 2.0**-53
+        assert alpha_star(edge) == 2**53
+        assert log_det_ren([0.5, 0.5], edge) == log_det_ren([0.5, 0.5], edge, 2**53)
+        below = math.nextafter(edge, 0.0)
+        for call in (lambda: alpha_star(below), lambda: alpha_star(1e-300),
+                     lambda: log_det_ren([0.5, 0.5], 1e-17),
+                     lambda: log_det_ren([0.5, 0.5], 1e-17, 10**17),
+                     lambda: hy_renormalized([0.5, 0.5], 1e-17, 1.0),
+                     lambda: evaluate("hy-ren", [0.5, 0.5], EntropyParams(r=1e-17))):
+            with pytest.raises(DomainError, match="regularization order alpha must be <="):
+                call()
 
 
 class TestDetRen:

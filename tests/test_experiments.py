@@ -226,6 +226,15 @@ class TestGaussianExperiment:
         assert all(not row["logdet_ok"] for row in report.records)
         assert all(row["logdet"] is None for row in report.records)
 
+    @pytest.mark.parametrize("r_grid, z, ok", [([1.0, 1e308], 1.0, [True, False]),
+                                               ([1.0], 1e308, [False])])
+    def test_refused_determinant_is_flagged_not_fatal(self, r_grid, z, ok):
+        # on (0, 1e308) the dense LU is rounding noise, and at z = 1e308 a weighted
+        # entry overflows: both DomainErrors ended the sweep
+        report = run_gaussian_experiment(r_grid, n_max=50, z=z)
+        assert [row["logdet_ok"] for row in report.records] == ok
+        assert [row["logdet"] is not None for row in report.records] == ok
+
     def test_non_finite_z_rejected(self):
         for z in (math.nan, math.inf):
             with pytest.raises(DomainError):

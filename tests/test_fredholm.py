@@ -396,9 +396,10 @@ class TestPrimes:
 
     @pytest.mark.parametrize("block", [8, 37, 1000, 20_000, 40_000])
     def test_blocks_not_dividing_the_wheel(self, monkeypatch, block):
-        # 15015 = 3 5 7 11 13 odd slots per wheel turn: none of these blocks
-        # divides it, so every block starts at another phase of the pattern,
-        # and 40000 copies a whole turn inside one block
+        # block sizes that move the carried strike offsets: each odd base
+        # prime p that does not divide the block starts each block at another
+        # offset mod p (8 moves every prime's, 37 all but 37's, 1000 to 40000
+        # all but 5's), and at 20000 and 40000 one block holds the limits to 30032
         monkeypatch.setattr(fredholm, "_SIEVE_BLOCK", block)
         for limit in (30_028, 30_030, 30_032, 100_003):
             assert fredholm._primes_up_to(limit).tolist() == primes_up_to_by_trial(limit)
@@ -406,17 +407,22 @@ class TestPrimes:
     @pytest.mark.parametrize("limit", [*range(21), 15_013, 15_014, 15_015, 15_016, 15_017,
                                        30_028, 30_029, 30_030, 30_031, 30_032])
     def test_limits_straddling_the_wheel(self, limit):
+        # limits at 15015 = 3 5 7 11 13 and 30030 = 2 15015, each a multiple
+        # of every prime up to 13
         primes = fredholm._primes_up_to(limit)
         assert primes.tolist() == primes_up_to_by_trial(limit)
         assert primes.dtype == np.int64 and primes.flags.c_contiguous
         assert primes.flags.owndata  # not a view of the larger sieve output
 
-    def test_wheel_pattern(self):
-        wheel = fredholm._WHEEL
-        assert len(wheel) == fredholm._WHEEL_SLOTS == 3 * 5 * 7 * 11 * 13
-        assert not wheel.flags.writeable
-        odd = np.arange(1, 2 * len(wheel), 2)
-        assert np.array_equal(wheel, np.gcd(odd, 15015) == 1)
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_limits_at_small_prime_squares(self, monkeypatch, block):
+        # each odd base prime p strikes from the slot of p^2 on: around 9, 25,
+        # 49, 121 and 169 the primes 3, 5, 7, 11 and 13 start to strike
+        if block is not None:
+            monkeypatch.setattr(fredholm, "_SIEVE_BLOCK", block)
+        for square in (9, 25, 49, 121, 169):
+            for limit in (square - 1, square, square + 1):
+                assert fredholm._primes_up_to(limit).tolist() == primes_up_to_by_trial(limit)
 
     @pytest.mark.parametrize("k, p_k", [(39_016, 467_471), (39_017, 467_473),
                                         (10**6, 15_485_863), (2 * 10**6, 32_452_843)])
